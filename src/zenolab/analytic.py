@@ -245,15 +245,13 @@ def series_vs_spectral_curve(h: SpectralOperator, psi: WaveFunction, t: float,
         raise DomainError("n_values must be strictly increasing positive ints")
     if reference.space != psi.space:
         raise DomainError("reference state lives on a different space")
-    _, _, diverged, _, records = _series_accumulate(h, psi, t, ns[-1], checkpoints=set(ns))
-    by_n = {n: (vals, flag) for n, vals, flag in records}
+    records, _ = _series_accumulate(h, psi, t, ns[-1], set(ns))
     errors = []
-    for n in ns:
-        vals, flag = by_n[n]
+    for _, vals, flag in records:
         if flag or not np.all(np.isfinite(vals)):
             errors.append(math.inf)
         else:
             # same norm path as WaveFunction arithmetic, keeping the bitwise
             # agreement with standalone truncated runs
             errors.append(WaveFunction(psi.space, vals - reference.values).norm())
-    return ConvergenceCurve(t, grid_tag, ns, tuple(errors), diverged)
+    return ConvergenceCurve(t, grid_tag, ns, tuple(errors), records[-1][2])

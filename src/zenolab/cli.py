@@ -55,21 +55,19 @@ OPTIONS: dict[str, tuple[type, str | None]] = {
     "out": (str, None),
     "format": (str, None),
 }
-
-SCENARIO_BLURBS = {
-    "counterexample": "translation flow: (I) HOLDS, (II) FALSIFIED, (I-A) FAILS backward",
-    "hm-invariance": "selective core measurements leave survival unchanged",
-    "rabi-control": "two-level control where measurements freeze decay (~1/N)",
-    "series-validity": "power-series propagation: Gaussian vs bump, two resolutions",
+#: values accepted by --format
+FORMATS = ("csv", "bundle", "both")
+#: --help text of the options that carry one
+HELP = {
+    "N": "number of selective measurements",
+    "out": "output root (default: $ZENOLAB_OUT or ./zenolab-out)",
 }
 
 
 def _coerce(key: str, raw: str):
     typ, _ = OPTIONS[key]
-    if key == "format":
-        if raw not in ("csv", "bundle", "both"):
-            raise ConfigError(f"format must be csv, bundle or both, not {raw!r}")
-        return raw
+    if key == "format" and raw not in FORMATS:
+        raise ConfigError(f"format must be csv, bundle or both, not {raw!r}")
     try:
         return typ(raw)
     except ValueError:
@@ -98,21 +96,9 @@ def load_config(path: str) -> dict:
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--grid-points", type=int, default=None)
-    parser.add_argument("--x-min", type=float, default=None)
-    parser.add_argument("--x-max", type=float, default=None)
-    parser.add_argument("--sigma", type=float, default=None)
-    parser.add_argument("--center", type=float, default=None)
-    parser.add_argument("--time", type=float, default=None)
-    parser.add_argument("--N", type=int, default=None, dest="N",
-                        help="number of selective measurements")
-    parser.add_argument("--omega", type=float, default=None)
-    parser.add_argument("--tolerance-invariance", type=float, default=None)
-    parser.add_argument("--tolerance-falsify", type=float, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", type=str, default=None,
-                        help="output root (default: $ZENOLAB_OUT or ./zenolab-out)")
-    parser.add_argument("--format", choices=("csv", "bundle", "both"), default=None)
+    for key, (typ, _) in OPTIONS.items():
+        parser.add_argument(f"--{key}", type=typ, default=None, help=HELP.get(key),
+                            choices=FORMATS if key == "format" else None)
     parser.add_argument("--config", type=str, default=None,
                         help="flat key = value config file; flags override it")
 
@@ -220,7 +206,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_list() -> int:
     for name in sorted(SCENARIOS):
-        print(f"{name:18} {SCENARIO_BLURBS[name]}")
+        blurb = (SCENARIOS[name].__doc__ or "").strip().split("\n", 1)[0]
+        print(f"{name:18} {blurb}")
     return 0
 
 

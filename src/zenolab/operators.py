@@ -1,18 +1,17 @@
 """Hermitian operators in spectral form and the propagators built from them.
 
 An operator is stored as a real spectrum plus a unitary change of basis
-(one of: the FFT, the identity, or an explicit eigenvector matrix).  The
-propagator is the functional calculus U(t) = exp(-i t H): transform to the
-eigenbasis, multiply by exp(-i lambda t), transform back.  The adjoint
-U(t)^dagger is realized as U(-t); only the full-space unitary group is
-modelled here.
+(either the FFT or an explicit eigenvector matrix).  The propagator is the
+functional calculus U(t) = exp(-i t H): transform to the eigenbasis,
+multiply by exp(-i lambda t), transform back.  The adjoint U(t)^dagger is
+realized as U(-t); only the full-space unitary group is modelled here.
 
 Sign and layout conventions:
   * momentum acts as -i d/dx, so U(t) = exp(-i t p) translates to the right:
     values move from x to x + t,
   * wavenumbers follow FFT bin order with the Nyquist mode at +pi/dx,
   * eigenbasis coefficients always carry plain l2 normalization, which makes
-    `to_eigenbasis` an exact isometry with respect to the state norm.
+    the change of basis an exact isometry with respect to the state norm.
 
 The central subtlety of everything downstream: on a finite grid every
 operator is bounded (|lambda| <= spectral_radius), so exp(-i t H) has a
@@ -46,9 +45,8 @@ class SpectralOperator:
     """Hermitian operator H = V diag(eigenvalues) V^dagger.
 
     kind selects the basis transform V:
-      * "fourier":  V^dagger = unitary FFT (grid spaces),
-      * "position": V = identity (operator diagonal in position),
-      * "matrix":   V = explicit unitary eigenvector matrix (dense spaces).
+      * "fourier": V^dagger = unitary FFT (grid spaces),
+      * "matrix":  V = explicit unitary eigenvector matrix (dense spaces).
     """
 
     space: Grid | DenseSpace
@@ -65,7 +63,7 @@ class SpectralOperator:
             )
         lam.setflags(write=False)
         object.__setattr__(self, "eigenvalues", lam)
-        if self.kind not in ("fourier", "position", "matrix"):
+        if self.kind not in ("fourier", "matrix"):
             raise DomainError(f"unknown operator kind {self.kind!r}")
         if self.kind == "matrix":
             if self.basis is None:
@@ -84,29 +82,18 @@ class SpectralOperator:
         w = self.space.dx
         if self.kind == "fourier":
             return np.fft.fft(values) * np.sqrt(w / self.space.n_points)
-        if self.kind == "position":
-            return values * np.sqrt(w)
         return self.basis.conj().T @ values
 
     def _from_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         w = self.space.dx
         if self.kind == "fourier":
             return np.fft.ifft(coeffs / np.sqrt(w / self.space.n_points))
-        if self.kind == "position":
-            return coeffs / np.sqrt(w)
         return self.basis @ coeffs
 
     def _apply_values(self, values: np.ndarray) -> np.ndarray:
         return self._from_coeffs(self.eigenvalues * self._to_coeffs(values))
 
     # -- public API ------------------------------------------------------------
-
-    def to_eigenbasis(self, psi: WaveFunction) -> np.ndarray:
-        self._check_space(psi)
-        return self._to_coeffs(psi.values)
-
-    def from_eigenbasis(self, coeffs: np.ndarray) -> WaveFunction:
-        return WaveFunction(self.space, self._from_coeffs(np.asarray(coeffs, dtype=np.complex128)))
 
     def apply(self, psi: WaveFunction) -> WaveFunction:
         self._check_space(psi)
@@ -120,11 +107,6 @@ class SpectralOperator:
 def momentum_operator(grid: Grid) -> SpectralOperator:
     """The operator -i d/dx, diagonal in the Fourier basis."""
     return SpectralOperator(grid, grid.wavenumbers(), "fourier")
-
-
-def coordinate_operator(grid: Grid) -> SpectralOperator:
-    """Multiplication by x, diagonal in position."""
-    return SpectralOperator(grid, grid.positions(), "position")
 
 
 def dense_hermitian(matrix: np.ndarray, tol: float = 1e-12) -> SpectralOperator:
@@ -224,22 +206,20 @@ class SeriesResult:
 
 
 def _series_accumulate(h: SpectralOperator, psi: WaveFunction, t: float, n_terms: int,
-                       checkpoints: set[int] | None = None):
+                       checkpoints: set[int]):
     """Shared summation kernel.
 
     Adds terms (-i t H)^n psi / n! for n = 0..n_terms-1 in a fixed order so
-    every caller sees identical floating-point results.  Yields
-    (n_terms_so_far, partial_values, diverged) at each checkpoint.
+    every caller sees identical floating-point results.  Returns the
+    (n_terms_so_far, partial_values, diverged) record of each checkpoint, in
+    increasing order, and the last term added, or None when a non-finite
+    term halted the sum.
     """
     h._check_space(psi)
     psi_norm = psi.norm()
-    term = psi.values.copy()
-    total = term.copy()
-    diverged = False
-    halted = False
-    records = []
-    if checkpoints and 1 in checkpoints:
-        records.append((1, total.copy(), diverged))
+    term = total = psi.values
+    diverged = halted = False
+    records = [(1, total, diverged)] if 1 in checkpoints else []
     for n in range(1, n_terms):
         if not halted:
             term = h._apply_values(term) * (-1j * t / n)
@@ -251,9 +231,9 @@ def _series_accumulate(h: SpectralOperator, psi: WaveFunction, t: float, n_terms
                 if tn > DIVERGENCE_FACTOR * psi_norm:
                     diverged = True
                 total = total + term
-        if checkpoints and (n + 1) in checkpoints:
-            records.append((n + 1, total.copy(), diverged))
-    return total, term, diverged, halted, records
+        if n + 1 in checkpoints:
+            records.append((n + 1, total, diverged))
+    return records, None if halted else term
 
 
 def evolve_series(h: SpectralOperator, psi: WaveFunction, t: float, n_terms: int) -> SeriesResult:
@@ -265,8 +245,9 @@ def evolve_series(h: SpectralOperator, psi: WaveFunction, t: float, n_terms: int
     """
     if n_terms < 1:
         raise DomainError(f"n_terms must be >= 1, got {n_terms}")
-    total, term, diverged, halted, _ = _series_accumulate(h, psi, t, n_terms)
-    if halted:
+    records, term = _series_accumulate(h, psi, t, n_terms, {n_terms})
+    _, total, diverged = records[-1]
+    if term is None:
         tail = float("inf")
     else:
         nxt = h._apply_values(term)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .statespace import (
 from .subspaces import (
     ConditionReport,
     SubspaceProjector,
+    _verdict,
     check_condition_I,
     check_condition_IA,
     check_condition_II,
@@ -72,6 +73,8 @@ SHIFT_INVARIANCE_TOL = 1e-12
 T_SWEEP = (0.5, 1.0, 2.0, 3.0, 4.5, 6.0)
 #: measurement counts probed by the Zeno scaling ladder
 ZENO_LADDER = (8, 16, 32, 64, 128)
+#: rows after t = 0 in each hm-invariance survival curve
+CURVE_POINTS = 8
 
 
 def _phi(z: float) -> float:
@@ -176,33 +179,7 @@ class VerdictBundle:
         return all(f.passed for f in self.flags)
 
     def to_payload(self) -> dict:
-        conditions = [
-            {
-                "condition": r.condition,
-                "verdict": r.verdict,
-                "tolerance": r.tolerance,
-                "max_residual": r.max_residual,
-                "witness": None if r.witness is None else
-                {"t": r.witness.t, "state": r.witness.state, "residual": r.witness.residual},
-                "samples": [
-                    {"t": s.t, "state": s.state, "residual": s.residual} for s in r.samples
-                ],
-            }
-            for r in self.conditions
-        ]
-        payload = {
-            "scenario": self.scenario,
-            "passed": self.passed,
-            "flags": [asdict(f) for f in self.flags],
-            "conditions": conditions,
-            "metrics": dict(self.metrics),
-            "tables": {
-                name: {"columns": list(tab.columns), "rows": [list(r) for r in tab.rows]}
-                for name, tab in self.tables.items()
-            },
-            "provenance": dict(self.provenance),
-        }
-        return _json_safe(payload)
+        return dict(_json_safe(self), passed=self.passed)
 
     def to_json_bytes(self) -> bytes:
         text = json.dumps(self.to_payload(), sort_keys=True,
@@ -249,6 +226,8 @@ def _json_safe(obj):
         return f
     if obj is None or isinstance(obj, str):
         return obj
+    if is_dataclass(obj):
+        return {f.name: _json_safe(getattr(obj, f.name)) for f in fields(obj)}
     raise DomainError(f"cannot serialize value of type {type(obj).__name__}")
 
 
@@ -283,11 +262,7 @@ def _residual_table(report: ConditionReport) -> CurveTable:
     rows = []
     for t in sorted({s.t for s in report.samples}):
         worst = max(s.residual for s in report.samples if s.t == t)
-        if report.condition == "II":
-            verdict = "FALSIFIED" if worst > report.tolerance else "NOT_FALSIFIED"
-        else:
-            verdict = "HOLDS" if worst <= report.tolerance else "FAILS"
-        rows.append((t, worst, verdict))
+        rows.append((t, worst, _verdict(report.condition, worst, report.tolerance)))
     return CurveTable(("t", "residual", "verdict"), tuple(rows))
 
 
@@ -296,6 +271,7 @@ def _residual_table(report: ConditionReport) -> CurveTable:
 # ----------------------------------------------------------------------
 
 def scenario_counterexample(spec: ScenarioSpec | None = None) -> VerdictBundle:
+    """translation flow: (I) HOLDS, (II) FALSIFIED, (I-A) FAILS backward"""
     spec = spec if spec is not None else ScenarioSpec(name="counterexample")
     grid = Grid(spec.x_min, spec.x_max, spec.grid_points)
     drift = max(T_SWEEP)
@@ -365,20 +341,19 @@ def scenario_counterexample(spec: ScenarioSpec | None = None) -> VerdictBundle:
 # hm-invariance: measurements do not change core-zone survival
 # ----------------------------------------------------------------------
 
-def _integer_marks(total_steps: int, n: int) -> tuple[int, ...]:
-    """n distinct interior step counts approximating equal spacing."""
-    if n == 0:
-        return ()
+def _shift_schedule(total_steps: int, dx: float, n: int) -> MeasurementSchedule:
+    """n measurements at distinct interior grid steps approximating equal spacing."""
     marks = sorted({int(round(k * total_steps / (n + 1))) for k in range(1, n + 1)})
     marks = [m for m in marks if 0 < m < total_steps]
     if len(marks) != n:
         raise DomainError(
             f"cannot place {n} distinct measurement steps inside {total_steps} steps"
         )
-    return tuple(marks)
+    return MeasurementSchedule(total_steps * dx, tuple(m * dx for m in marks))
 
 
 def scenario_hm_invariance(spec: ScenarioSpec | None = None) -> VerdictBundle:
+    """selective core measurements leave survival unchanged"""
     spec = spec if spec is not None else ScenarioSpec(name="hm-invariance")
     t = spec.time if spec.time is not None else 2.0
     if t <= 0.0:
@@ -407,8 +382,7 @@ def scenario_hm_invariance(spec: ScenarioSpec | None = None) -> VerdictBundle:
     if steps < 1:
         raise DomainError("final time is below one grid step; no shift path exists")
     t_eff = steps * grid.dx
-    marks = _integer_marks(steps, n)
-    sched_shift = MeasurementSchedule(t_eff, tuple(m * grid.dx for m in marks))
+    sched_shift = _shift_schedule(steps, grid.dx, n)
     rep_shift = survival_report(u_shift, p_core, e, sched_shift)
 
     def autocorr_oracle(tau: float) -> float:
@@ -443,9 +417,18 @@ def scenario_hm_invariance(spec: ScenarioSpec | None = None) -> VerdictBundle:
         "oracle_spectral": autocorr_oracle(t),
         "oracle_shift": autocorr_oracle(t_eff),
     }
+    # each distinct step count gives one shift row; fewer than n + 1 steps
+    # cannot hold n distinct interior instants, so such rows are
+    # unrepresentable on the quantized path, not an error
+    js = range(1, CURVE_POINTS + 1)
+    shift_steps = dict.fromkeys(round(j * steps / CURVE_POINTS) for j in js)
     tables = {
-        "survival_spectral": _survival_curve_spectral(u_spectral, p_core, e, t, n),
-        "survival_shift": _survival_curve_shift(u_shift, p_core, e, steps, grid.dx, n),
+        "survival_spectral": _survival_curve(
+            u_spectral, p_core, e, n,
+            [MeasurementSchedule.equally_spaced(j * t / CURVE_POINTS, n) for j in js]),
+        "survival_shift": _survival_curve(
+            u_shift, p_core, e, n,
+            [_shift_schedule(k, grid.dx, n) for k in shift_steps if k >= n + 1]),
     }
     prov = _provenance(
         spec,
@@ -455,31 +438,12 @@ def scenario_hm_invariance(spec: ScenarioSpec | None = None) -> VerdictBundle:
     return VerdictBundle("hm-invariance", flags, (), metrics, tables, prov)
 
 
-def _survival_curve_spectral(u, p_core, e, t: float, n: int,
-                             n_points: int = 8) -> CurveTable:
+def _survival_curve(u, p_core, e, n: int, schedules) -> CurveTable:
+    """Free and measured survival at t = 0 and at the end of each schedule."""
     rows = [(0.0, 1.0, 1.0, n)]
-    for j in range(1, n_points + 1):
-        tau = j * t / n_points
-        rep = survival_report(u, p_core, e, MeasurementSchedule.equally_spaced(tau, n))
-        rows.append((tau, rep.s_free, rep.s_measured, n))
-    return CurveTable(("t", "s_free", "s_measured", "N"), tuple(rows))
-
-
-def _survival_curve_shift(u, p_core, e, total_steps: int, dx: float, n: int,
-                          n_points: int = 8) -> CurveTable:
-    rows = [(0.0, 1.0, 1.0, n)]
-    seen = {0}
-    for j in range(1, n_points + 1):
-        steps_j = int(round(j * total_steps / n_points))
-        # fewer than n + 1 steps cannot hold n distinct interior instants;
-        # such rows are unrepresentable on the quantized path, not an error
-        if steps_j in seen or steps_j < n + 1:
-            continue
-        seen.add(steps_j)
-        sched = MeasurementSchedule(steps_j * dx,
-                                    tuple(m * dx for m in _integer_marks(steps_j, n)))
+    for sched in schedules:
         rep = survival_report(u, p_core, e, sched)
-        rows.append((steps_j * dx, rep.s_free, rep.s_measured, n))
+        rows.append((sched.t_final, rep.s_free, rep.s_measured, n))
     return CurveTable(("t", "s_free", "s_measured", "N"), tuple(rows))
 
 
@@ -488,6 +452,7 @@ def _survival_curve_shift(u, p_core, e, total_steps: int, dx: float, n: int,
 # ----------------------------------------------------------------------
 
 def scenario_rabi_control(spec: ScenarioSpec | None = None) -> VerdictBundle:
+    """two-level control where measurements freeze decay (~1/N)"""
     spec = spec if spec is not None else ScenarioSpec(name="rabi-control")
     if spec.omega <= 0.0:
         raise DomainError("omega must be positive")
@@ -539,6 +504,7 @@ def scenario_rabi_control(spec: ScenarioSpec | None = None) -> VerdictBundle:
 # ----------------------------------------------------------------------
 
 def scenario_series_validity(spec: ScenarioSpec | None = None) -> VerdictBundle:
+    """power-series propagation: Gaussian vs bump, two resolutions"""
     spec = spec if spec is not None else ScenarioSpec(name="series-validity")
     t = spec.time if spec.time is not None else 1.0
     if spec.grid_points < 64:

@@ -193,6 +193,36 @@ def _zone_guard(projector: SubspaceProjector, states, labels, tol: float, zone: 
             )
 
 
+def _verdict(condition: str, residual: float, tolerance: float) -> str:
+    """HOLDS/FAILS for invariance (I, I-A), FALSIFIED/NOT_FALSIFIED for leakage (II)."""
+    if condition == "II":
+        return "FALSIFIED" if residual > tolerance else "NOT_FALSIFIED"
+    return "HOLDS" if residual <= tolerance else "FAILS"
+
+
+def _sample(condition: str, mass, u, ts, names, states, tolerance: float) -> ConditionReport:
+    """Residual mass(U(t) s) at each (t, state) pair, t-major, and its verdict."""
+    samples = tuple(
+        ConditionSample(t, name, mass(u.evolve(s, t)))
+        for t in ts
+        for name, s in zip(names, states)
+    )
+    worst = max(samples, key=lambda s: s.residual, default=None)
+    max_res = worst.residual if worst else 0.0
+    verdict = _verdict(condition, max_res, tolerance)
+    witness = worst if verdict in ("FAILS", "FALSIFIED") else None
+    return ConditionReport(condition, verdict, tolerance, max_res, witness, samples)
+
+
+def _check_invariance(condition: str, pair, u, ts, trial_states, labels,
+                      tolerance: float, state_tol: float) -> ConditionReport:
+    """Sample ||P_core U(t) W||^2 over wave-zone trial states W."""
+    p_core, _ = pair
+    names = _labels_for(trial_states, labels)
+    _zone_guard(p_core, trial_states, names, state_tol, "wave-zone")
+    return _sample(condition, p_core.mass, u, ts, names, trial_states, tolerance)
+
+
 def check_condition_I(pair, u, t_samples, trial_states, labels=None,
                       tolerance: float = INVARIANCE_TOL,
                       state_tol: float = ZONE_TOL_STRICT) -> ConditionReport:
@@ -201,22 +231,10 @@ def check_condition_I(pair, u, t_samples, trial_states, labels=None,
     HOLDS when the maximum residual stays within `tolerance`; an empty time
     list is vacuously HOLDS.
     """
-    p_core, _ = pair
     ts = [float(t) for t in t_samples]
     if any(t <= 0.0 for t in ts):
         raise DomainError("condition (I) samples forward times only (t > 0)")
-    names = _labels_for(trial_states, labels)
-    _zone_guard(p_core, trial_states, names, state_tol, "wave-zone")
-    samples = tuple(
-        ConditionSample(t, name, p_core.mass(u.evolve(w, t)))
-        for t in ts
-        for name, w in zip(names, trial_states)
-    )
-    worst = max(samples, key=lambda s: s.residual, default=None)
-    max_res = worst.residual if worst else 0.0
-    verdict = "HOLDS" if max_res <= tolerance else "FAILS"
-    return ConditionReport("I", verdict, tolerance, max_res,
-                           None if verdict == "HOLDS" else worst, samples)
+    return _check_invariance("I", pair, u, ts, trial_states, labels, tolerance, state_tol)
 
 
 def check_condition_II(pair, u, t_samples, trial_states, labels=None,
@@ -238,16 +256,7 @@ def check_condition_II(pair, u, t_samples, trial_states, labels=None,
     names = _labels_for(trial_states, labels)
     _zone_guard(p_wave, trial_states, names, state_tol, "core-zone")
     clipped = [core_zone_state(p_core, c) for c in trial_states]
-    samples = tuple(
-        ConditionSample(t, name, p_wave.mass(u.evolve(c, t)))
-        for t in ts
-        for name, c in zip(names, clipped)
-    )
-    worst = max(samples, key=lambda s: s.residual, default=None)
-    max_res = worst.residual if worst else 0.0
-    falsified = max_res > tolerance
-    return ConditionReport("II", "FALSIFIED" if falsified else "NOT_FALSIFIED",
-                           tolerance, max_res, worst if falsified else None, samples)
+    return _sample("II", p_wave.mass, u, ts, names, clipped, tolerance)
 
 
 def check_condition_IA(pair, u, t_samples, trial_states, labels=None,
@@ -259,20 +268,8 @@ def check_condition_IA(pair, u, t_samples, trial_states, labels=None,
     of FAILS with a negative-t witness separates semigroup invariance from
     full two-sided invariance.
     """
-    p_core, _ = pair
     ts = [float(t) for t in t_samples]
-    names = _labels_for(trial_states, labels)
-    _zone_guard(p_core, trial_states, names, state_tol, "wave-zone")
-    samples = tuple(
-        ConditionSample(t, name, p_core.mass(u.evolve(w, t)))
-        for t in ts
-        for name, w in zip(names, trial_states)
-    )
-    worst = max(samples, key=lambda s: s.residual, default=None)
-    max_res = worst.residual if worst else 0.0
-    verdict = "HOLDS" if max_res <= tolerance else "FAILS"
-    return ConditionReport("I-A", verdict, tolerance, max_res,
-                           None if verdict == "HOLDS" else worst, samples)
+    return _check_invariance("I-A", pair, u, ts, trial_states, labels, tolerance, state_tol)
 
 
 def generator_coupling(h, pair, trial_states, labels=None) -> float:

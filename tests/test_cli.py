@@ -6,7 +6,16 @@ import json
 
 import pytest
 
-from zenolab.cli import ConfigError, load_config, main
+from zenolab.cli import (
+    OPTIONS,
+    ConfigError,
+    _build_spec,
+    _coerce,
+    _gather_options,
+    build_parser,
+    load_config,
+    main,
+)
 
 
 def _run(argv):
@@ -207,3 +216,47 @@ def test_sweep_rejects_unsweepable_param(tmp_path, capsys):
                  "--values", "a,b", "--out", str(tmp_path)])
     assert code == 2
     assert "cannot sweep" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# the parser generated from OPTIONS
+# ----------------------------------------------------------------------
+
+def _sample_raw(key: str) -> str:
+    if key == "format":
+        return "csv"
+    return {int: "7", float: "0.25", str: "somewhere"}[OPTIONS[key][0]]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("key", list(OPTIONS))
+def test_flag_and_config_key_reach_the_same_field(key, command, tmp_path):
+    head = [command, "rabi-control"]
+    if command == "sweep":
+        head += ["--param", "sigma", "--values", "1.0"]
+    raw = _sample_raw(key)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {raw}\n", encoding="utf-8")
+    parser = build_parser()
+    from_flag = _gather_options(parser.parse_args(head + [f"--{key}", raw]))
+    from_file = _gather_options(parser.parse_args(head + ["--config", str(cfg)]))
+    assert from_flag == from_file == {key: _coerce(key, raw)}
+    field = OPTIONS[key][1]
+    spec = _build_spec("rabi-control", from_flag)
+    assert spec == _build_spec("rabi-control", from_file)
+    if field is not None:
+        assert getattr(spec, field) == _coerce(key, raw)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_bogus_format_exits_2(command, tmp_path, capsys):
+    argv = [command, "rabi-control", "--out", str(tmp_path)]
+    if command == "sweep":
+        argv += ["--param", "N", "--values", "3"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--format", "bogus"])
+    assert excinfo.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = bogus\n", encoding="utf-8")
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert "format must be csv, bundle or both" in capsys.readouterr().err
