@@ -9,6 +9,8 @@ sweep <scenario>    re-run one scenario over a list of values for one
 
 Exit status: 0 when every pass flag is true, 1 when the scenario ran but a
 flag failed (scientific failure), 2 for usage, config, margin or I/O errors.
+A sweep prints one PASS, FAIL or ERROR line per point in input order and
+exits 2 when any point raised an error, after running all the others.
 
 Output layout: <out>/<scenario>/summary.txt, bundle.json and one CSV per
 curve table.  CSVs are UTF-8 with LF endings, a `# column,names` header
@@ -223,23 +225,29 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     root = _output_root(options) / args.scenario
     fmt = str(options.get("format", "both"))
 
-    def one(value) -> tuple[object, bool]:
+    def one(value) -> str:
+        """PASS, FAIL or ERROR <reason>: a bad point does not stop the others."""
         point = dict(options)
         point[args.param] = value
-        spec = _build_spec(args.scenario, point)
-        bundle = run_scenario(args.scenario, spec)
+        try:
+            spec = _build_spec(args.scenario, point)
+            bundle = run_scenario(args.scenario, spec)
+        except (ConfigError, DomainError, PreconditionError) as exc:
+            return f"ERROR {exc}"
         emit_outputs(bundle, root / f"{args.param}={value}", fmt)
-        return value, bundle.passed
+        return "PASS" if bundle.passed else "FAIL"
 
     if args.jobs == 1:
-        results = [one(v) for v in values]
+        outcomes = [one(v) for v in values]
     else:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(one, values))
-    for value, ok in results:
-        print(f"{args.param}={value}: {'PASS' if ok else 'FAIL'}")
+            outcomes = list(pool.map(one, values))
+    for value, outcome in zip(values, outcomes):
+        print(f"{args.param}={value}: {outcome}")
     print(f"outputs: {root}")
-    return 0 if all(ok for _, ok in results) else 1
+    if any(o.startswith("ERROR") for o in outcomes):
+        return 2
+    return 0 if all(o == "PASS" for o in outcomes) else 1
 
 
 def main(argv=None) -> int:

@@ -2,8 +2,20 @@
 
 An operator is stored as a real spectrum plus a unitary change of basis
 (either the FFT or an explicit eigenvector matrix).  The propagator is the
-functional calculus U(t) = exp(-i t H): transform to the eigenbasis,
-multiply by exp(-i lambda t), transform back.  The adjoint U(t)^dagger is
+functional calculus U(t) = exp(-i t H), split into three steps:
+
+  * ``transform(psi)``: the state's eigenbasis coefficients (one forward
+    change of basis),
+  * ``step(t)``: the phase vector exp(-i lambda t) of one time,
+  * ``advance(coeffs, step)``: multiply and change back, giving U(t) psi.
+
+``evolve(psi, t)`` is exactly ``advance(transform(psi), step(t))``, so a
+caller that evolves one state to many times, or many states to one time,
+transforms each state once and builds each phase vector once and gets the
+same bits as separate evolves.  Coefficients and steps are read-only and
+``advance`` never writes to them.  ``ShiftPropagator`` speaks the same
+protocol with the state itself as its coefficients, a whole-step count as
+its step and a circular roll as its advance.  The adjoint U(t)^dagger is
 realized as U(-t); only the full-space unitary group is modelled here.
 
 Sign and layout conventions:
@@ -81,13 +93,17 @@ class SpectralOperator:
     def _to_coeffs(self, values: np.ndarray) -> np.ndarray:
         w = self.space.dx
         if self.kind == "fourier":
-            return np.fft.fft(values) * np.sqrt(w / self.space.n_points)
+            coeffs = np.fft.fft(values)
+            coeffs *= np.sqrt(w / self.space.n_points)
+            return coeffs
         return self.basis.conj().T @ values
 
     def _from_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
+        """Values of `coeffs`, which must be a fresh array: it is overwritten."""
         w = self.space.dx
         if self.kind == "fourier":
-            return np.fft.ifft(coeffs / np.sqrt(w / self.space.n_points))
+            coeffs /= np.sqrt(w / self.space.n_points)
+            return np.fft.ifft(coeffs, out=coeffs)
         return self.basis @ coeffs
 
     def _apply_values(self, values: np.ndarray) -> np.ndarray:
@@ -138,16 +154,35 @@ class Propagator:
     def space(self) -> Grid | DenseSpace:
         return self.generator.space
 
+    def transform(self, psi: WaveFunction) -> np.ndarray:
+        """Read-only eigenbasis coefficients of psi."""
+        h = self.generator
+        h._check_space(psi)
+        coeffs = h._to_coeffs(psi.values)
+        coeffs.setflags(write=False)
+        return coeffs
+
+    def step(self, t: float) -> np.ndarray:
+        """Read-only phase vector exp(-i t lambda)."""
+        phases = -1j * float(t) * self.generator.eigenvalues
+        np.exp(phases, out=phases)
+        phases.setflags(write=False)
+        return phases
+
+    def advance(self, coeffs: np.ndarray, step: np.ndarray) -> WaveFunction:
+        """The state whose coefficients are step * coeffs; neither is written."""
+        h = self.generator
+        # always step * coeffs: numpy's complex multiply is not bitwise
+        # commutative, so a swapped operand order changes the last bits
+        return WaveFunction._adopt(h.space, h._from_coeffs(step * coeffs))
+
     def evolve(self, psi: WaveFunction, t: float) -> WaveFunction:
         return evolve_spectral(self, psi, t)
 
 
 def evolve_spectral(propagator: Propagator, psi: WaveFunction, t: float) -> WaveFunction:
     """Apply exp(-i t H) through the eigenbasis phase multiply."""
-    h = propagator.generator
-    h._check_space(psi)
-    phases = np.exp(-1j * float(t) * h.eigenvalues)
-    return WaveFunction(psi.space, h._from_coeffs(phases * h._to_coeffs(psi.values)))
+    return propagator.advance(propagator.transform(psi), propagator.step(t))
 
 
 def evolve_exact_shift(psi: WaveFunction, n_steps: int) -> WaveFunction:
@@ -156,15 +191,17 @@ def evolve_exact_shift(psi: WaveFunction, n_steps: int) -> WaveFunction:
     Bit-reproducible reference translation; the zero-residual oracle for the
     spectral propagator at commensurate times.
     """
-    return WaveFunction(psi.space, np.roll(psi.values, int(n_steps)))
+    return WaveFunction._adopt(psi.space, np.roll(psi.values, int(n_steps)))
 
 
 @dataclass(frozen=True, eq=False)
 class ShiftPropagator:
     """Translation restricted to whole grid steps t = m * dx.
 
-    Shares the `evolve(psi, t)` protocol with Propagator so measurement
-    chains can run on either path.
+    Shares the transform/step/advance/evolve protocol with Propagator so
+    condition checks and measurement chains can run on either path: a
+    state is its own coefficients, a step is a whole-step count and an
+    advance is a circular roll.
     """
 
     grid: Grid
@@ -173,7 +210,13 @@ class ShiftPropagator:
     def space(self) -> Grid:
         return self.grid
 
-    def steps_for(self, t: float) -> int:
+    def transform(self, psi: WaveFunction) -> WaveFunction:
+        if psi.space != self.grid:
+            raise SpaceMismatchError("state and shift propagator live on different grids")
+        return psi
+
+    def step(self, t: float) -> int:
+        """Whole grid steps in t; DomainError unless t is a multiple of dx."""
         ratio = float(t) / self.grid.dx
         steps = round(ratio)
         if abs(ratio - steps) > 1e-9:
@@ -183,10 +226,11 @@ class ShiftPropagator:
             )
         return steps
 
+    def advance(self, coeffs: WaveFunction, step: int) -> WaveFunction:
+        return evolve_exact_shift(coeffs, step)
+
     def evolve(self, psi: WaveFunction, t: float) -> WaveFunction:
-        if psi.space != self.grid:
-            raise SpaceMismatchError("state and shift propagator live on different grids")
-        return evolve_exact_shift(psi, self.steps_for(t))
+        return self.advance(self.transform(psi), self.step(t))
 
 
 @dataclass(frozen=True)
@@ -222,8 +266,10 @@ def _series_accumulate(h: SpectralOperator, psi: WaveFunction, t: float, n_terms
     records = [(1, total, diverged)] if 1 in checkpoints else []
     for n in range(1, n_terms):
         if not halted:
-            term = h._apply_values(term) * (-1j * t / n)
-            tn = float(np.linalg.norm(term)) * np.sqrt(psi.space.dx)
+            # an overflowing term is reported through `diverged`, not a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                term = h._apply_values(term) * (-1j * t / n)
+                tn = float(np.linalg.norm(term)) * np.sqrt(psi.space.dx)
             if not np.isfinite(tn):
                 diverged = True
                 halted = True  # freeze the partial sum instead of poisoning it
@@ -271,11 +317,11 @@ def stone_residual(h: SpectralOperator, psi: WaveFunction, t_list) -> np.ndarray
         raise PreconditionError("t_list must be strictly positive")
     if np.any(np.diff(ts) >= 0.0):
         raise PreconditionError("t_list must be strictly decreasing")
-    h._check_space(psi)
     u = Propagator(h)
+    coeffs = u.transform(psi)
     hpsi = h._apply_values(psi.values)
     out = np.empty(ts.size)
     for i, t in enumerate(ts):
-        diff = 1j * (u.evolve(psi, t).values - psi.values) / t - hpsi
+        diff = 1j * (u.advance(coeffs, u.step(t)).values - psi.values) / t - hpsi
         out[i] = np.linalg.norm(diff) * np.sqrt(psi.space.dx)
     return out

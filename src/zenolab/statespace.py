@@ -104,6 +104,19 @@ class WaveFunction:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
+    @classmethod
+    def _adopt(cls, space: Grid | DenseSpace, values: np.ndarray) -> "WaveFunction":
+        """Wrap a freshly computed complex128 array of the right shape, uncopied.
+
+        The array is made read-only; the caller must hold no other reference
+        it could write through.
+        """
+        psi = object.__new__(cls)
+        object.__setattr__(psi, "space", space)
+        values.setflags(write=False)
+        object.__setattr__(psi, "values", values)
+        return psi
+
     def norm_sq(self) -> float:
         return float(np.real(np.vdot(self.values, self.values)) * self.space.dx)
 

@@ -80,7 +80,7 @@ class SubspaceProjector:
     def apply(self, psi: WaveFunction) -> WaveFunction:
         if psi.space != self.space:
             raise SpaceMismatchError("state and projector live on different spaces")
-        return WaveFunction(self.space, self._apply_values(psi.values))
+        return WaveFunction._adopt(self.space, self._apply_values(psi.values))
 
     def mass(self, psi: WaveFunction) -> float:
         """||P psi||^2, the probability captured by this zone."""
@@ -137,8 +137,8 @@ def leakage(p_wave: SubspaceProjector, u, e: WaveFunction, t: float,
             core_tol: float = ZONE_TOL_LOOSE) -> float:
     """Decay probability ||P_wave U(t) e||^2 for a core-zone initial state.
 
-    `u` is any propagator-like object with evolve(psi, t).  The initial state
-    must be normalized and carry at most `core_tol` wave-zone mass.
+    `u` is a Propagator or ShiftPropagator.  The initial state must be
+    normalized and carry at most `core_tol` wave-zone mass.
     """
     if abs(e.norm_sq() - 1.0) > 1e-9:
         raise PreconditionError(f"initial state is not normalized: ||e||^2 = {e.norm_sq()!r}")
@@ -201,12 +201,18 @@ def _verdict(condition: str, residual: float, tolerance: float) -> str:
 
 
 def _sample(condition: str, mass, u, ts, names, states, tolerance: float) -> ConditionReport:
-    """Residual mass(U(t) s) at each (t, state) pair, t-major, and its verdict."""
-    samples = tuple(
-        ConditionSample(t, name, mass(u.evolve(s, t)))
-        for t in ts
-        for name, s in zip(names, states)
-    )
+    """Residual mass(U(t) s) at each (t, state) pair, t-major, and its verdict.
+
+    Each state is transformed once and each time's step built once; the
+    residuals are the same bits as evolving every pair separately.
+    """
+    coeffs = [u.transform(s) for s in states]
+    samples = []
+    for t in ts:
+        step = u.step(t)
+        samples.extend(ConditionSample(t, name, mass(u.advance(c, step)))
+                       for name, c in zip(names, coeffs))
+    samples = tuple(samples)
     worst = max(samples, key=lambda s: s.residual, default=None)
     max_res = worst.residual if worst else 0.0
     verdict = _verdict(condition, max_res, tolerance)

@@ -211,6 +211,20 @@ def test_sweep_parallel_jobs(tmp_path, capsys):
     assert (tmp_path / "rabi-control" / "N=5" / "summary.txt").is_file()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_reports_every_point_when_one_is_rejected(jobs, tmp_path, capsys):
+    # sigma = 1.4 puts 5e-9 of gaussian(8) into the core zone, past the
+    # strict condition-(I) guard; sigma = 0.5 must still run and report
+    code = _run(["sweep", "counterexample", "--param", "sigma", "--values", "0.5,1.4",
+                 "--jobs", jobs, "--out", str(tmp_path)])
+    assert code == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "sigma=0.5: PASS"
+    assert lines[1].startswith("sigma=1.4: ERROR trial state 'gaussian(8)' is not wave-zone")
+    assert (tmp_path / "counterexample" / "sigma=0.5" / "bundle.json").is_file()
+    assert not (tmp_path / "counterexample" / "sigma=1.4").exists()
+
+
 def test_sweep_rejects_unsweepable_param(tmp_path, capsys):
     code = _run(["sweep", "rabi-control", "--param", "out",
                  "--values", "a,b", "--out", str(tmp_path)])

@@ -145,10 +145,10 @@ def test_shift_trivialities(grid):
 
 def test_shift_propagator_commensurability(grid):
     shifter = ShiftPropagator(grid)
-    assert shifter.steps_for(102 * grid.dx) == 102
-    assert shifter.steps_for(0.0) == 0
+    assert shifter.step(102 * grid.dx) == 102
+    assert shifter.step(0.0) == 0
     with pytest.raises(DomainError, match="commensurate"):
-        shifter.steps_for(0.01)
+        shifter.step(0.01)
 
 
 @given(
@@ -216,6 +216,16 @@ def test_series_divergence_flag(grid, momentum):
     g = make_gaussian(grid, 0.0, 1.0)
     result = evolve_series(momentum, g, 50.0, 60)
     assert result.diverged
+
+
+def test_series_overflow_is_a_flag_not_a_warning():
+    # t * k_max ~ 2000 on a bump: the terms overflow to inf mid-sum; the
+    # suite turns any RuntimeWarning into an error, so this also checks
+    # that numpy stays quiet about it
+    fine = Grid(-40.0, 40.0, 1024)
+    result = evolve_series(momentum_operator(fine), make_bump(fine, -2.0, 2.0), 50.0, 200)
+    assert result.diverged
+    assert result.tail_estimate == float("inf")
 
 
 def test_series_validation(grid, momentum):
