@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import DomainError
 from .operators import SpectralOperator, _series_accumulate
-from .statespace import WaveFunction
+from .statespace import WaveFunction, _norm
 
 #: step-ratio plateau above this fraction of the cutoff counts as saturated
 SATURATION_FRACTION = 0.5
@@ -105,7 +105,7 @@ def hn_norms(h: SpectralOperator, psi: WaveFunction, n_max: int,
     if psi.norm() == 0.0:
         raise DomainError("cannot probe growth of the zero state")
     scale = math.sqrt(psi.space.dx)
-    v = psi.values / (np.linalg.norm(psi.values) * scale)
+    v = psi.values / (_norm(psi.values) * scale)
     log_norms = [math.log(psi.norm())]
     ratios: list[float] = []
     nilpotent_at = None
@@ -113,13 +113,13 @@ def hn_norms(h: SpectralOperator, psi: WaveFunction, n_max: int,
     at_ceiling = 0
     for n in range(1, n_max + 1):
         w = h._apply_values(v)
-        r = float(np.linalg.norm(w) * scale)
+        r = float(_norm(w) * scale)
         if r == 0.0:
             nilpotent_at = n
             break
         ratios.append(r)
         log_norms.append(log_norms[-1] + math.log(r))
-        v = w / (np.linalg.norm(w) * scale)
+        v = w / (_norm(w) * scale)
         if ceiling is not None:
             at_ceiling = at_ceiling + 1 if r >= SATURATION_FRACTION * ceiling else 0
             if at_ceiling >= CEILING_WINDOW and n < n_max:

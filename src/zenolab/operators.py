@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError, SpaceMismatchError
-from .statespace import DenseSpace, Grid, WaveFunction
+from .statespace import DenseSpace, Grid, WaveFunction, _norm
 
 #: a series term whose norm exceeds DIVERGENCE_FACTOR * ||psi|| flags divergence
 DIVERGENCE_FACTOR = 1e12
@@ -269,7 +269,7 @@ def _series_accumulate(h: SpectralOperator, psi: WaveFunction, t: float, n_terms
             # an overflowing term is reported through `diverged`, not a warning
             with np.errstate(over="ignore", invalid="ignore"):
                 term = h._apply_values(term) * (-1j * t / n)
-                tn = float(np.linalg.norm(term)) * np.sqrt(psi.space.dx)
+                tn = float(_norm(term)) * np.sqrt(psi.space.dx)
             if not np.isfinite(tn):
                 diverged = True
                 halted = True  # freeze the partial sum instead of poisoning it
@@ -297,7 +297,7 @@ def evolve_series(h: SpectralOperator, psi: WaveFunction, t: float, n_terms: int
         tail = float("inf")
     else:
         nxt = h._apply_values(term)
-        tail = float(np.linalg.norm(nxt)) * np.sqrt(psi.space.dx) * abs(t) / n_terms
+        tail = float(_norm(nxt)) * np.sqrt(psi.space.dx) * abs(t) / n_terms
         if not np.isfinite(tail):
             tail = float("inf")
     return SeriesResult(WaveFunction(psi.space, total), tail, diverged, n_terms)
@@ -323,5 +323,5 @@ def stone_residual(h: SpectralOperator, psi: WaveFunction, t_list) -> np.ndarray
     out = np.empty(ts.size)
     for i, t in enumerate(ts):
         diff = 1j * (u.advance(coeffs, u.step(t)).values - psi.values) / t - hpsi
-        out[i] = np.linalg.norm(diff) * np.sqrt(psi.space.dx)
+        out[i] = _norm(diff) * np.sqrt(psi.space.dx)
     return out

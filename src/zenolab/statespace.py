@@ -9,6 +9,17 @@ with no endpoint correction, so a sample-indicator projector pair is an
 exact partition of the identity.  Grids are periodic with a power-of-two
 point count (FFT pathways); state factories enforce containment margins so
 nothing silently wraps around the domain edge.
+
+Every vector reduction in the package (norms, inner products, zone masses)
+goes through `_blocked`, which hands BLAS consecutive blocks of at most
+REDUCTION_BLOCK = 8192 = 2^13 elements and adds the partial results in
+order.  OpenBLAS passes a dot product of more than 10000 elements to its
+thread pool, whose threads then spin after the call, compete with
+`sweep --jobs` workers, and make the summation order depend on the host's
+thread count.  Blocks of 8192 stay single-threaded, so reductions cost no
+idle CPU and give the same bits on every host; vectors of 8192 or fewer
+elements are one block and get exactly the bits of `np.vdot` and
+`np.linalg.norm`.
 """
 
 from __future__ import annotations
@@ -21,6 +32,26 @@ from .errors import DomainError, SpaceMismatchError
 
 #: normalized states satisfy |<psi|psi> - 1| <= NORM_TOL
 NORM_TOL = 1e-12
+#: most elements per BLAS call in a reduction, below OpenBLAS's threading cutoff
+REDUCTION_BLOCK = 8192
+
+
+def _blocked(dot, a: np.ndarray, b: np.ndarray):
+    """dot(a, b) of two 1-D arrays as the in-order sum of blockwise dots.
+
+    Blocks are views of at most REDUCTION_BLOCK elements, so no BLAS call
+    wakes a thread pool and the sum does not depend on the host.
+    """
+    total = dot(a[:REDUCTION_BLOCK], b[:REDUCTION_BLOCK])
+    for i in range(REDUCTION_BLOCK, a.shape[0], REDUCTION_BLOCK):
+        total = total + dot(a[i:i + REDUCTION_BLOCK], b[i:i + REDUCTION_BLOCK])
+    return total
+
+
+def _norm(values: np.ndarray) -> np.floating:
+    """np.linalg.norm of a complex vector, sqrt(re.re + im.im), with blocked dots."""
+    re, im = values.real, values.imag
+    return np.sqrt(_blocked(np.dot, re, re) + _blocked(np.dot, im, im))
 
 
 @dataclass(frozen=True)
@@ -118,7 +149,7 @@ class WaveFunction:
         return psi
 
     def norm_sq(self) -> float:
-        return float(np.real(np.vdot(self.values, self.values)) * self.space.dx)
+        return float(np.real(_blocked(np.vdot, self.values, self.values)) * self.space.dx)
 
     def norm(self) -> float:
         return float(np.sqrt(self.norm_sq()))
@@ -153,7 +184,7 @@ class WaveFunction:
 def inner_product(psi: WaveFunction, phi: WaveFunction) -> complex:
     """Riemann-sum inner product, conjugate-linear in the first argument."""
     psi._check_space(phi)
-    return complex(np.vdot(psi.values, phi.values) * psi.space.dx)
+    return complex(_blocked(np.vdot, psi.values, phi.values) * psi.space.dx)
 
 
 def make_gaussian(grid: Grid, center: float, sigma: float, k0: float = 0.0) -> WaveFunction:

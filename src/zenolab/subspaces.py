@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError, SpaceMismatchError
-from .statespace import DenseSpace, Grid, WaveFunction
+from .statespace import DenseSpace, Grid, WaveFunction, _blocked
 
 #: default residual bound under which an invariance verdict reads HOLDS
 INVARIANCE_TOL = 1e-8
@@ -88,9 +88,9 @@ class SubspaceProjector:
             raise SpaceMismatchError("state and projector live on different spaces")
         if self.mask is not None:
             v = psi.values[self.mask]
-            return float(np.real(np.vdot(v, v)) * self.space.dx)
+            return float(np.real(_blocked(np.vdot, v, v)) * self.space.dx)
         p = self._apply_values(psi.values)
-        return float(np.real(np.vdot(p, p)) * self.space.dx)
+        return float(np.real(_blocked(np.vdot, p, p)) * self.space.dx)
 
     def complement(self) -> "SubspaceProjector":
         if self.mask is None:

@@ -102,6 +102,22 @@ def test_residual_csv_forward_sweep(tmp_path):
         assert verdict == "HOLDS"
 
 
+@pytest.mark.parametrize("flags, code", [
+    ([], 0),                            # omega*t = pi/2: closed-form slope -0.920
+    (["--time", "3"], 2),               # slope -0.816: no chain could pass
+    (["--omega", "2", "--time", "1.4"], 2),  # omega*t = 2.8: slope -0.834
+])
+def test_rabi_control_exits_2_outside_its_zeno_window(tmp_path, capsys, flags, code):
+    assert _run(["run", "rabi-control", "--out", str(tmp_path), *flags]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error:")
+        assert "outside the Zeno window" in err
+        assert not (tmp_path / "rabi-control").exists()
+    else:
+        assert err == ""
+
+
 def test_format_csv_skips_bundle(tmp_path):
     _run(["run", "rabi-control", "--out", str(tmp_path), "--format", "csv"])
     scenario_dir = tmp_path / "rabi-control"

@@ -37,7 +37,7 @@ from zenolab import (
     stone_residual,
     survival_report,
 )
-from zenolab.scenarios import T_SWEEP
+from zenolab.scenarios import CURVE_POINTS, T_SWEEP, ScenarioSpec, scenario_hm_invariance
 
 # ----------------------------------------------------------------------
 # naive references: one evolve per pair, one evolve per segment
@@ -272,3 +272,15 @@ def test_survival_report_shares_e_and_repeated_segments(n, expected):
         counts = _install_counters(mp)
         survival_report(u, p_core, e, sched)
     assert counts == expected
+
+
+@pytest.mark.parametrize("n", [0, 5])
+def test_hm_invariance_runs_its_spectral_report_once(n):
+    # CURVE_POINTS survival reports of N + 1 forward and N + 2 inverse FFTs
+    # (the last is the main spectral run), plus the empty schedule's chain;
+    # no separate main report and no separate free evolve
+    with pytest.MonkeyPatch.context() as mp:
+        counts = _install_counters(mp)
+        scenario_hm_invariance(ScenarioSpec(name="hm-invariance", n_measurements=n))
+    assert counts["fft"] == CURVE_POINTS * (n + 1) + 1
+    assert counts["ifft"] == CURVE_POINTS * (n + 2) + 1
