@@ -45,7 +45,7 @@ def main() -> None:
     h_rabi = dense_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
     u_rabi = Propagator(h_rabi)
     excited = WaveFunction(h_rabi.space, np.array([1.0, 0.0]))
-    p_excited = SubspaceProjector(h_rabi.space, mask=np.array([True, False]))
+    p_excited = SubspaceProjector(h_rabi.space, 0, 1)
 
     wave = dict(zeno_scaling(u_wave, p_core, e, T_WAVE, COUNTS))
     rabi = dict(zeno_scaling(u_rabi, p_excited, excited, T_RABI, COUNTS))

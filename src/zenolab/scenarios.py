@@ -392,7 +392,15 @@ def scenario_hm_invariance(spec: ScenarioSpec | None = None) -> VerdictBundle:
         raise DomainError("final time is below one grid step; no shift path exists")
     t_eff = steps * grid.dx
     sched_shift = _shift_schedule(steps, grid.dx, n)
-    rep_shift = survival_report(u_shift, p_core, e, sched_shift)
+    # each distinct step count gives one shift row; fewer than n + 1 steps
+    # cannot hold n distinct interior instants, so such rows are
+    # unrepresentable on the quantized path, not an error.  The last row
+    # has `steps` steps, so its report is the main shift run
+    shift_steps = dict.fromkeys(round(j * steps / CURVE_POINTS) for j in js)
+    shift_schedules = [_shift_schedule(k, grid.dx, n) for k in shift_steps if k >= n + 1]
+    assert shift_schedules[-1] == sched_shift
+    curve_shift = [survival_report(u_shift, p_core, e, s) for s in shift_schedules]
+    rep_shift = curve_shift[-1]
 
     def autocorr_oracle(tau: float) -> float:
         return math.exp(-(tau ** 2) / (4.0 * spec.sigma ** 2))
@@ -426,15 +434,9 @@ def scenario_hm_invariance(spec: ScenarioSpec | None = None) -> VerdictBundle:
         "oracle_spectral": autocorr_oracle(t),
         "oracle_shift": autocorr_oracle(t_eff),
     }
-    # each distinct step count gives one shift row; fewer than n + 1 steps
-    # cannot hold n distinct interior instants, so such rows are
-    # unrepresentable on the quantized path, not an error
-    shift_steps = dict.fromkeys(round(j * steps / CURVE_POINTS) for j in js)
     tables = {
         "survival_spectral": _survival_curve(curve_spectral, n),
-        "survival_shift": _survival_curve(
-            [survival_report(u_shift, p_core, e, _shift_schedule(k, grid.dx, n))
-             for k in shift_steps if k >= n + 1], n),
+        "survival_shift": _survival_curve(curve_shift, n),
     }
     prov = _provenance(
         spec,
@@ -478,7 +480,7 @@ def scenario_rabi_control(spec: ScenarioSpec | None = None) -> VerdictBundle:
     h = dense_hermitian(np.array([[0.0, spec.omega], [spec.omega, 0.0]]))
     u = Propagator(h)
     e = WaveFunction(space, np.array([1.0, 0.0]))
-    p_core = SubspaceProjector(space, mask=np.array([True, False]))
+    p_core = SubspaceProjector(space, 0, 1)
 
     s_free = survival_free(u, e, t)
     s_one = survival_measured(u, p_core, e, MeasurementSchedule.equally_spaced(t, 1))

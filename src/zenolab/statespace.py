@@ -5,10 +5,10 @@ dimensionless, and the inner product is the plain Riemann sum
 
     <psi|phi> = sum_j conj(psi_j) * phi_j * dx
 
-with no endpoint correction, so a sample-indicator projector pair is an
-exact partition of the identity.  Grids are periodic with a power-of-two
-point count (FFT pathways); state factories enforce containment margins so
-nothing silently wraps around the domain edge.
+with no endpoint correction, so the projectors onto the sample ranges on
+either side of a split add up exactly to the identity.  Grids are periodic
+with a power-of-two point count (FFT pathways); state factories enforce
+containment margins so nothing silently wraps around the domain edge.
 
 Every vector reduction in the package (norms, inner products, zone masses)
 goes through `_blocked`, which hands BLAS consecutive blocks of at most

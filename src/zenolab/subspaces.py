@@ -1,7 +1,8 @@
 """Orthogonal projectors onto zones of the state space and invariance checks.
 
-The half-line split of a grid calls x < 0 the *core zone* (where initial
-states are prepared) and x >= 0 the *wave zone* (where decay products are
+A zone is a contiguous range of samples.  The half-line split of a grid
+calls the samples with x < 0 the *core zone* (where initial states are
+prepared) and the rest, x >= 0, the *wave zone* (where decay products are
 counted); the x = 0 sample belongs to the wave zone by convention.  For a
 propagator U, three numerical conditions about the wave zone H_W are probed
 on sampled times and trial states:
@@ -42,83 +43,53 @@ ZONE_TOL_STRICT = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class SubspaceProjector:
-    """Orthogonal projector, either a sample indicator or an orthonormal span.
+    """Orthogonal projector onto the contiguous samples start <= j < stop.
 
-    Indicator projectors are exact: idempotence, Hermiticity and the
-    complement partition hold sample by sample in floating point.
+    Every zone of the lab is one run of samples: the half-line pair splits a
+    grid into [0, split) and [split, n_points), and a two-level system's
+    levels are [0, 1) and [1, 2).  The projector is exact: idempotence,
+    Hermiticity and the split of a state between adjacent ranges hold
+    sample by sample in floating point.
     """
 
     space: Grid | DenseSpace
-    mask: np.ndarray | None = None
-    basis: np.ndarray | None = None
+    start: int
+    stop: int
 
     def __post_init__(self) -> None:
-        if (self.mask is None) == (self.basis is None):
-            raise DomainError("provide exactly one of mask or basis")
-        if self.mask is not None:
-            m = np.asarray(self.mask, dtype=bool).copy()
-            if m.shape != (self.space.n_points,):
-                raise SpaceMismatchError("mask length does not match space")
-            m.setflags(write=False)
-            object.__setattr__(self, "mask", m)
-        else:
-            b = np.asarray(self.basis, dtype=np.complex128).copy()
-            if b.ndim != 2 or b.shape[0] != self.space.n_points:
-                raise SpaceMismatchError("basis must be (n_points, m) columns")
-            gram = b.conj().T @ b * self.space.dx
-            if np.max(np.abs(gram - np.eye(b.shape[1]))) > 1e-10:
-                raise DomainError("basis columns are not orthonormal in the space measure")
-            b.setflags(write=False)
-            object.__setattr__(self, "basis", b)
-
-    def _apply_values(self, values: np.ndarray) -> np.ndarray:
-        if self.mask is not None:
-            return np.where(self.mask, values, 0.0)
-        coeffs = (self.basis.conj().T @ values) * self.space.dx
-        return self.basis @ coeffs
+        if not 0 <= self.start < self.stop <= self.space.n_points:
+            raise SpaceMismatchError(
+                f"sample range [{self.start}, {self.stop}) is empty or exceeds "
+                f"a space of {self.space.n_points} points"
+            )
 
     def apply(self, psi: WaveFunction) -> WaveFunction:
         if psi.space != self.space:
             raise SpaceMismatchError("state and projector live on different spaces")
-        return WaveFunction._adopt(self.space, self._apply_values(psi.values))
+        out = np.zeros(self.space.n_points, dtype=np.complex128)
+        out[self.start:self.stop] = psi.values[self.start:self.stop]
+        return WaveFunction._adopt(self.space, out)
 
     def mass(self, psi: WaveFunction) -> float:
         """||P psi||^2, the probability captured by this zone."""
         if psi.space != self.space:
             raise SpaceMismatchError("state and projector live on different spaces")
-        if self.mask is not None:
-            v = psi.values[self.mask]
-            return float(np.real(_blocked(np.vdot, v, v)) * self.space.dx)
-        p = self._apply_values(psi.values)
-        return float(np.real(_blocked(np.vdot, p, p)) * self.space.dx)
-
-    def complement(self) -> "SubspaceProjector":
-        if self.mask is None:
-            raise DomainError("complement is only defined for indicator projectors")
-        return SubspaceProjector(self.space, mask=~self.mask)
+        v = psi.values[self.start:self.stop]
+        return float(np.real(_blocked(np.vdot, v, v)) * self.space.dx)
 
 
 def halfline_pair(grid: Grid) -> tuple[SubspaceProjector, SubspaceProjector]:
-    """(P_core, P_wave) indicator pair splitting the grid at x = 0.
+    """(P_core, P_wave) pair splitting the grid at x = 0.
 
     Samples with x < 0 belong to the core zone, samples with x >= 0 to the
     wave zone.  The grid must straddle zero.
     """
-    x = grid.positions()
-    core = x < 0.0
-    if not core.any() or core.all():
+    split = int(np.count_nonzero(grid.positions() < 0.0))
+    if split in (0, grid.n_points):
         raise DomainError(
             f"domain [{grid.x_min}, {grid.x_max}] does not straddle x = 0"
         )
-    return SubspaceProjector(grid, mask=core), SubspaceProjector(grid, mask=~core)
-
-
-def span_projector(space: Grid | DenseSpace, basis_vectors) -> SubspaceProjector:
-    """Projector onto the span of orthonormal basis vectors (columns)."""
-    b = np.asarray(basis_vectors, dtype=np.complex128)
-    if b.ndim == 1:
-        b = b[:, None]
-    return SubspaceProjector(space, basis=b)
+    return SubspaceProjector(grid, 0, split), SubspaceProjector(grid, split, grid.n_points)
 
 
 def core_zone_state(p_core: SubspaceProjector, psi: WaveFunction) -> WaveFunction:

@@ -82,9 +82,10 @@ class MeasurementSchedule:
 
 def _require_core_state(p_core: SubspaceProjector, e: WaveFunction,
                         core_tol: float) -> None:
-    if abs(e.norm_sq() - 1.0) > 1e-9:
-        raise PreconditionError(f"prepared state is not normalized: ||e||^2 = {e.norm_sq()!r}")
-    off = 1.0 - p_core.mass(e)
+    norm_sq = e.norm_sq()
+    if abs(norm_sq - 1.0) > 1e-9:
+        raise PreconditionError(f"prepared state is not normalized: ||e||^2 = {norm_sq!r}")
+    off = norm_sq - p_core.mass(e)
     if off > core_tol:
         raise PreconditionError(
             f"prepared state is not core-zone: off-zone mass {off:.6e} exceeds {core_tol:g}"

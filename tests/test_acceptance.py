@@ -133,7 +133,7 @@ def test_acceptance_3_rabi_control():
     h = dense_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
     u = Propagator(h)
     e = WaveFunction(h.space, np.array([1.0, 0.0]))
-    p_core = SubspaceProjector(h.space, mask=np.array([True, False]))
+    p_core = SubspaceProjector(h.space, 0, 1)
     t = math.pi / 2.0
 
     s_single = survival_measured(u, p_core, e, MeasurementSchedule.equally_spaced(t, 1))

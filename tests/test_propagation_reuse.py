@@ -78,8 +78,7 @@ def _fourier(n_points: int):
 def _rabi():
     h = dense_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
     space = h.space
-    pair = (SubspaceProjector(space, mask=np.array([True, False])),
-            SubspaceProjector(space, mask=np.array([False, True])))
+    pair = (SubspaceProjector(space, 0, 1), SubspaceProjector(space, 1, 2))
     e = WaveFunction(space, np.array([1.0, 0.0]))
     waves = [WaveFunction(space, np.array([0.0, 1.0])),
              WaveFunction(space, np.array([0.0, 1.0j]))]
@@ -284,3 +283,22 @@ def test_hm_invariance_runs_its_spectral_report_once(n):
         scenario_hm_invariance(ScenarioSpec(name="hm-invariance", n_measurements=n))
     assert counts["fft"] == CURVE_POINTS * (n + 1) + 1
     assert counts["ifft"] == CURVE_POINTS * (n + 2) + 1
+
+
+@pytest.mark.parametrize("n", [0, 5])
+def test_hm_invariance_runs_its_shift_report_once(n):
+    # a shift survival report rolls N + 2 times (the free evolve and N + 1
+    # chain segments); the last shift curve row is the main shift run, so
+    # there is one report per row (the t = 0 row runs none) and no other
+    rolls = []
+    roll = np.roll
+
+    def counting_roll(*args, **kwargs):
+        rolls.append(1)
+        return roll(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "roll", counting_roll)
+        bundle = scenario_hm_invariance(ScenarioSpec(name="hm-invariance", n_measurements=n))
+    reports = len(bundle.tables["survival_shift"].rows) - 1
+    assert len(rolls) == reports * (n + 2)

@@ -18,6 +18,7 @@ from zenolab import (
     PreconditionError,
     Propagator,
     ShiftPropagator,
+    SpaceMismatchError,
     SubspaceProjector,
     WaveFunction,
     check_condition_I,
@@ -31,10 +32,9 @@ from zenolab import (
     leakage,
     make_bump,
     make_gaussian,
-    make_plane_wave,
     momentum_operator,
-    span_projector,
 )
+from zenolab.statespace import _blocked
 
 T_SWEEP = (0.5, 1.0, 2.0, 3.0, 4.5, 6.0)
 
@@ -42,19 +42,23 @@ T_SWEEP = (0.5, 1.0, 2.0, 3.0, 4.5, 6.0)
 def _rabi_setup():
     h = dense_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
     space = h.space
-    p_core = SubspaceProjector(space, mask=np.array([True, False]))
-    return h, Propagator(h), (p_core, p_core.complement())
+    return h, Propagator(h), (SubspaceProjector(space, 0, 1), SubspaceProjector(space, 1, 2))
 
 
 # ----------------------------------------------------------------------
 # Projectors
 # ----------------------------------------------------------------------
 
+def _range_mask(p: SubspaceProjector) -> np.ndarray:
+    j = np.arange(p.space.n_points)
+    return (p.start <= j) & (j < p.stop)
+
+
 def test_halfline_split_convention(grid, zone_pair):
     p_core, p_wave = zone_pair
     x = grid.positions()
-    assert np.array_equal(p_core.mask, x < 0.0)
-    assert np.array_equal(p_wave.mask, x >= 0.0)
+    assert np.array_equal(_range_mask(p_core), x < 0.0)
+    assert np.array_equal(_range_mask(p_wave), x >= 0.0)
     # the x = 0 sample belongs to the wave zone
     spike = np.zeros(grid.n_points)
     spike[int(np.argmin(np.abs(x)))] = 1.0
@@ -63,9 +67,41 @@ def test_halfline_split_convention(grid, zone_pair):
     assert p_core.mass(delta) == 0.0
 
 
+@given(
+    x_min=st.floats(min_value=-50.0, max_value=-1e-3),
+    x_max=st.floats(min_value=1e-3, max_value=50.0),
+    log_n=st.integers(min_value=1, max_value=12),
+)
+def test_halfline_ranges_equal_sign_masks(x_min, x_max, log_n):
+    grid = Grid(x_min, x_max, 2**log_n)
+    x = grid.positions()
+    if not (x < 0.0).any() or (x < 0.0).all():
+        with pytest.raises(DomainError, match="straddle"):
+            halfline_pair(grid)
+        return
+    p_core, p_wave = halfline_pair(grid)
+    assert np.array_equal(_range_mask(p_core), x < 0.0)
+    assert np.array_equal(_range_mask(p_wave), x >= 0.0)
+
+
 def test_halfline_requires_straddling_zero():
     with pytest.raises(DomainError, match="straddle"):
         halfline_pair(Grid(2.0, 30.0, 256))
+
+
+@pytest.mark.parametrize("n_points", [4096, 32768])
+def test_range_projector_matches_sign_mask_reference(n_points):
+    grid = Grid(-40.0, 40.0, n_points)
+    x = grid.positions()
+    p_core, p_wave = halfline_pair(grid)
+    for seed in (1, 2, 3):
+        psi = random_state(grid, seed)
+        v = psi.values
+        for p, inside in ((p_core, x < 0.0), (p_wave, x >= 0.0)):
+            gathered = v[inside]
+            ref_mass = float(np.real(_blocked(np.vdot, gathered, gathered)) * grid.dx)
+            assert p.mass(psi) == ref_mass
+            assert np.array_equal(p.apply(psi).values, np.where(inside, v, 0.0))
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -94,33 +130,22 @@ def test_projector_hermitian_on_samples(small_grid, seed_a, seed_b):
     assert abs(lhs - rhs) <= 1e-12
 
 
-def test_span_projector_idempotent(small_grid):
-    basis = np.column_stack([make_plane_wave(small_grid, 3).values,
-                             make_plane_wave(small_grid, 11).values])
-    p = span_projector(small_grid, basis)
-    psi = random_state(small_grid, 42)
-    once = p.apply(psi)
-    assert (p.apply(once) - once).norm() <= 1e-13
-    assert p.mass(make_plane_wave(small_grid, 3)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_span_projector_rejects_skewed_basis(small_grid):
-    skew = np.column_stack([make_plane_wave(small_grid, 3).values,
-                            make_plane_wave(small_grid, 3).values])
-    with pytest.raises(DomainError, match="orthonormal"):
-        span_projector(small_grid, skew)
-
-
 def test_projector_validation(small_grid):
-    from zenolab import SpaceMismatchError
+    # ranges must be non-empty and lie inside 0 <= j < 256
+    for start, stop in ((-1, 4), (4, 4), (5, 4), (0, 257), (256, 257)):
+        with pytest.raises(SpaceMismatchError, match="sample range"):
+            SubspaceProjector(small_grid, start, stop)
+    assert SubspaceProjector(small_grid, 0, 256).mass(random_state(small_grid, 5)) \
+        == pytest.approx(1.0, abs=1e-12)
 
-    with pytest.raises(DomainError, match="exactly one"):
-        SubspaceProjector(small_grid)
+
+def test_projector_rejects_a_foreign_state(small_grid):
+    p = SubspaceProjector(small_grid, 0, small_grid.n_points)
+    psi = random_state(DenseSpace(small_grid.n_points), 7)
     with pytest.raises(SpaceMismatchError):
-        SubspaceProjector(small_grid, mask=np.array([True, False]))
-    p = span_projector(small_grid, make_plane_wave(small_grid, 3).values)
-    with pytest.raises(DomainError, match="indicator"):
-        p.complement()
+        p.apply(psi)
+    with pytest.raises(SpaceMismatchError):
+        p.mass(psi)
 
 
 def test_gaussian_centered_at_split_has_half_mass(grid, zone_pair):

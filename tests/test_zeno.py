@@ -36,7 +36,7 @@ def _rabi():
     h = dense_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
     u = Propagator(h)
     e = WaveFunction(h.space, np.array([1.0, 0.0]))
-    p_core = SubspaceProjector(h.space, mask=np.array([True, False]))
+    p_core = SubspaceProjector(h.space, 0, 1)
     return u, p_core, e
 
 
@@ -92,6 +92,30 @@ def test_measured_survival_requires_core_state(grid, zone_pair, translator):
     with pytest.raises(PreconditionError, match="core"):
         survival_measured(translator, zone_pair[0], raw,
                           MeasurementSchedule.equally_spaced(2.0, 5))
+
+
+def test_core_state_below_unit_norm_is_still_core_zone(grid, zone_pair, translator):
+    # ||e||^2 = 1 - 5e-10 passes the 1e-9 normalization check and the state
+    # has no wave-zone amplitude at all, so it is a core-zone state
+    p_core, p_wave = zone_pair
+    e = core_zone_state(p_core, make_gaussian(grid, -8.0, 1.0)) * math.sqrt(1.0 - 5e-10)
+    assert p_wave.mass(e) == 0.0
+    assert abs(e.norm_sq() - (1.0 - 5e-10)) <= 1e-15
+    rep = survival_report(translator, p_core, e, MeasurementSchedule.equally_spaced(2.0, 3))
+    assert abs(rep.delta) <= 1e-12
+
+
+def test_real_wave_zone_mass_is_still_rejected(grid, zone_pair, translator):
+    p_core, p_wave = zone_pair
+    core = core_zone_state(p_core, make_gaussian(grid, -8.0, 1.0))
+    values = core.values * math.sqrt(1.0 - 2e-10)
+    spike = np.zeros(grid.n_points)
+    spike[-100] = math.sqrt(2e-10 / grid.dx)  # x ~ 38, deep in the wave zone
+    e = WaveFunction(grid, values + spike)
+    assert abs(e.norm_sq() - 1.0) <= 1e-15
+    assert p_wave.mass(e) == pytest.approx(2e-10, rel=1e-12)
+    with pytest.raises(PreconditionError, match="off-zone mass 2.0"):
+        survival_report(translator, p_core, e, MeasurementSchedule.equally_spaced(2.0, 3))
 
 
 def test_translation_measurement_invariance_spectral(grid, zone_pair, translator):
