@@ -42,6 +42,7 @@ from .statespace import (
     DenseSpace,
     Grid,
     WaveFunction,
+    inner_product,
     make_bump,
     make_gaussian,
     make_plane_wave,
@@ -58,7 +59,11 @@ from .subspaces import (
     leakage,
 )
 from .zeno import (
+    CORE_STATE_TOL,
     MeasurementSchedule,
+    _chain,
+    _require_core_state,
+    _survival_report,
     deficit_ladder,
     deficit_slope,
     survival_free,
@@ -384,7 +389,15 @@ def scenario_hm_invariance(spec: ScenarioSpec | None = None) -> VerdictBundle:
                        for j in js]
     sched_spectral = MeasurementSchedule.equally_spaced(t, n)
     assert curve_schedules[-1] == sched_spectral
-    curve_spectral = [survival_report(u_spectral, p_core, e, s) for s in curve_schedules]
+    # one transform of e serves the empty-schedule check, a real chain of
+    # one segment, and every spectral row
+    _require_core_state(p_core, e, CORE_STATE_TOL)
+    coeffs = u_spectral.transform(e)
+    free, _ = _chain(u_spectral, p_core, coeffs, MeasurementSchedule(t, ()))
+    s0_measured = abs(inner_product(e, free)) ** 2
+    del free
+    curve_spectral = [_survival_report(u_spectral, p_core, e, coeffs, s)
+                      for s in curve_schedules]
     rep_spectral = curve_spectral[-1]
 
     steps = int(round(t / grid.dx))
@@ -404,8 +417,6 @@ def scenario_hm_invariance(spec: ScenarioSpec | None = None) -> VerdictBundle:
 
     def autocorr_oracle(tau: float) -> float:
         return math.exp(-(tau ** 2) / (4.0 * spec.sigma ** 2))
-
-    s0_measured = survival_measured(u_spectral, p_core, e, MeasurementSchedule(t, ()))
 
     flags = (
         make_flag("spectral_invariance", abs(rep_spectral.delta), "<=",

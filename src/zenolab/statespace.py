@@ -205,6 +205,9 @@ def make_gaussian(grid: Grid, center: float, sigma: float, k0: float = 0.0) -> W
         )
     x = grid.positions()
     envelope = (2.0 * np.pi * sigma**2) ** (-0.25) * np.exp(-((x - center) ** 2) / (4.0 * sigma**2))
+    if k0 == 0.0:
+        # the carrier would be exactly 1 + 0j, which leaves every bit alone
+        return WaveFunction(grid, envelope).normalized()
     return WaveFunction(grid, envelope * np.exp(1j * k0 * x)).normalized()
 
 

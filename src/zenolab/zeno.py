@@ -161,12 +161,18 @@ class SurvivalReport:
 def survival_report(u, p_core: SubspaceProjector, e: WaveFunction,
                     schedule: MeasurementSchedule,
                     core_tol: float = CORE_STATE_TOL) -> SurvivalReport:
-    """Run both protocols once and collect the comparison.
-
-    The free evolution and the chain's first segment share e's transform.
-    """
+    """Run both protocols once and collect the comparison."""
     _require_core_state(p_core, e, core_tol)
-    coeffs = u.transform(e)
+    return _survival_report(u, p_core, e, u.transform(e), schedule)
+
+
+def _survival_report(u, p_core: SubspaceProjector, e: WaveFunction, coeffs,
+                     schedule: MeasurementSchedule) -> SurvivalReport:
+    """survival_report from e's coefficients `coeffs`, e already checked.
+
+    The free evolution and the chain's first segment share the coefficients,
+    and so may the reports of several schedules for the same e.
+    """
     free = u.advance(coeffs, u.step(schedule.t_final))
     s_free = abs(inner_product(e, free)) ** 2
     leakage_free = 1.0 - p_core.mass(free)

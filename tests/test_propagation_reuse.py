@@ -5,8 +5,9 @@ each state once and build each phase step once.  These tests pin that down
 against the naive loops they replaced, which call `u.evolve` for every
 (time, state) pair and every chain segment, and demand exact equality on a
 fourier grid (below and above numpy's 256 KiB temporary-elision size), the
-2x2 matrix kind and the exact-shift path.  An operation-count guard checks
-that the reuse actually happens.
+2x2 matrix kind and the exact-shift path.  The half-spectrum phase vector is
+checked against a whole-array exp.  Operation-count guards check that the
+reuse actually happens.
 """
 
 from __future__ import annotations
@@ -16,11 +17,13 @@ import pytest
 
 from zenolab import (
     DenseSpace,
+    DomainError,
     Grid,
     MeasurementSchedule,
     Propagator,
     ShiftPropagator,
     SpaceMismatchError,
+    SpectralOperator,
     SubspaceProjector,
     WaveFunction,
     check_condition_I,
@@ -185,6 +188,58 @@ def test_ulp_apart_segments_each_get_their_own_step():
 
 
 # ----------------------------------------------------------------------
+# half-spectrum phase vectors
+# ----------------------------------------------------------------------
+
+
+def naive_step(u, t: float) -> np.ndarray:
+    """The phase vector as one exp over the whole spectrum."""
+    return np.exp(-1j * float(t) * u.generator.eigenvalues)
+
+
+def _step_times() -> list[float]:
+    rng = np.random.default_rng(20060303)
+    times = [float(t) for t in rng.uniform(-10.0, 10.0, 200)]
+    times += list(T_SWEEP) + [-6.0, 2.0 / 7.0, 1e-300, 0.0, -0.0, 5e-324]
+    for n in range(3, 10):
+        times += MeasurementSchedule.equally_spaced(2.0, n).segments()
+    return times
+
+
+@pytest.mark.parametrize("n_points", [2, 2**12, 2**16])
+def test_step_matches_whole_spectrum_exp_bit_for_bit(n_points):
+    u = Propagator(momentum_operator(Grid(-40.0, 40.0, n_points)))
+    for t in _step_times():
+        assert u.step(t).tobytes() == naive_step(u, t).tobytes(), t
+
+
+@pytest.mark.parametrize("n_points", [2, 256, 4096])
+def test_step_exponentiates_half_the_spectrum(n_points, monkeypatch):
+    u = Propagator(momentum_operator(Grid(-40.0, 40.0, n_points)))
+    sizes = []
+    exp = np.exp
+
+    def counting_exp(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    for t in (0.5, -3.0):
+        u.step(t)
+    assert sizes == [n_points // 2 + 1] * 2
+
+
+def test_fourier_kind_needs_an_odd_spectrum():
+    grid = Grid(-40.0, 40.0, 8)
+    k = grid.wavenumbers()
+    SpectralOperator(grid, k, "fourier")
+    SpectralOperator(grid, np.where(np.arange(8) == 4, 7.0, k), "fourier")  # Nyquist free
+    for not_odd in (k + 1.0, np.abs(k), k * k):
+        with pytest.raises(DomainError, match="odd"):
+            SpectralOperator(grid, not_odd, "fourier")
+
+
+# ----------------------------------------------------------------------
 # coefficients are never written; returned states are read-only
 # ----------------------------------------------------------------------
 
@@ -275,13 +330,14 @@ def test_survival_report_shares_e_and_repeated_segments(n, expected):
 
 @pytest.mark.parametrize("n", [0, 5])
 def test_hm_invariance_runs_its_spectral_report_once(n):
-    # CURVE_POINTS survival reports of N + 1 forward and N + 2 inverse FFTs
-    # (the last is the main spectral run), plus the empty schedule's chain;
-    # no separate main report and no separate free evolve
+    # one transform of e, then CURVE_POINTS survival reports of N forward
+    # and N + 2 inverse FFTs (the last is the main spectral run), plus the
+    # empty schedule's one-segment chain; no separate main report and no
+    # separate free evolve
     with pytest.MonkeyPatch.context() as mp:
         counts = _install_counters(mp)
         scenario_hm_invariance(ScenarioSpec(name="hm-invariance", n_measurements=n))
-    assert counts["fft"] == CURVE_POINTS * (n + 1) + 1
+    assert counts["fft"] == CURVE_POINTS * n + 1
     assert counts["ifft"] == CURVE_POINTS * (n + 2) + 1
 
 
