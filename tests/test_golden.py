@@ -11,6 +11,7 @@ them; a different numpy build may round differently in the last digit.
 from __future__ import annotations
 
 import re
+import runpy
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ import pytest
 from zenolab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+STAIRCASE = Path(__file__).parent.parent / "scripts" / "zeno_staircase.py"
 SCENARIO_NAMES = ("counterexample", "hm-invariance", "rabi-control", "series-validity")
 MASKED = re.compile(rb'"(numpy|version)":"[^"]*"')
 
@@ -44,3 +46,9 @@ def test_default_run_matches_golden(scenario, tmp_path, capsys):
 def test_list_matches_golden(capsys):
     assert main(["list"]) == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "list.txt").read_bytes()
+
+
+def test_zeno_staircase_matches_golden(capsys):
+    """The staircase script prints the same lines; its s - s_free column is roundoff-sized."""
+    runpy.run_path(str(STAIRCASE), run_name="__main__")
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "zeno_staircase.txt").read_bytes()
