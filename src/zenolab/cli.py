@@ -258,10 +258,7 @@ def main(argv=None) -> int:
         if args.command == "list":
             return _cmd_list()
         return _cmd_sweep(args)
-    except (ConfigError, DomainError, PreconditionError, SpaceMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, DomainError, PreconditionError, SpaceMismatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -66,10 +66,7 @@ from .zeno import (
     _survival_report,
     deficit_ladder,
     deficit_slope,
-    survival_free,
-    survival_measured,
     survival_report,
-    zeno_scaling,
 )
 
 #: |s_measured - s_free| bound on the exact-shift path
@@ -120,6 +117,12 @@ class ScenarioSpec:
             raise DomainError("sigma must be positive")
         if self.n_measurements < 0:
             raise DomainError("n_measurements must be non-negative")
+        if self.seed < 0:
+            raise DomainError(f"seed must be a non-negative integer, got {self.seed}")
+        for name in ("tolerance_invariance", "tolerance_falsify"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise DomainError(f"{name} must be finite and positive, got {value!r}")
 
     def replace(self, **overrides) -> "ScenarioSpec":
         return replace(self, **overrides)
@@ -493,12 +496,14 @@ def scenario_rabi_control(spec: ScenarioSpec | None = None) -> VerdictBundle:
     e = WaveFunction(space, np.array([1.0, 0.0]))
     p_core = SubspaceProjector(space, 0, 1)
 
-    s_free = survival_free(u, e, t)
-    s_one = survival_measured(u, p_core, e, MeasurementSchedule.equally_spaced(t, 1))
+    reports = [survival_report(u, p_core, e, MeasurementSchedule.equally_spaced(t, n))
+               for n in (1,) + ZENO_LADDER]
+    s_free = reports[0].s_free
+    s_one = reports[0].s_measured
     oracle_free = math.cos(spec.omega * t) ** 2
     oracle_one = math.cos(spec.omega * t / 2.0) ** 4
 
-    scaling = zeno_scaling(u, p_core, e, t, ZENO_LADDER)
+    scaling = tuple((r.n_measurements, r.s_measured) for r in reports[1:])
     deficits = [1.0 - s for _, s in scaling]
     slope = deficit_slope(scaling)
     chain_error = max(abs(a - b) for a, b in zip(deficits, closed))

@@ -92,25 +92,13 @@ def _require_core_state(p_core: SubspaceProjector, e: WaveFunction,
         )
 
 
-def survival_free(u, e: WaveFunction, t: float) -> float:
-    """|<e, U(t) e>|^2 with no intervening measurements."""
-    return abs(inner_product(e, u.evolve(e, t))) ** 2
-
-
-def measured_chain(u, p_core: SubspaceProjector, e: WaveFunction,
-                   schedule: MeasurementSchedule) -> tuple[WaveFunction, tuple[float, ...]]:
-    """Selective measure-and-evolve chain.
+def _chain(u, p_core: SubspaceProjector, coeffs,
+           schedule: MeasurementSchedule) -> tuple[WaveFunction, tuple[float, ...]]:
+    """Selective measure-and-evolve chain from the prepared state's coefficients.
 
     Returns the unnormalized final state together with the retained-norm
     trace ||chi_k||^2 recorded after each projection (the probability of
     having passed the first k measurements).
-    """
-    return _chain(u, p_core, u.transform(e), schedule)
-
-
-def _chain(u, p_core: SubspaceProjector, coeffs,
-           schedule: MeasurementSchedule) -> tuple[WaveFunction, tuple[float, ...]]:
-    """measured_chain from the prepared state's coefficients `coeffs`.
 
     The segments of an equally spaced schedule differ at most in the last
     ulp and alternate (a a b c b c b ...), so the steps of the two most
@@ -127,15 +115,6 @@ def _chain(u, p_core: SubspaceProjector, coeffs,
         coeffs = u.transform(psi)
         elapsed = t_k
     return u.advance(coeffs, step(schedule.t_final - elapsed)), tuple(trace)
-
-
-def survival_measured(u, p_core: SubspaceProjector, e: WaveFunction,
-                      schedule: MeasurementSchedule,
-                      core_tol: float = CORE_STATE_TOL) -> float:
-    """Joint pass-all-and-survive probability for the selective protocol."""
-    _require_core_state(p_core, e, core_tol)
-    chain, _ = measured_chain(u, p_core, e, schedule)
-    return abs(inner_product(e, chain)) ** 2
 
 
 @dataclass(frozen=True)
@@ -187,25 +166,6 @@ def _survival_report(u, p_core: SubspaceProjector, e: WaveFunction, coeffs,
         retained_trace=trace,
         retained=chain.norm_sq(),
     )
-
-
-def zeno_scaling(u, p_core: SubspaceProjector, e: WaveFunction, t_final: float,
-                 counts, core_tol: float = CORE_STATE_TOL) -> tuple[tuple[int, float], ...]:
-    """(N, s_measured) over equally spaced schedules of each count.
-
-    Counts must be strictly increasing and non-negative; N = 0 contributes
-    the free-evolution survival.
-    """
-    ns = tuple(int(n) for n in counts)
-    if not ns or any(n < 0 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
-        raise DomainError("counts must be strictly increasing non-negative ints")
-    out = []
-    for n in ns:
-        s = survival_measured(u, p_core, e,
-                              MeasurementSchedule.equally_spaced(t_final, n),
-                              core_tol=core_tol)
-        out.append((n, s))
-    return tuple(out)
 
 
 def deficit_slope(scaling: tuple[tuple[int, float], ...]) -> float:

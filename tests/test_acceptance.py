@@ -29,9 +29,7 @@ from zenolab import (
     momentum_operator,
     run_scenario,
     stone_residual,
-    survival_measured,
     survival_report,
-    zeno_scaling,
 )
 from zenolab.cli import main
 from zenolab.statespace import WaveFunction
@@ -136,9 +134,11 @@ def test_acceptance_3_rabi_control():
     p_core = SubspaceProjector(h.space, 0, 1)
     t = math.pi / 2.0
 
-    s_single = survival_measured(u, p_core, e, MeasurementSchedule.equally_spaced(t, 1))
+    s_single = survival_report(u, p_core, e, MeasurementSchedule.equally_spaced(t, 1)).s_measured
     counts = (8, 16, 32, 64, 128)
-    slope = deficit_slope(zeno_scaling(u, p_core, e, t, counts))
+    reports = [survival_report(u, p_core, e, MeasurementSchedule.equally_spaced(t, n))
+               for n in counts]
+    slope = deficit_slope(tuple((r.n_measurements, r.s_measured) for r in reports))
     oracle_single = rabi_chain_survival(1.0, t, 1)
     elapsed = time.perf_counter() - start
     _gate(

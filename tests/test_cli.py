@@ -118,6 +118,27 @@ def test_rabi_control_exits_2_outside_its_zeno_window(tmp_path, capsys, flags, c
         assert err == ""
 
 
+@pytest.mark.parametrize("scenario, flags, reason", [
+    ("counterexample", ["--seed", "-1"], "seed must be a non-negative integer"),
+    # a negative falsify tolerance would make cond_II_falsified pass vacuously
+    ("counterexample", ["--tolerance-falsify", "-1"],
+     "tolerance_falsify must be finite and positive"),
+    ("counterexample", ["--tolerance-invariance", "inf"],
+     "tolerance_invariance must be finite and positive"),
+    ("hm-invariance", ["--tolerance-invariance", "nan"],
+     "tolerance_invariance must be finite and positive"),
+    ("hm-invariance", ["--tolerance-falsify", "0"],
+     "tolerance_falsify must be finite and positive"),
+])
+def test_invalid_seed_or_tolerance_exits_2(scenario, flags, reason, tmp_path, capsys):
+    assert _run(["run", scenario, "--out", str(tmp_path), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert reason in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / scenario).exists()
+
+
 def test_format_csv_skips_bundle(tmp_path):
     _run(["run", "rabi-control", "--out", str(tmp_path), "--format", "csv"])
     scenario_dir = tmp_path / "rabi-control"
@@ -239,6 +260,17 @@ def test_sweep_reports_every_point_when_one_is_rejected(jobs, tmp_path, capsys):
     assert lines[1].startswith("sigma=1.4: ERROR trial state 'gaussian(8)' is not wave-zone")
     assert (tmp_path / "counterexample" / "sigma=0.5" / "bundle.json").is_file()
     assert not (tmp_path / "counterexample" / "sigma=1.4").exists()
+
+
+def test_sweep_reports_a_negative_seed_as_an_error(tmp_path, capsys):
+    code = _run(["sweep", "counterexample", "--param", "seed", "--values", "1,-1",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "seed=1: PASS"
+    assert lines[1] == "seed=-1: ERROR seed must be a non-negative integer, got -1"
+    assert (tmp_path / "counterexample" / "seed=1" / "bundle.json").is_file()
+    assert not (tmp_path / "counterexample" / "seed=-1").exists()
 
 
 def test_sweep_rejects_unsweepable_param(tmp_path, capsys):

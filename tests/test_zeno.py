@@ -22,11 +22,9 @@ from zenolab import (
     deficit_ladder,
     deficit_slope,
     dense_hermitian,
+    inner_product,
     make_gaussian,
-    survival_free,
-    survival_measured,
     survival_report,
-    zeno_scaling,
 )
 
 EXP_M1 = 0.36787944117144233  # exp(-1): free Gaussian survival at t = 2, sigma = 1
@@ -71,16 +69,21 @@ def test_schedule_validation():
 # Free survival
 # ----------------------------------------------------------------------
 
+def _autocorrelation(u, g, t: float) -> float:
+    """|<g, U(t) g>|^2 for a state that need not be core-zone."""
+    return abs(inner_product(g, u.evolve(g, t))) ** 2
+
+
 def test_free_survival_gaussian_autocorrelation(grid, translator):
     g = make_gaussian(grid, -4.0, 1.0)
-    assert abs(survival_free(translator, g, 2.0) - EXP_M1) <= 1e-6
+    assert abs(_autocorrelation(translator, g, 2.0) - EXP_M1) <= 1e-6
     # half the drift: exp(-1/4)
-    assert abs(survival_free(translator, g, 1.0) - math.exp(-0.25)) <= 1e-6
+    assert abs(_autocorrelation(translator, g, 1.0) - math.exp(-0.25)) <= 1e-6
 
 
 def test_free_survival_at_zero_time(grid, translator):
     g = make_gaussian(grid, -4.0, 1.0)
-    assert survival_free(translator, g, 0.0) >= 1.0 - 1e-12
+    assert _autocorrelation(translator, g, 0.0) >= 1.0 - 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -90,8 +93,8 @@ def test_free_survival_at_zero_time(grid, translator):
 def test_measured_survival_requires_core_state(grid, zone_pair, translator):
     raw = make_gaussian(grid, -4.0, 1.0)  # wave tail ~ 3e-5, above the bound
     with pytest.raises(PreconditionError, match="core"):
-        survival_measured(translator, zone_pair[0], raw,
-                          MeasurementSchedule.equally_spaced(2.0, 5))
+        survival_report(translator, zone_pair[0], raw,
+                        MeasurementSchedule.equally_spaced(2.0, 5))
 
 
 def test_core_state_below_unit_norm_is_still_core_zone(grid, zone_pair, translator):
@@ -169,7 +172,7 @@ def test_retained_trace_monotone_and_bounds_survival(grid, zone_pair, translator
 def test_rabi_single_measurement_quarter():
     u, p_core, e = _rabi()
     t = math.pi / 2.0
-    s = survival_measured(u, p_core, e, MeasurementSchedule.equally_spaced(t, 1))
+    s = survival_report(u, p_core, e, MeasurementSchedule.equally_spaced(t, 1)).s_measured
     assert abs(s - 0.25) <= 1e-10
     assert abs(s - rabi_chain_survival(1.0, t, 1)) <= 1e-12
 
@@ -178,7 +181,7 @@ def test_rabi_single_measurement_quarter():
 def test_rabi_chain_matches_matrix_oracle(n):
     u, p_core, e = _rabi()
     t = math.pi / 2.0
-    s = survival_measured(u, p_core, e, MeasurementSchedule.equally_spaced(t, n))
+    s = survival_report(u, p_core, e, MeasurementSchedule.equally_spaced(t, n)).s_measured
     assert abs(s - rabi_chain_survival(1.0, t, n)) <= 1e-12
 
 
@@ -193,10 +196,12 @@ def test_deficit_ladder_closed_form():
 def test_zeno_scaling_and_slope():
     u, p_core, e = _rabi()
     t = math.pi / 2.0
-    scaling = zeno_scaling(u, p_core, e, t, (0, 8, 16, 32, 64, 128))
+    reports = [survival_report(u, p_core, e, MeasurementSchedule.equally_spaced(t, n))
+               for n in (0, 8, 16, 32, 64, 128)]
+    scaling = tuple((r.n_measurements, r.s_measured) for r in reports)
     # N = 0 entry is the free survival (cos^2 at a zero crossing here)
     assert scaling[0][0] == 0
-    assert scaling[0][1] == survival_free(u, e, t)
+    assert scaling[0][1] == reports[0].s_free
     slope = deficit_slope(scaling)
     assert abs(slope - (-1.0)) <= 0.15
     # deficits shrink monotonically along the ladder
@@ -206,12 +211,9 @@ def test_zeno_scaling_and_slope():
 
 def test_zeno_scaling_validation():
     u, p_core, e = _rabi()
-    with pytest.raises(DomainError, match="strictly increasing"):
-        zeno_scaling(u, p_core, e, 1.0, (8, 8))
-    with pytest.raises(DomainError, match="non-negative"):
-        zeno_scaling(u, p_core, e, 1.0, (-1, 8))
+    free = survival_report(u, p_core, e, MeasurementSchedule.equally_spaced(1.0, 0))
     with pytest.raises(DomainError, match="at least two"):
-        deficit_slope(zeno_scaling(u, p_core, e, 1.0, (0,)))
+        deficit_slope(((free.n_measurements, free.s_measured),))
 
 
 @given(
