@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .operators import SpectralOperator, _series_accumulate
+from .operators import SpectralOperator, _series_terms
 from .statespace import WaveFunction, _norm
 
 #: step-ratio plateau above this fraction of the cutoff counts as saturated
@@ -119,7 +119,7 @@ def hn_norms(h: SpectralOperator, psi: WaveFunction, n_max: int,
             break
         ratios.append(r)
         log_norms.append(log_norms[-1] + math.log(r))
-        v = w / (_norm(w) * scale)
+        v = w / r
         if ceiling is not None:
             at_ceiling = at_ceiling + 1 if r >= SATURATION_FRACTION * ceiling else 0
             if at_ceiling >= CEILING_WINDOW and n < n_max:
@@ -238,20 +238,24 @@ def series_vs_spectral_curve(h: SpectralOperator, psi: WaveFunction, t: float,
 
     The partial sums are produced by the same accumulation kernel the series
     propagator uses, so each sampled depth agrees bitwise with a standalone
-    truncated run.  Errors after a divergence halt are reported as inf.
+    truncated run.  Each depth's error is taken as the sum passes it, so only
+    one partial sum is alive.  The divergence flag is sticky, so at the first
+    diverged depth summing stops and that depth and all later ones read inf.
     """
     ns = tuple(int(n) for n in n_values)
     if not ns or any(n < 1 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
         raise DomainError("n_values must be strictly increasing positive ints")
     if reference.space != psi.space:
         raise DomainError("reference state lives on a different space")
-    records, _ = _series_accumulate(h, psi, t, ns[-1], set(ns))
-    errors = []
-    for _, vals, flag in records:
-        if flag or not np.all(np.isfinite(vals)):
-            errors.append(math.inf)
-        else:
-            # same norm path as WaveFunction arithmetic, keeping the bitwise
-            # agreement with standalone truncated runs
-            errors.append(WaveFunction(psi.space, vals - reference.values).norm())
-    return ConvergenceCurve(t, grid_tag, ns, tuple(errors), records[-1][2])
+    errors: list[float] = []
+    for n, vals, diverged, _ in _series_terms(h, psi, t, ns[-1]):
+        if n != ns[len(errors)]:
+            continue
+        if diverged:
+            break
+        # same norm path as WaveFunction arithmetic, keeping the bitwise
+        # agreement with standalone truncated runs
+        errors.append(WaveFunction(psi.space, vals - reference.values).norm()
+                      if np.all(np.isfinite(vals)) else math.inf)
+    errors += [math.inf] * (len(ns) - len(errors))
+    return ConvergenceCurve(t, grid_tag, ns, tuple(errors), diverged)

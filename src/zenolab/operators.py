@@ -280,37 +280,34 @@ class SeriesResult:
     n_terms: int
 
 
-def _series_accumulate(h: SpectralOperator, psi: WaveFunction, t: float, n_terms: int,
-                       checkpoints: set[int]):
-    """Shared summation kernel.
+def _series_terms(h: SpectralOperator, psi: WaveFunction, t: float, n_terms: int):
+    """Shared summation kernel: yields after each of the first n_terms terms.
 
     Adds terms (-i t H)^n psi / n! for n = 0..n_terms-1 in a fixed order so
-    every caller sees identical floating-point results.  Returns the
-    (n_terms_so_far, partial_values, diverged) record of each checkpoint, in
-    increasing order, and the last term added, or None when a non-finite
-    term halted the sum.
+    every caller sees identical floating-point results, and yields
+    (n_terms_so_far, partial_values, diverged, last_term) after each one.
+    Only the current partial sum is kept alive, and a consumer that stops
+    iterating stops the summing.  A non-finite term halts the sum: the last
+    record keeps the partial sum before it, with last_term None.
     """
     h._check_space(psi)
     psi_norm = psi.norm()
     term = total = psi.values
-    diverged = halted = False
-    records = [(1, total, diverged)] if 1 in checkpoints else []
+    diverged = False
+    yield 1, total, diverged, term
     for n in range(1, n_terms):
-        if not halted:
-            # an overflowing term is reported through `diverged`, not a warning
-            with np.errstate(over="ignore", invalid="ignore"):
-                term = h._apply_values(term) * (-1j * t / n)
-                tn = float(_norm(term)) * np.sqrt(psi.space.dx)
-            if not np.isfinite(tn):
-                diverged = True
-                halted = True  # freeze the partial sum instead of poisoning it
-            else:
-                if tn > DIVERGENCE_FACTOR * psi_norm:
-                    diverged = True
-                total = total + term
-        if n + 1 in checkpoints:
-            records.append((n + 1, total, diverged))
-    return records, None if halted else term
+        # an overflowing term is reported through `diverged`, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            term = h._apply_values(term) * (-1j * t / n)
+            tn = float(_norm(term)) * np.sqrt(psi.space.dx)
+        if not np.isfinite(tn):
+            # freeze the partial sum instead of poisoning it
+            yield n + 1, total, True, None
+            return
+        if tn > DIVERGENCE_FACTOR * psi_norm:
+            diverged = True
+        total = total + term
+        yield n + 1, total, diverged, term
 
 
 def evolve_series(h: SpectralOperator, psi: WaveFunction, t: float, n_terms: int) -> SeriesResult:
@@ -318,12 +315,13 @@ def evolve_series(h: SpectralOperator, psi: WaveFunction, t: float, n_terms: int
 
     The 1/n! factor is folded in incrementally via term_{n+1} =
     (t / (i (n+1))) H term_n; explicit factorials and matrix powers never
-    appear.  Overflowing terms set the divergence flag rather than raising.
+    appear, and only one partial sum is alive at a time.  Overflowing terms
+    set the divergence flag rather than raising.
     """
     if n_terms < 1:
         raise DomainError(f"n_terms must be >= 1, got {n_terms}")
-    records, term = _series_accumulate(h, psi, t, n_terms, {n_terms})
-    _, total, diverged = records[-1]
+    for _, total, diverged, term in _series_terms(h, psi, t, n_terms):
+        pass
     if term is None:
         tail = float("inf")
     else:

@@ -113,6 +113,10 @@ class ScenarioSpec:
     seed: int = 1234
 
     def __post_init__(self) -> None:
+        for name in ("sigma", "center", "x_min", "x_max", "omega", "time"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
         if self.sigma <= 0.0:
             raise DomainError("sigma must be positive")
         if self.n_measurements < 0:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from zenolab import (
     momentum_operator,
     series_vs_spectral_curve,
 )
+from zenolab.operators import SpectralOperator
 
 
 # ----------------------------------------------------------------------
@@ -175,3 +177,39 @@ def test_curve_reports_divergence_as_inf(grid, momentum):
                                      grid_tag="4096")
     assert curve.diverged
     assert math.isinf(curve.errors[-1])
+
+
+def test_curve_stops_summing_at_the_first_diverged_depth(grid, momentum, monkeypatch):
+    # the bump's terms pass DIVERGENCE_FACTOR at depth 16; the flag is
+    # sticky, so no later depth needs another application of H
+    b = make_bump(grid, -2.0, 2.0)
+    reference = Propagator(momentum).evolve(b, 1.0)
+    calls = []
+    apply_values = SpectralOperator._apply_values
+
+    def counting(self, values):
+        calls.append(values.size)
+        return apply_values(self, values)
+
+    monkeypatch.setattr(SpectralOperator, "_apply_values", counting)
+    curve = series_vs_spectral_curve(momentum, b, 1.0, range(1, 61), reference)
+    assert len(calls) == 15
+    assert curve.diverged
+    assert all(math.isfinite(e) for e in curve.errors[:15])
+    assert all(math.isinf(e) for e in curve.errors[15:])
+
+
+def test_curve_keeps_one_partial_sum_alive():
+    # k_max * sigma = 16 as in series-validity, so the sum never diverges
+    wide = Grid(-1600.0, 1600.0, 2**14)
+    h = momentum_operator(wide)
+    g = make_gaussian(wide, 0.0, 1.0)
+    reference = Propagator(h).evolve(g, 1.0)
+    tracemalloc.start()
+    try:
+        curve = series_vs_spectral_curve(h, g, 1.0, range(1, 41), reference)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not curve.diverged
+    assert peak < 8 * g.values.nbytes

@@ -129,6 +129,13 @@ def test_rabi_control_exits_2_outside_its_zeno_window(tmp_path, capsys, flags, c
      "tolerance_invariance must be finite and positive"),
     ("hm-invariance", ["--tolerance-falsify", "0"],
      "tolerance_falsify must be finite and positive"),
+    # NaN passes every sign check, so each field is named before any work
+    ("series-validity", ["--time", "nan"], "time must be finite, got nan"),
+    ("rabi-control", ["--omega", "nan"], "omega must be finite, got nan"),
+    ("rabi-control", ["--time", "nan"], "time must be finite, got nan"),
+    ("hm-invariance", ["--sigma", "nan"], "sigma must be finite, got nan"),
+    ("hm-invariance", ["--center", "nan"], "center must be finite, got nan"),
+    ("counterexample", ["--x-max", "inf"], "x_max must be finite, got inf"),
 ])
 def test_invalid_seed_or_tolerance_exits_2(scenario, flags, reason, tmp_path, capsys):
     assert _run(["run", scenario, "--out", str(tmp_path), *flags]) == 2
@@ -271,6 +278,20 @@ def test_sweep_reports_a_negative_seed_as_an_error(tmp_path, capsys):
     assert lines[1] == "seed=-1: ERROR seed must be a non-negative integer, got -1"
     assert (tmp_path / "counterexample" / "seed=1" / "bundle.json").is_file()
     assert not (tmp_path / "counterexample" / "seed=-1").exists()
+
+
+def test_sweep_reports_a_nan_sigma_as_an_error(tmp_path, capsys):
+    code = _run(["sweep", "counterexample", "--param", "sigma", "--values", "1,nan",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "sigma=1.0: PASS"
+    assert lines[1] == "sigma=nan: ERROR sigma must be finite, got nan"
+    assert not (tmp_path / "counterexample" / "sigma=nan").exists()
+
+
+def test_series_validity_accepts_a_negative_time(tmp_path):
+    assert _run(["run", "series-validity", "--time", "-1", "--out", str(tmp_path)]) == 0
 
 
 def test_sweep_rejects_unsweepable_param(tmp_path, capsys):
