@@ -8,9 +8,11 @@ sweep <scenario>    re-run one scenario over a list of values for one
                     parameter, each run in its own output subdirectory
 
 Exit status: 0 when every pass flag is true, 1 when the scenario ran but a
-flag failed (scientific failure), 2 for usage, config, margin or I/O errors.
-A sweep prints one PASS, FAIL or ERROR line per point in input order and
-exits 2 when any point raised an error, after running all the others.
+flag failed (scientific failure), 2 for usage, config, margin or I/O errors
+and for a flag or config key the scenario does not read (`scenarios.READS`),
+which sweep checks once, before any point runs.  A sweep prints one PASS,
+FAIL or ERROR line per point in input order and exits 2 when any point
+raised an error, after running all the others.
 
 Output layout: <out>/<scenario>/summary.txt, bundle.json and one CSV per
 curve table.  CSVs are UTF-8 with LF endings, a `# column,names` header
@@ -34,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, PreconditionError, SpaceMismatchError
-from .scenarios import SCENARIOS, CurveTable, ScenarioSpec, VerdictBundle, run_scenario
+from .scenarios import READS, SCENARIOS, CurveTable, ScenarioSpec, VerdictBundle, run_scenario
 
 
 class ConfigError(ValueError):
@@ -134,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _gather_options(args: argparse.Namespace) -> dict:
     """Merge config-file values under explicit CLI flags."""
     merged = load_config(args.config) if args.config else {}
-    for key, (_, _field) in OPTIONS.items():
+    for key in OPTIONS:
         cli_value = getattr(args, key.replace("-", "_"), None)
         if cli_value is not None:
             merged[key] = cli_value
@@ -142,12 +144,15 @@ def _gather_options(args: argparse.Namespace) -> dict:
 
 
 def _build_spec(scenario: str, options: dict) -> ScenarioSpec:
-    overrides = {}
-    for key, value in options.items():
-        _, spec_field = OPTIONS[key]
-        if spec_field is not None:
-            overrides[spec_field] = value
-    return ScenarioSpec(name=scenario, **overrides)
+    fields = {OPTIONS[k][1]: v for k, v in options.items() if OPTIONS[k][1] is not None}
+    return ScenarioSpec(name=scenario, **fields)
+
+
+def _require_read(scenario: str, keys) -> None:
+    """Reject an explicit spec key that `scenario` does not read; CLI-only keys pass."""
+    for key in keys:
+        if OPTIONS[key][1] not in READS[scenario] | {None}:
+            raise ConfigError(f"{scenario} does not read {key!r}")
 
 
 def _output_root(options: dict) -> Path:
@@ -197,6 +202,7 @@ def emit_outputs(bundle: VerdictBundle, out_dir: Path, fmt: str) -> list[Path]:
 def _cmd_run(args: argparse.Namespace) -> int:
     options = _gather_options(args)
     spec = _build_spec(args.scenario, options)
+    _require_read(args.scenario, options)
     bundle = run_scenario(args.scenario, spec)
     out_dir = _output_root(options) / args.scenario
     fmt = str(options.get("format", "both"))
@@ -219,6 +225,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ConfigError("--jobs must be at least 1")
     options = _gather_options(args)
+    _require_read(args.scenario, [args.param, *options])
     values = [_coerce(args.param, v.strip()) for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values is empty")

@@ -59,7 +59,6 @@ from .subspaces import (
     leakage,
 )
 from .zeno import (
-    CORE_STATE_TOL,
     MeasurementSchedule,
     _chain,
     _require_core_state,
@@ -97,7 +96,7 @@ def _package_version() -> str:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Flat parameter record; every field maps 1:1 to a CLI flag."""
+    """Flat parameter record, one CLI flag per field; READS says who reads which."""
 
     name: str
     grid_points: int = 4096
@@ -132,17 +131,11 @@ class ScenarioSpec:
         return replace(self, **overrides)
 
 
-def _require_margin(grid: Grid, center: float, sigma: float,
-                    drift_right: float = 0.0, drift_left: float = 0.0) -> None:
-    """Demand 8-sigma slack around a drifting Gaussian's whole trajectory."""
-    lo = center - 8.0 * sigma - drift_left
-    hi = center + 8.0 * sigma + drift_right
-    if lo < grid.x_min or hi > grid.x_max:
-        raise DomainError(
-            f"margin violation: state at {center} (sigma {sigma}) drifting "
-            f"[-{drift_left}, +{drift_right}] needs [{lo}, {hi}] inside "
-            f"[{grid.x_min}, {grid.x_max}]"
-        )
+def _require_inside(grid: Grid, lo: float, hi: float, what: str) -> None:
+    """Demand that [lo, hi], the room `what` needs, lie inside the grid."""
+    if not grid.contains(lo, hi):
+        raise DomainError(f"margin violation: {what} needs [{lo}, {hi}] inside "
+                          f"[{grid.x_min}, {grid.x_max}]")
 
 
 @dataclass(frozen=True)
@@ -289,11 +282,11 @@ def scenario_counterexample(spec: ScenarioSpec | None = None) -> VerdictBundle:
     spec = spec if spec is not None else ScenarioSpec(name="counterexample")
     grid = Grid(spec.x_min, spec.x_max, spec.grid_points)
     drift = max(T_SWEEP)
-    for center in (-8.0, -3.0, 3.0, 8.0, 12.0):
-        _require_margin(grid, center, spec.sigma, drift_right=drift, drift_left=drift)
     window_lo, window_hi = 2.0, 30.0
-    if window_hi + drift > grid.x_max:
-        raise DomainError("margin violation: random window cannot drift inside the grid")
+    # the Gaussian trial states (centers -8..12, 8-sigma slack) and the window
+    _require_inside(grid, -8.0 - 8.0 * spec.sigma - drift,
+                    max(12.0 + 8.0 * spec.sigma, window_hi) + drift,
+                    f"trial states at -8..12 (sigma {spec.sigma}) drifting +-{drift}")
 
     pair = halfline_pair(grid)
     p_core, p_wave = pair
@@ -377,36 +370,18 @@ def scenario_hm_invariance(spec: ScenarioSpec | None = None) -> VerdictBundle:
         raise DomainError("prepared state must be centered in the core zone (x < 0)")
     # the prepared state is clipped to x < 0, so it needs full 8-sigma slack
     # leftward but only drift room on the wave side
-    if spec.center - 8.0 * spec.sigma < grid.x_min or t > grid.x_max:
-        raise DomainError(
-            f"margin violation: clipped state at {spec.center} (sigma {spec.sigma}) "
-            f"drifting +{t} does not fit inside [{grid.x_min}, {grid.x_max}]"
-        )
+    _require_inside(grid, spec.center - 8.0 * spec.sigma, t,
+                    f"clipped state at {spec.center} (sigma {spec.sigma}) drifting +{t}")
 
-    p_core, p_wave = halfline_pair(grid)
-    e = core_zone_state(p_core, make_gaussian(grid, spec.center, spec.sigma))
-    u_spectral = Propagator(momentum_operator(grid))
-    u_shift = ShiftPropagator(grid)
-    n = spec.n_measurements
-
-    # the last curve row ends at CURVE_POINTS * t / CURVE_POINTS, which is t
+    # every schedule is built, and so checked, before any state or FFT.  The
+    # last curve row ends at CURVE_POINTS * t / CURVE_POINTS, which is t
     # exactly, so its report is the main spectral run
+    n = spec.n_measurements
     js = range(1, CURVE_POINTS + 1)
     curve_schedules = [MeasurementSchedule.equally_spaced(j * t / CURVE_POINTS, n)
                        for j in js]
     sched_spectral = MeasurementSchedule.equally_spaced(t, n)
     assert curve_schedules[-1] == sched_spectral
-    # one transform of e serves the empty-schedule check, a real chain of
-    # one segment, and every spectral row
-    _require_core_state(p_core, e, CORE_STATE_TOL)
-    coeffs = u_spectral.transform(e)
-    free, _ = _chain(u_spectral, p_core, coeffs, MeasurementSchedule(t, ()))
-    s0_measured = abs(inner_product(e, free)) ** 2
-    del free
-    curve_spectral = [_survival_report(u_spectral, p_core, e, coeffs, s)
-                      for s in curve_schedules]
-    rep_spectral = curve_spectral[-1]
-
     steps = int(round(t / grid.dx))
     if steps < 1:
         raise DomainError("final time is below one grid step; no shift path exists")
@@ -419,6 +394,21 @@ def scenario_hm_invariance(spec: ScenarioSpec | None = None) -> VerdictBundle:
     shift_steps = dict.fromkeys(round(j * steps / CURVE_POINTS) for j in js)
     shift_schedules = [_shift_schedule(k, grid.dx, n) for k in shift_steps if k >= n + 1]
     assert shift_schedules[-1] == sched_shift
+
+    p_core, _ = halfline_pair(grid)
+    e = core_zone_state(p_core, make_gaussian(grid, spec.center, spec.sigma))
+    u_spectral = Propagator(momentum_operator(grid))
+    u_shift = ShiftPropagator(grid)
+    # one transform of e serves the empty-schedule check, a real chain of
+    # one segment, and every spectral row
+    _require_core_state(p_core, e)
+    coeffs = u_spectral.transform(e)
+    free, _ = _chain(u_spectral, p_core, coeffs, MeasurementSchedule(t, ()))
+    s0_measured = abs(inner_product(e, free)) ** 2
+    del free
+    curve_spectral = [_survival_report(u_spectral, p_core, e, coeffs, s)
+                      for s in curve_schedules]
+    rep_spectral = curve_spectral[-1]
     curve_shift = [survival_report(u_shift, p_core, e, s) for s in shift_schedules]
     rep_shift = curve_shift[-1]
 
@@ -553,7 +543,8 @@ def scenario_series_validity(spec: ScenarioSpec | None = None) -> VerdictBundle:
     # by up to e^(t*k_max), so demonstrating the sub-1e-10 floor needs
     # t*k_max ~ 16, not the 160 of the default domain.
     wide = Grid(10.0 * spec.x_min, 10.0 * spec.x_max, spec.grid_points)
-    _require_margin(wide, 0.0, spec.sigma, drift_right=abs(t), drift_left=abs(t))
+    _require_inside(wide, -8.0 * spec.sigma - abs(t), 8.0 * spec.sigma + abs(t),
+                    f"gaussian at 0 (sigma {spec.sigma}) drifting +-{abs(t)}")
     h_wide = momentum_operator(wide)
     g = make_gaussian(wide, 0.0, spec.sigma)
     g_ref = Propagator(h_wide).evolve(g, t)
@@ -652,6 +643,15 @@ SCENARIOS = {
     "hm-invariance": scenario_hm_invariance,
     "rabi-control": scenario_rabi_control,
     "series-validity": scenario_series_validity,
+}
+#: the ScenarioSpec fields each scenario reads; the CLI rejects the others
+READS = {
+    "counterexample": frozenset({"grid_points", "x_min", "x_max", "sigma", "seed",
+                                 "tolerance_invariance", "tolerance_falsify"}),
+    "hm-invariance": frozenset({"grid_points", "x_min", "x_max", "sigma", "center",
+                                "time", "n_measurements", "tolerance_invariance"}),
+    "rabi-control": frozenset({"omega", "time"}),
+    "series-validity": frozenset({"grid_points", "x_min", "x_max", "sigma", "time"}),
 }
 
 

@@ -30,8 +30,6 @@ import numpy as np
 
 from .errors import DomainError, SpaceMismatchError
 
-#: normalized states satisfy |<psi|psi> - 1| <= NORM_TOL
-NORM_TOL = 1e-12
 #: most elements per BLAS call in a reduction, below OpenBLAS's threading cutoff
 REDUCTION_BLOCK = 8192
 
@@ -154,9 +152,6 @@ class WaveFunction:
     def norm(self) -> float:
         return float(np.sqrt(self.norm_sq()))
 
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.norm_sq() - 1.0) <= tol
-
     def normalized(self) -> "WaveFunction":
         n = self.norm()
         if n == 0.0:
@@ -203,8 +198,11 @@ def make_gaussian(grid: Grid, center: float, sigma: float, k0: float = 0.0) -> W
             f"gaussian support [{lo}, {hi}] (8 sigma) exceeds domain "
             f"[{grid.x_min}, {grid.x_max}]"
         )
+    variance = 2.0 * np.pi * sigma**2
+    if variance == 0.0:
+        raise DomainError(f"sigma {sigma} is too small: 2 pi sigma^2 underflows to 0")
     x = grid.positions()
-    envelope = (2.0 * np.pi * sigma**2) ** (-0.25) * np.exp(-((x - center) ** 2) / (4.0 * sigma**2))
+    envelope = variance ** (-0.25) * np.exp(-((x - center) ** 2) / (4.0 * sigma**2))
     if k0 == 0.0:
         # the carrier would be exactly 1 + 0j, which leaves every bit alone
         return WaveFunction(grid, envelope).normalized()

@@ -34,8 +34,9 @@ from .statespace import DenseSpace, Grid, WaveFunction, _blocked
 INVARIANCE_TOL = 1e-8
 #: default leakage above which condition (II) reads FALSIFIED
 FALSIFY_TOL = 1e-6
-#: default admissible off-zone mass for trial states of (II) and (I-A);
-#: loose enough to admit Gaussians whose 3-sigma tail crosses the split point
+#: admissible off-zone mass for trial states of (II) and (I-A) and for the
+#: initial state of `leakage`; loose enough to admit Gaussians whose 3-sigma
+#: tail crosses the split point
 ZONE_TOL_LOOSE = 1e-2
 #: strict off-zone mass bound for condition-(I) wave trial states
 ZONE_TOL_STRICT = 1e-10
@@ -104,19 +105,18 @@ def core_zone_state(p_core: SubspaceProjector, psi: WaveFunction) -> WaveFunctio
     return clipped.normalized()
 
 
-def leakage(p_wave: SubspaceProjector, u, e: WaveFunction, t: float,
-            core_tol: float = ZONE_TOL_LOOSE) -> float:
+def leakage(p_wave: SubspaceProjector, u, e: WaveFunction, t: float) -> float:
     """Decay probability ||P_wave U(t) e||^2 for a core-zone initial state.
 
     `u` is a Propagator or ShiftPropagator.  The initial state must be
-    normalized and carry at most `core_tol` wave-zone mass.
+    normalized and carry at most ZONE_TOL_LOOSE wave-zone mass.
     """
     if abs(e.norm_sq() - 1.0) > 1e-9:
         raise PreconditionError(f"initial state is not normalized: ||e||^2 = {e.norm_sq()!r}")
     off = p_wave.mass(e)
-    if off > core_tol:
+    if off > ZONE_TOL_LOOSE:
         raise PreconditionError(
-            f"initial state is not core-zone: ||P_wave e||^2 = {off:.6e} exceeds {core_tol:g}"
+            f"initial state is not core-zone: ||P_wave e||^2 = {off:.6e} exceeds {ZONE_TOL_LOOSE:g}"
         )
     return p_wave.mass(u.evolve(e, t))
 
@@ -201,8 +201,7 @@ def _check_invariance(condition: str, pair, u, ts, trial_states, labels,
 
 
 def check_condition_I(pair, u, t_samples, trial_states, labels=None,
-                      tolerance: float = INVARIANCE_TOL,
-                      state_tol: float = ZONE_TOL_STRICT) -> ConditionReport:
+                      tolerance: float = INVARIANCE_TOL) -> ConditionReport:
     """Sample ||P_core U(t) W||^2 over wave-zone trial states W and t > 0.
 
     HOLDS when the maximum residual stays within `tolerance`; an empty time
@@ -211,12 +210,11 @@ def check_condition_I(pair, u, t_samples, trial_states, labels=None,
     ts = [float(t) for t in t_samples]
     if any(t <= 0.0 for t in ts):
         raise DomainError("condition (I) samples forward times only (t > 0)")
-    return _check_invariance("I", pair, u, ts, trial_states, labels, tolerance, state_tol)
+    return _check_invariance("I", pair, u, ts, trial_states, labels, tolerance, ZONE_TOL_STRICT)
 
 
 def check_condition_II(pair, u, t_samples, trial_states, labels=None,
-                       tolerance: float = FALSIFY_TOL,
-                       state_tol: float = ZONE_TOL_LOOSE) -> ConditionReport:
+                       tolerance: float = FALSIFY_TOL) -> ConditionReport:
     """Sample the composed operator P_wave U(t) P_core on trial states C.
 
     Each residual is ||P_wave U(t) P_core c||^2 / ||P_core c||^2, i.e. the
@@ -231,14 +229,13 @@ def check_condition_II(pair, u, t_samples, trial_states, labels=None,
     if any(t < 0.0 for t in ts):
         raise DomainError("condition (II) samples t >= 0")
     names = _labels_for(trial_states, labels)
-    _zone_guard(p_wave, trial_states, names, state_tol, "core-zone")
+    _zone_guard(p_wave, trial_states, names, ZONE_TOL_LOOSE, "core-zone")
     clipped = [core_zone_state(p_core, c) for c in trial_states]
     return _sample("II", p_wave.mass, u, ts, names, clipped, tolerance)
 
 
 def check_condition_IA(pair, u, t_samples, trial_states, labels=None,
-                       tolerance: float = INVARIANCE_TOL,
-                       state_tol: float = ZONE_TOL_LOOSE) -> ConditionReport:
+                       tolerance: float = INVARIANCE_TOL) -> ConditionReport:
     """Two-sided variant of condition (I): both time signs are allowed.
 
     The adjoint step U(t)^dagger is realized as evolution by -t.  A verdict
@@ -246,7 +243,7 @@ def check_condition_IA(pair, u, t_samples, trial_states, labels=None,
     full two-sided invariance.
     """
     ts = [float(t) for t in t_samples]
-    return _check_invariance("I-A", pair, u, ts, trial_states, labels, tolerance, state_tol)
+    return _check_invariance("I-A", pair, u, ts, trial_states, labels, tolerance, ZONE_TOL_LOOSE)
 
 
 def generator_coupling(h, pair, trial_states, labels=None) -> float:

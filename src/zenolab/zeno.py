@@ -80,15 +80,14 @@ class MeasurementSchedule:
         return tuple(b - a for a, b in zip(knots, knots[1:]))
 
 
-def _require_core_state(p_core: SubspaceProjector, e: WaveFunction,
-                        core_tol: float) -> None:
+def _require_core_state(p_core: SubspaceProjector, e: WaveFunction) -> None:
     norm_sq = e.norm_sq()
     if abs(norm_sq - 1.0) > 1e-9:
         raise PreconditionError(f"prepared state is not normalized: ||e||^2 = {norm_sq!r}")
     off = norm_sq - p_core.mass(e)
-    if off > core_tol:
+    if off > CORE_STATE_TOL:
         raise PreconditionError(
-            f"prepared state is not core-zone: off-zone mass {off:.6e} exceeds {core_tol:g}"
+            f"prepared state is not core-zone: off-zone mass {off:.6e} exceeds {CORE_STATE_TOL:g}"
         )
 
 
@@ -138,10 +137,9 @@ class SurvivalReport:
 
 
 def survival_report(u, p_core: SubspaceProjector, e: WaveFunction,
-                    schedule: MeasurementSchedule,
-                    core_tol: float = CORE_STATE_TOL) -> SurvivalReport:
+                    schedule: MeasurementSchedule) -> SurvivalReport:
     """Run both protocols once and collect the comparison."""
-    _require_core_state(p_core, e, core_tol)
+    _require_core_state(p_core, e)
     return _survival_report(u, p_core, e, u.transform(e), schedule)
 
 

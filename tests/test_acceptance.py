@@ -289,13 +289,13 @@ def test_acceptance_7_projector_algebra(grid, zone_pair):
 
 def test_acceptance_8_deterministic_outputs(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed = 777\nN = 5\nsigma = 1.0\n", encoding="utf-8")
+    cfg.write_text("seed = 777\nsigma = 1.0\n", encoding="utf-8")
     for sub in ("first", "second"):
-        code = main(["run", "hm-invariance", "--config", str(cfg),
+        code = main(["run", "counterexample", "--config", str(cfg),
                      "--out", str(tmp_path / sub)])
         assert code == 0
-    first_dir = tmp_path / "first" / "hm-invariance"
-    second_dir = tmp_path / "second" / "hm-invariance"
+    first_dir = tmp_path / "first" / "counterexample"
+    second_dir = tmp_path / "second" / "counterexample"
     names = sorted(p.name for p in first_dir.iterdir())
     identical = all(
         (first_dir / name).read_bytes() == (second_dir / name).read_bytes()

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from zenolab import cli
 from zenolab.cli import (
     OPTIONS,
     ConfigError,
@@ -16,6 +17,7 @@ from zenolab.cli import (
     load_config,
     main,
 )
+from zenolab.scenarios import READS, VerdictBundle
 
 
 def _run(argv):
@@ -136,6 +138,10 @@ def test_rabi_control_exits_2_outside_its_zeno_window(tmp_path, capsys, flags, c
     ("hm-invariance", ["--sigma", "nan"], "sigma must be finite, got nan"),
     ("hm-invariance", ["--center", "nan"], "center must be finite, got nan"),
     ("counterexample", ["--x-max", "inf"], "x_max must be finite, got inf"),
+    # 2 pi sigma^2 underflows to 0 in the Gaussian's normalization
+    ("counterexample", ["--sigma", "1e-300"], "2 pi sigma^2 underflows to 0"),
+    ("hm-invariance", ["--sigma", "1e-300"], "2 pi sigma^2 underflows to 0"),
+    ("series-validity", ["--sigma", "1e-300"], "2 pi sigma^2 underflows to 0"),
 ])
 def test_invalid_seed_or_tolerance_exits_2(scenario, flags, reason, tmp_path, capsys):
     assert _run(["run", scenario, "--out", str(tmp_path), *flags]) == 2
@@ -247,12 +253,12 @@ def test_sweep_over_sigma(tmp_path, capsys):
 
 
 def test_sweep_parallel_jobs(tmp_path, capsys):
-    code = _run(["sweep", "rabi-control", "--param", "N",
-                 "--values", "3,5", "--jobs", "2", "--out", str(tmp_path)])
+    code = _run(["sweep", "rabi-control", "--param", "omega",
+                 "--values", "1.0,1.1", "--jobs", "2", "--out", str(tmp_path)])
     assert code == 0
     capsys.readouterr()
-    assert (tmp_path / "rabi-control" / "N=3" / "summary.txt").is_file()
-    assert (tmp_path / "rabi-control" / "N=5" / "summary.txt").is_file()
+    assert (tmp_path / "rabi-control" / "omega=1.0" / "summary.txt").is_file()
+    assert (tmp_path / "rabi-control" / "omega=1.1" / "summary.txt").is_file()
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -305,6 +311,15 @@ def test_sweep_rejects_unsweepable_param(tmp_path, capsys):
 # the parser generated from OPTIONS
 # ----------------------------------------------------------------------
 
+#: ScenarioSpec field -> its long-flag spelling
+KEY_OF = {f: k for k, (_, f) in OPTIONS.items() if f is not None}
+
+
+def _reader(field: str | None) -> str:
+    """A scenario that reads `field`; any scenario for a CLI-only key."""
+    return next(s for s in sorted(READS) if field is None or field in READS[s])
+
+
 def _sample_raw(key: str) -> str:
     if key == "format":
         return "csv"
@@ -314,9 +329,11 @@ def _sample_raw(key: str) -> str:
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("key", list(OPTIONS))
 def test_flag_and_config_key_reach_the_same_field(key, command, tmp_path):
-    head = [command, "rabi-control"]
+    field = OPTIONS[key][1]
+    scenario = _reader(field)
+    head = [command, scenario]
     if command == "sweep":
-        head += ["--param", "sigma", "--values", "1.0"]
+        head += ["--param", KEY_OF[min(READS[scenario])], "--values", "1"]
     raw = _sample_raw(key)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = {raw}\n", encoding="utf-8")
@@ -324,9 +341,8 @@ def test_flag_and_config_key_reach_the_same_field(key, command, tmp_path):
     from_flag = _gather_options(parser.parse_args(head + [f"--{key}", raw]))
     from_file = _gather_options(parser.parse_args(head + ["--config", str(cfg)]))
     assert from_flag == from_file == {key: _coerce(key, raw)}
-    field = OPTIONS[key][1]
-    spec = _build_spec("rabi-control", from_flag)
-    assert spec == _build_spec("rabi-control", from_file)
+    spec = _build_spec(scenario, from_flag)
+    assert spec == _build_spec(scenario, from_file)
     if field is not None:
         assert getattr(spec, field) == _coerce(key, raw)
 
@@ -335,7 +351,7 @@ def test_flag_and_config_key_reach_the_same_field(key, command, tmp_path):
 def test_bogus_format_exits_2(command, tmp_path, capsys):
     argv = [command, "rabi-control", "--out", str(tmp_path)]
     if command == "sweep":
-        argv += ["--param", "N", "--values", "3"]
+        argv += ["--param", "omega", "--values", "1.0"]
     with pytest.raises(SystemExit) as excinfo:
         main(argv + ["--format", "bogus"])
     assert excinfo.value.code == 2
@@ -343,3 +359,76 @@ def test_bogus_format_exits_2(command, tmp_path, capsys):
     cfg.write_text("format = bogus\n", encoding="utf-8")
     assert main(argv + ["--config", str(cfg)]) == 2
     assert "format must be csv, bundle or both" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# the fields each scenario reads
+# ----------------------------------------------------------------------
+
+#: every (scenario, key) pair whose spec field the scenario does not read
+UNREAD = [(s, k) for s in sorted(READS) for k, (_, f) in OPTIONS.items()
+          if f is not None and f not in READS[s]]
+#: every (scenario, key) pair whose spec field the scenario reads
+READ = [(s, KEY_OF[f]) for s in sorted(READS) for f in sorted(READS[s])]
+
+
+def test_the_cli_accepts_22_of_the_44_scenario_field_pairs():
+    assert len(UNREAD) == len(READ) == 22
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("scenario, key", UNREAD)
+def test_a_key_the_scenario_does_not_read_exits_2(scenario, key, via, tmp_path, capsys):
+    raw = _sample_raw(key)
+    out = tmp_path / "out"
+    argv = ["run", scenario, "--out", str(out)]
+    if via == "flag":
+        argv += [f"--{key}", raw]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {raw}\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {scenario} does not read {key!r}")
+    assert not out.exists()
+
+
+def _record_specs(monkeypatch) -> list:
+    """Replace the scenario runs with an empty passing bundle; keep the specs."""
+    specs = []
+
+    def fake_run(name, spec):
+        specs.append(spec)
+        return VerdictBundle(name, ())
+
+    monkeypatch.setattr(cli, "run_scenario", fake_run)
+    return specs
+
+
+@pytest.mark.parametrize("scenario, key", READ)
+def test_a_key_the_scenario_reads_is_accepted(scenario, key, tmp_path, monkeypatch, capsys):
+    specs = _record_specs(monkeypatch)
+    raw = _sample_raw(key)
+    assert main(["run", scenario, "--out", str(tmp_path), f"--{key}", raw]) == 0
+    assert capsys.readouterr().err == ""
+    assert getattr(specs[0], OPTIONS[key][1]) == _coerce(key, raw)
+
+
+@pytest.mark.parametrize("scenario, extra, key", [
+    ("rabi-control", ["--param", "sigma"], "sigma"),
+    ("hm-invariance", ["--param", "sigma", "--seed", "3"], "seed"),
+    ("counterexample", ["--param", "sigma", "--N", "3"], "N"),
+])
+def test_sweep_rejects_an_unread_key_before_any_point_runs(scenario, extra, key, tmp_path,
+                                                           monkeypatch, capsys):
+    specs = _record_specs(monkeypatch)
+    code = main(["sweep", scenario, *extra, "--values", "1,2", "--jobs", "2",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {scenario} does not read {key!r}")
+    assert specs == []
+    assert not (tmp_path / scenario).exists()

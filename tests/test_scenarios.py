@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from dataclasses import fields
 
 import pytest
 
@@ -18,7 +19,9 @@ from zenolab import (
     scenario_rabi_control,
     scenario_series_validity,
 )
-from zenolab.scenarios import SCENARIOS
+from zenolab.errors import PreconditionError
+from zenolab.operators import Propagator
+from zenolab.scenarios import READS, SCENARIOS
 
 RUNTIME_BUDGET = {
     "counterexample": 5.0,
@@ -83,6 +86,90 @@ def test_counterexample_residual_tables():
 def test_counterexample_margin_guard():
     with pytest.raises(DomainError, match="margin"):
         scenario_counterexample(ScenarioSpec(name="counterexample", x_max=5.0))
+
+
+# ----------------------------------------------------------------------
+# the fields each scenario reads, and its margin
+# ----------------------------------------------------------------------
+
+#: a valid value other than the default for every ScenarioSpec parameter
+ALTERED = {
+    "grid_points": 2048, "x_min": -50.0, "x_max": 50.0, "sigma": 0.8,
+    "center": -10.0, "time": 1.5, "n_measurements": 7, "omega": 1.2,
+    "tolerance_invariance": 1e-9, "tolerance_falsify": 1e-5, "seed": 99,
+}
+
+
+def _outcome(name: str, **overrides) -> dict:
+    """Everything a run asserts and measures, without the echoed parameters."""
+    payload = run_scenario(name, ScenarioSpec(name=name, **overrides)).to_payload()
+    del payload["provenance"]
+    return payload
+
+
+def test_every_parameter_has_an_altered_value():
+    assert set(ALTERED) == {f.name for f in fields(ScenarioSpec)} - {"name"}
+    assert set(READS) == set(SCENARIOS)
+    assert all(fields_read <= set(ALTERED) for fields_read in READS.values())
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_a_field_the_scenario_does_not_read_changes_nothing(name):
+    base = _outcome(name)
+    for field_name in sorted(set(ALTERED) - READS[name]):
+        assert _outcome(name, **{field_name: ALTERED[field_name]}) == base, field_name
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_a_field_the_scenario_reads_changes_its_outcome(name):
+    base = _outcome(name)
+    for field_name in sorted(READS[name]):
+        assert _outcome(name, **{field_name: ALTERED[field_name]}) != base, field_name
+
+
+def _margin_rejects(name: str, **overrides) -> bool:
+    try:
+        run_scenario(name, ScenarioSpec(name=name, **overrides))
+    except DomainError as exc:
+        return "margin violation" in str(exc)
+    except PreconditionError:
+        pass
+    return False
+
+
+@pytest.mark.parametrize("name, field_name, edge, inward, extra", [
+    ("counterexample", "x_min", -22.0, math.inf, {}),       # -8 - 8 sigma - 6
+    ("counterexample", "x_max", 36.0, -math.inf, {}),       # window 30 + 6
+    ("counterexample", "x_max", 38.0, -math.inf, {"sigma": 2.5}),  # 12 + 8 sigma + 6
+    ("hm-invariance", "x_min", -16.0, math.inf, {}),        # center - 8 sigma
+    ("hm-invariance", "x_max", 2.0, -math.inf, {}),         # t
+    # the 10x wide grid [-400, 400] holds 8 sigma + |t|
+    ("series-validity", "time", 392.0, math.inf, {"grid_points": 256}),
+])
+def test_margin_edges_are_exact(name, field_name, edge, inward, extra):
+    assert not _margin_rejects(name, **extra, **{field_name: edge})
+    past = math.nextafter(edge, inward)
+    assert _margin_rejects(name, **extra, **{field_name: past})
+
+
+@pytest.mark.parametrize("overrides, reason", [
+    ({"grid_points": 65536, "n_measurements": 60, "time": 0.05},
+     "cannot place 60 distinct measurement steps inside 41 steps"),
+    ({"time": 0.005}, "final time is below one grid step"),
+])
+def test_hm_invariance_rejects_its_schedules_before_any_transform(overrides, reason,
+                                                                   monkeypatch):
+    calls = []
+    transform = Propagator.transform
+
+    def counting_transform(self, psi):
+        calls.append(psi)
+        return transform(self, psi)
+
+    monkeypatch.setattr(Propagator, "transform", counting_transform)
+    with pytest.raises(DomainError, match=reason):
+        scenario_hm_invariance(ScenarioSpec(name="hm-invariance", **overrides))
+    assert calls == []
 
 
 # ----------------------------------------------------------------------
