@@ -130,33 +130,22 @@ def hn_norms(h: SpectralOperator, psi: WaveFunction, n_max: int,
 
 @dataclass(frozen=True)
 class AnalyticityReport:
-    """Classified growth record of one (state, generator, grid) triple."""
+    """Classified growth record of one (state, generator) pair."""
 
-    label: str
-    grid_tag: str
-    n_max: int
     spectral_cutoff: float
     norms: HnNorms
-    rho_hats: tuple[float, ...]
     classification: str
     #: rho growth factor across the tail window (nan when unavailable)
     tail_growth: float
     #: median step ratio over the tail window (nan when unavailable)
     plateau: float
-    #: first power whose step ratio reached the saturation band, if any
-    ceiling_onset: int | None
 
     @property
     def plateau_fraction(self) -> float:
         return self.plateau / self.spectral_cutoff
 
 
-def _tail_window(length: int) -> int:
-    return max(5, length // 3)
-
-
-def analyticity_report(h: SpectralOperator, psi: WaveFunction, n_max: int = 40,
-                       label: str = "state", grid_tag: str = "") -> AnalyticityReport:
+def analyticity_report(h: SpectralOperator, psi: WaveFunction, n_max: int) -> AnalyticityReport:
     """Probe growth up to n_max powers and classify the convergence regime.
 
     The iteration is capped once the step ratios have demonstrably hit the
@@ -164,22 +153,14 @@ def analyticity_report(h: SpectralOperator, psi: WaveFunction, n_max: int = 40,
     """
     cutoff = h.spectral_radius
     norms = hn_norms(h, psi, n_max, ceiling=cutoff)
-    rho = norms.rho_hats()
-    ceiling_onset = next(
-        (j + 1 for j, r in enumerate(norms.step_ratios)
-         if r >= SATURATION_FRACTION * cutoff),
-        None,
-    )
-
     if norms.nilpotent_at is not None:
         cls, growth, plateau = "exact-nilpotent", math.nan, math.nan
     elif len(norms.step_ratios) < 2:
         raise DomainError("need at least two resolved powers to classify growth")
     else:
-        w = _tail_window(len(norms.step_ratios))
-        tail_steps = norms.step_ratios[-w:]
-        plateau = float(np.median(tail_steps))
-        rho_tail = rho[-w:]
+        w = max(5, len(norms.step_ratios) // 3)
+        plateau = float(np.median(norms.step_ratios[-w:]))
+        rho_tail = norms.rho_hats()[-w:]
         growth = rho_tail[-1] / rho_tail[0]
         if plateau >= SATURATION_FRACTION * cutoff:
             cls = "saturated-by-grid"
@@ -187,53 +168,39 @@ def analyticity_report(h: SpectralOperator, psi: WaveFunction, n_max: int = 40,
             cls = "entire-like"
         else:
             cls = "finite-radius-like"
-
-    return AnalyticityReport(label, grid_tag, n_max, cutoff, norms, rho,
-                             cls, growth, plateau, ceiling_onset)
+    return AnalyticityReport(cutoff, norms, cls, growth, plateau)
 
 
-@dataclass(frozen=True)
-class ResolutionComparison:
-    """Same state probed at two grid resolutions.
+def compare_resolutions(fine: AnalyticityReport, coarse: AnalyticityReport) -> bool:
+    """Whether the same state probed at two grid resolutions tracks the cutoff.
 
-    tracks_cutoff is the saturation fingerprint: both runs classify as
-    saturated and both plateaus sit within TRACK_BAND of their own spectral
-    ceiling, i.e. the apparent growth limit is an artifact that moves with
-    the grid rather than a property of the state.
+    This is the saturation fingerprint: both runs classify as saturated and
+    both plateaus sit within TRACK_BAND of their own spectral ceiling, i.e.
+    the apparent growth limit is an artifact that moves with the grid rather
+    than a property of the state.
     """
-
-    fine: AnalyticityReport
-    coarse: AnalyticityReport
-    tracks_cutoff: bool
-
-
-def compare_resolutions(fine: AnalyticityReport, coarse: AnalyticityReport) -> ResolutionComparison:
     if fine.spectral_cutoff <= coarse.spectral_cutoff:
         raise DomainError("fine report must have the larger spectral cutoff")
     lo, hi = TRACK_BAND
-    tracks = (
+    return (
         fine.classification == "saturated-by-grid"
         and coarse.classification == "saturated-by-grid"
         and lo <= fine.plateau_fraction <= hi
         and lo <= coarse.plateau_fraction <= hi
     )
-    return ResolutionComparison(fine, coarse, tracks)
 
 
 @dataclass(frozen=True)
 class ConvergenceCurve:
     """Series-vs-spectral error as a function of truncation depth."""
 
-    t: float
-    grid_tag: str
     n_terms: tuple[int, ...]
     errors: tuple[float, ...]
     diverged: bool
 
 
 def series_vs_spectral_curve(h: SpectralOperator, psi: WaveFunction, t: float,
-                             n_values, reference: WaveFunction,
-                             grid_tag: str = "") -> ConvergenceCurve:
+                             n_values, reference: WaveFunction) -> ConvergenceCurve:
     """Distance of truncated-series states from a reference evolution.
 
     The partial sums are produced by the same accumulation kernel the series
@@ -258,4 +225,4 @@ def series_vs_spectral_curve(h: SpectralOperator, psi: WaveFunction, t: float,
         errors.append(WaveFunction(psi.space, vals - reference.values).norm()
                       if np.all(np.isfinite(vals)) else math.inf)
     errors += [math.inf] * (len(ns) - len(errors))
-    return ConvergenceCurve(t, grid_tag, ns, tuple(errors), diverged)
+    return ConvergenceCurve(ns, tuple(errors), diverged)

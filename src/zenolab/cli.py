@@ -244,11 +244,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         emit_outputs(bundle, root / f"{args.param}={value}", fmt)
         return "PASS" if bundle.passed else "FAIL"
 
-    if args.jobs == 1:
-        outcomes = [one(v) for v in values]
-    else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(one, values))
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        outcomes = list(pool.map(one, values))
     for value, outcome in zip(values, outcomes):
         print(f"{args.param}={value}: {outcome}")
     print(f"outputs: {root}")

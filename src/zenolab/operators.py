@@ -277,7 +277,6 @@ class SeriesResult:
     state: WaveFunction
     tail_estimate: float
     diverged: bool
-    n_terms: int
 
 
 def _series_terms(h: SpectralOperator, psi: WaveFunction, t: float, n_terms: int):
@@ -329,7 +328,7 @@ def evolve_series(h: SpectralOperator, psi: WaveFunction, t: float, n_terms: int
         tail = float(_norm(nxt)) * np.sqrt(psi.space.dx) * abs(t) / n_terms
         if not np.isfinite(tail):
             tail = float("inf")
-    return SeriesResult(WaveFunction(psi.space, total), tail, diverged, n_terms)
+    return SeriesResult(WaveFunction(psi.space, total), tail, diverged)
 
 
 def stone_residual(h: SpectralOperator, psi: WaveFunction, t_list) -> np.ndarray:

@@ -198,7 +198,14 @@ def make_gaussian(grid: Grid, center: float, sigma: float, k0: float = 0.0) -> W
             f"gaussian support [{lo}, {hi}] (8 sigma) exceeds domain "
             f"[{grid.x_min}, {grid.x_max}]"
         )
-    variance = 2.0 * np.pi * sigma**2
+    # sigma**2 overflows to inf for a numpy scalar and raises for a Python float
+    try:
+        with np.errstate(over="ignore"):
+            variance = 2.0 * np.pi * sigma**2
+    except OverflowError:
+        variance = np.inf
+    if variance == np.inf:
+        raise DomainError(f"sigma {sigma} is too large: 2 pi sigma^2 overflows")
     if variance == 0.0:
         raise DomainError(f"sigma {sigma} is too small: 2 pi sigma^2 underflows to 0")
     x = grid.positions()

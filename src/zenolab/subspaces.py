@@ -246,7 +246,7 @@ def check_condition_IA(pair, u, t_samples, trial_states, labels=None,
     return _check_invariance("I-A", pair, u, ts, trial_states, labels, tolerance, ZONE_TOL_LOOSE)
 
 
-def generator_coupling(h, pair, trial_states, labels=None) -> float:
+def generator_coupling(h, pair, trial_states) -> float:
     """Grid surrogate for generator invariance: max ||P_core H W||^2.
 
     A small value says H itself does not couple margin-respecting wave
@@ -255,8 +255,7 @@ def generator_coupling(h, pair, trial_states, labels=None) -> float:
     full domain.
     """
     p_core, _ = pair
-    names = _labels_for(trial_states, labels)
     worst = 0.0
-    for _, w in zip(names, trial_states):
+    for w in trial_states:
         worst = max(worst, p_core.mass(h.apply(w)))
     return worst

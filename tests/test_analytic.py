@@ -67,7 +67,7 @@ def test_hn_nilpotent_detection():
     record = hn_norms(h, kernel_vec, 10)
     assert record.nilpotent_at == 1
     assert record.step_ratios == ()
-    report = analyticity_report(h, kernel_vec, n_max=10, label="kernel")
+    report = analyticity_report(h, kernel_vec, n_max=10)
     assert report.classification == "exact-nilpotent"
 
 
@@ -100,11 +100,11 @@ def test_gaussian_classifies_entire_like():
     wide = Grid(-400.0, 400.0, 4096)
     h = momentum_operator(wide)
     g = make_gaussian(wide, 0.0, 1.0)
-    report = analyticity_report(h, g, n_max=16, label="gaussian")
+    report = analyticity_report(h, g, n_max=16)
     assert report.classification == "entire-like"
     assert report.tail_growth >= 1.1
     # rho_n ~ sqrt(n): strictly increasing along the recorded tail
-    rho = report.rho_hats
+    rho = report.norms.rho_hats()
     assert all(b > a for a, b in zip(rho[-5:], rho[-4:]))
 
 
@@ -115,7 +115,7 @@ def test_exponential_spectrum_classifies_finite_radius(small_grid):
     values = np.fft.ifft(coeffs) / math.sqrt(small_grid.dx / small_grid.n_points)
     psi = WaveFunction(small_grid, values).normalized()
     h = momentum_operator(small_grid)
-    report = analyticity_report(h, psi, n_max=10, label="exp-spectrum")
+    report = analyticity_report(h, psi, n_max=10)
     assert report.classification == "finite-radius-like"
     assert report.tail_growth < 1.1
     assert 2.5 <= report.plateau <= 3.5
@@ -124,14 +124,13 @@ def test_exponential_spectrum_classifies_finite_radius(small_grid):
 def test_bump_saturates_and_tracks_cutoff(grid):
     coarse_grid = Grid(-40.0, 40.0, 1024)
     fine = analyticity_report(momentum_operator(grid), make_bump(grid, -6.0, 6.0),
-                              n_max=40, label="bump", grid_tag="4096")
+                              n_max=40)
     coarse = analyticity_report(momentum_operator(coarse_grid),
                                 make_bump(coarse_grid, -6.0, 6.0),
-                                n_max=40, label="bump", grid_tag="1024")
+                                n_max=40)
     assert fine.classification == "saturated-by-grid"
     assert coarse.classification == "saturated-by-grid"
-    comparison = compare_resolutions(fine, coarse)
-    assert comparison.tracks_cutoff
+    assert compare_resolutions(fine, coarse) is True
     for report in (fine, coarse):
         assert 0.5 <= report.plateau_fraction <= 2.0
     # the plateau is a grid artifact: its location scales with the cutoff
@@ -161,7 +160,7 @@ def test_curve_checkpoints_match_individual_runs():
     g = make_gaussian(wide, 0.0, 1.0)
     reference = Propagator(h).evolve(g, 1.0)
     ns = (1, 5, 10, 20, 40)
-    curve = series_vs_spectral_curve(h, g, 1.0, ns, reference, grid_tag="4096")
+    curve = series_vs_spectral_curve(h, g, 1.0, ns, reference)
     assert curve.n_terms == ns
     for n, err in zip(curve.n_terms, curve.errors):
         single = (evolve_series(h, g, 1.0, n).state - reference).norm()
@@ -173,8 +172,7 @@ def test_curve_checkpoints_match_individual_runs():
 def test_curve_reports_divergence_as_inf(grid, momentum):
     g = make_gaussian(grid, 0.0, 1.0)
     reference = Propagator(momentum).evolve(g, 50.0)
-    curve = series_vs_spectral_curve(momentum, g, 50.0, (5, 30, 60), reference,
-                                     grid_tag="4096")
+    curve = series_vs_spectral_curve(momentum, g, 50.0, (5, 30, 60), reference)
     assert curve.diverged
     assert math.isinf(curve.errors[-1])
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -274,5 +274,5 @@ def test_bundle_payload_is_json_round_trippable():
 
 def test_spec_replace_round_trip():
     spec = ScenarioSpec(name="counterexample")
-    assert spec.replace(sigma=2.0).sigma == 2.0
-    assert spec.replace(sigma=2.0).name == "counterexample"
+    assert replace(spec, sigma=2.0).sigma == 2.0
+    assert replace(spec, sigma=2.0).name == "counterexample"

@@ -123,6 +123,13 @@ def test_gaussian_containment_guard(grid):
         make_gaussian(grid, 0.0, -1.0)
 
 
+@pytest.mark.parametrize("sigma", [1e200, np.float64(1e200), 1e154])
+def test_gaussian_rejects_a_sigma_whose_square_overflows(sigma):
+    wide = Grid(-1e300, 1e300, 64)
+    with pytest.raises(DomainError, match="is too large: 2 pi sigma\\^2 overflows"):
+        make_gaussian(wide, 0.0, sigma)
+
+
 # ----------------------------------------------------------------------
 # Bump and plane-wave states
 # ----------------------------------------------------------------------
