@@ -40,8 +40,9 @@ COUNTS = (0, 1, 2, 4, 8, 16, 32, 64, 128)
 
 def _ladder(u, p_core, e, t_final, counts) -> dict[int, float]:
     """N -> measured survival over equally spaced N-schedules (N = 0 is free)."""
-    return {n: survival_report(u, p_core, e, MeasurementSchedule.equally_spaced(t_final, n))
-            .s_measured for n in counts}
+    reports = survival_report(u, p_core, e, [MeasurementSchedule.equally_spaced(t_final, n)
+                                             for n in counts])
+    return {n: rep.s_measured for n, rep in zip(counts, reports)}
 
 
 def main() -> None:

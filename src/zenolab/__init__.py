@@ -58,7 +58,6 @@ from .subspaces import (
     check_condition_IA,
     check_condition_II,
     core_zone_state,
-    generator_coupling,
     halfline_pair,
     leakage,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "evolve_exact_shift",
     "evolve_series",
     "evolve_spectral",
-    "generator_coupling",
     "halfline_pair",
     "hn_norms",
     "inner_product",

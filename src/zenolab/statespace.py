@@ -209,7 +209,12 @@ def make_gaussian(grid: Grid, center: float, sigma: float, k0: float = 0.0) -> W
     if variance == 0.0:
         raise DomainError(f"sigma {sigma} is too small: 2 pi sigma^2 underflows to 0")
     x = grid.positions()
-    envelope = variance ** (-0.25) * np.exp(-((x - center) ** 2) / (4.0 * sigma**2))
+    # a sigma far below dx overflows the exponent to -inf, i.e. a zero sample
+    with np.errstate(over="ignore"):
+        envelope = variance ** (-0.25) * np.exp(-((x - center) ** 2) / (4.0 * sigma**2))
+    if not envelope.any():
+        raise DomainError(f"sigma {sigma} is too small for the grid step dx = {grid.dx}: "
+                          f"no sample carries weight")
     if k0 == 0.0:
         # the carrier would be exactly 1 + 0j, which leaves every bit alone
         return WaveFunction(grid, envelope).normalized()

@@ -245,17 +245,3 @@ def check_condition_IA(pair, u, t_samples, trial_states, labels=None,
     ts = [float(t) for t in t_samples]
     return _check_invariance("I-A", pair, u, ts, trial_states, labels, tolerance, ZONE_TOL_LOOSE)
 
-
-def generator_coupling(h, pair, trial_states) -> float:
-    """Grid surrogate for generator invariance: max ||P_core H W||^2.
-
-    A small value says H itself does not couple margin-respecting wave
-    states back into the core zone on this grid.  This is a sampled
-    surrogate only; it does not certify any statement about the generator's
-    full domain.
-    """
-    p_core, _ = pair
-    worst = 0.0
-    for w in trial_states:
-        worst = max(worst, p_core.mass(h.apply(w)))
-    return worst

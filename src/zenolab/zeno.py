@@ -11,6 +11,10 @@ found in e at the final time,
 which for an empty schedule reduces bitwise to the free survival
 |<e, U(T) e>|^2.
 
+`survival_report` takes every schedule for one prepared state at once and
+returns one report per schedule, in order, each with the bits of a call
+with that schedule alone.
+
 Two regimes are of interest.  For a pure right-translation, amplitude that
 crosses into the wave zone never returns, so clipping it changes nothing
 about the core-zone overlap: s is exactly measurement-invariant even though
@@ -137,33 +141,36 @@ class SurvivalReport:
 
 
 def survival_report(u, p_core: SubspaceProjector, e: WaveFunction,
-                    schedule: MeasurementSchedule) -> SurvivalReport:
-    """Run both protocols once and collect the comparison."""
-    _require_core_state(p_core, e)
-    return _survival_report(u, p_core, e, u.transform(e), schedule)
+                    schedules) -> tuple[SurvivalReport, ...]:
+    """Run both protocols for each MeasurementSchedule in `schedules`, in order.
 
-
-def _survival_report(u, p_core: SubspaceProjector, e: WaveFunction, coeffs,
-                     schedule: MeasurementSchedule) -> SurvivalReport:
-    """survival_report from e's coefficients `coeffs`, e already checked.
-
-    The free evolution and the chain's first segment share the coefficients,
-    and so may the reports of several schedules for the same e.
+    e is checked and transformed once.  The free evolution runs once per
+    distinct t_final and only its two scalars are kept; the chain runs once
+    per schedule.  Each report has the bits of a call with its schedule alone.
     """
-    free = u.advance(coeffs, u.step(schedule.t_final))
-    s_free = abs(inner_product(e, free)) ** 2
-    leakage_free = 1.0 - p_core.mass(free)
-    del free  # one state fewer alive at the chain's memory peak
-    chain, trace = _chain(u, p_core, coeffs, schedule)
-    return SurvivalReport(
-        t_final=schedule.t_final,
-        n_measurements=schedule.n_measurements,
-        s_free=s_free,
-        s_measured=abs(inner_product(e, chain)) ** 2,
-        leakage_free=leakage_free,
-        retained_trace=trace,
-        retained=chain.norm_sq(),
-    )
+    _require_core_state(p_core, e)
+    coeffs = u.transform(e)
+    free_at: dict[float, tuple[float, float]] = {}
+    reports = []
+    for schedule in schedules:
+        t = schedule.t_final
+        if t not in free_at:
+            free = u.advance(coeffs, u.step(t))
+            free_at[t] = abs(inner_product(e, free)) ** 2, 1.0 - p_core.mass(free)
+            del free  # one state fewer alive at the chain's memory peak
+        s_free, leakage_free = free_at[t]
+        chain, trace = _chain(u, p_core, coeffs, schedule)
+        reports.append(SurvivalReport(
+            t_final=t,
+            n_measurements=schedule.n_measurements,
+            s_free=s_free,
+            s_measured=abs(inner_product(e, chain)) ** 2,
+            leakage_free=leakage_free,
+            retained_trace=trace,
+            retained=chain.norm_sq(),
+        ))
+        del chain  # the next free evolve and chain run without it
+    return tuple(reports)
 
 
 def deficit_slope(scaling: tuple[tuple[int, float], ...]) -> float:

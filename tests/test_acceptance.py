@@ -98,13 +98,13 @@ def test_acceptance_2_measurement_invariance(grid, translator, zone_pair):
         times = np.sort(rng.uniform(0.02 * t_spec, 0.98 * t_spec, size=n))
         assert np.all(np.diff(times) > 0.0)
         rep = survival_report(translator, p_core, e,
-                              MeasurementSchedule(t_spec, tuple(times)))
+                              [MeasurementSchedule(t_spec, tuple(times))])[0]
         worst_spectral = max(worst_spectral, abs(rep.delta))
         worst_free = max(worst_free, abs(rep.s_free - math.exp(-t_spec ** 2 / 4.0)))
 
         marks = np.sort(rng.choice(np.arange(1, n_steps), size=n, replace=False))
         rep = survival_report(shifter, p_core, e,
-                              MeasurementSchedule(t_shift, tuple(marks * grid.dx)))
+                              [MeasurementSchedule(t_shift, tuple(marks * grid.dx))])[0]
         worst_shift = max(worst_shift, abs(rep.delta))
         worst_free = max(worst_free, abs(rep.s_free - math.exp(-t_shift ** 2 / 4.0)))
     elapsed = time.perf_counter() - start
@@ -134,9 +134,9 @@ def test_acceptance_3_rabi_control():
     p_core = SubspaceProjector(h.space, 0, 1)
     t = math.pi / 2.0
 
-    s_single = survival_report(u, p_core, e, MeasurementSchedule.equally_spaced(t, 1)).s_measured
+    s_single = survival_report(u, p_core, e, [MeasurementSchedule.equally_spaced(t, 1)])[0].s_measured
     counts = (8, 16, 32, 64, 128)
-    reports = [survival_report(u, p_core, e, MeasurementSchedule.equally_spaced(t, n))
+    reports = [survival_report(u, p_core, e, [MeasurementSchedule.equally_spaced(t, n)])[0]
                for n in counts]
     slope = deficit_slope(tuple((r.n_measurements, r.s_measured) for r in reports))
     oracle_single = rabi_chain_survival(1.0, t, 1)

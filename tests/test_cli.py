@@ -145,6 +145,9 @@ def test_rabi_control_exits_2_outside_its_zeno_window(tmp_path, capsys, flags, c
     # ... and sigma^2 overflows past about 1.3e154
     ("counterexample", ["--x-min=-1e300", "--x-max=1e300", "--sigma=1e200"],
      "sigma 1e+200 is too large: 2 pi sigma^2 overflows"),
+    # ... and far below dx every sample's exponent overflows to -inf
+    ("counterexample", ["--sigma", "1e-160"], "sigma 1e-160 is too small for the grid step dx"),
+    ("hm-invariance", ["--sigma", "1e-160"], "sigma 1e-160 is too small for the grid step dx"),
 ])
 def test_invalid_seed_or_tolerance_exits_2(scenario, flags, reason, tmp_path, capsys):
     assert _run(["run", scenario, "--out", str(tmp_path), *flags]) == 2

@@ -153,7 +153,7 @@ def test_measured_chain_matches_per_segment_evolves(system):
 def test_survival_report_matches_naive_protocols(system):
     u, (p_core, _), e, _, _, schedules = system
     for sched in schedules:
-        rep = survival_report(u, p_core, e, sched)
+        rep = survival_report(u, p_core, e, [sched])[0]
         free = u.evolve(e, sched.t_final)
         chain, trace = naive_chain(u, p_core, e, sched)
         assert rep.s_free == abs(np.vdot(e.values, free.values) * e.space.dx) ** 2
@@ -324,8 +324,20 @@ def test_survival_report_shares_e_and_repeated_segments(n, expected):
     sched = MeasurementSchedule.equally_spaced(2.0, n)
     with pytest.MonkeyPatch.context() as mp:
         counts = _install_counters(mp)
-        survival_report(u, p_core, e, sched)
+        survival_report(u, p_core, e, [sched])[0]
     assert counts == expected
+
+
+def test_survival_report_shares_e_and_free_evolves_across_schedules():
+    # one transform of e and one free evolve at t = 2 serve all three
+    # schedules; three one-schedule calls cost 14 ffts and 17 iffts
+    u, (p_core, _), _, e = _lab()
+    schedules = [MeasurementSchedule.equally_spaced(2.0, n) for n in (0, 3, 8)]
+    with pytest.MonkeyPatch.context() as mp:
+        counts = _install_counters(mp)
+        reports = survival_report(u, p_core, e, schedules)
+    assert counts == {"fft": 12, "ifft": 15, "exp": 6}
+    assert reports == tuple(survival_report(u, p_core, e, [s])[0] for s in schedules)
 
 
 @pytest.mark.parametrize("n", [0, 5])

@@ -26,7 +26,6 @@ from zenolab import (
     check_condition_II,
     core_zone_state,
     dense_hermitian,
-    generator_coupling,
     halfline_pair,
     inner_product,
     leakage,
@@ -322,11 +321,3 @@ def test_labels_length_mismatch(grid, zone_pair, translator):
         check_condition_I(zone_pair, translator, [1.0],
                           [make_bump(grid, 2.0, 6.0)], labels=["a", "b"])
 
-
-# ----------------------------------------------------------------------
-# Generator-level surrogate
-# ----------------------------------------------------------------------
-
-def test_generator_coupling_small_for_margin_states(grid, zone_pair, momentum):
-    states = [make_gaussian(grid, 8.0, 1.0), make_bump(grid, 2.0, 6.0)]
-    assert generator_coupling(momentum, zone_pair, states) <= 1e-12

@@ -94,7 +94,7 @@ def test_measured_survival_requires_core_state(grid, zone_pair, translator):
     raw = make_gaussian(grid, -4.0, 1.0)  # wave tail ~ 3e-5, above the bound
     with pytest.raises(PreconditionError, match="core"):
         survival_report(translator, zone_pair[0], raw,
-                        MeasurementSchedule.equally_spaced(2.0, 5))
+                        [MeasurementSchedule.equally_spaced(2.0, 5)])[0]
 
 
 def test_core_state_below_unit_norm_is_still_core_zone(grid, zone_pair, translator):
@@ -104,7 +104,7 @@ def test_core_state_below_unit_norm_is_still_core_zone(grid, zone_pair, translat
     e = core_zone_state(p_core, make_gaussian(grid, -8.0, 1.0)) * math.sqrt(1.0 - 5e-10)
     assert p_wave.mass(e) == 0.0
     assert abs(e.norm_sq() - (1.0 - 5e-10)) <= 1e-15
-    rep = survival_report(translator, p_core, e, MeasurementSchedule.equally_spaced(2.0, 3))
+    rep = survival_report(translator, p_core, e, [MeasurementSchedule.equally_spaced(2.0, 3)])[0]
     assert abs(rep.delta) <= 1e-12
 
 
@@ -118,7 +118,7 @@ def test_real_wave_zone_mass_is_still_rejected(grid, zone_pair, translator):
     assert abs(e.norm_sq() - 1.0) <= 1e-15
     assert p_wave.mass(e) == pytest.approx(2e-10, rel=1e-12)
     with pytest.raises(PreconditionError, match="off-zone mass 2.0"):
-        survival_report(translator, p_core, e, MeasurementSchedule.equally_spaced(2.0, 3))
+        survival_report(translator, p_core, e, [MeasurementSchedule.equally_spaced(2.0, 3)])[0]
 
 
 def test_translation_measurement_invariance_spectral(grid, zone_pair, translator):
@@ -127,10 +127,10 @@ def test_translation_measurement_invariance_spectral(grid, zone_pair, translator
     # the truncation jump at x = 0 sets the dispersion floor; further from
     # the split the invariance tightens toward machine precision
     e5 = core_zone_state(p_core, make_gaussian(grid, -5.0, 1.0))
-    rep5 = survival_report(translator, p_core, e5, sched)
+    rep5 = survival_report(translator, p_core, e5, [sched])[0]
     assert abs(rep5.delta) <= 1e-8
     e8 = core_zone_state(p_core, make_gaussian(grid, -8.0, 1.0))
-    rep8 = survival_report(translator, p_core, e8, sched)
+    rep8 = survival_report(translator, p_core, e8, [sched])[0]
     assert abs(rep8.delta) <= 1e-12
 
 
@@ -140,7 +140,7 @@ def test_translation_measurement_invariance_exact_shift(grid, zone_pair):
     e = core_zone_state(p_core, make_gaussian(grid, -8.0, 1.0))
     t_final = 102 * grid.dx
     times = tuple(k * 17 * grid.dx for k in range(1, 6))
-    rep = survival_report(shifter, p_core, e, MeasurementSchedule(t_final, times))
+    rep = survival_report(shifter, p_core, e, [MeasurementSchedule(t_final, times)])[0]
     # clipped amplitude never returns under a right shift: bitwise equality
     assert rep.delta == 0.0
 
@@ -148,7 +148,7 @@ def test_translation_measurement_invariance_exact_shift(grid, zone_pair):
 def test_empty_schedule_reduces_to_free_survival(grid, zone_pair, translator):
     p_core, _ = zone_pair
     e = core_zone_state(p_core, make_gaussian(grid, -8.0, 1.0))
-    rep = survival_report(translator, p_core, e, MeasurementSchedule.equally_spaced(2.0, 0))
+    rep = survival_report(translator, p_core, e, [MeasurementSchedule.equally_spaced(2.0, 0)])[0]
     assert rep.s_measured == rep.s_free
     assert rep.retained_trace == ()
 
@@ -156,7 +156,7 @@ def test_empty_schedule_reduces_to_free_survival(grid, zone_pair, translator):
 def test_retained_trace_monotone_and_bounds_survival(grid, zone_pair, translator):
     p_core, _ = zone_pair
     e = core_zone_state(p_core, make_gaussian(grid, -6.0, 1.0))
-    rep = survival_report(translator, p_core, e, MeasurementSchedule.equally_spaced(4.0, 7))
+    rep = survival_report(translator, p_core, e, [MeasurementSchedule.equally_spaced(4.0, 7)])[0]
     assert len(rep.retained_trace) == 7
     for before, after in zip(rep.retained_trace, rep.retained_trace[1:]):
         assert after <= before + 1e-15
@@ -172,7 +172,7 @@ def test_retained_trace_monotone_and_bounds_survival(grid, zone_pair, translator
 def test_rabi_single_measurement_quarter():
     u, p_core, e = _rabi()
     t = math.pi / 2.0
-    s = survival_report(u, p_core, e, MeasurementSchedule.equally_spaced(t, 1)).s_measured
+    s = survival_report(u, p_core, e, [MeasurementSchedule.equally_spaced(t, 1)])[0].s_measured
     assert abs(s - 0.25) <= 1e-10
     assert abs(s - rabi_chain_survival(1.0, t, 1)) <= 1e-12
 
@@ -181,7 +181,7 @@ def test_rabi_single_measurement_quarter():
 def test_rabi_chain_matches_matrix_oracle(n):
     u, p_core, e = _rabi()
     t = math.pi / 2.0
-    s = survival_report(u, p_core, e, MeasurementSchedule.equally_spaced(t, n)).s_measured
+    s = survival_report(u, p_core, e, [MeasurementSchedule.equally_spaced(t, n)])[0].s_measured
     assert abs(s - rabi_chain_survival(1.0, t, n)) <= 1e-12
 
 
@@ -196,7 +196,7 @@ def test_deficit_ladder_closed_form():
 def test_zeno_scaling_and_slope():
     u, p_core, e = _rabi()
     t = math.pi / 2.0
-    reports = [survival_report(u, p_core, e, MeasurementSchedule.equally_spaced(t, n))
+    reports = [survival_report(u, p_core, e, [MeasurementSchedule.equally_spaced(t, n)])[0]
                for n in (0, 8, 16, 32, 64, 128)]
     scaling = tuple((r.n_measurements, r.s_measured) for r in reports)
     # N = 0 entry is the free survival (cos^2 at a zero crossing here)
@@ -211,7 +211,7 @@ def test_zeno_scaling_and_slope():
 
 def test_zeno_scaling_validation():
     u, p_core, e = _rabi()
-    free = survival_report(u, p_core, e, MeasurementSchedule.equally_spaced(1.0, 0))
+    free = survival_report(u, p_core, e, [MeasurementSchedule.equally_spaced(1.0, 0)])[0]
     with pytest.raises(DomainError, match="at least two"):
         deficit_slope(((free.n_measurements, free.s_measured),))
 
@@ -228,7 +228,7 @@ def test_rabi_survival_bounded_by_retained_trace(n, seed):
     times = tuple(float(t) for t in np.unique(times))
     if not times:
         return
-    rep = survival_report(u, p_core, e, MeasurementSchedule(2.0, times))
+    rep = survival_report(u, p_core, e, [MeasurementSchedule(2.0, times)])[0]
     assert rep.s_measured <= rep.retained + 1e-12
     for before, after in zip(rep.retained_trace, rep.retained_trace[1:]):
         assert after <= before + 1e-15
