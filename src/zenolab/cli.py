@@ -5,7 +5,9 @@ Commands
 run <scenario>      execute one scenario, write summary + bundle + CSV curves
 list                show the available scenarios
 sweep <scenario>    re-run one scenario over a list of values for one
-                    parameter, each run in its own output subdirectory
+                    parameter, each run in its own output subdirectory;
+                    --jobs N runs at most N points at once, and never more
+                    threads than the CPUs this process may use
 
 Exit status: 0 when every pass flag is true, 1 when the scenario ran but a
 flag failed (scientific failure), 2 for usage, config, margin or I/O errors
@@ -30,13 +32,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError, SpaceMismatchError
 from .scenarios import READS, SCENARIOS, CurveTable, ScenarioSpec, VerdictBundle, run_scenario
+from .statespace import _map
 
 
 class ConfigError(ValueError):
@@ -127,8 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="option to vary (long flag spelling, e.g. sigma or N)")
     sweep_p.add_argument("--values", required=True,
                          help="comma-separated values for --param")
-    sweep_p.add_argument("--jobs", type=int, default=1,
-                         help="run sweep points in parallel")
+    sweep_p.add_argument("--jobs", type=int, default=1, metavar="N",
+                         help="at most N points at once, and never more threads "
+                              "than the CPUs this process may use")
     _add_run_options(sweep_p)
     return parser
 
@@ -244,8 +247,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         emit_outputs(bundle, root / f"{args.param}={value}", fmt)
         return "PASS" if bundle.passed else "FAIL"
 
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        outcomes = list(pool.map(one, values))
+    outcomes = _map(one, values, most=args.jobs)
     for value, outcome in zip(values, outcomes):
         print(f"{args.param}={value}: {outcome}")
     print(f"outputs: {root}")

@@ -294,6 +294,7 @@ def scenario_counterexample(spec: ScenarioSpec | None = None) -> VerdictBundle:
     wave_labels = ["gaussian(8)", "gaussian(12,k2)", "bump[2,6]", "windowed-random"]
     rep_I = check_condition_I(pair, u, T_SWEEP, wave_states, wave_labels,
                               tolerance=spec.tolerance_invariance)
+    del wave_states  # 4 states fewer alive through (II), (I-A) and the leakage
 
     core_states = [
         make_gaussian(grid, -3.0, spec.sigma),

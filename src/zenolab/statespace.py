@@ -20,10 +20,28 @@ thread count.  Blocks of 8192 stay single-threaded, so reductions cost no
 idle CPU and give the same bits on every host; vectors of 8192 or fewer
 elements are one block and get exactly the bits of `np.vdot` and
 `np.linalg.norm`.
+
+Independent evolves (condition samples, survival schedules, sweep points)
+go through `_map`, which runs them on the calling thread and on whatever
+helper threads are idle.  The helpers form one process-wide pool of
+CPUS - 1 threads, each holding one of CPUS - 1 permits for as long as it
+works, so at most CPUS threads compute at once and a `_map` nested inside
+a helper finds no permit and runs inline instead of waiting.  numpy's FFT,
+exp and elementwise arithmetic release the GIL, so a helper uses an
+otherwise idle CPU.  Evolves on fewer than MAP_MIN_POINTS = 2^14 points
+run inline too: such an item takes about as long as handing it to a
+helper, so a helper adds CPU time and timing jitter but no speed.  Each
+item runs the same code on the same inputs as a serial loop and results
+come back in input order, so the bits do not depend on how many helpers
+took part; with one CPU there are none.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +50,63 @@ from .errors import DomainError, SpaceMismatchError
 
 #: most elements per BLAS call in a reduction, below OpenBLAS's threading cutoff
 REDUCTION_BLOCK = 8192
+#: fewest points per state for which `_map` hands evolves to helpers
+MAP_MIN_POINTS = 2**14
+
+try:
+    #: CPUs this process may run on
+    CPUS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity call on this platform
+    CPUS = os.cpu_count() or 1
+
+# one permit per pool thread; a helper holds its permit while it works
+_permits = threading.BoundedSemaphore(CPUS - 1)
+_pool = ThreadPoolExecutor(max_workers=max(CPUS - 1, 1), thread_name_prefix="zenolab")
+
+
+def _map(fn, items, most: int | None = None, points: int | None = None) -> list:
+    """[fn(x) for x in items] in input order, on this thread and idle helpers.
+
+    The caller takes items from a shared counter itself and adds a helper
+    only for a permit it gets without waiting, at most `most` - 1 of them.
+    Items that evolve states of `points` < MAP_MIN_POINTS points get none.
+    After an error no new item starts; once every helper has finished, the
+    error of the earliest failing item is raised, the one a serial loop
+    would raise, since items are taken in order.
+    """
+    items = list(items)
+    results = [None] * len(items)
+    errors: dict[int, BaseException] = {}
+    claim = itertools.count()  # next() on it is atomic under the GIL
+
+    def work() -> None:
+        while not errors:
+            i = next(claim)
+            if i >= len(items):
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                errors[i] = exc
+
+    def helper() -> None:
+        try:
+            work()
+        finally:
+            _permits.release()
+
+    if points is not None and points < MAP_MIN_POINTS:
+        most = 1
+    wanted = min(len(items), len(items) if most is None else most) - 1
+    helpers = []
+    while len(helpers) < wanted and _permits.acquire(blocking=False):
+        helpers.append(_pool.submit(helper))
+    work()
+    for h in helpers:
+        h.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _blocked(dot, a: np.ndarray, b: np.ndarray):
@@ -123,13 +198,12 @@ class WaveFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.complex128)
+        v = np.array(self.values, dtype=np.complex128)  # converts and copies in one pass
         if v.shape != (self.space.n_points,):
             raise SpaceMismatchError(
                 f"amplitude shape {v.shape} does not match space with "
                 f"{self.space.n_points} points"
             )
-        v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -156,7 +230,7 @@ class WaveFunction:
         n = self.norm()
         if n == 0.0:
             raise DomainError("cannot normalize the zero state")
-        return WaveFunction(self.space, self.values / n)
+        return WaveFunction._adopt(self.space, self.values / n)
 
     def _check_space(self, other: "WaveFunction") -> None:
         if self.space != other.space:

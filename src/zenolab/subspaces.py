@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError, SpaceMismatchError
-from .statespace import DenseSpace, Grid, WaveFunction, _blocked
+from .statespace import DenseSpace, Grid, WaveFunction, _blocked, _map
 
 #: default residual bound under which an invariance verdict reads HOLDS
 INVARIANCE_TOL = 1e-8
@@ -174,16 +174,20 @@ def _verdict(condition: str, residual: float, tolerance: float) -> str:
 def _sample(condition: str, mass, u, ts, names, states, tolerance: float) -> ConditionReport:
     """Residual mass(U(t) s) at each (t, state) pair, t-major, and its verdict.
 
-    Each state is transformed once and each time's step built once; the
-    residuals are the same bits as evolving every pair separately.
+    Each state is transformed once and each time's step built once, when
+    that time is sampled; the residuals are the same bits as evolving every
+    pair separately.  Transforms and times run through `_map`, inline on
+    grids below its MAP_MIN_POINTS.
     """
-    coeffs = [u.transform(s) for s in states]
-    samples = []
-    for t in ts:
+    points = u.space.n_points
+    coeffs = _map(u.transform, states, points=points)
+
+    def at(t: float) -> list[ConditionSample]:
         step = u.step(t)
-        samples.extend(ConditionSample(t, name, mass(u.advance(c, step)))
-                       for name, c in zip(names, coeffs))
-    samples = tuple(samples)
+        return [ConditionSample(t, name, mass(u.advance(c, step)))
+                for name, c in zip(names, coeffs)]
+
+    samples = tuple(s for row in _map(at, ts, points=points) for s in row)
     worst = max(samples, key=lambda s: s.residual, default=None)
     max_res = worst.residual if worst else 0.0
     verdict = _verdict(condition, max_res, tolerance)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .statespace import WaveFunction, inner_product
+from .statespace import WaveFunction, _map, inner_product
 from .subspaces import SubspaceProjector
 
 #: admissible wave-zone mass for the prepared state of a survival run
@@ -145,32 +145,36 @@ def survival_report(u, p_core: SubspaceProjector, e: WaveFunction,
     """Run both protocols for each MeasurementSchedule in `schedules`, in order.
 
     e is checked and transformed once.  The free evolution runs once per
-    distinct t_final and only its two scalars are kept; the chain runs once
-    per schedule.  Each report has the bits of a call with its schedule alone.
+    distinct t_final and only its two scalars are kept; then the chain runs
+    once per schedule.  Both loops go through `_map` (inline on grids below
+    its MAP_MIN_POINTS), and each report has the bits of a call with its
+    schedule alone.
     """
     _require_core_state(p_core, e)
+    schedules = tuple(schedules)
     coeffs = u.transform(e)
-    free_at: dict[float, tuple[float, float]] = {}
-    reports = []
-    for schedule in schedules:
-        t = schedule.t_final
-        if t not in free_at:
-            free = u.advance(coeffs, u.step(t))
-            free_at[t] = abs(inner_product(e, free)) ** 2, 1.0 - p_core.mass(free)
-            del free  # one state fewer alive at the chain's memory peak
-        s_free, leakage_free = free_at[t]
+
+    def free(t: float) -> tuple[float, float]:
+        psi = u.advance(coeffs, u.step(t))
+        return abs(inner_product(e, psi)) ** 2, 1.0 - p_core.mass(psi)
+
+    finals = list(dict.fromkeys(s.t_final for s in schedules))
+    free_at = dict(zip(finals, _map(free, finals, points=u.space.n_points)))
+
+    def report(schedule: MeasurementSchedule) -> SurvivalReport:
         chain, trace = _chain(u, p_core, coeffs, schedule)
-        reports.append(SurvivalReport(
-            t_final=t,
+        s_free, leakage_free = free_at[schedule.t_final]
+        return SurvivalReport(
+            t_final=schedule.t_final,
             n_measurements=schedule.n_measurements,
             s_free=s_free,
             s_measured=abs(inner_product(e, chain)) ** 2,
             leakage_free=leakage_free,
             retained_trace=trace,
             retained=chain.norm_sq(),
-        ))
-        del chain  # the next free evolve and chain run without it
-    return tuple(reports)
+        )
+
+    return tuple(_map(report, schedules, points=u.space.n_points))
 
 
 def deficit_slope(scaling: tuple[tuple[int, float], ...]) -> float:
