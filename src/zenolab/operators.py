@@ -15,7 +15,11 @@ functional calculus U(t) = exp(-i t H), split into three steps:
 caller that evolves one state to many times, or many states to one time,
 transforms each state once and builds each phase vector once and gets the
 same bits as separate evolves.  Coefficients and steps are read-only and
-``advance`` never writes to them.  ``ShiftPropagator`` speaks the same
+``advance`` never writes to them.  ``advance`` and ``transform`` wrap two
+private primitives, ``_values`` (an advance into a fresh array the caller
+owns) and ``_coeffs`` (the transform of an array, in place for the fourier
+kind when the caller hands it over), which a measurement chain uses to
+work in one buffer per segment.  ``ShiftPropagator`` speaks the same
 protocol with the state itself as its coefficients, a whole-step count as
 its step and a circular roll as its advance.  The adjoint U(t)^dagger is
 realized as U(-t); only the full-space unitary group is modelled here.
@@ -101,10 +105,11 @@ class SpectralOperator:
 
     # -- raw array fast paths ------------------------------------------------
 
-    def _to_coeffs(self, values: np.ndarray) -> np.ndarray:
+    def _to_coeffs(self, values: np.ndarray, owned: bool = False) -> np.ndarray:
+        """Coefficients of `values`; the fourier kind overwrites an `owned` array."""
         w = self.space.dx
         if self.kind == "fourier":
-            coeffs = np.fft.fft(values)
+            coeffs = np.fft.fft(values, out=values if owned else None)
             coeffs *= np.sqrt(w / self.space.n_points)
             return coeffs
         return self.basis.conj().T @ values
@@ -167,9 +172,17 @@ class Propagator:
 
     def transform(self, psi: WaveFunction) -> np.ndarray:
         """Read-only eigenbasis coefficients of psi."""
-        h = self.generator
-        h._check_space(psi)
-        coeffs = h._to_coeffs(psi.values)
+        self.generator._check_space(psi)
+        return self._coeffs(psi.values)
+
+    def _coeffs(self, values: np.ndarray, owned: bool = False) -> np.ndarray:
+        """Read-only coefficients of `values`.
+
+        With `owned` the caller hands the array over: the fourier kind
+        transforms it in place and returns it, with the bits of a fresh
+        transform; the matrix kind returns a fresh array.
+        """
+        coeffs = self.generator._to_coeffs(values, owned)
         coeffs.setflags(write=False)
         return coeffs
 
@@ -202,10 +215,13 @@ class Propagator:
 
     def advance(self, coeffs: np.ndarray, step: np.ndarray) -> WaveFunction:
         """The state whose coefficients are step * coeffs; neither is written."""
-        h = self.generator
+        return WaveFunction._adopt(self.space, self._values(coeffs, step))
+
+    def _values(self, coeffs: np.ndarray, step: np.ndarray) -> np.ndarray:
+        """The values of `advance`, in a fresh array the caller owns."""
         # always step * coeffs: numpy's complex multiply is not bitwise
         # commutative, so a swapped operand order changes the last bits
-        return WaveFunction._adopt(h.space, h._from_coeffs(step * coeffs))
+        return self.generator._from_coeffs(step * coeffs)
 
     def evolve(self, psi: WaveFunction, t: float) -> WaveFunction:
         return evolve_spectral(self, psi, t)
@@ -246,6 +262,10 @@ class ShiftPropagator:
             raise SpaceMismatchError("state and shift propagator live on different grids")
         return psi
 
+    def _coeffs(self, values: np.ndarray, owned: bool = False) -> WaveFunction:
+        """The state of `values`, which the caller hands over."""
+        return WaveFunction._adopt(self.grid, values)
+
     def step(self, t: float) -> int:
         """Whole grid steps in t; DomainError unless t is a multiple of dx."""
         ratio = float(t) / self.grid.dx
@@ -258,7 +278,11 @@ class ShiftPropagator:
         return steps
 
     def advance(self, coeffs: WaveFunction, step: int) -> WaveFunction:
-        return evolve_exact_shift(coeffs, step)
+        return WaveFunction._adopt(self.grid, self._values(coeffs, step))
+
+    def _values(self, coeffs: WaveFunction, step: int) -> np.ndarray:
+        """The values of `advance`, in a fresh array the caller owns."""
+        return np.roll(coeffs.values, int(step))
 
     def evolve(self, psi: WaveFunction, t: float) -> WaveFunction:
         return self.advance(self.transform(psi), self.step(t))

@@ -21,19 +21,22 @@ idle CPU and give the same bits on every host; vectors of 8192 or fewer
 elements are one block and get exactly the bits of `np.vdot` and
 `np.linalg.norm`.
 
-Independent evolves (condition samples, survival schedules, sweep points)
-go through `_map`, which runs them on the calling thread and on whatever
-helper threads are idle.  The helpers form one process-wide pool of
-CPUS - 1 threads, each holding one of CPUS - 1 permits for as long as it
-works, so at most CPUS threads compute at once and a `_map` nested inside
-a helper finds no permit and runs inline instead of waiting.  numpy's FFT,
-exp and elementwise arithmetic release the GIL, so a helper uses an
-otherwise idle CPU.  Evolves on fewer than MAP_MIN_POINTS = 2^14 points
-run inline too: such an item takes about as long as handing it to a
-helper, so a helper adds CPU time and timing jitter but no speed.  Each
-item runs the same code on the same inputs as a serial loop and results
-come back in input order, so the bits do not depend on how many helpers
-took part; with one CPU there are none.
+Independent evolves (a scenario's checks, condition samples, survival
+schedules, sweep points) go through `_map`, which runs them on the calling
+thread and on whatever helper threads are idle.  The helpers form one
+process-wide pool of CPUS - 1 threads, each holding one of CPUS - 1
+permits for as long as it works, so at most CPUS threads compute at once
+and a `_map` nested inside a helper finds no permit and runs inline instead
+of waiting.  Helpers join late: before each item it takes, the caller tries
+again for a permit, so a map that started while a sibling map held every
+permit gets a helper as soon as that sibling finishes.  numpy's FFT, exp
+and elementwise arithmetic release the GIL, so a helper uses an otherwise
+idle CPU.  Evolves on fewer than MAP_MIN_POINTS = 2^14 points run inline
+too: such an item takes about as long as handing it to a helper, so a
+helper adds CPU time and timing jitter but no speed.  Each item runs the
+same code on the same inputs as a serial loop and results come back in
+input order, so the bits do not depend on how many helpers took part; with
+one CPU there are none.
 """
 
 from __future__ import annotations
@@ -67,41 +70,42 @@ _pool = ThreadPoolExecutor(max_workers=max(CPUS - 1, 1), thread_name_prefix="zen
 def _map(fn, items, most: int | None = None, points: int | None = None) -> list:
     """[fn(x) for x in items] in input order, on this thread and idle helpers.
 
-    The caller takes items from a shared counter itself and adds a helper
-    only for a permit it gets without waiting, at most `most` - 1 of them.
-    Items that evolve states of `points` < MAP_MIN_POINTS points get none.
-    After an error no new item starts; once every helper has finished, the
-    error of the earliest failing item is raised, the one a serial loop
-    would raise, since items are taken in order.
+    The caller takes items from a shared counter itself.  Before each item
+    it runs, while items are left for others, it adds a helper for every
+    permit it gets without waiting, at most `most` - 1 helpers in all, so a
+    permit freed after the map began still joins it.  Items that evolve
+    states of `points` < MAP_MIN_POINTS points get none.  After an error no
+    new item starts; once every helper has finished, the error of the
+    earliest failing item is raised, the one a serial loop would raise,
+    since items are taken in order.
     """
     items = list(items)
     results = [None] * len(items)
     errors: dict[int, BaseException] = {}
     claim = itertools.count()  # next() on it is atomic under the GIL
+    helpers = []
 
-    def work() -> None:
-        while not errors:
-            i = next(claim)
-            if i >= len(items):
-                return
-            try:
-                results[i] = fn(items[i])
-            except BaseException as exc:
-                errors[i] = exc
+    def run(i: int) -> None:
+        try:
+            results[i] = fn(items[i])
+        except BaseException as exc:
+            errors[i] = exc
 
     def helper() -> None:
         try:
-            work()
+            while not errors and (i := next(claim)) < len(items):
+                run(i)
         finally:
             _permits.release()
 
     if points is not None and points < MAP_MIN_POINTS:
         most = 1
     wanted = min(len(items), len(items) if most is None else most) - 1
-    helpers = []
-    while len(helpers) < wanted and _permits.acquire(blocking=False):
-        helpers.append(_pool.submit(helper))
-    work()
+    while not errors and (i := next(claim)) < len(items):
+        # recruit only while some item is still left for a helper to take
+        while i + 1 < len(items) and len(helpers) < wanted and _permits.acquire(blocking=False):
+            helpers.append(_pool.submit(helper))
+        run(i)
     for h in helpers:
         h.result()
     if errors:
@@ -125,6 +129,11 @@ def _norm(values: np.ndarray) -> np.floating:
     """np.linalg.norm of a complex vector, sqrt(re.re + im.im), with blocked dots."""
     re, im = values.real, values.imag
     return np.sqrt(_blocked(np.dot, re, re) + _blocked(np.dot, im, im))
+
+
+def _norm_sq(values: np.ndarray, dx: float) -> float:
+    """||psi||^2 of the samples `values` at sample weight dx."""
+    return float(np.real(_blocked(np.vdot, values, values)) * dx)
 
 
 @dataclass(frozen=True)
@@ -221,7 +230,7 @@ class WaveFunction:
         return psi
 
     def norm_sq(self) -> float:
-        return float(np.real(_blocked(np.vdot, self.values, self.values)) * self.space.dx)
+        return _norm_sq(self.values, self.space.dx)
 
     def norm(self) -> float:
         return float(np.sqrt(self.norm_sq()))

@@ -67,9 +67,13 @@ class SubspaceProjector:
     def apply(self, psi: WaveFunction) -> WaveFunction:
         if psi.space != self.space:
             raise SpaceMismatchError("state and projector live on different spaces")
-        out = np.zeros(self.space.n_points, dtype=np.complex128)
-        out[self.start:self.stop] = psi.values[self.start:self.stop]
-        return WaveFunction._adopt(self.space, out)
+        return WaveFunction._adopt(self.space, self._clip(np.array(psi.values)))
+
+    def _clip(self, values: np.ndarray) -> np.ndarray:
+        """Project the writable samples `values` in place and return them."""
+        values[:self.start] = 0.0
+        values[self.stop:] = 0.0
+        return values
 
     def mass(self, psi: WaveFunction) -> float:
         """||P psi||^2, the probability captured by this zone."""
@@ -171,16 +175,20 @@ def _verdict(condition: str, residual: float, tolerance: float) -> str:
     return "HOLDS" if residual <= tolerance else "FAILS"
 
 
-def _sample(condition: str, mass, u, ts, names, states, tolerance: float) -> ConditionReport:
+def _sample(condition: str, mass, u, ts, names, states: list,
+            tolerance: float) -> ConditionReport:
     """Residual mass(U(t) s) at each (t, state) pair, t-major, and its verdict.
 
     Each state is transformed once and each time's step built once, when
     that time is sampled; the residuals are the same bits as evolving every
     pair separately.  Transforms and times run through `_map`, inline on
-    grids below its MAP_MIN_POINTS.
+    grids below its MAP_MIN_POINTS.  `states` is emptied once transformed,
+    so a caller that hands over its only references keeps just the
+    coefficients alive while the times are sampled.
     """
     points = u.space.n_points
     coeffs = _map(u.transform, states, points=points)
+    states.clear()
 
     def at(t: float) -> list[ConditionSample]:
         step = u.step(t)
@@ -199,9 +207,10 @@ def _check_invariance(condition: str, pair, u, ts, trial_states, labels,
                       tolerance: float, state_tol: float) -> ConditionReport:
     """Sample ||P_core U(t) W||^2 over wave-zone trial states W."""
     p_core, _ = pair
-    names = _labels_for(trial_states, labels)
-    _zone_guard(p_core, trial_states, names, state_tol, "wave-zone")
-    return _sample(condition, p_core.mass, u, ts, names, trial_states, tolerance)
+    states = list(trial_states)
+    names = _labels_for(states, labels)
+    _zone_guard(p_core, states, names, state_tol, "wave-zone")
+    return _sample(condition, p_core.mass, u, ts, names, states, tolerance)
 
 
 def check_condition_I(pair, u, t_samples, trial_states, labels=None,
@@ -209,7 +218,10 @@ def check_condition_I(pair, u, t_samples, trial_states, labels=None,
     """Sample ||P_core U(t) W||^2 over wave-zone trial states W and t > 0.
 
     HOLDS when the maximum residual stays within `tolerance`; an empty time
-    list is vacuously HOLDS.
+    list is vacuously HOLDS.  `trial_states` may be any iterable, a
+    generator too: it is drawn once, and the states are dropped once
+    transformed, before any time is sampled, so a caller that passes a
+    generator keeps only coefficients alive.
     """
     ts = [float(t) for t in t_samples]
     if any(t <= 0.0 for t in ts):
@@ -226,16 +238,19 @@ def check_condition_II(pair, u, t_samples, trial_states, labels=None,
     falsify (P_wave P_core = 0 exactly, whatever the state's own tails do).
     FALSIFIED as soon as any sample leaks more than `tolerance`, quoting the
     witnessing (t, state); NOT_FALSIFIED otherwise (the sampled check cannot
-    prove the condition, only fail to refute it).
+    prove the condition, only fail to refute it).  `trial_states` may be any
+    iterable; it is drawn once and the states are dropped once clipped and
+    transformed.
     """
     p_core, p_wave = pair
     ts = [float(t) for t in t_samples]
     if any(t < 0.0 for t in ts):
         raise DomainError("condition (II) samples t >= 0")
-    names = _labels_for(trial_states, labels)
-    _zone_guard(p_wave, trial_states, names, ZONE_TOL_LOOSE, "core-zone")
-    clipped = [core_zone_state(p_core, c) for c in trial_states]
-    return _sample("II", p_wave.mass, u, ts, names, clipped, tolerance)
+    states = list(trial_states)
+    names = _labels_for(states, labels)
+    _zone_guard(p_wave, states, names, ZONE_TOL_LOOSE, "core-zone")
+    states = [core_zone_state(p_core, c) for c in states]
+    return _sample("II", p_wave.mass, u, ts, names, states, tolerance)
 
 
 def check_condition_IA(pair, u, t_samples, trial_states, labels=None,
@@ -244,7 +259,8 @@ def check_condition_IA(pair, u, t_samples, trial_states, labels=None,
 
     The adjoint step U(t)^dagger is realized as evolution by -t.  A verdict
     of FAILS with a negative-t witness separates semigroup invariance from
-    full two-sided invariance.
+    full two-sided invariance.  `trial_states` may be any iterable; it is
+    drawn once and the states are dropped once transformed.
     """
     ts = [float(t) for t in t_samples]
     return _check_invariance("I-A", pair, u, ts, trial_states, labels, tolerance, ZONE_TOL_LOOSE)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .statespace import WaveFunction, _map, inner_product
+from .statespace import WaveFunction, _map, _norm_sq, inner_product
 from .subspaces import SubspaceProjector
 
 #: admissible wave-zone mass for the prepared state of a survival run
@@ -103,6 +103,13 @@ def _chain(u, p_core: SubspaceProjector, coeffs,
     trace ||chi_k||^2 recorded after each projection (the probability of
     having passed the first k measurements).
 
+    Each segment works in one buffer: it advances into a fresh array,
+    zeroes the wave zone in place, records the retained norm with
+    `WaveFunction.norm_sq`'s reduction, drops the previous segment's
+    coefficients and transforms the buffer in place (the matrix kind into
+    a fresh array).  The bits are those of `advance`, `apply`, `norm_sq`
+    and `transform` on separate arrays.
+
     The segments of an equally spaced schedule differ at most in the last
     ulp and alternate (a a b c b c b ...), so the steps of the two most
     recently used durations are kept.  Durations are strictly positive, so
@@ -110,12 +117,14 @@ def _chain(u, p_core: SubspaceProjector, coeffs,
     own duration.
     """
     step = functools.lru_cache(maxsize=2)(u.step)
+    dx = u.space.dx
     elapsed = 0.0
     trace = []
     for t_k in schedule.times:
-        psi = p_core.apply(u.advance(coeffs, step(t_k - elapsed)))
-        trace.append(psi.norm_sq())
-        coeffs = u.transform(psi)
+        values = p_core._clip(u._values(coeffs, step(t_k - elapsed)))
+        trace.append(_norm_sq(values, dx))
+        del coeffs
+        coeffs = u._coeffs(values, owned=True)
         elapsed = t_k
     return u.advance(coeffs, step(schedule.t_final - elapsed)), tuple(trace)
 
@@ -144,37 +153,40 @@ def survival_report(u, p_core: SubspaceProjector, e: WaveFunction,
                     schedules) -> tuple[SurvivalReport, ...]:
     """Run both protocols for each MeasurementSchedule in `schedules`, in order.
 
-    e is checked and transformed once.  The free evolution runs once per
-    distinct t_final and only its two scalars are kept; then the chain runs
-    once per schedule.  Both loops go through `_map` (inline on grids below
-    its MAP_MIN_POINTS), and each report has the bits of a call with its
-    schedule alone.
+    e is checked and transformed once.  One `_map` (inline on grids below
+    its MAP_MIN_POINTS) runs the chain of every schedule, the longer work,
+    and then the free evolution once per distinct t_final.  Either kind of
+    item keeps only its scalars, never a final state, and each report has
+    the bits of a call with its schedule alone.
     """
     _require_core_state(p_core, e)
     schedules = tuple(schedules)
     coeffs = u.transform(e)
+
+    def chain(schedule: MeasurementSchedule) -> tuple[float, float, tuple[float, ...]]:
+        final, trace = _chain(u, p_core, coeffs, schedule)
+        return abs(inner_product(e, final)) ** 2, final.norm_sq(), trace
 
     def free(t: float) -> tuple[float, float]:
         psi = u.advance(coeffs, u.step(t))
         return abs(inner_product(e, psi)) ** 2, 1.0 - p_core.mass(psi)
 
     finals = list(dict.fromkeys(s.t_final for s in schedules))
-    free_at = dict(zip(finals, _map(free, finals, points=u.space.n_points)))
-
-    def report(schedule: MeasurementSchedule) -> SurvivalReport:
-        chain, trace = _chain(u, p_core, coeffs, schedule)
-        s_free, leakage_free = free_at[schedule.t_final]
-        return SurvivalReport(
+    jobs = [(chain, s) for s in schedules] + [(free, t) for t in finals]
+    done = _map(lambda job: job[0](job[1]), jobs, points=u.space.n_points)
+    free_at = dict(zip(finals, done[len(schedules):]))
+    return tuple(
+        SurvivalReport(
             t_final=schedule.t_final,
             n_measurements=schedule.n_measurements,
-            s_free=s_free,
-            s_measured=abs(inner_product(e, chain)) ** 2,
-            leakage_free=leakage_free,
+            s_free=free_at[schedule.t_final][0],
+            s_measured=s_measured,
+            leakage_free=free_at[schedule.t_final][1],
             retained_trace=trace,
-            retained=chain.norm_sq(),
+            retained=retained,
         )
-
-    return tuple(_map(report, schedules, points=u.space.n_points))
+        for schedule, (s_measured, retained, trace) in zip(schedules, done)
+    )
 
 
 def deficit_slope(scaling: tuple[tuple[int, float], ...]) -> float:

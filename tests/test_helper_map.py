@@ -122,6 +122,120 @@ def test_survival_report_takes_no_helper_below_the_cutoff(helpers, monkeypatch):
     assert 4096 < statespace.MAP_MIN_POINTS
 
 
+def test_map_started_while_its_permit_is_held_gets_a_helper_once_it_frees(helpers):
+    helpers(1)
+    caller = threading.get_ident()
+    held, go, freed, helped = (threading.Event() for _ in range(4))
+
+    def sibling() -> None:  # another map's helper, busy when this map starts
+        statespace._permits.acquire()
+        held.set()
+        go.wait(timeout=30)
+        statespace._permits.release()
+        freed.set()
+
+    threading.Thread(target=sibling).start()
+    assert held.wait(timeout=30)
+    threads = []
+
+    def fn(x):
+        threads.append(threading.get_ident())
+        if threading.get_ident() != caller:
+            helped.set()
+        elif x == 0:
+            go.set()
+            freed.wait(timeout=30)
+        elif x == 1:
+            helped.wait(timeout=30)  # the helper recruited before item 1 takes item 2
+        return x
+
+    assert _map(fn, range(6), points=statespace.MAP_MIN_POINTS) == list(range(6))
+    assert helped.is_set()
+    assert set(threads) - {caller}
+    assert _permits_back(1)
+
+
+class WatchedPermits(threading.BoundedSemaphore):
+    """Permits that set `all_free` whenever every one of them is back."""
+
+    def __init__(self, n: int) -> None:
+        super().__init__(n)
+        self.lock = threading.Lock()
+        self.out = 0
+        self.all_free = threading.Event()
+
+    def acquire(self, blocking=True, timeout=None):
+        got = super().acquire(blocking, timeout)
+        if got:
+            with self.lock:
+                self.out += 1
+                self.all_free.clear()
+        return got
+
+    def release(self, n=1):
+        super().release(n)
+        with self.lock:
+            self.out -= n
+            if self.out == 0:
+                self.all_free.set()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_counterexample_hands_condition_I_times_to_a_thread_freed_by_the_others(
+        helpers, monkeypatch, n):
+    """(I) is the caller's item; the other checks finish first on helpers.
+
+    With two permits the second pool thread may start after the first has
+    taken every other check, so only one permit pins which thread helps.
+    """
+    from zenolab import scenarios, subspaces
+
+    helpers(n)
+    permits = WatchedPermits(n)
+    monkeypatch.setattr(statespace, "_permits", permits)
+    caller = threading.get_ident()
+    others = set()  # threads that ran (II), (I-A) or the leakage
+    for name in ("check_condition_II", "check_condition_IA", "leakage"):
+        def record(*args, _fn=getattr(scenarios, name), **kwargs):
+            others.add(threading.get_ident())
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(scenarios, name, record)
+
+    ran_I = []  # threads of (I)'s time items
+    helped = threading.Event()
+    inner = statespace._map
+
+    def spy(fn, items, most=None, points=None):
+        # (I) runs in the caller, the other checks' time items run on helpers
+        if fn.__name__ != "at" or threading.get_ident() != caller:
+            return inner(fn, items, most, points)
+
+        def at(t):
+            me = threading.get_ident()
+            ran_I.append(me)
+            if me != caller:
+                helped.set()
+            elif ran_I.count(caller) == 1:
+                permits.all_free.wait(timeout=30)  # (II), (I-A), leakage done
+            elif ran_I.count(caller) == 2:
+                helped.wait(timeout=30)  # a helper recruited before this item
+            return fn(t)
+
+        return inner(at, items, most, points)
+
+    monkeypatch.setattr(subspaces, "_map", spy)
+    bundle = scenarios.run_scenario(
+        "counterexample", scenarios.ScenarioSpec(name="counterexample", grid_points=16384))
+    assert bundle.passed
+    assert caller not in others
+    assert len(ran_I) == len(scenarios.T_SWEEP)
+    assert set(ran_I) - {caller}
+    if n == 1:
+        # the one pool thread ran the other three checks, then joined (I)
+        assert set(ran_I) - {caller} == others
+    assert _permits_back(n)
+
+
 def test_map_raises_the_first_error_after_every_helper_finished(helpers):
     helpers(1)
     started, finished = threading.Event(), threading.Event()
@@ -199,6 +313,7 @@ def test_nested_map_in_a_helper_finishes(helpers, n):
 # ----------------------------------------------------------------------
 
 RUNS = [["run", name] for name in sorted(SCENARIOS)] + [
+    ["run", "counterexample", "--grid-points", "16384"],
     ["run", "hm-invariance", "--grid-points", "16384"],
     ["sweep", "hm-invariance", "--param", "sigma", "--values", "0.9,1.0,1.1", "--jobs", "2"],
 ]

@@ -13,6 +13,7 @@ reuse actually happens.
 from __future__ import annotations
 
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -35,12 +36,14 @@ from zenolab import (
     dense_hermitian,
     evolve_exact_shift,
     halfline_pair,
+    inner_product,
     make_bump,
     make_gaussian,
     momentum_operator,
     stone_residual,
     survival_report,
 )
+from zenolab import subspaces
 from zenolab.scenarios import CURVE_POINTS, T_SWEEP, ScenarioSpec, scenario_hm_invariance
 from zenolab.zeno import _chain
 
@@ -187,6 +190,100 @@ def test_ulp_apart_segments_each_get_their_own_step():
     ref_final, ref_trace = naive_chain(u, p_core, e, sched)
     assert np.array_equal(final.values, ref_final.values)
     assert trace == ref_trace
+
+
+def test_survival_report_never_projects_through_apply(system, monkeypatch):
+    """Chain segments clip their own buffer instead of calling apply."""
+    u, (p_core, _), e, _, _, schedules = system
+    expected = [naive_chain(u, p_core, e, s) for s in schedules]
+
+    def refuse(self, psi):
+        raise AssertionError("SubspaceProjector.apply called")
+
+    monkeypatch.setattr(SubspaceProjector, "apply", refuse)
+    reports = survival_report(u, p_core, e, schedules)
+    for rep, (final, trace) in zip(reports, expected):
+        assert rep.s_measured == abs(inner_product(e, final)) ** 2
+        assert rep.retained == final.norm_sq()
+        assert rep.retained_trace == trace
+
+
+def test_clip_has_the_bits_of_a_fresh_projection():
+    grid = Grid(-40.0, 40.0, 256)
+    p_core, p_wave = halfline_pair(grid)
+    values = make_gaussian(grid, 0.0, 3.0).values * (1 - 1j)
+    values[::7] = complex(-0.0, -0.0)
+    for p in (p_core, p_wave, SubspaceProjector(grid, 3, 250)):
+        ref = np.zeros(grid.n_points, dtype=np.complex128)
+        ref[p.start:p.stop] = values[p.start:p.stop]
+        assert p._clip(values.copy()).tobytes() == ref.tobytes()
+        assert p.apply(WaveFunction(grid, values)).values.tobytes() == ref.tobytes()
+
+
+# ----------------------------------------------------------------------
+# trial states drawn once from any iterable
+# ----------------------------------------------------------------------
+
+
+def test_a_generator_of_trial_states_gives_the_list_report(system):
+    u, pair, e, waves, ts, _ = system
+    signed = list(ts) + [-t for t in ts]
+    for check, times, states in ((check_condition_I, ts, waves),
+                                 (check_condition_IA, signed, waves),
+                                 (check_condition_II, (0.0,) + tuple(ts), [e])):
+        labels = [f"s{i}" for i in range(len(states))]
+        drawn = check(pair, u, times, (s for s in states), labels)
+        assert drawn == check(pair, u, times, states, labels)
+
+
+def test_a_generator_with_the_wrong_label_count_is_rejected():
+    u, pair, e, waves, ts, _ = _fourier(256)
+    for check, states in ((check_condition_I, waves), (check_condition_IA, waves),
+                          (check_condition_II, [e])):
+        with pytest.raises(DomainError, match="labels"):
+            check(pair, u, ts, (s for s in states), labels=["a"] * (len(states) + 1))
+
+
+def test_generator_drawn_states_are_dead_once_the_first_time_item_runs(monkeypatch):
+    grid = Grid(-40.0, 40.0, 256)
+    pair = halfline_pair(grid)
+    u = Propagator(momentum_operator(grid))
+    refs = []
+
+    def tracked(psi):
+        refs.append(weakref.ref(psi))
+        return psi
+
+    def waves():
+        yield tracked(make_gaussian(grid, 8.0, 1.0))
+        yield tracked(make_bump(grid, 2.0, 6.0))
+
+    def cores():
+        yield tracked(make_gaussian(grid, -3.0, 1.0))
+        yield tracked(make_gaussian(grid, -8.0, 1.0))
+
+    alive = []  # drawn states still alive when the first time item starts
+    inner = subspaces._map
+
+    def spy(fn, items, most=None, points=None):
+        if fn.__name__ != "at":  # the per-time items of `_sample`
+            return inner(fn, items, most, points)
+
+        def looking(t):
+            if not alive:
+                alive.append(sum(r() is not None for r in refs))
+            return fn(t)
+
+        return inner(looking, items, most, points)
+
+    monkeypatch.setattr(subspaces, "_map", spy)
+    for check, states in ((check_condition_I, waves), (check_condition_IA, waves),
+                          (check_condition_II, cores)):
+        refs.clear()
+        alive.clear()
+        check(pair, u, T_SWEEP, states())
+        assert len(refs) == 2
+        assert alive == [0]
 
 
 # ----------------------------------------------------------------------

@@ -51,6 +51,12 @@ def test_unknown_scenario_rejected():
         run_scenario("does-not-exist")
 
 
+def test_a_spec_for_another_scenario_is_rejected():
+    # the bundle would run one scenario and record the other in provenance
+    with pytest.raises(DomainError, match="'hm-invariance'.*'counterexample'"):
+        run_scenario("counterexample", ScenarioSpec(name="hm-invariance"))
+
+
 # ----------------------------------------------------------------------
 # counterexample: (I) holds, (II) falsified, (I-A) fails backward
 # ----------------------------------------------------------------------
