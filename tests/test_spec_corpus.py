@@ -1,0 +1,103 @@
+"""Spec corpus: exit code, output and every emitted file of many specs, hashed.
+
+The golden test pins the four default runs byte for byte.  This corpus pins
+the rest of the spec domain by hash: small and large grids, the sigmas at
+and past the validity windows, the exit-1 specs that still fail a physical
+check, the exit-2 paths and one parallel sweep.  Each entry of
+`spec_corpus.json` holds the exit code of `zenolab <spec>` and a sha256 of
+its stdout, its stderr and every file it wrote under the output root.  The
+output root reads `<out>` in stdout and stderr, and bundle.json is masked
+as in `test_golden.py` (provenance.version and provenance.numpy).
+
+An entry may change only when changing that spec's behaviour is the intent
+of the change that moves it.  To rewrite the manifest from the current
+code, run `PYTHONPATH=src python tests/test_spec_corpus.py`.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from test_golden import _masked
+from zenolab.cli import main
+
+MANIFEST = Path(__file__).parent / "spec_corpus.json"
+
+SPECS = (
+    # every scenario from 256 to 8192 points
+    *(f"run {s} --grid-points {n}"
+      for s in ("counterexample", "hm-invariance", "series-validity")
+      for n in (256, 1024, 2048, 8192)),
+    "run counterexample --grid-points 256 --sigma 0.8",
+    "run hm-invariance --grid-points 16384",
+    "run series-validity --grid-points 64",
+    "run series-validity --grid-points 32",
+    # sigma inside, at and past the windows
+    *(f"run {s} --sigma {sigma}"
+      for s in ("counterexample", "hm-invariance", "series-validity")
+      for sigma in ("0.8", "1.035", "1.05", "1e-160")),
+    "run hm-invariance --N 0",
+    "run hm-invariance --N 13",
+    "run rabi-control --time 1.0",
+    "run rabi-control --omega 2",
+    "run rabi-control --omega 2 --time 10",
+    # keys the scenario does not read
+    "run rabi-control --grid-points 256",
+    "run series-validity --N 3",
+    "run counterexample --time 1.0",
+    # one output format each, and a sweep with a passing, a failing and an
+    # erroring point
+    "run counterexample --seed 7 --format csv",
+    "run rabi-control --format bundle",
+    "sweep hm-invariance --param sigma --values 0.8,1.2,1e-160 --grid-points 1024 --jobs 2",
+)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_spec(spec: str) -> dict:
+    """The manifest entry of one spec, from an in-process `cli.main` run."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(spec.split() + ["--out", tmp])
+        root = Path(tmp)
+        files = {str(p.relative_to(root)): _sha(_masked(p.name, p.read_bytes()))
+                 for p in sorted(root.rglob("*")) if p.is_file()}
+    return {
+        "exit": code,
+        "stdout": _sha(stdout.getvalue().replace(tmp, "<out>").encode("utf-8")),
+        "stderr": _sha(stderr.getvalue().replace(tmp, "<out>").encode("utf-8")),
+        "files": files,
+    }
+
+
+@pytest.fixture(scope="module")
+def manifest() -> dict:
+    return json.loads(MANIFEST.read_text(encoding="utf-8"))
+
+
+def test_manifest_lists_every_spec_once(manifest):
+    assert len(set(SPECS)) == len(SPECS)
+    assert sorted(manifest) == sorted(SPECS)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_spec_matches_manifest(spec, manifest):
+    assert run_spec(spec) == manifest[spec]
+
+
+if __name__ == "__main__":
+    entries = {spec: run_spec(spec) for spec in SPECS}
+    MANIFEST.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(entries)} entries to {MANIFEST}", file=sys.stderr)
