@@ -23,7 +23,6 @@ from .operators import (
     ShiftPropagator,
     SpectralOperator,
     dense_hermitian,
-    evolve_exact_shift,
     evolve_series,
     evolve_spectral,
     momentum_operator,
@@ -102,7 +101,6 @@ __all__ = [
     "deficit_ladder",
     "deficit_slope",
     "dense_hermitian",
-    "evolve_exact_shift",
     "evolve_series",
     "evolve_spectral",
     "halfline_pair",

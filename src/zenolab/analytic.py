@@ -27,7 +27,8 @@ roundoff mass there, and a depth-n truncated exponential amplifies that
 mass by up to max_m (t k_max)^m / m!.  Error floors for the series curves
 are therefore only meaningful when t * k_max stays moderate (ceiling
 ~e^(t k_max) otherwise), and the renormalized power iteration behind
-hn_norms always drifts to the cutoff eventually — hence the ceiling cap.
+hn_norms always drifts to the cutoff eventually — hence its cap at the
+spectral radius.
 Callers probing entire-type behavior should budget t * k_max and n_max
 against those two ceilings; the shipped scenarios pick grids accordingly.
 
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .operators import SpectralOperator, _series_terms
+from .operators import Propagator, SpectralOperator, _series_terms
 from .statespace import WaveFunction, _norm
 
 #: step-ratio plateau above this fraction of the cutoff counts as saturated
@@ -77,11 +78,11 @@ class HnNorms:
 
     step_ratios[j] is ||H^(j+1) psi|| / ||H^j psi||; log_norms[n] is
     log ||H^n psi||.  After an exact annihilation both are truncated.
-    When a ceiling is supplied, the iteration also stops once the step
-    ratios have sat at the discrete spectral ceiling for CEILING_WINDOW
-    consecutive powers: beyond that point the renormalized iterate is just
-    the operator's top spectral slice and the norms carry no information
-    about the continuum state (capped_at records the stop).
+    The iteration also stops once the step ratios have sat at the discrete
+    spectral ceiling, H's spectral radius, for CEILING_WINDOW consecutive
+    powers: beyond that point the renormalized iterate is just the
+    operator's top spectral slice and the norms carry no information about
+    the continuum state (capped_at records the stop).
     """
 
     n_max: int
@@ -97,13 +98,14 @@ class HnNorms:
         return tuple((j + 1) / r for j, r in enumerate(self.step_ratios) if r > 0.0)
 
 
-def hn_norms(h: SpectralOperator, psi: WaveFunction, n_max: int,
-             ceiling: float | None = None) -> HnNorms:
-    """Track ||H^n psi|| growth without ever forming the raw powers."""
+def hn_norms(h: SpectralOperator, psi: WaveFunction, n_max: int) -> HnNorms:
+    """Track ||H^n psi|| growth without forming the raw powers, capped at
+    the spectral radius of H (see HnNorms)."""
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
     if psi.norm() == 0.0:
         raise DomainError("cannot probe growth of the zero state")
+    ceiling = h.spectral_radius
     scale = math.sqrt(psi.space.dx)
     v = psi.values / (_norm(psi.values) * scale)
     log_norms = [math.log(psi.norm())]
@@ -120,11 +122,10 @@ def hn_norms(h: SpectralOperator, psi: WaveFunction, n_max: int,
         ratios.append(r)
         log_norms.append(log_norms[-1] + math.log(r))
         v = w / r
-        if ceiling is not None:
-            at_ceiling = at_ceiling + 1 if r >= SATURATION_FRACTION * ceiling else 0
-            if at_ceiling >= CEILING_WINDOW and n < n_max:
-                capped_at = n
-                break
+        at_ceiling = at_ceiling + 1 if r >= SATURATION_FRACTION * ceiling else 0
+        if at_ceiling >= CEILING_WINDOW and n < n_max:
+            capped_at = n
+            break
     return HnNorms(n_max, tuple(ratios), tuple(log_norms), nilpotent_at, capped_at)
 
 
@@ -152,7 +153,7 @@ def analyticity_report(h: SpectralOperator, psi: WaveFunction, n_max: int) -> An
     operator's spectral ceiling; classification then uses the recorded tail.
     """
     cutoff = h.spectral_radius
-    norms = hn_norms(h, psi, n_max, ceiling=cutoff)
+    norms = hn_norms(h, psi, n_max)
     if norms.nilpotent_at is not None:
         cls, growth, plateau = "exact-nilpotent", math.nan, math.nan
     elif len(norms.step_ratios) < 2:
@@ -200,8 +201,8 @@ class ConvergenceCurve:
 
 
 def series_vs_spectral_curve(h: SpectralOperator, psi: WaveFunction, t: float,
-                             n_values, reference: WaveFunction) -> ConvergenceCurve:
-    """Distance of truncated-series states from a reference evolution.
+                             n_values) -> ConvergenceCurve:
+    """Distance of truncated-series states from the spectral evolution U(t) psi.
 
     The partial sums are produced by the same accumulation kernel the series
     propagator uses, so each sampled depth agrees bitwise with a standalone
@@ -212,8 +213,7 @@ def series_vs_spectral_curve(h: SpectralOperator, psi: WaveFunction, t: float,
     ns = tuple(int(n) for n in n_values)
     if not ns or any(n < 1 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
         raise DomainError("n_values must be strictly increasing positive ints")
-    if reference.space != psi.space:
-        raise DomainError("reference state lives on a different space")
+    reference = Propagator(h).evolve(psi, t)
     errors: list[float] = []
     for n, vals, diverged, _ in _series_terms(h, psi, t, ns[-1]):
         if n != ns[len(errors)]:

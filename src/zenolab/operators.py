@@ -1,13 +1,13 @@
 """Hermitian operators in spectral form and the propagators built from them.
 
-An operator is stored as a real spectrum plus a unitary change of basis
-(either the FFT or an explicit eigenvector matrix).  The propagator is the
-functional calculus U(t) = exp(-i t H), split into three steps:
+An operator is stored as a real spectrum plus a unitary change of basis:
+the FFT when its basis is None, else an explicit eigenvector matrix.  The
+propagator is the functional calculus U(t) = exp(-i t H), in three steps:
 
   * ``transform(psi)``: the state's eigenbasis coefficients (one forward
     change of basis),
-  * ``step(t)``: the phase vector exp(-i lambda t) of one time; a
-    fourier-kind spectrum is odd (lambda[n-j] = -lambda[j]), so exp runs on
+  * ``step(t)``: the phase vector exp(-i lambda t) of one time; an
+    FFT-basis spectrum is odd (lambda[n-j] = -lambda[j]), so exp runs on
     the entries [0, n/2] and the rest are their conjugates, bit for bit,
   * ``advance(coeffs, step)``: multiply and change back, giving U(t) psi.
 
@@ -17,8 +17,8 @@ transforms each state once and builds each phase vector once and gets the
 same bits as separate evolves.  Coefficients and steps are read-only and
 ``advance`` never writes to them.  ``advance`` and ``transform`` wrap two
 private primitives, ``_values`` (an advance into a fresh array the caller
-owns) and ``_coeffs`` (the transform of an array, in place for the fourier
-kind when the caller hands it over), which a measurement chain uses to
+owns) and ``_coeffs`` (the transform of an array, in place for the FFT
+basis when the caller hands it over), which a measurement chain uses to
 work in one buffer per segment.  ``ShiftPropagator`` speaks the same
 protocol with the state itself as its coefficients, a whole-step count as
 its step and a circular roll as its advance.  The adjoint U(t)^dagger is
@@ -56,20 +56,23 @@ from .statespace import DenseSpace, Grid, WaveFunction, _norm
 
 #: a series term whose norm exceeds DIVERGENCE_FACTOR * ||psi|| flags divergence
 DIVERGENCE_FACTOR = 1e12
+#: largest anti-Hermitian part, relative to the largest entry, that
+#: `dense_hermitian` accepts
+HERMITIAN_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralOperator:
     """Hermitian operator H = V diag(eigenvalues) V^dagger.
 
-    kind selects the basis transform V:
-      * "fourier": V^dagger = unitary FFT (grid spaces, odd spectrum),
-      * "matrix":  V = explicit unitary eigenvector matrix (dense spaces).
+    The basis selects the transform V:
+      * None:     V^dagger = unitary FFT (grid spaces, odd spectrum),
+      * a matrix: V = that explicit unitary (n, n) eigenvector matrix
+        (dense spaces).
     """
 
     space: Grid | DenseSpace
     eigenvalues: np.ndarray
-    kind: str
     basis: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -81,12 +84,12 @@ class SpectralOperator:
             )
         lam.setflags(write=False)
         object.__setattr__(self, "eigenvalues", lam)
-        if self.kind not in ("fourier", "matrix"):
-            raise DomainError(f"unknown operator kind {self.kind!r}")
-        if self.kind == "matrix":
-            if self.basis is None:
-                raise DomainError("matrix kind requires an eigenvector basis")
+        if self.basis is not None:
             b = np.asarray(self.basis, dtype=np.complex128).copy()
+            if b.shape != (lam.size, lam.size):
+                raise SpaceMismatchError(
+                    f"basis shape {b.shape} does not match space dimension {lam.size}"
+                )
             b.setflags(write=False)
             object.__setattr__(self, "basis", b)
         else:
@@ -95,7 +98,7 @@ class SpectralOperator:
             mid = lam.size // 2
             if not np.array_equal(lam[mid + 1:], -lam[1:lam.size - mid][::-1]):
                 raise DomainError(
-                    "fourier-kind spectrum must be odd: lambda[n - j] = -lambda[j] "
+                    "an FFT-basis spectrum must be odd: lambda[n - j] = -lambda[j] "
                     "for 0 < j < n / 2"
                 )
 
@@ -106,9 +109,9 @@ class SpectralOperator:
     # -- raw array fast paths ------------------------------------------------
 
     def _to_coeffs(self, values: np.ndarray, owned: bool = False) -> np.ndarray:
-        """Coefficients of `values`; the fourier kind overwrites an `owned` array."""
+        """Coefficients of `values`; the FFT basis overwrites an `owned` array."""
         w = self.space.dx
-        if self.kind == "fourier":
+        if self.basis is None:
             coeffs = np.fft.fft(values, out=values if owned else None)
             coeffs *= np.sqrt(w / self.space.n_points)
             return coeffs
@@ -117,7 +120,7 @@ class SpectralOperator:
     def _from_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         """Values of `coeffs`, which must be a fresh array: it is overwritten."""
         w = self.space.dx
-        if self.kind == "fourier":
+        if self.basis is None:
             coeffs /= np.sqrt(w / self.space.n_points)
             return np.fft.ifft(coeffs, out=coeffs)
         return self.basis @ coeffs
@@ -138,26 +141,28 @@ class SpectralOperator:
 
 def momentum_operator(grid: Grid) -> SpectralOperator:
     """The operator -i d/dx, diagonal in the Fourier basis."""
-    return SpectralOperator(grid, grid.wavenumbers(), "fourier")
+    return SpectralOperator(grid, grid.wavenumbers())
 
 
-def dense_hermitian(matrix: np.ndarray, tol: float = 1e-12) -> SpectralOperator:
+def dense_hermitian(matrix: np.ndarray) -> SpectralOperator:
     """Spectral form of an explicit Hermitian matrix on a DenseSpace.
 
-    Rejects matrices whose anti-Hermitian part exceeds `tol` (relative to the
-    largest entry).  The eigendecomposition reconstructs the input to 1e-10.
+    Rejects matrices whose anti-Hermitian part exceeds HERMITIAN_TOL
+    (relative to the largest entry).  The eigendecomposition reconstructs
+    the input to 1e-10.
     """
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SpaceMismatchError(f"expected a square matrix, got shape {m.shape}")
     scale = max(1.0, float(np.max(np.abs(m))))
     dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > tol * scale:
+    if dev > HERMITIAN_TOL * scale:
         raise DomainError(
-            f"matrix is not Hermitian: max |M - M^dagger| = {dev:.3e} exceeds {tol:g}"
+            f"matrix is not Hermitian: max |M - M^dagger| = {dev:.3e} "
+            f"exceeds {HERMITIAN_TOL:g}"
         )
     lam, vec = np.linalg.eigh(m)
-    return SpectralOperator(DenseSpace(m.shape[0]), lam, "matrix", basis=vec)
+    return SpectralOperator(DenseSpace(m.shape[0]), lam, basis=vec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,9 +183,9 @@ class Propagator:
     def _coeffs(self, values: np.ndarray, owned: bool = False) -> np.ndarray:
         """Read-only coefficients of `values`.
 
-        With `owned` the caller hands the array over: the fourier kind
+        With `owned` the caller hands the array over: the FFT basis
         transforms it in place and returns it, with the bits of a fresh
-        transform; the matrix kind returns a fresh array.
+        transform; a matrix basis returns a fresh array.
         """
         coeffs = self.generator._to_coeffs(values, owned)
         coeffs.setflags(write=False)
@@ -189,13 +194,13 @@ class Propagator:
     def step(self, t: float) -> np.ndarray:
         """Read-only phase vector exp(-i t lambda).
 
-        A fourier-kind spectrum is odd, so exp runs on the entries [0, n/2]
+        An FFT-basis spectrum is odd, so exp runs on the entries [0, n/2]
         only and the rest are the conjugates of entries n/2 - 1 .. 1: the
         same bits as exp over the whole array for every finite t, at about
         half the cost.
         """
         h = self.generator
-        if h.kind == "matrix":
+        if h.basis is not None:
             phases = -1j * float(t) * h.eigenvalues
             np.exp(phases, out=phases)
         else:
@@ -232,23 +237,16 @@ def evolve_spectral(propagator: Propagator, psi: WaveFunction, t: float) -> Wave
     return propagator.advance(propagator.transform(psi), propagator.step(t))
 
 
-def evolve_exact_shift(psi: WaveFunction, n_steps: int) -> WaveFunction:
-    """Circular shift by whole samples: values move right by n_steps * dx.
-
-    Bit-reproducible reference translation; the zero-residual oracle for the
-    spectral propagator at commensurate times.
-    """
-    return WaveFunction._adopt(psi.space, np.roll(psi.values, int(n_steps)))
-
-
 @dataclass(frozen=True, eq=False)
 class ShiftPropagator:
     """Translation restricted to whole grid steps t = m * dx.
 
     Shares the transform/step/advance/evolve protocol with Propagator so
     condition checks and measurement chains can run on either path: a
-    state is its own coefficients, a step is a whole-step count and an
-    advance is a circular roll.
+    state is its own coefficients, a step is a whole-step count m and an
+    advance is a circular roll, which moves values right by m * dx bit for
+    bit (the zero-residual oracle for the spectral path at commensurate
+    times).
     """
 
     grid: Grid

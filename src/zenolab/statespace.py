@@ -281,12 +281,9 @@ def make_gaussian(grid: Grid, center: float, sigma: float, k0: float = 0.0) -> W
             f"gaussian support [{lo}, {hi}] (8 sigma) exceeds domain "
             f"[{grid.x_min}, {grid.x_max}]"
         )
-    # sigma**2 overflows to inf for a numpy scalar and raises for a Python float
-    try:
-        with np.errstate(over="ignore"):
-            variance = 2.0 * np.pi * sigma**2
-    except OverflowError:
-        variance = np.inf
+    # a numpy scalar's square overflows to inf, where a Python float's raises
+    with np.errstate(over="ignore"):
+        variance = 2.0 * np.pi * np.float64(sigma)**2
     if variance == np.inf:
         raise DomainError(f"sigma {sigma} is too large: 2 pi sigma^2 overflows")
     if variance == 0.0:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError, SpaceMismatchError
-from .statespace import DenseSpace, Grid, WaveFunction, _blocked, _map
+from .statespace import DenseSpace, Grid, WaveFunction, _map, _norm_sq
 
 #: default residual bound under which an invariance verdict reads HOLDS
 INVARIANCE_TOL = 1e-8
@@ -79,8 +79,7 @@ class SubspaceProjector:
         """||P psi||^2, the probability captured by this zone."""
         if psi.space != self.space:
             raise SpaceMismatchError("state and projector live on different spaces")
-        v = psi.values[self.start:self.stop]
-        return float(np.real(_blocked(np.vdot, v, v)) * self.space.dx)
+        return _norm_sq(psi.values[self.start:self.stop], self.space.dx)
 
 
 def halfline_pair(grid: Grid) -> tuple[SubspaceProjector, SubspaceProjector]:

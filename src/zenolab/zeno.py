@@ -106,7 +106,7 @@ def _chain(u, p_core: SubspaceProjector, coeffs,
     Each segment works in one buffer: it advances into a fresh array,
     zeroes the wave zone in place, records the retained norm with
     `WaveFunction.norm_sq`'s reduction, drops the previous segment's
-    coefficients and transforms the buffer in place (the matrix kind into
+    coefficients and transforms the buffer in place (a matrix basis into
     a fresh array).  The bits are those of `advance`, `apply`, `norm_sq`
     and `transform` on separate arrays.
 

@@ -75,7 +75,7 @@ def test_hn_ceiling_cap_stops_noise_riding(grid, momentum):
     # on the default grid the renormalized Gaussian iterate drifts to the
     # spectral cutoff on roundoff mass; the cap must stop the iteration
     g = make_gaussian(grid, 0.0, 1.0)
-    record = hn_norms(momentum, g, 40, ceiling=momentum.spectral_radius)
+    record = hn_norms(momentum, g, 40)
     assert record.capped_at is not None
     assert 8 <= record.capped_at <= 24
     assert len(record.step_ratios) == record.capped_at
@@ -160,7 +160,7 @@ def test_curve_checkpoints_match_individual_runs():
     g = make_gaussian(wide, 0.0, 1.0)
     reference = Propagator(h).evolve(g, 1.0)
     ns = (1, 5, 10, 20, 40)
-    curve = series_vs_spectral_curve(h, g, 1.0, ns, reference)
+    curve = series_vs_spectral_curve(h, g, 1.0, ns)
     assert curve.n_terms == ns
     for n, err in zip(curve.n_terms, curve.errors):
         single = (evolve_series(h, g, 1.0, n).state - reference).norm()
@@ -171,8 +171,7 @@ def test_curve_checkpoints_match_individual_runs():
 
 def test_curve_reports_divergence_as_inf(grid, momentum):
     g = make_gaussian(grid, 0.0, 1.0)
-    reference = Propagator(momentum).evolve(g, 50.0)
-    curve = series_vs_spectral_curve(momentum, g, 50.0, (5, 30, 60), reference)
+    curve = series_vs_spectral_curve(momentum, g, 50.0, (5, 30, 60))
     assert curve.diverged
     assert math.isinf(curve.errors[-1])
 
@@ -181,7 +180,6 @@ def test_curve_stops_summing_at_the_first_diverged_depth(grid, momentum, monkeyp
     # the bump's terms pass DIVERGENCE_FACTOR at depth 16; the flag is
     # sticky, so no later depth needs another application of H
     b = make_bump(grid, -2.0, 2.0)
-    reference = Propagator(momentum).evolve(b, 1.0)
     calls = []
     apply_values = SpectralOperator._apply_values
 
@@ -190,7 +188,7 @@ def test_curve_stops_summing_at_the_first_diverged_depth(grid, momentum, monkeyp
         return apply_values(self, values)
 
     monkeypatch.setattr(SpectralOperator, "_apply_values", counting)
-    curve = series_vs_spectral_curve(momentum, b, 1.0, range(1, 61), reference)
+    curve = series_vs_spectral_curve(momentum, b, 1.0, range(1, 61))
     assert len(calls) == 15
     assert curve.diverged
     assert all(math.isfinite(e) for e in curve.errors[:15])
@@ -202,10 +200,9 @@ def test_curve_keeps_one_partial_sum_alive():
     wide = Grid(-1600.0, 1600.0, 2**14)
     h = momentum_operator(wide)
     g = make_gaussian(wide, 0.0, 1.0)
-    reference = Propagator(h).evolve(g, 1.0)
     tracemalloc.start()
     try:
-        curve = series_vs_spectral_curve(h, g, 1.0, range(1, 41), reference)
+        curve = series_vs_spectral_curve(h, g, 1.0, range(1, 41))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

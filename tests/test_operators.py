@@ -18,9 +18,10 @@ from zenolab import (
     PreconditionError,
     Propagator,
     ShiftPropagator,
+    SpaceMismatchError,
+    SpectralOperator,
     WaveFunction,
     dense_hermitian,
-    evolve_exact_shift,
     evolve_series,
     inner_product,
     make_gaussian,
@@ -90,6 +91,12 @@ def test_dense_rejects_non_hermitian():
         dense_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3), (3, 2), (2,), (4,)])
+def test_basis_must_be_square_in_the_space_dimension(shape):
+    with pytest.raises(SpaceMismatchError, match="basis shape"):
+        SpectralOperator(DenseSpace(2), [1.0, -1.0], basis=np.ones(shape))
+
+
 # ----------------------------------------------------------------------
 # Spectral propagator: group laws and translations
 # ----------------------------------------------------------------------
@@ -137,9 +144,10 @@ def test_rabi_survival_cosine():
 
 def test_shift_trivialities(grid):
     g = make_gaussian(grid, -8.0, 1.0)
-    assert np.array_equal(evolve_exact_shift(g, 0).values, g.values)
-    assert np.array_equal(evolve_exact_shift(g, grid.n_points).values, g.values)
-    roundtrip = evolve_exact_shift(evolve_exact_shift(g, 37), -37)
+    shifter = ShiftPropagator(grid)
+    assert np.array_equal(shifter.advance(g, 0).values, g.values)
+    assert np.array_equal(shifter.advance(g, grid.n_points).values, g.values)
+    roundtrip = shifter.advance(shifter.advance(g, 37), -37)
     assert np.array_equal(roundtrip.values, g.values)
 
 
@@ -159,7 +167,7 @@ def test_shift_matches_spectral_pointwise(small_grid, seed, steps):
     u = Propagator(momentum_operator(small_grid))
     psi = random_state(small_grid, seed)
     spectral = u.evolve(psi, steps * small_grid.dx).values
-    rolled = evolve_exact_shift(psi, steps).values
+    rolled = ShiftPropagator(small_grid).advance(psi, steps).values
     assert np.max(np.abs(spectral - rolled)) <= 1e-10
 
 

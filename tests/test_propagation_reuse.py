@@ -34,7 +34,6 @@ from zenolab import (
     check_condition_II,
     core_zone_state,
     dense_hermitian,
-    evolve_exact_shift,
     halfline_pair,
     inner_product,
     make_bump,
@@ -333,11 +332,11 @@ def test_step_exponentiates_half_the_spectrum(n_points, monkeypatch):
 def test_fourier_kind_needs_an_odd_spectrum():
     grid = Grid(-40.0, 40.0, 8)
     k = grid.wavenumbers()
-    SpectralOperator(grid, k, "fourier")
-    SpectralOperator(grid, np.where(np.arange(8) == 4, 7.0, k), "fourier")  # Nyquist free
+    SpectralOperator(grid, k)
+    SpectralOperator(grid, np.where(np.arange(8) == 4, 7.0, k))  # Nyquist free
     for not_odd in (k + 1.0, np.abs(k), k * k):
         with pytest.raises(DomainError, match="odd"):
-            SpectralOperator(grid, not_odd, "fourier")
+            SpectralOperator(grid, not_odd)
 
 
 # ----------------------------------------------------------------------
@@ -363,7 +362,7 @@ def test_steps_and_shifts_are_read_only():
     u = Propagator(momentum_operator(grid))
     assert not u.step(0.3).flags.writeable
     psi = make_gaussian(grid, 0.0, 1.0)
-    assert not evolve_exact_shift(psi, 3).values.flags.writeable
+    assert not ShiftPropagator(grid).advance(psi, 3).values.flags.writeable
     with pytest.raises(ValueError):
         u.transform(psi)[0] = 0.0
 
