@@ -222,7 +222,7 @@ def series_vs_spectral_curve(h: SpectralOperator, psi: WaveFunction, t: float,
             break
         # same norm path as WaveFunction arithmetic, keeping the bitwise
         # agreement with standalone truncated runs
-        errors.append(WaveFunction(psi.space, vals - reference.values).norm()
+        errors.append(WaveFunction._adopt(psi.space, vals - reference.values).norm()
                       if np.all(np.isfinite(vals)) else math.inf)
     errors += [math.inf] * (len(ns) - len(errors))
     return ConvergenceCurve(ns, tuple(errors), diverged)

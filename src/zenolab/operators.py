@@ -131,12 +131,8 @@ class SpectralOperator:
     # -- public API ------------------------------------------------------------
 
     def apply(self, psi: WaveFunction) -> WaveFunction:
-        self._check_space(psi)
+        psi._require_space(self.space)
         return WaveFunction(self.space, self._apply_values(psi.values))
-
-    def _check_space(self, psi: WaveFunction) -> None:
-        if psi.space != self.space:
-            raise SpaceMismatchError("state and operator live on different spaces")
 
 
 def momentum_operator(grid: Grid) -> SpectralOperator:
@@ -177,7 +173,7 @@ class Propagator:
 
     def transform(self, psi: WaveFunction) -> np.ndarray:
         """Read-only eigenbasis coefficients of psi."""
-        self.generator._check_space(psi)
+        psi._require_space(self.space)
         return self._coeffs(psi.values)
 
     def _coeffs(self, values: np.ndarray, owned: bool = False) -> np.ndarray:
@@ -256,8 +252,7 @@ class ShiftPropagator:
         return self.grid
 
     def transform(self, psi: WaveFunction) -> WaveFunction:
-        if psi.space != self.grid:
-            raise SpaceMismatchError("state and shift propagator live on different grids")
+        psi._require_space(self.grid)
         return psi
 
     def _coeffs(self, values: np.ndarray, owned: bool = False) -> WaveFunction:
@@ -311,7 +306,7 @@ def _series_terms(h: SpectralOperator, psi: WaveFunction, t: float, n_terms: int
     iterating stops the summing.  A non-finite term halts the sum: the last
     record keeps the partial sum before it, with last_term None.
     """
-    h._check_space(psi)
+    psi._require_space(h.space)
     psi_norm = psi.norm()
     term = total = psi.values
     diverged = False

@@ -48,6 +48,8 @@ from .statespace import (
     make_plane_wave,
 )
 from .subspaces import (
+    FALSIFY_TOL,
+    INVARIANCE_TOL,
     ConditionReport,
     SubspaceProjector,
     _verdict,
@@ -104,8 +106,8 @@ class ScenarioSpec:
     time: float | None = None
     n_measurements: int = 5
     omega: float = 1.0
-    tolerance_invariance: float = 1e-8
-    tolerance_falsify: float = 1e-6
+    tolerance_invariance: float = INVARIANCE_TOL
+    tolerance_falsify: float = FALSIFY_TOL
     seed: int = 1234
 
     def __post_init__(self) -> None:
@@ -289,27 +291,25 @@ def scenario_counterexample(spec: ScenarioSpec | None = None) -> VerdictBundle:
     # each check draws its own trial states, so only coefficients stay alive
     # while it samples; (I), the longest, is the map's first item
     def wave_states():
-        yield make_gaussian(grid, 8.0, spec.sigma)
-        yield make_gaussian(grid, 12.0, spec.sigma, k0=2.0)
-        yield make_bump(grid, 2.0, 6.0)
-        yield _window_state(grid, window_lo, window_hi, n_modes=40, seed=spec.seed)
+        yield "gaussian(8)", make_gaussian(grid, 8.0, spec.sigma)
+        yield "gaussian(12,k2)", make_gaussian(grid, 12.0, spec.sigma, k0=2.0)
+        yield "bump[2,6]", make_bump(grid, 2.0, 6.0)
+        yield "windowed-random", _window_state(grid, window_lo, window_hi, n_modes=40,
+                                               seed=spec.seed)
 
     def core_states():
-        yield make_gaussian(grid, -3.0, spec.sigma)
-        yield core_zone_state(p_core, make_gaussian(grid, -8.0, spec.sigma))
+        yield "gaussian(-3)", make_gaussian(grid, -3.0, spec.sigma)
+        yield "trunc-gaussian(-8)", core_zone_state(p_core, make_gaussian(grid, -8.0, spec.sigma))
 
     def ia_states():
-        yield make_gaussian(grid, 3.0, spec.sigma)
+        yield "gaussian(3)", make_gaussian(grid, 3.0, spec.sigma)
 
     checks = (
         lambda: check_condition_I(pair, u, T_SWEEP, wave_states(),
-                                  ["gaussian(8)", "gaussian(12,k2)", "bump[2,6]",
-                                   "windowed-random"],
                                   tolerance=spec.tolerance_invariance),
         lambda: check_condition_II(pair, u, T_SWEEP, core_states(),
-                                   ["gaussian(-3)", "trunc-gaussian(-8)"],
                                    tolerance=spec.tolerance_falsify),
-        lambda: check_condition_IA(pair, u, (-6.0, 6.0), ia_states(), ["gaussian(3)"],
+        lambda: check_condition_IA(pair, u, (-6.0, 6.0), ia_states(),
                                    tolerance=spec.tolerance_invariance),
         lambda: leakage(p_wave, u, make_gaussian(grid, -3.0, spec.sigma), 6.0),
     )

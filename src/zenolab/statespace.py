@@ -241,16 +241,17 @@ class WaveFunction:
             raise DomainError("cannot normalize the zero state")
         return WaveFunction._adopt(self.space, self.values / n)
 
-    def _check_space(self, other: "WaveFunction") -> None:
-        if self.space != other.space:
-            raise SpaceMismatchError("states live on different spaces")
+    def _require_space(self, space: Grid | DenseSpace) -> None:
+        """SpaceMismatchError unless this state lives on `space`."""
+        if self.space != space:
+            raise SpaceMismatchError(f"state lives on {self.space}, not on {space}")
 
     def __add__(self, other: "WaveFunction") -> "WaveFunction":
-        self._check_space(other)
+        other._require_space(self.space)
         return WaveFunction(self.space, self.values + other.values)
 
     def __sub__(self, other: "WaveFunction") -> "WaveFunction":
-        self._check_space(other)
+        other._require_space(self.space)
         return WaveFunction(self.space, self.values - other.values)
 
     def __mul__(self, scalar: complex) -> "WaveFunction":
@@ -261,7 +262,7 @@ class WaveFunction:
 
 def inner_product(psi: WaveFunction, phi: WaveFunction) -> complex:
     """Riemann-sum inner product, conjugate-linear in the first argument."""
-    psi._check_space(phi)
+    phi._require_space(psi.space)
     return complex(_blocked(np.vdot, psi.values, phi.values) * psi.space.dx)
 
 

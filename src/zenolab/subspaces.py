@@ -12,6 +12,10 @@ on sampled times and trial states:
   (II)   P_W U(t) P_C = 0, i.e. nothing ever leaks from core to wave,
   (I-A)  invariance of H_W under both time signs (two-sided version).
 
+Trial states are (label, state) pairs, named where they are built; every
+sample and witness quotes its state's label, and so does the error of a
+trial state that lies outside its zone.
+
 Verdict semantics are deliberately asymmetric: HOLDS is a bounded-residual
 corroboration on the sampled (t, state) set, while FALSIFIED/FAILS is a
 rigorous refutation carried by an explicit witness.  The shipped translation
@@ -65,8 +69,7 @@ class SubspaceProjector:
             )
 
     def apply(self, psi: WaveFunction) -> WaveFunction:
-        if psi.space != self.space:
-            raise SpaceMismatchError("state and projector live on different spaces")
+        psi._require_space(self.space)
         return WaveFunction._adopt(self.space, self._clip(np.array(psi.values)))
 
     def _clip(self, values: np.ndarray) -> np.ndarray:
@@ -77,8 +80,7 @@ class SubspaceProjector:
 
     def mass(self, psi: WaveFunction) -> float:
         """||P psi||^2, the probability captured by this zone."""
-        if psi.space != self.space:
-            raise SpaceMismatchError("state and projector live on different spaces")
+        psi._require_space(self.space)
         return _norm_sq(psi.values[self.start:self.stop], self.space.dx)
 
 
@@ -108,19 +110,28 @@ def core_zone_state(p_core: SubspaceProjector, psi: WaveFunction) -> WaveFunctio
     return clipped.normalized()
 
 
+def _require_unit_norm(psi: WaveFunction, what: str) -> float:
+    """||psi||^2, or PreconditionError naming `what` unless it is 1 to 1e-9."""
+    norm_sq = psi.norm_sq()
+    if abs(norm_sq - 1.0) > 1e-9:
+        raise PreconditionError(f"{what} is not normalized: ||e||^2 = {norm_sq!r}")
+    return norm_sq
+
+
+def _require_zone(off: float, tol: float, what: str, zone: str) -> None:
+    """PreconditionError naming `what` when its off-zone mass exceeds tol."""
+    if off > tol:
+        raise PreconditionError(f"{what} is not {zone}: off-zone mass {off:.6e} exceeds {tol:g}")
+
+
 def leakage(p_wave: SubspaceProjector, u, e: WaveFunction, t: float) -> float:
     """Decay probability ||P_wave U(t) e||^2 for a core-zone initial state.
 
     `u` is a Propagator or ShiftPropagator.  The initial state must be
     normalized and carry at most ZONE_TOL_LOOSE wave-zone mass.
     """
-    if abs(e.norm_sq() - 1.0) > 1e-9:
-        raise PreconditionError(f"initial state is not normalized: ||e||^2 = {e.norm_sq()!r}")
-    off = p_wave.mass(e)
-    if off > ZONE_TOL_LOOSE:
-        raise PreconditionError(
-            f"initial state is not core-zone: ||P_wave e||^2 = {off:.6e} exceeds {ZONE_TOL_LOOSE:g}"
-        )
+    _require_unit_norm(e, "initial state")
+    _require_zone(p_wave.mass(e), ZONE_TOL_LOOSE, "initial state", "core-zone")
     return p_wave.mass(u.evolve(e, t))
 
 
@@ -150,21 +161,15 @@ class ConditionReport:
     samples: tuple[ConditionSample, ...]
 
 
-def _labels_for(trial_states, labels) -> list[str]:
-    if labels is None:
-        return [f"state-{i}" for i in range(len(trial_states))]
-    if len(labels) != len(trial_states):
-        raise DomainError("labels and trial_states length mismatch")
-    return list(labels)
+def _in_zone(trial_states, projector: SubspaceProjector, tol: float, zone: str):
+    """Yield the (label, state) pairs of `trial_states`, checking each as it is drawn.
 
-
-def _zone_guard(projector: SubspaceProjector, states, labels, tol: float, zone: str) -> None:
-    for label, s in zip(labels, states):
-        off = projector.mass(s)
-        if off > tol:
-            raise PreconditionError(
-                f"trial state {label!r} is not {zone}: off-zone mass {off:.6e} exceeds {tol:g}"
-            )
+    At most `tol` of a state's mass may lie in the zone of `projector`, the
+    zone the state must stay out of.
+    """
+    for label, state in trial_states:
+        _require_zone(projector.mass(state), tol, f"trial state {label!r}", zone)
+        yield label, state
 
 
 def _verdict(condition: str, residual: float, tolerance: float) -> str:
@@ -174,20 +179,22 @@ def _verdict(condition: str, residual: float, tolerance: float) -> str:
     return "HOLDS" if residual <= tolerance else "FAILS"
 
 
-def _sample(condition: str, mass, u, ts, names, states: list,
+def _sample(condition: str, mass, u, ts, pairs: list,
             tolerance: float) -> ConditionReport:
     """Residual mass(U(t) s) at each (t, state) pair, t-major, and its verdict.
 
     Each state is transformed once and each time's step built once, when
     that time is sampled; the residuals are the same bits as evolving every
     pair separately.  Transforms and times run through `_map`, inline on
-    grids below its MAP_MIN_POINTS.  `states` is emptied once transformed,
-    so a caller that hands over its only references keeps just the
-    coefficients alive while the times are sampled.
+    grids below its MAP_MIN_POINTS.  `pairs`, the (label, state) pairs, is
+    emptied once transformed, so a caller that hands over its only
+    references keeps just the coefficients alive while the times are
+    sampled.
     """
     points = u.space.n_points
-    coeffs = _map(u.transform, states, points=points)
-    states.clear()
+    names = [label for label, _ in pairs]
+    coeffs = _map(lambda pair: u.transform(pair[1]), pairs, points=points)
+    pairs.clear()
 
     def at(t: float) -> list[ConditionSample]:
         step = u.step(t)
@@ -202,33 +209,33 @@ def _sample(condition: str, mass, u, ts, names, states: list,
     return ConditionReport(condition, verdict, tolerance, max_res, witness, samples)
 
 
-def _check_invariance(condition: str, pair, u, ts, trial_states, labels,
+def _check_invariance(condition: str, pair, u, ts, trial_states,
                       tolerance: float, state_tol: float) -> ConditionReport:
     """Sample ||P_core U(t) W||^2 over wave-zone trial states W."""
     p_core, _ = pair
-    states = list(trial_states)
-    names = _labels_for(states, labels)
-    _zone_guard(p_core, states, names, state_tol, "wave-zone")
-    return _sample(condition, p_core.mass, u, ts, names, states, tolerance)
+    pairs = list(_in_zone(trial_states, p_core, state_tol, "wave-zone"))
+    return _sample(condition, p_core.mass, u, ts, pairs, tolerance)
 
 
-def check_condition_I(pair, u, t_samples, trial_states, labels=None,
+def check_condition_I(pair, u, t_samples, trial_states,
                       tolerance: float = INVARIANCE_TOL) -> ConditionReport:
     """Sample ||P_core U(t) W||^2 over wave-zone trial states W and t > 0.
 
-    HOLDS when the maximum residual stays within `tolerance`; an empty time
-    list is vacuously HOLDS.  `trial_states` may be any iterable, a
-    generator too: it is drawn once, and the states are dropped once
-    transformed, before any time is sampled, so a caller that passes a
-    generator keeps only coefficients alive.
+    `trial_states` holds (label, state) pairs, each state within
+    ZONE_TOL_STRICT of the wave zone.  HOLDS when the maximum residual stays
+    within `tolerance`; an empty time list is vacuously HOLDS.
+    `trial_states` may be any iterable, a generator too: it is drawn once,
+    and the states are dropped once transformed, before any time is
+    sampled, so a caller that passes a generator keeps only coefficients
+    alive.
     """
     ts = [float(t) for t in t_samples]
     if any(t <= 0.0 for t in ts):
         raise DomainError("condition (I) samples forward times only (t > 0)")
-    return _check_invariance("I", pair, u, ts, trial_states, labels, tolerance, ZONE_TOL_STRICT)
+    return _check_invariance("I", pair, u, ts, trial_states, tolerance, ZONE_TOL_STRICT)
 
 
-def check_condition_II(pair, u, t_samples, trial_states, labels=None,
+def check_condition_II(pair, u, t_samples, trial_states,
                        tolerance: float = FALSIFY_TOL) -> ConditionReport:
     """Sample the composed operator P_wave U(t) P_core on trial states C.
 
@@ -237,30 +244,30 @@ def check_condition_II(pair, u, t_samples, trial_states, labels=None,
     falsify (P_wave P_core = 0 exactly, whatever the state's own tails do).
     FALSIFIED as soon as any sample leaks more than `tolerance`, quoting the
     witnessing (t, state); NOT_FALSIFIED otherwise (the sampled check cannot
-    prove the condition, only fail to refute it).  `trial_states` may be any
-    iterable; it is drawn once and the states are dropped once clipped and
-    transformed.
+    prove the condition, only fail to refute it).  `trial_states` holds
+    (label, state) pairs, each state within ZONE_TOL_LOOSE of the core zone;
+    it may be any iterable, is drawn once, and each state is dropped once
+    clipped and transformed.
     """
     p_core, p_wave = pair
     ts = [float(t) for t in t_samples]
     if any(t < 0.0 for t in ts):
         raise DomainError("condition (II) samples t >= 0")
-    states = list(trial_states)
-    names = _labels_for(states, labels)
-    _zone_guard(p_wave, states, names, ZONE_TOL_LOOSE, "core-zone")
-    states = [core_zone_state(p_core, c) for c in states]
-    return _sample("II", p_wave.mass, u, ts, names, states, tolerance)
+    pairs = [(label, core_zone_state(p_core, c))
+             for label, c in _in_zone(trial_states, p_wave, ZONE_TOL_LOOSE, "core-zone")]
+    return _sample("II", p_wave.mass, u, ts, pairs, tolerance)
 
 
-def check_condition_IA(pair, u, t_samples, trial_states, labels=None,
+def check_condition_IA(pair, u, t_samples, trial_states,
                        tolerance: float = INVARIANCE_TOL) -> ConditionReport:
     """Two-sided variant of condition (I): both time signs are allowed.
 
     The adjoint step U(t)^dagger is realized as evolution by -t.  A verdict
     of FAILS with a negative-t witness separates semigroup invariance from
-    full two-sided invariance.  `trial_states` may be any iterable; it is
-    drawn once and the states are dropped once transformed.
+    full two-sided invariance.  `trial_states` holds (label, state) pairs,
+    each state within ZONE_TOL_LOOSE of the wave zone; it may be any
+    iterable, is drawn once, and the states are dropped once transformed.
     """
     ts = [float(t) for t in t_samples]
-    return _check_invariance("I-A", pair, u, ts, trial_states, labels, tolerance, ZONE_TOL_LOOSE)
+    return _check_invariance("I-A", pair, u, ts, trial_states, tolerance, ZONE_TOL_LOOSE)
 

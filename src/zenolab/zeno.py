@@ -42,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError
 from .statespace import WaveFunction, _map, _norm_sq, inner_product
-from .subspaces import SubspaceProjector
+from .subspaces import SubspaceProjector, _require_unit_norm, _require_zone
 
 #: admissible wave-zone mass for the prepared state of a survival run
 CORE_STATE_TOL = 1e-10
@@ -85,14 +85,8 @@ class MeasurementSchedule:
 
 
 def _require_core_state(p_core: SubspaceProjector, e: WaveFunction) -> None:
-    norm_sq = e.norm_sq()
-    if abs(norm_sq - 1.0) > 1e-9:
-        raise PreconditionError(f"prepared state is not normalized: ||e||^2 = {norm_sq!r}")
-    off = norm_sq - p_core.mass(e)
-    if off > CORE_STATE_TOL:
-        raise PreconditionError(
-            f"prepared state is not core-zone: off-zone mass {off:.6e} exceeds {CORE_STATE_TOL:g}"
-        )
+    norm_sq = _require_unit_norm(e, "prepared state")
+    _require_zone(norm_sq - p_core.mass(e), CORE_STATE_TOL, "prepared state", "core-zone")
 
 
 def _chain(u, p_core: SubspaceProjector, coeffs,
@@ -118,15 +112,14 @@ def _chain(u, p_core: SubspaceProjector, coeffs,
     """
     step = functools.lru_cache(maxsize=2)(u.step)
     dx = u.space.dx
-    elapsed = 0.0
+    *cuts, last = schedule.segments()
     trace = []
-    for t_k in schedule.times:
-        values = p_core._clip(u._values(coeffs, step(t_k - elapsed)))
+    for dt in cuts:
+        values = p_core._clip(u._values(coeffs, step(dt)))
         trace.append(_norm_sq(values, dx))
         del coeffs
         coeffs = u._coeffs(values, owned=True)
-        elapsed = t_k
-    return u.advance(coeffs, step(schedule.t_final - elapsed)), tuple(trace)
+    return u.advance(coeffs, step(last)), tuple(trace)
 
 
 @dataclass(frozen=True)

@@ -242,6 +242,15 @@ def test_series_validation(grid, momentum):
         evolve_series(momentum, g, 1.0, 0)
 
 
+def test_operator_entry_points_reject_a_foreign_state(grid, momentum):
+    # same point count on another domain: only the space comparison tells them apart
+    foreign = make_gaussian(Grid(-20.0, 20.0, grid.n_points), 0.0, 1.0)
+    with pytest.raises(SpaceMismatchError, match="state lives on"):
+        momentum.apply(foreign)
+    with pytest.raises(SpaceMismatchError, match="state lives on"):
+        evolve_series(momentum, foreign, 0.1, 4)
+
+
 # ----------------------------------------------------------------------
 # Stone residual: the derivative at t -> 0+
 # ----------------------------------------------------------------------

@@ -1,11 +1,44 @@
-"""The package's public names."""
+"""The package's public names and its imports."""
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
+import pytest
+
 import zenolab
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "zenolab").glob("*.py"))
 
 
 def test_every_exported_name_resolves():
     # a public name removed from a module must leave __all__ too
     assert len(set(zenolab.__all__)) == len(zenolab.__all__)
     assert [n for n in zenolab.__all__ if not hasattr(zenolab, n)] == []
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The names listed in a module-level `__all__ = [...]`, if any."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    # no linter runs in tier-1, and a deleted call site tends to leave its import behind
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported(tree)
+    unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+    assert unused == []

@@ -55,6 +55,11 @@ def naive_residuals(mass, u, ts, states) -> list[float]:
     return [mass(u.evolve(s, t)) for t in ts for s in states]
 
 
+def named(states) -> list[tuple[str, WaveFunction]]:
+    """Trial-state pairs labelled s0, s1, ... in order."""
+    return [(f"s{i}", s) for i, s in enumerate(states)]
+
+
 def naive_chain(u, p_core, e, schedule):
     psi = e
     elapsed = 0.0
@@ -130,17 +135,17 @@ def _residuals(report) -> list[float]:
 def test_condition_residuals_match_per_pair_evolves(system):
     u, pair, e, waves, ts, _ = system
     p_core, p_wave = pair
-    rep_I = check_condition_I(pair, u, ts, waves)
+    rep_I = check_condition_I(pair, u, ts, named(waves))
     assert _residuals(rep_I) == naive_residuals(p_core.mass, u, ts, waves)
     assert [(s.t, s.state) for s in rep_I.samples] == [
-        (t, f"state-{i}") for t in ts for i in range(len(waves))]
+        (t, f"s{i}") for t in ts for i in range(len(waves))]
 
     signed = list(ts) + [-t for t in ts]
-    rep_IA = check_condition_IA(pair, u, signed, waves)
+    rep_IA = check_condition_IA(pair, u, signed, named(waves))
     assert _residuals(rep_IA) == naive_residuals(p_core.mass, u, signed, waves)
 
     ts_II = (0.0,) + tuple(ts)
-    rep_II = check_condition_II(pair, u, ts_II, [e])
+    rep_II = check_condition_II(pair, u, ts_II, named([e]))
     clipped = [core_zone_state(p_core, e)]
     assert _residuals(rep_II) == naive_residuals(p_wave.mass, u, ts_II, clipped)
 
@@ -230,17 +235,9 @@ def test_a_generator_of_trial_states_gives_the_list_report(system):
     for check, times, states in ((check_condition_I, ts, waves),
                                  (check_condition_IA, signed, waves),
                                  (check_condition_II, (0.0,) + tuple(ts), [e])):
-        labels = [f"s{i}" for i in range(len(states))]
-        drawn = check(pair, u, times, (s for s in states), labels)
-        assert drawn == check(pair, u, times, states, labels)
-
-
-def test_a_generator_with_the_wrong_label_count_is_rejected():
-    u, pair, e, waves, ts, _ = _fourier(256)
-    for check, states in ((check_condition_I, waves), (check_condition_IA, waves),
-                          (check_condition_II, [e])):
-        with pytest.raises(DomainError, match="labels"):
-            check(pair, u, ts, (s for s in states), labels=["a"] * (len(states) + 1))
+        pairs = named(states)
+        drawn = check(pair, u, times, (p for p in pairs))
+        assert drawn == check(pair, u, times, pairs)
 
 
 def test_generator_drawn_states_are_dead_once_the_first_time_item_runs(monkeypatch):
@@ -254,12 +251,12 @@ def test_generator_drawn_states_are_dead_once_the_first_time_item_runs(monkeypat
         return psi
 
     def waves():
-        yield tracked(make_gaussian(grid, 8.0, 1.0))
-        yield tracked(make_bump(grid, 2.0, 6.0))
+        yield "gaussian(8)", tracked(make_gaussian(grid, 8.0, 1.0))
+        yield "bump[2,6]", tracked(make_bump(grid, 2.0, 6.0))
 
     def cores():
-        yield tracked(make_gaussian(grid, -3.0, 1.0))
-        yield tracked(make_gaussian(grid, -8.0, 1.0))
+        yield "gaussian(-3)", tracked(make_gaussian(grid, -3.0, 1.0))
+        yield "gaussian(-8)", tracked(make_gaussian(grid, -8.0, 1.0))
 
     alive = []  # drawn states still alive when the first time item starts
     inner = subspaces._map
@@ -414,7 +411,7 @@ def test_condition_I_transforms_each_state_and_time_once():
     u, pair, waves, _ = _lab()
     with pytest.MonkeyPatch.context() as mp:
         counts = _install_counters(mp)
-        check_condition_I(pair, u, T_SWEEP, waves)
+        check_condition_I(pair, u, T_SWEEP, named(waves))
     assert counts == {"fft": 4, "ifft": 4 * len(T_SWEEP), "exp": len(T_SWEEP)}
 
 

@@ -189,6 +189,8 @@ def test_space_mismatch_raises(grid, small_grid):
     with pytest.raises(SpaceMismatchError):
         _ = g + h
     with pytest.raises(SpaceMismatchError):
+        _ = g - h
+    with pytest.raises(SpaceMismatchError):
         WaveFunction(grid, np.zeros(7))
 
 

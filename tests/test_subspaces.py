@@ -208,8 +208,8 @@ def test_leakage_preconditions(grid, zone_pair, translator):
 
 def test_condition_I_translation_holds(grid, zone_pair, translator):
     p_core, _ = zone_pair
-    states = [make_bump(grid, 2.0, 6.0),
-              core_zone_state(zone_pair[1], make_gaussian(grid, 8.0, 1.0))]
+    trunc = core_zone_state(zone_pair[1], make_gaussian(grid, 8.0, 1.0))
+    states = [("bump[2,6]", make_bump(grid, 2.0, 6.0)), ("trunc-gaussian(8)", trunc)]
     report = check_condition_I(zone_pair, translator, T_SWEEP, states)
     assert report.verdict == "HOLDS"
     assert report.max_residual <= 1e-8
@@ -221,7 +221,8 @@ def test_condition_I_exact_shift_residual_is_zero(grid, zone_pair):
     # compact supports only: a clipped Gaussian still carries an e^-256 tail
     # at x_max that the periodic shift wraps back into the core zone
     shifter = ShiftPropagator(grid)
-    states = [make_bump(grid, 2.0, 6.0), make_bump(grid, 0.5, 3.5)]
+    states = [("bump[2,6]", make_bump(grid, 2.0, 6.0)),
+              ("bump[0.5,3.5]", make_bump(grid, 0.5, 3.5))]
     ts = [51 * grid.dx, 102 * grid.dx, 307 * grid.dx]
     report = check_condition_I(zone_pair, shifter, ts, states)
     assert report.max_residual == 0.0
@@ -229,7 +230,7 @@ def test_condition_I_exact_shift_residual_is_zero(grid, zone_pair):
 
 
 def test_condition_I_vacuous_on_empty_times(grid, zone_pair, translator):
-    report = check_condition_I(zone_pair, translator, [], [make_bump(grid, 2.0, 6.0)])
+    report = check_condition_I(zone_pair, translator, [], [("bump", make_bump(grid, 2.0, 6.0))])
     assert report.verdict == "HOLDS"
     assert report.max_residual == 0.0
     assert report.samples == ()
@@ -237,20 +238,21 @@ def test_condition_I_vacuous_on_empty_times(grid, zone_pair, translator):
 
 def test_condition_I_rejects_nonpositive_times(grid, zone_pair, translator):
     with pytest.raises(DomainError, match="t > 0"):
-        check_condition_I(zone_pair, translator, [1.0, -0.5], [make_bump(grid, 2.0, 6.0)])
+        check_condition_I(zone_pair, translator, [1.0, -0.5],
+                          [("bump", make_bump(grid, 2.0, 6.0))])
 
 
 def test_condition_I_zone_guard(grid, zone_pair, translator):
     # a raw Gaussian at +3 carries ~1.3e-3 core mass, far above the strict bound
     with pytest.raises(PreconditionError, match="not wave-zone"):
-        check_condition_I(zone_pair, translator, [1.0], [make_gaussian(grid, 3.0, 1.0)])
+        check_condition_I(zone_pair, translator, [1.0], [("g3", make_gaussian(grid, 3.0, 1.0))])
 
 
 def test_condition_I_rabi_fails_with_sine_residual():
     _, u, pair = _rabi_setup()
     wave = WaveFunction(DenseSpace(2), np.array([0.0, 1.0]))
     t = 0.7
-    report = check_condition_I(pair, u, [t], [wave], labels=["excited"])
+    report = check_condition_I(pair, u, [t], [("excited", wave)])
     assert report.verdict == "FAILS"
     assert report.witness is not None
     assert report.witness.state == "excited"
@@ -263,7 +265,7 @@ def test_condition_I_rabi_fails_with_sine_residual():
 
 def test_condition_II_translation_falsified(grid, zone_pair, translator):
     g = make_gaussian(grid, -3.0, 1.0)
-    report = check_condition_II(zone_pair, translator, T_SWEEP, [g], labels=["gauss(-3)"])
+    report = check_condition_II(zone_pair, translator, T_SWEEP, [("gauss(-3)", g)])
     assert report.verdict == "FALSIFIED"
     assert report.witness is not None
     assert report.witness.t == 6.0
@@ -273,7 +275,7 @@ def test_condition_II_translation_falsified(grid, zone_pair, translator):
 def test_condition_II_zero_time_never_falsifies(grid, zone_pair, translator):
     # P_wave U(0) P_core = 0 exactly, whatever tails the trial state has
     g = make_gaussian(grid, -3.0, 1.0)
-    report = check_condition_II(zone_pair, translator, [0.0], [g])
+    report = check_condition_II(zone_pair, translator, [0.0], [("gauss(-3)", g)])
     assert report.verdict == "NOT_FALSIFIED"
     assert report.max_residual <= 1e-12
     assert report.witness is None
@@ -283,14 +285,15 @@ def test_condition_II_rabi_falsified_with_sine_residual():
     _, u, pair = _rabi_setup()
     ground = WaveFunction(DenseSpace(2), np.array([1.0, 0.0]))
     t = 0.7
-    report = check_condition_II(pair, u, [t], [ground])
+    report = check_condition_II(pair, u, [t], [("ground", ground)])
     assert report.verdict == "FALSIFIED"
     assert report.max_residual == pytest.approx(math.sin(t) ** 2, abs=1e-12)
 
 
 def test_condition_II_rejects_negative_times(grid, zone_pair, translator):
     with pytest.raises(DomainError, match="t >= 0"):
-        check_condition_II(zone_pair, translator, [-1.0], [make_gaussian(grid, -3.0, 1.0)])
+        check_condition_II(zone_pair, translator, [-1.0],
+                           [("g-3", make_gaussian(grid, -3.0, 1.0))])
 
 
 # ----------------------------------------------------------------------
@@ -299,10 +302,10 @@ def test_condition_II_rejects_negative_times(grid, zone_pair, translator):
 
 def test_condition_IA_forward_holds_backward_fails(grid, zone_pair, translator):
     g = make_gaussian(grid, 3.0, 1.0)
-    forward = check_condition_IA(zone_pair, translator, [6.0], [g])
+    forward = check_condition_IA(zone_pair, translator, [6.0], [("g3", g)])
     assert forward.verdict == "HOLDS"
     assert forward.max_residual <= 1e-8
-    backward = check_condition_IA(zone_pair, translator, [-6.0], [g])
+    backward = check_condition_IA(zone_pair, translator, [-6.0], [("g3", g)])
     assert backward.verdict == "FAILS"
     assert backward.max_residual >= 0.99
     assert backward.witness.t == -6.0
@@ -310,14 +313,34 @@ def test_condition_IA_forward_holds_backward_fails(grid, zone_pair, translator):
 
 def test_condition_IA_zero_time(grid, zone_pair, translator):
     bump = make_bump(grid, 2.0, 6.0)
-    spectral = check_condition_IA(zone_pair, translator, [0.0], [bump])
+    spectral = check_condition_IA(zone_pair, translator, [0.0], [("bump", bump)])
     assert spectral.max_residual <= 1e-12
-    shift = check_condition_IA(zone_pair, ShiftPropagator(grid), [0.0], [bump])
+    shift = check_condition_IA(zone_pair, ShiftPropagator(grid), [0.0], [("bump", bump)])
     assert shift.max_residual == 0.0
 
 
-def test_labels_length_mismatch(grid, zone_pair, translator):
-    with pytest.raises(DomainError, match="labels"):
-        check_condition_I(zone_pair, translator, [1.0],
-                          [make_bump(grid, 2.0, 6.0)], labels=["a", "b"])
+# ----------------------------------------------------------------------
+# Zone guard shared by the three conditions
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("check, good, bad, zone", [
+    # a raw Gaussian at +3 carries ~1.3e-3 core mass, above the strict bound
+    (check_condition_I, 8.0, 3.0, "wave-zone"),
+    # one at -1 carries ~0.16 wave mass, above the loose bound
+    (check_condition_II, -8.0, -1.0, "core-zone"),
+    # one at +1 carries ~0.16 core mass, above the loose bound
+    (check_condition_IA, 8.0, 1.0, "wave-zone"),
+], ids=["I", "II", "I-A"])
+def test_zone_guard_names_the_failing_pair(grid, zone_pair, translator, check, good, bad, zone):
+    drawn = []
+
+    def pairs():
+        for label, center in (("good", good), ("bad", bad), ("never", good)):
+            drawn.append(label)
+            yield label, make_gaussian(grid, center, 1.0)
+
+    with pytest.raises(PreconditionError, match=rf"trial state 'bad' is not {zone}: off-zone"):
+        check(zone_pair, translator, [1.0], pairs())
+    # the guard runs as each pair is drawn, so drawing stops at the failure
+    assert drawn == ["good", "bad"]
 

@@ -97,6 +97,13 @@ def test_measured_survival_requires_core_state(grid, zone_pair, translator):
                         [MeasurementSchedule.equally_spaced(2.0, 5)])[0]
 
 
+def test_measured_survival_requires_a_normalized_state(grid, zone_pair, translator):
+    e = core_zone_state(zone_pair[0], make_gaussian(grid, -8.0, 1.0)) * 0.7
+    with pytest.raises(PreconditionError, match="prepared state is not normalized"):
+        survival_report(translator, zone_pair[0], e,
+                        [MeasurementSchedule.equally_spaced(2.0, 5)])
+
+
 def test_core_state_below_unit_norm_is_still_core_zone(grid, zone_pair, translator):
     # ||e||^2 = 1 - 5e-10 passes the 1e-9 normalization check and the state
     # has no wave-zone amplitude at all, so it is a core-zone state
