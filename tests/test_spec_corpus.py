@@ -46,6 +46,16 @@ SPECS = (
       for sigma in ("0.8", "1.035", "1.05", "1e-160")),
     "run hm-invariance --N 0",
     "run hm-invariance --N 13",
+    # prepared-state centers, final times and domains off the defaults
+    "run hm-invariance --center -4",
+    "run hm-invariance --center -6",
+    "run hm-invariance --time 10",
+    "run series-validity --time 2",
+    "run series-validity --time 0",
+    "run series-validity --x-min -20 --x-max 20",
+    # tolerances that no residual or survival gap can reach
+    "run counterexample --tolerance-falsify 2",
+    "run hm-invariance --tolerance-invariance 5",
     "run rabi-control --time 1.0",
     "run rabi-control --omega 2",
     "run rabi-control --omega 2 --time 10",
