@@ -35,10 +35,6 @@ from .scenarios import (
     ScenarioSpec,
     VerdictBundle,
     run_scenario,
-    scenario_counterexample,
-    scenario_hm_invariance,
-    scenario_rabi_control,
-    scenario_series_validity,
 )
 from .statespace import (
     DenseSpace,
@@ -112,10 +108,6 @@ __all__ = [
     "make_plane_wave",
     "momentum_operator",
     "run_scenario",
-    "scenario_counterexample",
-    "scenario_hm_invariance",
-    "scenario_rabi_control",
-    "scenario_series_validity",
     "series_vs_spectral_curve",
     "stone_residual",
     "survival_report",

@@ -7,6 +7,9 @@ tables, and provenance.  Bundles are deterministic: the only randomness is
 a seeded generator recorded in provenance, so re-running a scenario with
 the same spec serializes to byte-identical JSON.
 
+Run one with `run_scenario(name, spec=None)`: it alone builds the default
+`ScenarioSpec(name=name)`, and each function in `SCENARIOS` takes a spec.
+
 Shipped scenarios
 -----------------
 counterexample   right-translation on a half-line split: forward invariance
@@ -125,6 +128,9 @@ class ScenarioSpec:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise DomainError(f"{name} must be finite and positive, got {value!r}")
+            if value >= 1.0:
+                # every residual and survival gap it bounds is a mass of a normalized state
+                raise DomainError(f"{name} must be below 1, got {value!r}")
 
 
 def _require_inside(grid: Grid, lo: float, hi: float, what: str) -> None:
@@ -261,6 +267,12 @@ def _window_state(grid: Grid, lo: float, hi: float, n_modes: int, seed: int) -> 
     return WaveFunction(grid, window.values * field_vals).normalized()
 
 
+def _survival_table(reports, *head: tuple) -> CurveTable:
+    """The `head` rows, then free and measured survival at the end of each report's run."""
+    rows = head + tuple((r.t_final, r.s_free, r.s_measured, r.n_measurements) for r in reports)
+    return CurveTable(("t", "s_free", "s_measured", "N"), rows)
+
+
 def _residual_table(report: ConditionReport) -> CurveTable:
     rows = []
     for t in sorted({s.t for s in report.samples}):
@@ -273,9 +285,8 @@ def _residual_table(report: ConditionReport) -> CurveTable:
 # counterexample: translation separates (I) from (II) and (I-A)
 # ----------------------------------------------------------------------
 
-def scenario_counterexample(spec: ScenarioSpec | None = None) -> VerdictBundle:
+def scenario_counterexample(spec: ScenarioSpec) -> VerdictBundle:
     """translation flow: (I) HOLDS, (II) FALSIFIED, (I-A) FAILS backward"""
-    spec = spec if spec is not None else ScenarioSpec(name="counterexample")
     grid = Grid(spec.x_min, spec.x_max, spec.grid_points)
     drift = max(T_SWEEP)
     window_lo, window_hi = 2.0, 30.0
@@ -359,9 +370,8 @@ def _shift_schedule(total_steps: int, dx: float, n: int) -> MeasurementSchedule:
     return MeasurementSchedule(total_steps * dx, tuple(m * dx for m in marks))
 
 
-def scenario_hm_invariance(spec: ScenarioSpec | None = None) -> VerdictBundle:
+def scenario_hm_invariance(spec: ScenarioSpec) -> VerdictBundle:
     """selective core measurements leave survival unchanged"""
-    spec = spec if spec is not None else ScenarioSpec(name="hm-invariance")
     t = spec.time if spec.time is not None else 2.0
     if t <= 0.0:
         raise DomainError("final time must be positive")
@@ -384,13 +394,13 @@ def scenario_hm_invariance(spec: ScenarioSpec | None = None) -> VerdictBundle:
     if steps < 1:
         raise DomainError("final time is below one grid step; no shift path exists")
     t_eff = steps * grid.dx
-    sched_shift = _shift_schedule(steps, grid.dx, n)
     # each distinct step count gives one shift row; fewer than n + 1 steps
     # cannot hold n distinct interior instants, so such rows are
     # unrepresentable on the quantized path, not an error.  The last row
-    # has `steps` steps, so its report is the main shift run
+    # has `steps` steps and is the main shift run, which must exist
     shift_steps = dict.fromkeys(round(j * steps / CURVE_POINTS) for j in js)
-    shift_schedules = [_shift_schedule(k, grid.dx, n) for k in shift_steps if k >= n + 1]
+    shift_schedules = [_shift_schedule(k, grid.dx, n) for k in shift_steps
+                       if k >= n + 1 or k == steps]
 
     p_core, _ = halfline_pair(grid)
     e = core_zone_state(p_core, make_gaussian(grid, spec.center, spec.sigma))
@@ -432,31 +442,23 @@ def scenario_hm_invariance(spec: ScenarioSpec | None = None) -> VerdictBundle:
         "oracle_shift": autocorr_oracle(t_eff),
     }
     tables = {
-        "survival_spectral": _survival_curve(curve_spectral, n),
-        "survival_shift": _survival_curve(curve_shift, n),
+        "survival_spectral": _survival_table(curve_spectral, (0.0, 1.0, 1.0, n)),
+        "survival_shift": _survival_table(curve_shift, (0.0, 1.0, 1.0, n)),
     }
     prov = _provenance(
         spec,
         schedule_spectral=list(curve_schedules[-1].times),
-        schedule_shift=list(sched_shift.times),
+        schedule_shift=list(shift_schedules[-1].times),
     )
     return VerdictBundle("hm-invariance", flags, (), metrics, tables, prov)
-
-
-def _survival_curve(reports, n: int) -> CurveTable:
-    """Free and measured survival at t = 0 and at the end of each report's run."""
-    rows = [(0.0, 1.0, 1.0, n)]
-    rows.extend((rep.t_final, rep.s_free, rep.s_measured, n) for rep in reports)
-    return CurveTable(("t", "s_free", "s_measured", "N"), tuple(rows))
 
 
 # ----------------------------------------------------------------------
 # rabi-control: the positive control where measurement freezes decay
 # ----------------------------------------------------------------------
 
-def scenario_rabi_control(spec: ScenarioSpec | None = None) -> VerdictBundle:
+def scenario_rabi_control(spec: ScenarioSpec) -> VerdictBundle:
     """two-level control where measurements freeze decay (~1/N)"""
-    spec = spec if spec is not None else ScenarioSpec(name="rabi-control")
     if spec.omega <= 0.0:
         raise DomainError("omega must be positive")
     t = spec.time if spec.time is not None else math.pi / (2.0 * spec.omega)
@@ -499,8 +501,7 @@ def scenario_rabi_control(spec: ScenarioSpec | None = None) -> VerdictBundle:
         make_flag("deficit_decreasing", worst_increase, "<", 0.0),
         make_flag("chain_matches_closed_form", chain_error, "<=", 1e-12),
     )
-    rows = [(t, s_free, s, n) for n, s in scaling]
-    tables = {"survival_zeno": CurveTable(("t", "s_free", "s_measured", "N"), tuple(rows))}
+    tables = {"survival_zeno": _survival_table(reports[1:])}
     metrics = {
         "t": t,
         "s_free": s_free,
@@ -517,9 +518,8 @@ def scenario_rabi_control(spec: ScenarioSpec | None = None) -> VerdictBundle:
 # series-validity: who is allowed to use the power series
 # ----------------------------------------------------------------------
 
-def scenario_series_validity(spec: ScenarioSpec | None = None) -> VerdictBundle:
+def scenario_series_validity(spec: ScenarioSpec) -> VerdictBundle:
     """power-series propagation: Gaussian vs bump, two resolutions"""
-    spec = spec if spec is not None else ScenarioSpec(name="series-validity")
     t = spec.time if spec.time is not None else 1.0
     if spec.grid_points < 64:
         raise DomainError("series scenario needs at least 64 grid points")
@@ -545,18 +545,16 @@ def scenario_series_validity(spec: ScenarioSpec | None = None) -> VerdictBundle:
     )
 
     # bump branch: saturates at the grid ceiling, worse on finer grids
-    bump_curves = []
-    bump_reports = {}
-    bump_peaks = {}
-    for grid in (fine, coarse):
+    def bump_branch(grid: Grid):
         h = momentum_operator(grid)
         b = make_bump(grid, -2.0, 2.0)
         curve = series_vs_spectral_curve(h, b, t, range(1, 61))
-        bump_curves.append((grid, curve))
-        bump_peaks[grid.n_points] = max(e for e in curve.errors if math.isfinite(e))
-        bump_reports[grid.n_points] = analyticity_report(h, b, n_max=40)
-    tracks_cutoff = compare_resolutions(bump_reports[fine.n_points],
-                                        bump_reports[coarse.n_points])
+        peak = max(e for e in curve.errors if math.isfinite(e))
+        return curve, peak, analyticity_report(h, b, n_max=40)
+
+    fine_curve, fine_peak, fine_report = bump_branch(fine)
+    coarse_curve, coarse_peak, coarse_report = bump_branch(coarse)
+    tracks_cutoff = compare_resolutions(fine_report, coarse_report)
 
     # eigenvector branch: series must reduce to the scalar exponential.
     # Runs on a small grid (k_max ~ 10) for the same cutoff-noise reason.
@@ -575,7 +573,7 @@ def scenario_series_validity(spec: ScenarioSpec | None = None) -> VerdictBundle:
                   1.0 if g_report.classification == "entire-like" else 0.0, ">=", 1.0),
         make_flag("gaussian_rho_climbing", g_report.tail_growth, ">=", 1.1),
         make_flag("bump_peak_grows_with_resolution",
-                  bump_peaks[fine.n_points] - bump_peaks[coarse.n_points], ">", 0.0),
+                  fine_peak - coarse_peak, ">", 0.0),
         make_flag("bump_tracks_cutoff", 1.0 if tracks_cutoff else 0.0, ">=", 1.0),
         make_flag("eigenvector_sanity", eigen_error, "<=", 1e-12),
     )
@@ -585,12 +583,12 @@ def scenario_series_validity(spec: ScenarioSpec | None = None) -> VerdictBundle:
         "gaussian_first_n_below_1e-10": first_converged,
         "gaussian_classification": g_report.classification,
         "gaussian_tail_growth": g_report.tail_growth,
-        "bump_classification_fine": bump_reports[fine.n_points].classification,
-        "bump_classification_coarse": bump_reports[coarse.n_points].classification,
-        "bump_plateau_fraction_fine": bump_reports[fine.n_points].plateau_fraction,
-        "bump_plateau_fraction_coarse": bump_reports[coarse.n_points].plateau_fraction,
-        "bump_peak_fine": bump_peaks[fine.n_points],
-        "bump_peak_coarse": bump_peaks[coarse.n_points],
+        "bump_classification_fine": fine_report.classification,
+        "bump_classification_coarse": coarse_report.classification,
+        "bump_plateau_fraction_fine": fine_report.plateau_fraction,
+        "bump_plateau_fraction_coarse": coarse_report.plateau_fraction,
+        "bump_peak_fine": fine_peak,
+        "bump_peak_coarse": coarse_peak,
         "eigenvector_error": eigen_error,
     }
 
@@ -607,10 +605,10 @@ def scenario_series_validity(spec: ScenarioSpec | None = None) -> VerdictBundle:
 
     tables = {
         "series_gaussian": series_table([(wide, g_curve)]),
-        "series_bump": series_table(bump_curves),
+        "series_bump": series_table([(fine, fine_curve), (coarse, coarse_curve)]),
         "hn_gaussian": hn_table(g_report),
-        "hn_bump_fine": hn_table(bump_reports[fine.n_points]),
-        "hn_bump_coarse": hn_table(bump_reports[coarse.n_points]),
+        "hn_bump_fine": hn_table(fine_report),
+        "hn_bump_coarse": hn_table(coarse_report),
     }
     prov = _provenance(spec, resolutions=[fine.n_points, coarse.n_points])
     return VerdictBundle("series-validity", flags, (), metrics, tables, prov)
@@ -634,13 +632,16 @@ READS = {
 
 
 def run_scenario(name: str, spec: ScenarioSpec | None = None) -> VerdictBundle:
+    """Run scenario `name` on `spec`, or on `ScenarioSpec(name=name)` when none is given."""
     try:
         fn = SCENARIOS[name]
     except KeyError:
         raise DomainError(
             f"unknown scenario {name!r}; available: {', '.join(sorted(SCENARIOS))}"
         ) from None
-    if spec is not None and spec.name != name:
+    if spec is None:
+        spec = ScenarioSpec(name=name)
+    elif spec.name != name:
         # the bundle's provenance records spec.name, so it would be mislabeled
         raise DomainError(f"spec for scenario {spec.name!r} cannot run scenario {name!r}")
     return fn(spec)

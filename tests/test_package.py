@@ -42,3 +42,35 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported(tree)
     unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
     assert unused == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__") and name != "_"
+
+
+def test_no_dead_private_names():
+    # a private function, method, class or module constant that nothing in the
+    # package loads is left over from a deleted call site
+    defined, loaded = {}, set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if _private(node.name):
+                    defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                if isinstance(target, ast.Name) and _private(target.id):
+                    defined.setdefault(target.id, f"{path.name}:{node.lineno}")
+    dead = sorted(f"{name} ({where})" for name, where in defined.items() if name not in loaded)
+    assert dead == []

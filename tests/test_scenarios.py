@@ -14,10 +14,6 @@ from zenolab import (
     DomainError,
     ScenarioSpec,
     run_scenario,
-    scenario_counterexample,
-    scenario_hm_invariance,
-    scenario_rabi_control,
-    scenario_series_validity,
 )
 from zenolab.errors import PreconditionError
 from zenolab.operators import Propagator
@@ -62,7 +58,7 @@ def test_a_spec_for_another_scenario_is_rejected():
 # ----------------------------------------------------------------------
 
 def test_counterexample_verdict_pair():
-    bundle = scenario_counterexample()
+    bundle = run_scenario("counterexample")
     verdicts = {r.condition: r.verdict for r in bundle.conditions}
     assert verdicts == {"I": "HOLDS", "II": "FALSIFIED", "I-A": "FAILS"}
     assert bundle.metrics["max_residual_I"] <= 1e-8
@@ -73,7 +69,7 @@ def test_counterexample_verdict_pair():
 
 
 def test_counterexample_summary_lines():
-    text = scenario_counterexample().summary_text()
+    text = run_scenario("counterexample").summary_text()
     assert "(I) HOLDS" in text
     assert "(II) FALSIFIED" in text
     assert "(I-A) FAILS" in text
@@ -81,7 +77,7 @@ def test_counterexample_summary_lines():
 
 
 def test_counterexample_residual_tables():
-    bundle = scenario_counterexample()
+    bundle = run_scenario("counterexample")
     table = bundle.tables["residuals_I"]
     assert table.columns == ("t", "residual", "verdict")
     assert all(row[1] <= 1e-8 for row in table.rows)
@@ -91,7 +87,7 @@ def test_counterexample_residual_tables():
 
 def test_counterexample_margin_guard():
     with pytest.raises(DomainError, match="margin"):
-        scenario_counterexample(ScenarioSpec(name="counterexample", x_max=5.0))
+        run_scenario("counterexample", ScenarioSpec(name="counterexample", x_max=5.0))
 
 
 # ----------------------------------------------------------------------
@@ -174,7 +170,7 @@ def test_hm_invariance_rejects_its_schedules_before_any_transform(overrides, rea
 
     monkeypatch.setattr(Propagator, "transform", counting_transform)
     with pytest.raises(DomainError, match=reason):
-        scenario_hm_invariance(ScenarioSpec(name="hm-invariance", **overrides))
+        run_scenario("hm-invariance", ScenarioSpec(name="hm-invariance", **overrides))
     assert calls == []
 
 
@@ -183,7 +179,7 @@ def test_hm_invariance_rejects_its_schedules_before_any_transform(overrides, rea
 # ----------------------------------------------------------------------
 
 def test_hm_invariance_deltas():
-    bundle = scenario_hm_invariance()
+    bundle = run_scenario("hm-invariance")
     assert abs(bundle.metrics["delta_spectral"]) <= 1e-8
     assert bundle.metrics["delta_shift"] == 0.0
     # free survival matches the Gaussian autocorrelation oracle
@@ -196,7 +192,7 @@ def test_hm_invariance_deltas():
 
 
 def test_hm_invariance_survival_table_t0_row():
-    bundle = scenario_hm_invariance()
+    bundle = run_scenario("hm-invariance")
     table = bundle.tables["survival_spectral"]
     assert table.columns == ("t", "s_free", "s_measured", "N")
     first = table.rows[0]
@@ -207,14 +203,15 @@ def test_hm_invariance_survival_table_t0_row():
 
 
 def test_hm_invariance_respects_n_override():
-    bundle = scenario_hm_invariance(ScenarioSpec(name="hm-invariance", n_measurements=13))
+    bundle = run_scenario("hm-invariance",
+                          ScenarioSpec(name="hm-invariance", n_measurements=13))
     assert bundle.passed
     assert bundle.provenance["parameters"]["n_measurements"] == 13
 
 
 def test_hm_invariance_rejects_wave_zone_preparation():
     with pytest.raises(DomainError, match="core zone"):
-        scenario_hm_invariance(ScenarioSpec(name="hm-invariance", center=3.0))
+        run_scenario("hm-invariance", ScenarioSpec(name="hm-invariance", center=3.0))
 
 
 # ----------------------------------------------------------------------
@@ -222,14 +219,14 @@ def test_hm_invariance_rejects_wave_zone_preparation():
 # ----------------------------------------------------------------------
 
 def test_rabi_control_quarter_and_slope():
-    bundle = scenario_rabi_control()
+    bundle = run_scenario("rabi-control")
     assert abs(bundle.metrics["s_single_measurement"] - 0.25) <= 1e-10
     assert abs(bundle.metrics["zeno_slope"] - (-1.0)) <= 0.15
     assert bundle.metrics["chain_vs_closed_form"] <= 1e-12
 
 
 def test_rabi_control_table_matches_matrix_oracle():
-    bundle = scenario_rabi_control()
+    bundle = run_scenario("rabi-control")
     t = bundle.metrics["t"]
     for row in bundle.tables["survival_zeno"].rows:
         _, _, s_measured, n = row
@@ -241,14 +238,14 @@ def test_rabi_control_table_matches_matrix_oracle():
 # ----------------------------------------------------------------------
 
 def test_series_validity_gaussian_floor():
-    bundle = scenario_series_validity()
+    bundle = run_scenario("series-validity")
     assert bundle.metrics["gaussian_error_n40"] < 1e-10
     assert bundle.metrics["gaussian_classification"] == "entire-like"
     assert bundle.metrics["gaussian_tail_growth"] >= 1.1
 
 
 def test_series_validity_bump_divergence_trend():
-    bundle = scenario_series_validity()
+    bundle = run_scenario("series-validity")
     assert bundle.metrics["bump_peak_fine"] > bundle.metrics["bump_peak_coarse"]
     assert bundle.metrics["bump_classification_fine"] == "saturated-by-grid"
     assert bundle.metrics["bump_classification_coarse"] == "saturated-by-grid"
@@ -258,7 +255,7 @@ def test_series_validity_bump_divergence_trend():
 
 
 def test_series_validity_gaussian_table_entry():
-    bundle = scenario_series_validity()
+    bundle = run_scenario("series-validity")
     table = bundle.tables["series_gaussian"]
     assert table.columns == ("n_terms", "error", "resolution")
     late = {int(row[0]): row[1] for row in table.rows if int(row[0]) >= 30}
@@ -270,7 +267,7 @@ def test_series_validity_gaussian_table_entry():
 # ----------------------------------------------------------------------
 
 def test_bundle_payload_is_json_round_trippable():
-    bundle = scenario_counterexample()
+    bundle = run_scenario("counterexample")
     payload = json.loads(bundle.to_json_bytes())
     assert payload["scenario"] == "counterexample"
     assert payload["provenance"]["parameters"]["seed"] == 1234
