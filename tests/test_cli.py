@@ -131,11 +131,6 @@ def test_rabi_control_exits_2_outside_its_zeno_window(tmp_path, capsys, flags, c
      "tolerance_invariance must be finite and positive"),
     ("hm-invariance", ["--tolerance-falsify", "0"],
      "tolerance_falsify must be finite and positive"),
-    # every gap a tolerance bounds is a normalized state's mass, so 1 or more
-    # would decide its flag before the run
-    ("counterexample", ["--tolerance-falsify", "2"], "tolerance_falsify must be below 1"),
-    ("counterexample", ["--tolerance-invariance", "1"], "tolerance_invariance must be below 1"),
-    ("hm-invariance", ["--tolerance-invariance", "5"], "tolerance_invariance must be below 1"),
     # NaN passes every sign check, so each field is named before any work
     ("series-validity", ["--time", "nan"], "time must be finite, got nan"),
     ("rabi-control", ["--omega", "nan"], "omega must be finite, got nan"),
@@ -153,6 +148,11 @@ def test_rabi_control_exits_2_outside_its_zeno_window(tmp_path, capsys, flags, c
     # ... and far below dx every sample's exponent overflows to -inf
     ("counterexample", ["--sigma", "1e-160"], "sigma 1e-160 is too small for the grid step dx"),
     ("hm-invariance", ["--sigma", "1e-160"], "sigma 1e-160 is too small for the grid step dx"),
+    # every gap a tolerance bounds is a normalized state's mass, so 1 or more
+    # would decide its flag before the run
+    ("counterexample", ["--tolerance-falsify", "2"], "tolerance_falsify must be below 1"),
+    ("counterexample", ["--tolerance-invariance", "1"], "tolerance_invariance must be below 1"),
+    ("hm-invariance", ["--tolerance-invariance", "5"], "tolerance_invariance must be below 1"),
 ])
 def test_invalid_seed_or_tolerance_exits_2(scenario, flags, reason, tmp_path, capsys):
     assert _run(["run", scenario, "--out", str(tmp_path), *flags]) == 2
