@@ -107,7 +107,7 @@ def hn_norms(h: SpectralOperator, psi: WaveFunction, n_max: int) -> HnNorms:
         raise DomainError("cannot probe growth of the zero state")
     ceiling = h.spectral_radius
     scale = math.sqrt(psi.space.dx)
-    v = psi.values / (_norm(psi.values) * scale)
+    v = psi.values * (1.0 / (_norm(psi.values) * scale))
     log_norms = [math.log(psi.norm())]
     ratios: list[float] = []
     nilpotent_at = None
@@ -121,7 +121,7 @@ def hn_norms(h: SpectralOperator, psi: WaveFunction, n_max: int) -> HnNorms:
             break
         ratios.append(r)
         log_norms.append(log_norms[-1] + math.log(r))
-        v = w / r
+        v = np.multiply(w, 1.0 / r, out=w)
         at_ceiling = at_ceiling + 1 if r >= SATURATION_FRACTION * ceiling else 0
         if at_ceiling >= CEILING_WINDOW and n < n_max:
             capped_at = n

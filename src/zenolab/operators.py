@@ -16,13 +16,17 @@ caller that evolves one state to many times, or many states to one time,
 transforms each state once and builds each phase vector once and gets the
 same bits as separate evolves.  Coefficients and steps are read-only and
 ``advance`` never writes to them.  ``advance`` and ``transform`` wrap two
-private primitives, ``_values`` (an advance into a fresh array the caller
-owns) and ``_coeffs`` (the transform of an array, in place for the FFT
-basis when the caller hands it over), which a measurement chain uses to
-work in one buffer per segment.  ``ShiftPropagator`` speaks the same
-protocol with the state itself as its coefficients, a whole-step count as
-its step and a circular roll as its advance.  The adjoint U(t)^dagger is
-realized as U(-t); only the full-space unitary group is modelled here.
+private primitives that take an ``owned`` flag: ``_values`` (an advance
+into a fresh array, or in the coefficients themselves when the caller
+hands them over) and ``_coeffs`` (the transform of an array, in place for
+the FFT basis when the caller hands it over).  With both, a measurement
+chain works in one buffer from its first segment to its end.  The FFT
+basis scales by multiplying with 1/sqrt(dx/n), which has the bits of
+dividing by sqrt(dx/n) at a fraction of the cost (see ``_from_coeffs``).
+``ShiftPropagator`` speaks the same protocol with the state itself as its
+coefficients, a whole-step count as its step and a circular roll as its
+advance.  The adjoint U(t)^dagger is realized as U(-t); only the
+full-space unitary group is modelled here.
 
 Sign and layout conventions:
   * momentum acts as -i d/dx, so U(t) = exp(-i t p) translates to the right:
@@ -121,12 +125,20 @@ class SpectralOperator:
         """Values of `coeffs`, which must be a fresh array: it is overwritten."""
         w = self.space.dx
         if self.basis is None:
-            coeffs /= np.sqrt(w / self.space.n_points)
+            # numpy divides by a real r as by r + 0j: Smith's formula with
+            # the zero ratio gives (re + im*0, im - re*0) * (1/r), and the
+            # complex multiply by 1/r gives (re*(1/r) - im*0, re*0 + im*(1/r)),
+            # the same bits on every finite nonzero part and the same nan/inf
+            # pattern at a fraction of the cost; only the sign of an exact
+            # zero may differ.  A float64 view would turn inf+nanj into inf+xj.
+            coeffs *= 1.0 / np.sqrt(w / self.space.n_points)
             return np.fft.ifft(coeffs, out=coeffs)
         return self.basis @ coeffs
 
     def _apply_values(self, values: np.ndarray) -> np.ndarray:
-        return self._from_coeffs(self.eigenvalues * self._to_coeffs(values))
+        c = self._to_coeffs(values)
+        np.multiply(self.eigenvalues, c, out=c)
+        return self._from_coeffs(c)
 
     # -- public API ------------------------------------------------------------
 
@@ -218,11 +230,18 @@ class Propagator:
         """The state whose coefficients are step * coeffs; neither is written."""
         return WaveFunction._adopt(self.space, self._values(coeffs, step))
 
-    def _values(self, coeffs: np.ndarray, step: np.ndarray) -> np.ndarray:
-        """The values of `advance`, in a fresh array the caller owns."""
+    def _values(self, coeffs: np.ndarray, step: np.ndarray, owned: bool = False) -> np.ndarray:
+        """The values of `advance`, in an array the caller owns.
+
+        With `owned` the caller hands `coeffs` over and the FFT basis
+        advances in it and returns it, with the bits of a fresh advance.
+        """
         # always step * coeffs: numpy's complex multiply is not bitwise
         # commutative, so a swapped operand order changes the last bits
-        return self.generator._from_coeffs(step * coeffs)
+        if owned:
+            coeffs.setflags(write=True)
+        return self.generator._from_coeffs(
+            np.multiply(step, coeffs, out=coeffs if owned else None))
 
     def evolve(self, psi: WaveFunction, t: float) -> WaveFunction:
         return evolve_spectral(self, psi, t)
@@ -273,7 +292,7 @@ class ShiftPropagator:
     def advance(self, coeffs: WaveFunction, step: int) -> WaveFunction:
         return WaveFunction._adopt(self.grid, self._values(coeffs, step))
 
-    def _values(self, coeffs: WaveFunction, step: int) -> np.ndarray:
+    def _values(self, coeffs: WaveFunction, step: int, owned: bool = False) -> np.ndarray:
         """The values of `advance`, in a fresh array the caller owns."""
         return np.roll(coeffs.values, int(step))
 

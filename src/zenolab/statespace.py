@@ -239,7 +239,7 @@ class WaveFunction:
         n = self.norm()
         if n == 0.0:
             raise DomainError("cannot normalize the zero state")
-        return WaveFunction._adopt(self.space, self.values / n)
+        return WaveFunction._adopt(self.space, self.values * (1.0 / n))
 
     def _require_space(self, space: Grid | DenseSpace) -> None:
         """SpaceMismatchError unless this state lives on `space`."""
@@ -327,4 +327,4 @@ def make_plane_wave(grid: Grid, mode: int) -> WaveFunction:
     """Normalized plane wave exp(i k x) for the given FFT mode index."""
     k = grid.wavenumbers()[mode]
     x = grid.positions()
-    return WaveFunction(grid, np.exp(1j * k * x) / np.sqrt(grid.length)).normalized()
+    return WaveFunction(grid, np.exp(1j * k * x) * (1.0 / np.sqrt(grid.length))).normalized()

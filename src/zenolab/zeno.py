@@ -97,12 +97,15 @@ def _chain(u, p_core: SubspaceProjector, coeffs,
     trace ||chi_k||^2 recorded after each projection (the probability of
     having passed the first k measurements).
 
-    Each segment works in one buffer: it advances into a fresh array,
-    zeroes the wave zone in place, records the retained norm with
-    `WaveFunction.norm_sq`'s reduction, drops the previous segment's
-    coefficients and transforms the buffer in place (a matrix basis into
-    a fresh array).  The bits are those of `advance`, `apply`, `norm_sq`
-    and `transform` on separate arrays.
+    The chain works in one buffer: the first segment advances the shared
+    coefficients into a fresh array, and every later segment and the final
+    advance run in the previous segment's coefficients, which the chain
+    owns.  Each segment then zeroes the wave zone in place, records the
+    retained norm with `WaveFunction.norm_sq`'s reduction and transforms
+    the buffer in place (a matrix basis changes basis into fresh arrays).
+    So a chain of N + 1 segments allocates one state-sized array on the
+    FFT basis.  The bits are those of `advance`, `apply`, `norm_sq` and
+    `transform` on separate arrays.
 
     The segments of an equally spaced schedule differ at most in the last
     ulp and alternate (a a b c b c b ...), so the steps of the two most
@@ -114,12 +117,14 @@ def _chain(u, p_core: SubspaceProjector, coeffs,
     dx = u.space.dx
     *cuts, last = schedule.segments()
     trace = []
+    owned = False  # the first segment reads the caller's shared coefficients
     for dt in cuts:
-        values = p_core._clip(u._values(coeffs, step(dt)))
+        values = p_core._clip(u._values(coeffs, step(dt), owned))
         trace.append(_norm_sq(values, dx))
         del coeffs
         coeffs = u._coeffs(values, owned=True)
-    return u.advance(coeffs, step(last)), tuple(trace)
+        owned = True
+    return WaveFunction._adopt(u.space, u._values(coeffs, step(last), owned)), tuple(trace)
 
 
 @dataclass(frozen=True)

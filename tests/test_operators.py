@@ -288,3 +288,50 @@ def test_stone_validation(grid, momentum):
         stone_residual(momentum, g, [0.1, 0.2])
     with pytest.raises(PreconditionError):
         stone_residual(momentum, g, [0.1, -0.05])
+
+
+# ----------------------------------------------------------------------
+# Scaling by a reciprocal has the bits of division
+# ----------------------------------------------------------------------
+
+#: real and imaginary parts crafted to hit every special case of both paths
+SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.5, 5e-324]
+
+
+@pytest.mark.parametrize("n_points", [2**12, 2**16])
+def test_reciprocal_multiply_has_the_bits_of_division(n_points):
+    """x * (1 / r) against numpy's x / r for the divisors the lab uses.
+
+    Finite nonzero parts and infinities agree bit for bit, nans sit in the
+    same places, and the only other difference is the sign of an exact
+    zero, which the crafted entries show does occur.
+    """
+    rng = np.random.default_rng(n_points)
+    x = rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
+    crafted = np.array([complex(a, b) for a in SPECIALS for b in SPECIALS])
+    x[:crafted.size] = crafted
+    grid = Grid(-40.0, 40.0, n_points)
+    divisors = (math.sqrt(grid.dx / n_points),  # the inverse FFT's scaling
+                float(np.linalg.norm(x[crafted.size:])) * math.sqrt(grid.dx),  # a norm
+                math.sqrt(grid.length))  # the plane wave's
+    for r in divisors:
+        with np.errstate(invalid="ignore"):
+            quotient, product = x / r, x * (1.0 / r)
+        for q, p in ((quotient.real, product.real), (quotient.imag, product.imag)):
+            nan = np.isnan(q)
+            assert np.array_equal(nan, np.isnan(p))
+            differ = (q.view(np.uint64) != p.view(np.uint64)) & ~nan
+            assert np.all(q[differ] == 0.0) and np.all(p[differ] == 0.0)
+            assert not differ[crafted.size:].any()
+            assert differ[:crafted.size].any()
+
+
+@pytest.mark.parametrize("n_points", [2**12, 2**16])
+def test_inverse_change_of_basis_has_the_bits_of_division(n_points):
+    grid = Grid(-40.0, 40.0, n_points)
+    rng = np.random.default_rng(n_points + 1)
+    coeffs = rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
+    expected = np.fft.ifft(coeffs / np.sqrt(grid.dx / n_points))
+    assert momentum_operator(grid)._from_coeffs(coeffs.copy()).tobytes() == expected.tobytes()
+    psi = WaveFunction(grid, coeffs)
+    assert psi.normalized().values.tobytes() == (coeffs / psi.norm()).tobytes()

@@ -212,6 +212,40 @@ def test_survival_report_never_projects_through_apply(system, monkeypatch):
         assert rep.retained_trace == trace
 
 
+def test_an_owned_advance_has_the_bits_of_advance(system):
+    u, _, e, waves, ts, _ = system
+    for psi in [e] + waves:
+        shared = u.transform(psi)
+        for t in ts:
+            owned = u._coeffs(np.array(psi.values), owned=True)
+            values = u._values(owned, u.step(t), owned=True)
+            assert values.tobytes() == u.advance(shared, u.step(t)).values.tobytes()
+            if isinstance(u, Propagator) and u.generator.basis is None:
+                assert values is owned
+
+
+@pytest.mark.parametrize("name", ["fourier-256", "fourier-16384"])
+def test_a_chain_clips_every_segment_in_one_buffer(name, monkeypatch):
+    """The first segment advances into a fresh array and every later one
+    and the final advance reuse it; the shared coefficients stay unwritten."""
+    u, (p_core, _), e, *_ = SYSTEMS[name]()
+    coeffs = u.transform(e)
+    before = coeffs.copy()
+    clipped = []
+    clip = SubspaceProjector._clip
+
+    def recording(self, values):
+        clipped.append(values)
+        return clip(self, values)
+
+    monkeypatch.setattr(SubspaceProjector, "_clip", recording)
+    final, _ = _chain(u, p_core, coeffs, MeasurementSchedule.equally_spaced(2.0, 5))
+    assert len(clipped) == 5
+    assert not np.shares_memory(clipped[0], coeffs)
+    assert all(np.shares_memory(v, clipped[0]) for v in clipped[1:] + [final.values])
+    assert np.array_equal(coeffs, before)
+
+
 def test_clip_has_the_bits_of_a_fresh_projection():
     grid = Grid(-40.0, 40.0, 256)
     p_core, p_wave = halfline_pair(grid)
@@ -346,6 +380,8 @@ def test_advance_leaves_its_coefficients_alone(system):
     coeffs = u.transform(e)
     before = np.array(getattr(coeffs, "values", coeffs), copy=True)
     outs = [u.advance(coeffs, u.step(t)) for t in ts]
+    for t in ts:
+        u._values(coeffs, u.step(t))  # not handed over, so not written either
     after = getattr(coeffs, "values", coeffs)
     assert np.array_equal(after, before)
     assert not after.flags.writeable
