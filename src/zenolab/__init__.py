@@ -26,7 +26,6 @@ from .operators import (
     evolve_series,
     evolve_spectral,
     momentum_operator,
-    stone_residual,
 )
 from .scenarios import (
     SCENARIOS,
@@ -109,6 +108,5 @@ __all__ = [
     "momentum_operator",
     "run_scenario",
     "series_vs_spectral_curve",
-    "stone_residual",
     "survival_report",
 ]

@@ -215,7 +215,7 @@ def series_vs_spectral_curve(h: SpectralOperator, psi: WaveFunction, t: float,
         raise DomainError("n_values must be strictly increasing positive ints")
     reference = Propagator(h).evolve(psi, t)
     errors: list[float] = []
-    for n, vals, diverged, _ in _series_terms(h, psi, t, ns[-1]):
+    for n, vals, diverged in _series_terms(h, psi, t, ns[-1]):
         if n != ns[len(errors)]:
             continue
         if diverged:

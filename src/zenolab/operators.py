@@ -45,8 +45,7 @@ spectral cutoff, and how that saturation point moves when the grid is
 refined.  Series-based evolution (`evolve_series`) is therefore always
 formally convergent, yet numerically trustworthy only while t * cutoff is
 small enough that the truncated sum does not amplify roundoff; the
-divergence flag and tail estimate report this honestly rather than hiding
-it.
+divergence flag reports this honestly rather than hiding it.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, SpaceMismatchError
+from .errors import DomainError, SpaceMismatchError
 from .statespace import DenseSpace, Grid, WaveFunction, _norm
 
 #: a series term whose norm exceeds DIVERGENCE_FACTOR * ||psi|| flags divergence
@@ -86,6 +85,8 @@ class SpectralOperator:
                 f"eigenvalue count {lam.shape} does not match space dimension "
                 f"{self.space.n_points}"
             )
+        if not np.all(np.isfinite(lam)):
+            raise DomainError("eigenvalues must be finite")
         lam.setflags(write=False)
         object.__setattr__(self, "eigenvalues", lam)
         if self.basis is not None:
@@ -109,8 +110,6 @@ class SpectralOperator:
     @property
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(self.eigenvalues)))
-
-    # -- raw array fast paths ------------------------------------------------
 
     def _to_coeffs(self, values: np.ndarray, owned: bool = False) -> np.ndarray:
         """Coefficients of `values`; the FFT basis overwrites an `owned` array."""
@@ -140,12 +139,6 @@ class SpectralOperator:
         np.multiply(self.eigenvalues, c, out=c)
         return self._from_coeffs(c)
 
-    # -- public API ------------------------------------------------------------
-
-    def apply(self, psi: WaveFunction) -> WaveFunction:
-        psi._require_space(self.space)
-        return WaveFunction(self.space, self._apply_values(psi.values))
-
 
 def momentum_operator(grid: Grid) -> SpectralOperator:
     """The operator -i d/dx, diagonal in the Fourier basis."""
@@ -155,13 +148,16 @@ def momentum_operator(grid: Grid) -> SpectralOperator:
 def dense_hermitian(matrix: np.ndarray) -> SpectralOperator:
     """Spectral form of an explicit Hermitian matrix on a DenseSpace.
 
-    Rejects matrices whose anti-Hermitian part exceeds HERMITIAN_TOL
-    (relative to the largest entry).  The eigendecomposition reconstructs
-    the input to 1e-10.
+    Rejects matrices with a non-finite entry or whose anti-Hermitian part
+    exceeds HERMITIAN_TOL (relative to the largest entry).  The
+    eigendecomposition reconstructs the input to 1e-10.
     """
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SpaceMismatchError(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        # nan would pass the tolerance test below, since nan > tol is False
+        raise DomainError("matrix entries must be finite")
     scale = max(1.0, float(np.max(np.abs(m))))
     dev = float(np.max(np.abs(m - m.conj().T)))
     if dev > HERMITIAN_TOL * scale:
@@ -281,13 +277,12 @@ class ShiftPropagator:
     def step(self, t: float) -> int:
         """Whole grid steps in t; DomainError unless t is a multiple of dx."""
         ratio = float(t) / self.grid.dx
-        steps = round(ratio)
-        if abs(ratio - steps) > 1e-9:
+        if not np.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
             raise DomainError(
                 f"time {t} is not commensurate with dx = {self.grid.dx}: "
                 f"t/dx = {ratio}"
             )
-        return steps
+        return round(ratio)
 
     def advance(self, coeffs: WaveFunction, step: int) -> WaveFunction:
         return WaveFunction._adopt(self.grid, self._values(coeffs, step))
@@ -304,14 +299,12 @@ class ShiftPropagator:
 class SeriesResult:
     """Truncated power-series propagation output.
 
-    tail_estimate = ||H^n psi|| |t|^n / n!  (first omitted term), and
     `diverged` is set when any partial term grows past
     DIVERGENCE_FACTOR * ||psi|| (or stops being finite), which signals the
     pre-asymptotic blow-up of states outside the series' comfort zone.
     """
 
     state: WaveFunction
-    tail_estimate: float
     diverged: bool
 
 
@@ -320,16 +313,16 @@ def _series_terms(h: SpectralOperator, psi: WaveFunction, t: float, n_terms: int
 
     Adds terms (-i t H)^n psi / n! for n = 0..n_terms-1 in a fixed order so
     every caller sees identical floating-point results, and yields
-    (n_terms_so_far, partial_values, diverged, last_term) after each one.
-    Only the current partial sum is kept alive, and a consumer that stops
-    iterating stops the summing.  A non-finite term halts the sum: the last
-    record keeps the partial sum before it, with last_term None.
+    (n_terms_so_far, partial_values, diverged) after each one.  Only the
+    current partial sum is kept alive, and a consumer that stops iterating
+    stops the summing.  A non-finite term halts the sum: the last record
+    keeps the partial sum before it, with diverged set.
     """
     psi._require_space(h.space)
     psi_norm = psi.norm()
     term = total = psi.values
     diverged = False
-    yield 1, total, diverged, term
+    yield 1, total, diverged
     for n in range(1, n_terms):
         # an overflowing term is reported through `diverged`, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
@@ -337,12 +330,12 @@ def _series_terms(h: SpectralOperator, psi: WaveFunction, t: float, n_terms: int
             tn = float(_norm(term)) * np.sqrt(psi.space.dx)
         if not np.isfinite(tn):
             # freeze the partial sum instead of poisoning it
-            yield n + 1, total, True, None
+            yield n + 1, total, True
             return
         if tn > DIVERGENCE_FACTOR * psi_norm:
             diverged = True
         total = total + term
-        yield n + 1, total, diverged, term
+        yield n + 1, total, diverged
 
 
 def evolve_series(h: SpectralOperator, psi: WaveFunction, t: float, n_terms: int) -> SeriesResult:
@@ -355,37 +348,6 @@ def evolve_series(h: SpectralOperator, psi: WaveFunction, t: float, n_terms: int
     """
     if n_terms < 1:
         raise DomainError(f"n_terms must be >= 1, got {n_terms}")
-    for _, total, diverged, term in _series_terms(h, psi, t, n_terms):
+    for _, total, diverged in _series_terms(h, psi, t, n_terms):
         pass
-    if term is None:
-        tail = float("inf")
-    else:
-        nxt = h._apply_values(term)
-        tail = float(_norm(nxt)) * np.sqrt(psi.space.dx) * abs(t) / n_terms
-        if not np.isfinite(tail):
-            tail = float("inf")
-    return SeriesResult(WaveFunction(psi.space, total), tail, diverged)
-
-
-def stone_residual(h: SpectralOperator, psi: WaveFunction, t_list) -> np.ndarray:
-    """Forward derivative residuals || i (U(t) psi - psi) / t - H psi ||.
-
-    For states in the generator's domain these fall linearly in t (slope 1 on
-    a log-log plot).  t_list must be strictly positive and strictly
-    decreasing, matching the one-sided t -> 0+ limit being probed.
-    """
-    ts = np.asarray(t_list, dtype=np.float64)
-    if ts.size == 0:
-        raise PreconditionError("t_list must be non-empty")
-    if np.any(ts <= 0.0):
-        raise PreconditionError("t_list must be strictly positive")
-    if np.any(np.diff(ts) >= 0.0):
-        raise PreconditionError("t_list must be strictly decreasing")
-    u = Propagator(h)
-    coeffs = u.transform(psi)
-    hpsi = h._apply_values(psi.values)
-    out = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        diff = 1j * (u.advance(coeffs, u.step(t)).values - psi.values) / t - hpsi
-        out[i] = _norm(diff) * np.sqrt(psi.space.dx)
-    return out
+    return SeriesResult(WaveFunction(psi.space, total), diverged)

@@ -150,6 +150,10 @@ class Grid:
     def __post_init__(self) -> None:
         if not self.x_max > self.x_min:
             raise DomainError(f"empty domain [{self.x_min}, {self.x_max}]")
+        if not np.isfinite(self.length):
+            # an infinite dx turns every sample and step ratio into nan
+            raise DomainError(f"domain [{self.x_min:g}, {self.x_max:g}] is too wide: "
+                              "its length overflows")
         n = self.n_points
         if n < 2 or (n & (n - 1)) != 0:
             raise DomainError(f"n_points must be a power of two >= 2, got {n}")

@@ -2,7 +2,9 @@
 
 Everything here goes through a different code path than zenolab itself:
 closed forms via math/scipy, quadrature via scipy.integrate, and the
-two-level measurement chain via brute-force 2x2 matrix products.  Frozen
+two-level measurement chain via brute-force 2x2 matrix products.  The one
+exception is `stone_residuals`, which writes out the generator's difference
+quotient over the package's own propagator, one evolve per time.  Frozen
 literals in the test modules were produced by these helpers.
 """
 
@@ -12,6 +14,8 @@ import math
 
 import numpy as np
 from scipy import integrate
+
+from zenolab import Propagator
 
 
 def normal_cdf(z: float) -> float:
@@ -71,3 +75,15 @@ def rabi_chain_survival(omega: float, t_final: float, n: int) -> float:
         psi = project @ (step @ psi)
     psi = step @ psi
     return float(abs(psi[0]) ** 2)
+
+
+def stone_residuals(h, psi, ts) -> list[float]:
+    """Forward derivative residuals ||i (U(t) psi - psi) / t - H psi||, one per t.
+
+    For states in the generator's domain these fall linearly in t (slope 1
+    on a log-log plot) as t -> 0+.
+    """
+    u = Propagator(h)
+    hpsi = h._apply_values(psi.values)
+    return [float(np.linalg.norm(1j * (u.evolve(psi, t).values - psi.values) / t - hpsi))
+            * math.sqrt(psi.space.dx) for t in ts]

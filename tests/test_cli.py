@@ -153,6 +153,12 @@ def test_rabi_control_exits_2_outside_its_zeno_window(tmp_path, capsys, flags, c
     ("counterexample", ["--tolerance-falsify", "2"], "tolerance_falsify must be below 1"),
     ("counterexample", ["--tolerance-invariance", "1"], "tolerance_invariance must be below 1"),
     ("hm-invariance", ["--tolerance-invariance", "5"], "tolerance_invariance must be below 1"),
+    # a domain whose length overflows has an infinite dx; series-validity's
+    # wide grid spans ten times the domain
+    ("series-validity", ["--x-min=-1e307", "--x-max=1e307"],
+     "domain [-1e+308, 1e+308] is too wide: its length overflows"),
+    ("counterexample", ["--x-min=-1e308", "--x-max=1e308"],
+     "domain [-1e+308, 1e+308] is too wide: its length overflows"),
 ])
 def test_invalid_seed_or_tolerance_exits_2(scenario, flags, reason, tmp_path, capsys):
     assert _run(["run", scenario, "--out", str(tmp_path), *flags]) == 2

@@ -9,7 +9,9 @@ import pytest
 
 import zenolab
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "zenolab").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "zenolab").glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def test_every_exported_name_resolves():
@@ -48,20 +50,28 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__") and name != "_"
 
 
+def _loaded(tree: ast.Module) -> set[str]:
+    """The names and attribute names that a module loads."""
+    loaded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.attr)
+    return loaded
+
+
 def test_no_dead_private_names():
     # a private function, method, class or module constant that nothing in the
     # package loads is left over from a deleted call site
     defined, loaded = {}, set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
+        loaded |= _loaded(tree)
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if _private(node.name):
                     defined.setdefault(node.name, f"{path.name}:{node.lineno}")
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.attr)
         for node in tree.body:
             if isinstance(node, ast.Assign):
                 targets = node.targets
@@ -74,3 +84,12 @@ def test_no_dead_private_names():
                     defined.setdefault(target.id, f"{path.name}:{node.lineno}")
     dead = sorted(f"{name} ({where})" for name, where in defined.items() if name not in loaded)
     assert dead == []
+
+
+def test_every_exported_name_has_a_caller():
+    # a public name that only tests call is API kept for its own sake
+    loaded = set()
+    for path in SOURCES + SCRIPTS:
+        if path.name != "__init__.py":
+            loaded |= _loaded(ast.parse(path.read_text(), filename=str(path)))
+    assert sorted(set(zenolab.__all__) - loaded) == []

@@ -1,13 +1,13 @@
 """Transform-once / step-once reuse in the propagation core.
 
-The condition samplers, measurement chains and Stone residuals transform
-each state once and build each phase step once.  These tests pin that down
-against the naive loops they replaced, which call `u.evolve` for every
-(time, state) pair and every chain segment, and demand exact equality on a
-fourier grid (below and above numpy's 256 KiB temporary-elision size), the
-2x2 matrix kind and the exact-shift path.  The half-spectrum phase vector is
-checked against a whole-array exp.  Operation-count guards check that the
-reuse actually happens.
+The condition samplers and measurement chains transform each state once
+and build each phase step once.  These tests pin that down against the
+naive loops they replaced, which call `u.evolve` for every (time, state)
+pair and every chain segment, and demand exact equality on a fourier grid
+(below and above numpy's 256 KiB temporary-elision size), the 2x2 matrix
+kind and the exact-shift path.  The half-spectrum phase vector is checked
+against a whole-array exp.  Operation-count guards check that the reuse
+actually happens.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from zenolab import (
     make_bump,
     make_gaussian,
     momentum_operator,
-    stone_residual,
     survival_report,
 )
 from zenolab import subspaces
@@ -170,18 +169,6 @@ def test_survival_report_matches_naive_protocols(system):
         assert rep.leakage_free == 1.0 - p_core.mass(free)
         assert rep.retained_trace == trace
         assert rep.retained == chain.norm_sq()
-
-
-def test_stone_residual_matches_per_time_evolves():
-    grid = Grid(-40.0, 40.0, 16384)
-    h = momentum_operator(grid)
-    u = Propagator(h)
-    psi = make_gaussian(grid, 0.0, 1.0)
-    ts = [0.5, 0.1, 0.02, 0.004]
-    hpsi = h.apply(psi).values
-    naive = [np.linalg.norm(1j * (u.evolve(psi, t).values - psi.values) / t - hpsi)
-             * np.sqrt(grid.dx) for t in ts]
-    assert stone_residual(h, psi, ts).tolist() == naive
 
 
 def test_ulp_apart_segments_each_get_their_own_step():
