@@ -50,6 +50,7 @@ divergence flag reports this honestly rather than hiding it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,7 +278,7 @@ class ShiftPropagator:
     def step(self, t: float) -> int:
         """Whole grid steps in t; DomainError unless t is a multiple of dx."""
         ratio = float(t) / self.grid.dx
-        if not np.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
             raise DomainError(
                 f"time {t} is not commensurate with dx = {self.grid.dx}: "
                 f"t/dx = {ratio}"

@@ -42,6 +42,7 @@ one CPU there are none.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -150,7 +151,7 @@ class Grid:
     def __post_init__(self) -> None:
         if not self.x_max > self.x_min:
             raise DomainError(f"empty domain [{self.x_min}, {self.x_max}]")
-        if not np.isfinite(self.length):
+        if not math.isfinite(self.length):
             # an infinite dx turns every sample and step ratio into nan
             raise DomainError(f"domain [{self.x_min:g}, {self.x_max:g}] is too wide: "
                               "its length overflows")
