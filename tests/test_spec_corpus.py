@@ -53,6 +53,8 @@ SPECS = (
     "run series-validity --time 2",
     "run series-validity --time 0",
     "run series-validity --x-min -20 --x-max 20",
+    "run counterexample --x-min=-1e307 --x-max=1e307",
+    "run series-validity --x-min=-1e307 --x-max=1e307",
     # tolerances that no residual or survival gap can reach
     "run counterexample --tolerance-falsify 2",
     "run hm-invariance --tolerance-invariance 5",
