@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .statespace import WaveFunction, _map, _norm_sq, inner_product
+from .statespace import WaveFunction, _map, inner_product
 from .subspaces import SubspaceProjector, _require_unit_norm, _require_zone
 
 #: admissible wave-zone mass for the prepared state of a survival run
@@ -84,47 +84,33 @@ class MeasurementSchedule:
         return tuple(b - a for a, b in zip(knots, knots[1:]))
 
 
-def _require_core_state(p_core: SubspaceProjector, e: WaveFunction) -> None:
-    norm_sq = _require_unit_norm(e, "prepared state")
-    _require_zone(norm_sq - p_core.mass(e), CORE_STATE_TOL, "prepared state", "core-zone")
-
-
 def _chain(u, p_core: SubspaceProjector, coeffs,
-           schedule: MeasurementSchedule) -> tuple[WaveFunction, tuple[float, ...]]:
+           schedule: MeasurementSchedule) -> WaveFunction:
     """Selective measure-and-evolve chain from the prepared state's coefficients.
 
-    Returns the unnormalized final state together with the retained-norm
-    trace ||chi_k||^2 recorded after each projection (the probability of
-    having passed the first k measurements).
-
-    The chain works in one buffer: the first segment advances the shared
-    coefficients into a fresh array, and every later segment and the final
-    advance run in the previous segment's coefficients, which the chain
-    owns.  Each segment then zeroes the wave zone in place, records the
-    retained norm with `WaveFunction.norm_sq`'s reduction and transforms
-    the buffer in place (a matrix basis changes basis into fresh arrays).
-    So a chain of N + 1 segments allocates one state-sized array on the
-    FFT basis.  The bits are those of `advance`, `apply`, `norm_sq` and
+    Returns the unnormalized final state, whose norm squared is the
+    probability of passing every measurement.  Each segment advances,
+    zeroes the wave zone in place and transforms the buffer in place.  The
+    first advance reads the shared coefficients into a fresh array and every
+    later advance runs in the coefficients the chain owns, so a chain on the
+    FFT basis allocates one state-sized array (a matrix basis changes basis
+    into fresh arrays).  The bits are those of `advance`, `apply` and
     `transform` on separate arrays.
 
     The segments of an equally spaced schedule differ at most in the last
     ulp and alternate (a a b c b c b ...), so the steps of the two most
     recently used durations are kept.  Durations are strictly positive, so
-    equal keys have identical bits and every segment gets the step of its
-    own duration.
+    equal keys have identical bits and each segment gets its own step.
     """
     step = functools.lru_cache(maxsize=2)(u.step)
-    dx = u.space.dx
     *cuts, last = schedule.segments()
-    trace = []
     owned = False  # the first segment reads the caller's shared coefficients
     for dt in cuts:
         values = p_core._clip(u._values(coeffs, step(dt), owned))
-        trace.append(_norm_sq(values, dx))
         del coeffs
         coeffs = u._coeffs(values, owned=True)
         owned = True
-    return WaveFunction._adopt(u.space, u._values(coeffs, step(last), owned)), tuple(trace)
+    return WaveFunction._adopt(u.space, u._values(coeffs, step(last), owned))
 
 
 @dataclass(frozen=True)
@@ -137,9 +123,8 @@ class SurvivalReport:
     s_measured: float
     #: wave-zone mass of the freely evolved state at t_final
     leakage_free: float
-    #: retained norm ||chi_k||^2 after each projection, non-increasing
-    retained_trace: tuple[float, ...]
-    #: trace retained by the full chain (prob. of passing every P_C)
+    #: ||final chain state||^2: the probability of passing every P_C (that of
+    #: passing the first k is the `retained` of the first k instants' schedule)
     retained: float
 
     @property
@@ -157,13 +142,14 @@ def survival_report(u, p_core: SubspaceProjector, e: WaveFunction,
     item keeps only its scalars, never a final state, and each report has
     the bits of a call with its schedule alone.
     """
-    _require_core_state(p_core, e)
+    norm_sq = _require_unit_norm(e, "prepared state")
+    _require_zone(norm_sq - p_core.mass(e), CORE_STATE_TOL, "prepared state", "core-zone")
     schedules = tuple(schedules)
     coeffs = u.transform(e)
 
-    def chain(schedule: MeasurementSchedule) -> tuple[float, float, tuple[float, ...]]:
-        final, trace = _chain(u, p_core, coeffs, schedule)
-        return abs(inner_product(e, final)) ** 2, final.norm_sq(), trace
+    def chain(schedule: MeasurementSchedule) -> tuple[float, float]:
+        final = _chain(u, p_core, coeffs, schedule)
+        return abs(inner_product(e, final)) ** 2, final.norm_sq()
 
     def free(t: float) -> tuple[float, float]:
         psi = u.advance(coeffs, u.step(t))
@@ -180,10 +166,9 @@ def survival_report(u, p_core: SubspaceProjector, e: WaveFunction,
             s_free=free_at[schedule.t_final][0],
             s_measured=s_measured,
             leakage_free=free_at[schedule.t_final][1],
-            retained_trace=trace,
             retained=retained,
         )
-        for schedule, (s_measured, retained, trace) in zip(schedules, done)
+        for schedule, (s_measured, retained) in zip(schedules, done)
     )
 
 

@@ -62,12 +62,10 @@ def named(states) -> list[tuple[str, WaveFunction]]:
 def naive_chain(u, p_core, e, schedule):
     psi = e
     elapsed = 0.0
-    trace = []
     for t_k in schedule.times:
         psi = p_core.apply(u.evolve(psi, t_k - elapsed))
-        trace.append(psi.norm_sq())
         elapsed = t_k
-    return u.evolve(psi, schedule.t_final - elapsed), tuple(trace)
+    return u.evolve(psi, schedule.t_final - elapsed)
 
 
 # ----------------------------------------------------------------------
@@ -152,10 +150,9 @@ def test_condition_residuals_match_per_pair_evolves(system):
 def test_measured_chain_matches_per_segment_evolves(system):
     u, (p_core, _), e, _, _, schedules = system
     for sched in schedules:
-        final, trace = _chain(u, p_core, u.transform(e), sched)
-        ref_final, ref_trace = naive_chain(u, p_core, e, sched)
+        final = _chain(u, p_core, u.transform(e), sched)
+        ref_final = naive_chain(u, p_core, e, sched)
         assert np.array_equal(final.values, ref_final.values)
-        assert trace == ref_trace
 
 
 def test_survival_report_matches_naive_protocols(system):
@@ -163,11 +160,10 @@ def test_survival_report_matches_naive_protocols(system):
     for sched in schedules:
         rep = survival_report(u, p_core, e, [sched])[0]
         free = u.evolve(e, sched.t_final)
-        chain, trace = naive_chain(u, p_core, e, sched)
+        chain = naive_chain(u, p_core, e, sched)
         assert rep.s_free == abs(np.vdot(e.values, free.values) * e.space.dx) ** 2
         assert rep.s_measured == abs(np.vdot(e.values, chain.values) * e.space.dx) ** 2
         assert rep.leakage_free == 1.0 - p_core.mass(free)
-        assert rep.retained_trace == trace
         assert rep.retained == chain.norm_sq()
 
 
@@ -177,10 +173,9 @@ def test_ulp_apart_segments_each_get_their_own_step():
     u = Propagator(momentum_operator(e.space))
     sched = MeasurementSchedule.equally_spaced(2.0, 8)
     assert len({d.hex() for d in sched.segments()}) == 3
-    final, trace = _chain(u, p_core, u.transform(e), sched)
-    ref_final, ref_trace = naive_chain(u, p_core, e, sched)
+    final = _chain(u, p_core, u.transform(e), sched)
+    ref_final = naive_chain(u, p_core, e, sched)
     assert np.array_equal(final.values, ref_final.values)
-    assert trace == ref_trace
 
 
 def test_survival_report_never_projects_through_apply(system, monkeypatch):
@@ -193,10 +188,9 @@ def test_survival_report_never_projects_through_apply(system, monkeypatch):
 
     monkeypatch.setattr(SubspaceProjector, "apply", refuse)
     reports = survival_report(u, p_core, e, schedules)
-    for rep, (final, trace) in zip(reports, expected):
+    for rep, final in zip(reports, expected):
         assert rep.s_measured == abs(inner_product(e, final)) ** 2
         assert rep.retained == final.norm_sq()
-        assert rep.retained_trace == trace
 
 
 def test_an_owned_advance_has_the_bits_of_advance(system):
@@ -226,7 +220,7 @@ def test_a_chain_clips_every_segment_in_one_buffer(name, monkeypatch):
         return clip(self, values)
 
     monkeypatch.setattr(SubspaceProjector, "_clip", recording)
-    final, _ = _chain(u, p_core, coeffs, MeasurementSchedule.equally_spaced(2.0, 5))
+    final = _chain(u, p_core, coeffs, MeasurementSchedule.equally_spaced(2.0, 5))
     assert len(clipped) == 5
     assert not np.shares_memory(clipped[0], coeffs)
     assert all(np.shares_memory(v, clipped[0]) for v in clipped[1:] + [final.values])

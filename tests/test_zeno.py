@@ -157,19 +157,36 @@ def test_empty_schedule_reduces_to_free_survival(grid, zone_pair, translator):
     e = core_zone_state(p_core, make_gaussian(grid, -8.0, 1.0))
     rep = survival_report(translator, p_core, e, [MeasurementSchedule.equally_spaced(2.0, 0)])[0]
     assert rep.s_measured == rep.s_free
-    assert rep.retained_trace == ()
+    assert rep.n_measurements == 0
+
+
+def _prefix_retained(u, p_core, e, schedule) -> list[float]:
+    """`retained` of the schedule cut to its first k instants, k = 0..N."""
+    prefixes = [MeasurementSchedule(schedule.t_final, schedule.times[:k])
+                for k in range(schedule.n_measurements + 1)]
+    return [rep.retained for rep in survival_report(u, p_core, e, prefixes)]
 
 
 def test_retained_trace_monotone_and_bounds_survival(grid, zone_pair, translator):
+    # a measurement never raises the retained norm, on the spectral and the
+    # exact-shift path (the shift needs instants on multiples of dx)
     p_core, _ = zone_pair
     e = core_zone_state(p_core, make_gaussian(grid, -6.0, 1.0))
-    rep = survival_report(translator, p_core, e, [MeasurementSchedule.equally_spaced(4.0, 7)])[0]
-    assert len(rep.retained_trace) == 7
-    for before, after in zip(rep.retained_trace, rep.retained_trace[1:]):
-        assert after <= before + 1e-15
-    # Cauchy-Schwarz at the final overlap
-    assert rep.s_measured <= rep.retained + 1e-12
-    assert 0.0 < rep.retained <= 1.0
+    for u, sched in [
+        (translator, MeasurementSchedule.equally_spaced(4.0, 7)),
+        (ShiftPropagator(grid),
+         MeasurementSchedule(205 * grid.dx, tuple(k * 25 * grid.dx for k in range(1, 8)))),
+    ]:
+        retained = _prefix_retained(u, p_core, e, sched)
+        assert len(retained) == 8
+        for before, after in zip(retained, retained[1:]):
+            assert after <= before + 1e-15
+        assert retained[-1] < retained[0]
+        rep = survival_report(u, p_core, e, [sched])[0]
+        assert rep.retained == retained[-1]
+        # Cauchy-Schwarz at the final overlap
+        assert rep.s_measured <= rep.retained + 1e-12
+        assert 0.0 < rep.retained <= 1.0
 
 
 # ----------------------------------------------------------------------
@@ -235,7 +252,9 @@ def test_rabi_survival_bounded_by_retained_trace(n, seed):
     times = tuple(float(t) for t in np.unique(times))
     if not times:
         return
-    rep = survival_report(u, p_core, e, [MeasurementSchedule(2.0, times)])[0]
+    sched = MeasurementSchedule(2.0, times)
+    rep = survival_report(u, p_core, e, [sched])[0]
     assert rep.s_measured <= rep.retained + 1e-12
-    for before, after in zip(rep.retained_trace, rep.retained_trace[1:]):
+    retained = _prefix_retained(u, p_core, e, sched)
+    for before, after in zip(retained, retained[1:]):
         assert after <= before + 1e-15
