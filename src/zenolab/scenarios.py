@@ -531,7 +531,11 @@ def scenario_series_validity(spec: ScenarioSpec) -> VerdictBundle:
     # exponential amplifies the float roundoff mass at the spectral cutoff
     # by up to e^(t*k_max), so demonstrating the sub-1e-10 floor needs
     # t*k_max ~ 16, not the 160 of the default domain.
-    wide = Grid(10.0 * spec.x_min, 10.0 * spec.x_max, spec.grid_points)
+    try:
+        wide = Grid(10.0 * spec.x_min, 10.0 * spec.x_max, spec.grid_points)
+    except DomainError as exc:
+        raise DomainError(f"domain [{spec.x_min:g}, {spec.x_max:g}], which the Gaussian "
+                          f"branch widens tenfold: {exc}") from None
     _require_inside(wide, -8.0 * spec.sigma - abs(t), 8.0 * spec.sigma + abs(t),
                     f"gaussian at 0 (sigma {spec.sigma}) drifting +-{abs(t)}")
     h_wide = momentum_operator(wide)

@@ -325,6 +325,9 @@ def make_bump(grid: Grid, support_lo: float, support_hi: float) -> WaveFunction:
     inside = np.abs(u) < 1.0
     vals = np.zeros(grid.n_points)
     vals[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
+    if not vals.any():
+        raise DomainError(f"support [{support_lo}, {support_hi}] holds no weighted sample "
+                          f"of the grid (dx = {grid.dx})")
     return WaveFunction(grid, vals).normalized()
 
 

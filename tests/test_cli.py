@@ -159,6 +159,16 @@ def test_rabi_control_exits_2_outside_its_zeno_window(tmp_path, capsys, flags, c
      "domain [-1e+308, 1e+308] is too wide: its length overflows"),
     ("counterexample", ["--x-min=-1e308", "--x-max=1e308"],
      "domain [-1e+308, 1e+308] is too wide: its length overflows"),
+    # at dx = 4.9e303 the wave-zone trial bump has no sample in its support
+    ("counterexample", ["--x-min=-1e307", "--x-max=1e307"],
+     "support [2.0, 6.0] holds no weighted sample of the grid (dx = 4.8828125e+303)"),
+    ("series-validity", ["--x-min=-1e307", "--x-max=1e307"],
+     "domain [-1e+307, 1e+307], which the Gaussian branch widens tenfold"),
+    ("hm-invariance", ["--time", "-1"], "final time must be positive"),
+    ("rabi-control", ["--omega", "0"], "omega must be positive"),
+    ("rabi-control", ["--time", "0"], "final time must be positive"),
+    ("hm-invariance", ["--sigma", "0"], "sigma must be positive"),
+    ("hm-invariance", ["--N", "-1"], "n_measurements must be non-negative"),
 ])
 def test_invalid_seed_or_tolerance_exits_2(scenario, flags, reason, tmp_path, capsys):
     assert _run(["run", scenario, "--out", str(tmp_path), *flags]) == 2
@@ -247,6 +257,14 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_missing_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "absent.cfg"
+    code = _run(["run", "hm-invariance", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config file:")
+    assert not (tmp_path / "hm-invariance").exists()
+
+
 # ----------------------------------------------------------------------
 # list and sweep
 # ----------------------------------------------------------------------
@@ -322,6 +340,19 @@ def test_sweep_rejects_unsweepable_param(tmp_path, capsys):
                  "--values", "a,b", "--out", str(tmp_path)])
     assert code == 2
     assert "cannot sweep" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, reason", [
+    (["--values", "1.0,1.1", "--jobs", "0"], "--jobs must be at least 1"),
+    (["--values", ","], "--values is empty"),
+])
+def test_sweep_rejects_bad_jobs_or_empty_values(flags, reason, tmp_path, capsys):
+    code = _run(["sweep", "rabi-control", "--param", "omega", *flags, "--out", str(tmp_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {reason}")
+    assert captured.out == ""
+    assert not (tmp_path / "rabi-control").exists()
 
 
 # ----------------------------------------------------------------------

@@ -148,6 +148,10 @@ def test_bump_support_guard(grid):
         make_bump(grid, 6.0, 2.0)
     with pytest.raises(DomainError, match="exceeds domain"):
         make_bump(grid, 30.0, 50.0)
+    # dx = 5: the support lies between two samples
+    with pytest.raises(DomainError, match=r"support \[1.0, 4.0\] holds no weighted sample "
+                                          r"of the grid \(dx = 5.0\)"):
+        make_bump(Grid(-40.0, 40.0, 16), 1.0, 4.0)
 
 
 def test_plane_wave_constant_modulus(grid):
