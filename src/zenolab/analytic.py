@@ -103,12 +103,13 @@ def hn_norms(h: SpectralOperator, psi: WaveFunction, n_max: int) -> HnNorms:
     the spectral radius of H (see HnNorms)."""
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
-    if psi.norm() == 0.0:
+    norm = psi.norm()
+    if norm == 0.0:
         raise DomainError("cannot probe growth of the zero state")
     ceiling = h.spectral_radius
     scale = math.sqrt(psi.space.dx)
     v = psi.values * (1.0 / (_norm(psi.values) * scale))
-    log_norms = [math.log(psi.norm())]
+    log_norms = [math.log(norm)]
     ratios: list[float] = []
     nilpotent_at = None
     capped_at = None

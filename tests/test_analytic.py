@@ -89,6 +89,9 @@ def test_hn_validation(small_grid):
     zero = WaveFunction(small_grid, np.zeros(small_grid.n_points))
     with pytest.raises(DomainError, match="zero state"):
         hn_norms(h, zero, 5)
+    # one power gives one step ratio: too few to classify growth
+    with pytest.raises(DomainError, match="at least two resolved powers"):
+        analyticity_report(h, g, n_max=1)
 
 
 # ----------------------------------------------------------------------
@@ -167,6 +170,14 @@ def test_curve_checkpoints_match_individual_runs():
         assert err == single  # same accumulation path, bitwise identical
     assert curve.errors[-1] <= 1e-10
     assert not curve.diverged
+
+
+@pytest.mark.parametrize("ns", [(), (0, 1), (3, 3), (5, 2)])
+def test_curve_rejects_depths_that_are_not_strictly_increasing(small_grid, ns):
+    h = momentum_operator(small_grid)
+    g = make_gaussian(small_grid, 0.0, 1.0)
+    with pytest.raises(DomainError, match="strictly increasing positive ints"):
+        series_vs_spectral_curve(h, g, 1.0, ns)
 
 
 def test_curve_reports_divergence_as_inf(grid, momentum):

@@ -118,6 +118,17 @@ def test_basis_must_be_square_in_the_space_dimension(shape):
         SpectralOperator(DenseSpace(2), [1.0, -1.0], basis=np.ones(shape))
 
 
+def test_spectrum_length_must_match_the_space():
+    with pytest.raises(SpaceMismatchError, match="eigenvalue count"):
+        SpectralOperator(DenseSpace(2), [1.0, 0.0, -1.0])
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,)])
+def test_dense_rejects_a_non_square_matrix(shape):
+    with pytest.raises(SpaceMismatchError, match="expected a square matrix"):
+        dense_hermitian(np.zeros(shape))
+
+
 # ----------------------------------------------------------------------
 # Spectral propagator: group laws and translations
 # ----------------------------------------------------------------------
