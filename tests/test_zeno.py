@@ -160,11 +160,10 @@ def test_empty_schedule_reduces_to_free_survival(grid, zone_pair, translator):
     assert rep.n_measurements == 0
 
 
-def _prefix_retained(u, p_core, e, schedule) -> list[float]:
-    """`retained` of the schedule cut to its first k instants, k = 0..N."""
-    prefixes = [MeasurementSchedule(schedule.t_final, schedule.times[:k])
-                for k in range(schedule.n_measurements + 1)]
-    return [rep.retained for rep in survival_report(u, p_core, e, prefixes)]
+def _prefix_reports(u, p_core, e, schedule):
+    """Reports of the schedule cut to its first k instants, k = 0..N."""
+    return survival_report(u, p_core, e, [MeasurementSchedule(schedule.t_final, schedule.times[:k])
+                                          for k in range(schedule.n_measurements + 1)])
 
 
 def test_retained_trace_monotone_and_bounds_survival(grid, zone_pair, translator):
@@ -177,13 +176,13 @@ def test_retained_trace_monotone_and_bounds_survival(grid, zone_pair, translator
         (ShiftPropagator(grid),
          MeasurementSchedule(205 * grid.dx, tuple(k * 25 * grid.dx for k in range(1, 8)))),
     ]:
-        retained = _prefix_retained(u, p_core, e, sched)
+        reports = _prefix_reports(u, p_core, e, sched)
+        retained = [r.retained for r in reports]
         assert len(retained) == 8
         for before, after in zip(retained, retained[1:]):
             assert after <= before + 1e-15
         assert retained[-1] < retained[0]
-        rep = survival_report(u, p_core, e, [sched])[0]
-        assert rep.retained == retained[-1]
+        rep = reports[-1]
         # Cauchy-Schwarz at the final overlap
         assert rep.s_measured <= rep.retained + 1e-12
         assert 0.0 < rep.retained <= 1.0
@@ -252,9 +251,9 @@ def test_rabi_survival_bounded_by_retained_trace(n, seed):
     times = tuple(float(t) for t in np.unique(times))
     if not times:
         return
-    sched = MeasurementSchedule(2.0, times)
-    rep = survival_report(u, p_core, e, [sched])[0]
+    reports = _prefix_reports(u, p_core, e, MeasurementSchedule(2.0, times))
+    rep = reports[-1]
     assert rep.s_measured <= rep.retained + 1e-12
-    retained = _prefix_retained(u, p_core, e, sched)
+    retained = [r.retained for r in reports]
     for before, after in zip(retained, retained[1:]):
         assert after <= before + 1e-15
