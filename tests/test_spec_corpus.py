@@ -52,6 +52,7 @@ SPECS = (
     "run hm-invariance --time 10",
     "run series-validity --time 2",
     "run series-validity --time 0",
+    "run series-validity --time 1e-300",
     "run series-validity --x-min -20 --x-max 20",
     "run counterexample --x-min=-1e307 --x-max=1e307",
     "run series-validity --x-min=-1e307 --x-max=1e307",
