@@ -115,7 +115,8 @@ def hn_norms(h: SpectralOperator, psi: WaveFunction, n_max: int) -> HnNorms:
     capped_at = None
     at_ceiling = 0
     for n in range(1, n_max + 1):
-        w = h._apply_values(v)
+        c = h._to_coeffs(v, owned=True)  # v is always an array of our own
+        w = h._from_coeffs(np.multiply(h.eigenvalues, c, out=c))
         r = float(_norm(w) * scale)
         if r == 0.0:
             nilpotent_at = n
@@ -205,25 +206,27 @@ def series_vs_spectral_curve(h: SpectralOperator, psi: WaveFunction, t: float,
                              n_values) -> ConvergenceCurve:
     """Distance of truncated-series states from the spectral evolution U(t) psi.
 
-    The partial sums are produced by the same accumulation kernel the series
-    propagator uses, so each sampled depth agrees bitwise with a standalone
-    truncated run.  Each depth's error is taken as the sum passes it, so only
-    one partial sum is alive.  The divergence flag is sticky, so at the first
-    diverged depth summing stops and that depth and all later ones read inf.
+    psi is transformed once to coefficients c, and depth n's error is
+    ||rest_n - (U(t) c - c)||, with rest_n the series propagator's own
+    record of terms 1..n-1: bitwise what a standalone truncated run changes
+    back, and no inverse transform, since the change of basis is an
+    isometry.  Only one partial sum is alive.  The divergence flag is
+    sticky: at the first diverged depth summing stops and that depth and
+    all later ones read inf.
     """
     ns = tuple(int(n) for n in n_values)
     if not ns or any(n < 1 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
         raise DomainError("n_values must be strictly increasing positive ints")
-    reference = Propagator(h).evolve(psi, t)
+    u = Propagator(h)
+    c = u.transform(psi)
+    d = u.step(t) * c - c
     errors: list[float] = []
-    for n, vals, diverged in _series_terms(h, psi, t, ns[-1]):
+    for n, rest, diverged in _series_terms(h, c, t, ns[-1]):
         if n != ns[len(errors)]:
             continue
         if diverged:
             break
-        # same norm path as WaveFunction arithmetic, keeping the bitwise
-        # agreement with standalone truncated runs
-        errors.append(WaveFunction._adopt(psi.space, vals - reference.values).norm()
-                      if np.all(np.isfinite(vals)) else math.inf)
+        err = float(_norm(rest - d))
+        errors.append(err if math.isfinite(err) else math.inf)
     errors += [math.inf] * (len(ns) - len(errors))
     return ConvergenceCurve(ns, tuple(errors), diverged)

@@ -42,10 +42,10 @@ unbounded-operator distinction between analytic and non-analytic vectors
 cannot literally exist here.  What discretization preserves is the *rate*
 structure: how fast ||H^n psi||^(1/n) grows before it saturates at the
 spectral cutoff, and how that saturation point moves when the grid is
-refined.  Series-based evolution (`evolve_series`) is therefore always
-formally convergent, yet numerically trustworthy only while t * cutoff is
-small enough that the truncated sum does not amplify roundoff; the
-divergence flag reports this honestly rather than hiding it.
+refined.  `evolve_series` sums its terms on the eigenbasis coefficients and
+changes basis back once.  It is always formally convergent, yet numerically
+trustworthy only while t * cutoff is small enough that the truncated sum
+does not amplify roundoff; the divergence flag reports this honestly.
 """
 
 from __future__ import annotations
@@ -134,11 +134,6 @@ class SpectralOperator:
             coeffs *= 1.0 / np.sqrt(w / self.space.n_points)
             return np.fft.ifft(coeffs, out=coeffs)
         return self.basis @ coeffs
-
-    def _apply_values(self, values: np.ndarray) -> np.ndarray:
-        c = self._to_coeffs(values)
-        np.multiply(self.eigenvalues, c, out=c)
-        return self._from_coeffs(c)
 
 
 def momentum_operator(grid: Grid) -> SpectralOperator:
@@ -309,46 +304,46 @@ class SeriesResult:
     diverged: bool
 
 
-def _series_terms(h: SpectralOperator, psi: WaveFunction, t: float, n_terms: int):
-    """Shared summation kernel: yields after each of the first n_terms terms.
+def _series_terms(h: SpectralOperator, coeffs: np.ndarray, t: float, n_terms: int):
+    """Shared summation kernel on psi's eigenbasis coefficients `coeffs`.
 
-    Adds terms (-i t H)^n psi / n! for n = 0..n_terms-1 in a fixed order so
-    every caller sees identical floating-point results, and yields
-    (n_terms_so_far, partial_values, diverged) after each one.  Only the
-    current partial sum is kept alive, and a consumer that stops iterating
-    stops the summing.  A non-finite term halts the sum: the last record
-    keeps the partial sum before it, with diverged set.
+    Term n is term n-1 times lambda, then times -i t / n, so no term changes
+    basis; its norm is the coefficients' plain l2 norm (the change of basis
+    is an isometry).  Terms 1..n-1 are added in a fixed order into `rest`,
+    in place, and (n, rest, diverged) is yielded after each of the first
+    n_terms terms, so every caller sees the same bits; a consumer copies a
+    record it keeps, and stopping the iteration stops the summing.  A
+    non-finite term halts the sum: the last record keeps the partial sum
+    before it, with diverged set.
     """
-    psi._require_space(h.space)
-    psi_norm = psi.norm()
-    term = total = psi.values
-    diverged = False
-    yield 1, total, diverged
+    c_norm = float(_norm(coeffs))
+    term, rest, diverged = coeffs, np.zeros_like(coeffs), False
+    yield 1, rest, diverged
     for n in range(1, n_terms):
         # an overflowing term is reported through `diverged`, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            term = h._apply_values(term) * (-1j * t / n)
-            tn = float(_norm(term)) * np.sqrt(psi.space.dx)
+            term = h.eigenvalues * term * (-1j * t / n)
+            tn = float(_norm(term))
         if not np.isfinite(tn):
             # freeze the partial sum instead of poisoning it
-            yield n + 1, total, True
+            yield n + 1, rest, True
             return
-        if tn > DIVERGENCE_FACTOR * psi_norm:
+        if tn > DIVERGENCE_FACTOR * c_norm:
             diverged = True
-        total = total + term
-        yield n + 1, total, diverged
+        rest += term
+        yield n + 1, rest, diverged
 
 
 def evolve_series(h: SpectralOperator, psi: WaveFunction, t: float, n_terms: int) -> SeriesResult:
     """Sum the first n_terms of exp(-i t H) psi = sum_n (-i t H)^n psi / n!.
 
-    The 1/n! factor is folded in incrementally via term_{n+1} =
-    (t / (i (n+1))) H term_n; explicit factorials and matrix powers never
-    appear, and only one partial sum is alive at a time.  Overflowing terms
-    set the divergence flag rather than raising.
+    The terms are summed on psi's coefficients, with 1/n! folded in as
+    term_{n+1} = (t / (i (n+1))) H term_n, and changed back to values once.
+    Overflowing terms set the divergence flag rather than raising.
     """
     if n_terms < 1:
         raise DomainError(f"n_terms must be >= 1, got {n_terms}")
-    for _, total, diverged in _series_terms(h, psi, t, n_terms):
+    for _, rest, diverged in _series_terms(h, Propagator(h).transform(psi), t, n_terms):
         pass
-    return SeriesResult(WaveFunction(psi.space, total), diverged)
+    rest_values = h._from_coeffs(rest)  # the drained kernel's last record is ours
+    return SeriesResult(WaveFunction._adopt(psi.space, psi.values + rest_values), diverged)

@@ -538,15 +538,19 @@ def scenario_series_validity(spec: ScenarioSpec) -> VerdictBundle:
                           f"branch widens tenfold: {exc}") from None
     _require_inside(wide, -8.0 * spec.sigma - abs(t), 8.0 * spec.sigma + abs(t),
                     f"gaussian at 0 (sigma {spec.sigma}) drifting +-{abs(t)}")
+    # below this U(t) is the identity to float64 rounding: no error can grow
+    k_max = math.pi / fine.dx
+    if abs(t) * k_max <= np.finfo(float).eps:
+        raise DomainError(f"time {t:g} is too short: |t| * k_max = {abs(t) * k_max:.3g} "
+                          f"(k_max = {k_max:g}) is at most float64 eps: U(t) is the identity")
     h_wide = momentum_operator(wide)
     g = make_gaussian(wide, 0.0, spec.sigma)
     g_curve = series_vs_spectral_curve(h_wide, g, t, range(1, 41))
     # growth probed only to n=16: past that the renormalized iterates of a
     # sampled Gaussian are roundoff riding the cutoff, not the state
     g_report = analyticity_report(h_wide, g, n_max=16)
-    first_converged = next(
-        (n for n, err in zip(g_curve.n_terms, g_curve.errors) if err < 1e-10), -1
-    )
+    first_converged = next((n for n, err in zip(g_curve.n_terms, g_curve.errors)
+                            if err < 1e-10), -1)
 
     # bump branch: saturates at the grid ceiling, worse on finer grids
     def bump_branch(grid: Grid):
@@ -563,11 +567,9 @@ def scenario_series_validity(spec: ScenarioSpec) -> VerdictBundle:
     # eigenvector branch: series must reduce to the scalar exponential.
     # Runs on a small grid (k_max ~ 10) for the same cutoff-noise reason.
     small = Grid(spec.x_min, spec.x_max, max(spec.grid_points // 16, 16))
-    h_small = momentum_operator(small)
-    mode = 5
-    pw = make_plane_wave(small, mode)
-    k_mode = float(small.wavenumbers()[mode])
-    partial = evolve_series(h_small, pw, t, 20).state
+    pw = make_plane_wave(small, 5)
+    k_mode = float(small.wavenumbers()[5])
+    partial = evolve_series(momentum_operator(small), pw, t, 20).state
     scalar = sum((-1j * k_mode * t) ** j / math.factorial(j) for j in range(20))
     eigen_error = (partial - scalar * pw).norm()
 

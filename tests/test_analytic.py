@@ -10,8 +10,10 @@ import pytest
 
 from oracles import momentum_power_norm
 from zenolab import (
+    AnalyticityReport,
     DomainError,
     Grid,
+    HnNorms,
     Propagator,
     WaveFunction,
     analyticity_report,
@@ -25,7 +27,8 @@ from zenolab import (
     momentum_operator,
     series_vs_spectral_curve,
 )
-from zenolab.operators import SpectralOperator
+from zenolab import analytic
+from zenolab.operators import _series_terms
 
 
 # ----------------------------------------------------------------------
@@ -153,23 +156,73 @@ def test_compare_resolutions_requires_finer_cutoff(grid):
         compare_resolutions(report, report)
 
 
+def _report(cutoff: float, plateau: float) -> AnalyticityReport:
+    """A saturated report whose plateau sits at `plateau` of a cutoff."""
+    norms = HnNorms(1, (plateau,), (0.0, math.log(plateau)), None)
+    return AnalyticityReport(cutoff, norms, "saturated-by-grid", math.nan, plateau)
+
+
+@pytest.mark.parametrize("fine_fraction, coarse_fraction, tracks", [
+    (0.9, 0.9, True),
+    (0.5, 2.0, True),      # both band edges are inside
+    (0.9, 0.49, False),    # the coarse plateau below the band
+    (0.9, 2.01, False),    # the coarse plateau above the band
+    (0.49, 0.9, False),
+    (2.01, 0.9, False),
+])
+def test_compare_resolutions_needs_both_plateaus_in_band(fine_fraction, coarse_fraction,
+                                                         tracks):
+    fine, coarse = _report(100.0, 100.0 * fine_fraction), _report(25.0, 25.0 * coarse_fraction)
+    assert compare_resolutions(fine, coarse) is tracks
+
+
+@pytest.mark.parametrize("growth, classification", [
+    (1.099, "finite-radius-like"),
+    (1.06, "finite-radius-like"),
+    (1.101, "entire-like"),
+])
+def test_classification_splits_at_a_rho_growth_of_1_1(growth, classification, monkeypatch):
+    # six step ratios: the tail window is the last five, whose rho estimates
+    # are 1, 1, 1, 1 and `growth`, all far below the cutoff's plateau share
+    rho = (1.0,) * 5 + (growth,)
+    ratios = tuple((j + 1) / r for j, r in enumerate(rho))
+    norms = HnNorms(6, ratios, tuple(np.cumsum((0.0,) + tuple(map(math.log, ratios)))), None)
+    monkeypatch.setattr(analytic, "hn_norms", lambda h, psi, n_max: norms)
+    h = dense_hermitian(np.diag([100.0, -100.0]))
+    report = analyticity_report(h, WaveFunction(h.space, np.array([1.0, 0.0])), 6)
+    assert report.tail_growth == pytest.approx(growth, rel=1e-12)
+    assert report.classification == classification
+
+
 # ----------------------------------------------------------------------
 # Series-vs-spectral convergence curves
 # ----------------------------------------------------------------------
 
 def test_curve_checkpoints_match_individual_runs():
-    wide = Grid(-400.0, 400.0, 4096)
-    h = momentum_operator(wide)
-    g = make_gaussian(wide, 0.0, 1.0)
-    reference = Propagator(h).evolve(g, 1.0)
+    wide, fine = Grid(-400.0, 400.0, 4096), Grid(-40.0, 40.0, 4096)
     ns = (1, 5, 10, 20, 40)
-    curve = series_vs_spectral_curve(h, g, 1.0, ns)
-    assert curve.n_terms == ns
-    for n, err in zip(curve.n_terms, curve.errors):
-        single = (evolve_series(h, g, 1.0, n).state - reference).norm()
-        assert err == single  # same accumulation path, bitwise identical
-    assert curve.errors[-1] <= 1e-10
-    assert not curve.diverged
+    curves = []
+    for g in (make_gaussian(wide, 0.0, 1.0), make_bump(fine, -2.0, 2.0)):
+        h = momentum_operator(g.space)
+        reference = Propagator(h).evolve(g, 1.0)
+        curve = series_vs_spectral_curve(h, g, 1.0, ns)
+        assert curve.n_terms == ns
+        # the kernel's record at each depth is what a standalone run changes back
+        records = {n: rest.copy() for n, rest, _ in
+                   _series_terms(h, h._to_coeffs(g.values), 1.0, ns[-1]) if n in ns}
+        for n, err in zip(curve.n_terms, curve.errors):
+            single = evolve_series(h, g, 1.0, n).state
+            expected = g.values + h._from_coeffs(records[n])
+            assert single.values.tobytes() == expected.tobytes()
+            if math.isfinite(err):
+                # the same error in coefficients as in values, up to roundoff
+                assert abs(err - (single - reference).norm()) <= max(1e-12 * err, 1e-15)
+        curves.append(curve)
+    gaussian, bump = curves
+    assert gaussian.errors[-1] <= 1e-10
+    assert not gaussian.diverged
+    # the bump's terms pass DIVERGENCE_FACTOR at depth 16
+    assert bump.diverged and math.isinf(bump.errors[-1])
 
 
 @pytest.mark.parametrize("ns", [(), (0, 1), (3, 3), (5, 2)])
@@ -191,16 +244,17 @@ def test_curve_stops_summing_at_the_first_diverged_depth(grid, momentum, monkeyp
     # the bump's terms pass DIVERGENCE_FACTOR at depth 16; the flag is
     # sticky, so no later depth needs another application of H
     b = make_bump(grid, -2.0, 2.0)
-    calls = []
-    apply_values = SpectralOperator._apply_values
+    records = []
 
-    def counting(self, values):
-        calls.append(values.size)
-        return apply_values(self, values)
+    def counting(*args):
+        for record in _series_terms(*args):
+            records.append(record[0])
+            yield record
 
-    monkeypatch.setattr(SpectralOperator, "_apply_values", counting)
+    monkeypatch.setattr(analytic, "_series_terms", counting)
     curve = series_vs_spectral_curve(momentum, b, 1.0, range(1, 61))
-    assert len(calls) == 15
+    # 16 records: psi itself and 15 applications of H
+    assert records == list(range(1, 17))
     assert curve.diverged
     assert all(math.isfinite(e) for e in curve.errors[:15])
     assert all(math.isinf(e) for e in curve.errors[15:])

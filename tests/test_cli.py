@@ -169,6 +169,9 @@ def test_rabi_control_exits_2_outside_its_zeno_window(tmp_path, capsys, flags, c
     ("rabi-control", ["--time", "0"], "final time must be positive"),
     ("hm-invariance", ["--sigma", "0"], "sigma must be positive"),
     ("hm-invariance", ["--N", "-1"], "n_measurements must be non-negative"),
+    # |t| * k_max at or below float64 eps: U(t) is the identity to rounding
+    ("series-validity", ["--time", "0"], "time 0 is too short: |t| * k_max = 0"),
+    ("series-validity", ["--time", "1e-300"], "(k_max = 160.85) is at most float64 eps"),
 ])
 def test_invalid_seed_or_tolerance_exits_2(scenario, flags, reason, tmp_path, capsys):
     assert _run(["run", scenario, "--out", str(tmp_path), *flags]) == 2

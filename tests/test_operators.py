@@ -32,7 +32,7 @@ from zenolab import (
 
 def _apply(h: SpectralOperator, psi: WaveFunction) -> WaveFunction:
     """H psi as a state on psi's space."""
-    return WaveFunction(psi.space, h._apply_values(psi.values))
+    return WaveFunction(psi.space, h._from_coeffs(h.eigenvalues * h._to_coeffs(psi.values)))
 
 
 # ----------------------------------------------------------------------
@@ -259,6 +259,14 @@ def test_series_divergence_flag(grid, momentum):
     g = make_gaussian(grid, 0.0, 1.0)
     result = evolve_series(momentum, g, 50.0, 60)
     assert result.diverged
+
+
+def test_series_divergence_flag_is_sticky():
+    # t * k_max ~ 63: the middle terms pass the guard by about 1e14, and by
+    # term 300 they have decayed far below psi again; the flag stays set
+    coarse = Grid(-8.0, 8.0, 64)
+    h = momentum_operator(coarse)
+    assert evolve_series(h, make_bump(coarse, -2.0, 2.0), 5.0, 300).diverged
 
 
 def test_series_overflow_is_a_flag_not_a_warning():

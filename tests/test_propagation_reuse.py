@@ -42,7 +42,13 @@ from zenolab import (
     survival_report,
 )
 from zenolab import subspaces
-from zenolab.scenarios import CURVE_POINTS, T_SWEEP, ScenarioSpec, scenario_hm_invariance
+from zenolab.scenarios import (
+    CURVE_POINTS,
+    T_SWEEP,
+    ScenarioSpec,
+    scenario_hm_invariance,
+    scenario_series_validity,
+)
 from zenolab.zeno import _chain
 
 # ----------------------------------------------------------------------
@@ -468,6 +474,17 @@ def test_hm_invariance_runs_its_spectral_report_once(n):
         scenario_hm_invariance(ScenarioSpec(name="hm-invariance", n_measurements=n))
     assert counts["fft"] == CURVE_POINTS * n + 1
     assert counts["ifft"] == CURVE_POINTS * (n + 2) + 1
+
+
+def test_series_validity_sums_its_series_in_coefficients():
+    # hn_norms applies H as one FFT pair per power, 43 powers in all; each
+    # of the three curves transforms its state once, and the eigenvector
+    # branch's evolve_series transforms once and changes back once.  With
+    # an FFT pair per series term the scenario ran 178 + 178
+    with pytest.MonkeyPatch.context() as mp:
+        counts = _install_counters(mp)
+        scenario_series_validity(ScenarioSpec(name="series-validity"))
+    assert (counts["fft"], counts["ifft"]) == (43 + 3 + 1, 43 + 1)
 
 
 @pytest.mark.parametrize("n", [0, 5])

@@ -7,6 +7,7 @@ import math
 import time
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from oracles import normal_cdf, rabi_chain_survival
@@ -16,8 +17,9 @@ from zenolab import (
     run_scenario,
 )
 from zenolab.errors import PreconditionError
+from zenolab import scenarios
 from zenolab.operators import Propagator
-from zenolab.scenarios import READS, SCENARIOS
+from zenolab.scenarios import READS, SCENARIOS, _shift_schedule, make_flag
 
 RUNTIME_BUDGET = {
     "counterexample": 5.0,
@@ -175,8 +177,32 @@ def test_hm_invariance_rejects_its_schedules_before_any_transform(overrides, rea
 
 
 # ----------------------------------------------------------------------
+# Flags
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("relation, passed", [
+    ("<=", True), ("<", False), (">=", True), (">", False), ("==", True),
+])
+def test_make_flag_relations_at_equal_values(relation, passed):
+    # a value on its threshold passes exactly the non-strict relations
+    flag = make_flag("edge", 1e-10, relation, 1e-10)
+    assert flag.passed is passed
+    assert (flag.value, flag.relation, flag.threshold) == (1e-10, relation, 1e-10)
+
+
+# ----------------------------------------------------------------------
 # hm-invariance: measurements leave survival unchanged
 # ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("total, n, marks", [
+    (10, 2, (3, 7)),            # 10/3 and 20/3 round up and down
+    (20, 5, (3, 7, 10, 13, 17)),
+    (7, 1, (4,)),               # 3.5 rounds half to even
+])
+def test_shift_schedule_rounds_its_marks(total, n, marks):
+    schedule = _shift_schedule(total, 0.5, n)
+    assert schedule.t_final == total * 0.5
+    assert schedule.times == tuple(m * 0.5 for m in marks)
 
 def test_hm_invariance_deltas():
     bundle = run_scenario("hm-invariance")
@@ -252,6 +278,23 @@ def test_series_validity_bump_divergence_trend():
     for key in ("bump_plateau_fraction_fine", "bump_plateau_fraction_coarse"):
         assert 0.5 <= bundle.metrics[key] <= 2.0
     assert bundle.metrics["eigenvector_error"] <= 1e-12
+
+
+def test_series_validity_rejects_a_time_below_roundoff_before_any_state(monkeypatch):
+    # |t| * k_max at or below float64 eps: U(t) is the identity to rounding,
+    # so no series error can grow and the resolution trend cannot be judged
+    k_max = math.pi / (80.0 / 4096)
+    edge = np.finfo(float).eps / k_max
+    built = []
+    monkeypatch.setattr(scenarios, "make_gaussian", lambda *a, **k: built.append(a))
+    for t in (0.0, 1e-300, -edge, edge):
+        with pytest.raises(DomainError, match=r"time .* is too short: \|t\| \* k_max"):
+            run_scenario("series-validity", ScenarioSpec(name="series-validity", time=t))
+    assert built == []
+    monkeypatch.undo()
+    just_above = math.nextafter(edge, 1.0)
+    assert run_scenario("series-validity",
+                        ScenarioSpec(name="series-validity", time=just_above)).passed
 
 
 def test_series_validity_gaussian_table_entry():

@@ -166,7 +166,7 @@ def _prefix_reports(u, p_core, e, schedule):
                                           for k in range(schedule.n_measurements + 1)])
 
 
-def test_retained_trace_monotone_and_bounds_survival(grid, zone_pair, translator):
+def test_retained_norm_monotone_and_bounds_survival(grid, zone_pair, translator):
     # a measurement never raises the retained norm, on the spectral and the
     # exact-shift path (the shift needs instants on multiples of dx)
     p_core, _ = zone_pair
@@ -243,7 +243,7 @@ def test_zeno_scaling_validation():
     n=st.integers(min_value=1, max_value=9),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_rabi_survival_bounded_by_retained_trace(n, seed):
+def test_rabi_survival_bounded_by_retained_norm(n, seed):
     # arbitrary strictly ordered schedules, not just equally spaced ones
     u, p_core, e = _rabi()
     rng = np.random.default_rng(seed)
