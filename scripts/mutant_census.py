@@ -1,0 +1,89 @@
+"""Mutant census: does a named tier-1 test catch each one-line fault?
+
+The golden test and the spec corpus catch almost any change to a default
+run's bytes, so a change that regenerates those bytes on purpose would
+also hide a real fault in the same code.  This script applies each mutant
+below to its own copy of `src/`, `tests/` and `benchmarks/` and runs tier-1
+there with `-x`, without `tests/test_golden.py` and
+`tests/test_spec_corpus.py`.  A mutant is killed when a named test fails.
+
+Run from anywhere (one pass takes a few minutes, one pytest at a time):
+
+    python scripts/mutant_census.py
+
+It prints one line per mutant with the first failing test and exits 1 when
+any mutant survives.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: (name, file, text, replacement); the text must occur exactly once
+MUTANTS = (
+    ("make_flag takes < as <=", "scenarios.py", '"<": v < thr,', '"<": v <= thr,'),
+    ("coarse plateau band ignored", "analytic.py",
+     "        and lo <= coarse.plateau_fraction <= hi\n", ""),
+    ("shift marks floored", "scenarios.py",
+     "int(round(k * total_steps / (n + 1)))", "int(k * total_steps / (n + 1))"),
+    ("ENTIRE_GROWTH 1.05", "analytic.py", "ENTIRE_GROWTH = 1.1", "ENTIRE_GROWTH = 1.05"),
+    ("series terms without 1/n", "operators.py", "(-1j * t / n)", "(-1j * t)"),
+    ("divergence flag not sticky", "operators.py",
+     "        if tn > DIVERGENCE_FACTOR * c_norm:\n            diverged = True\n",
+     "        diverged = tn > DIVERGENCE_FACTOR * c_norm\n"),
+    ("curve error against U(t) c", "analytic.py",
+     "d = u.step(t) * c - c", "d = u.step(t) * c"),
+    ("series time bound off", "scenarios.py",
+     "if abs(t) * k_max <= np.finfo(float).eps:", "if False:"),
+    ("step keeps the conjugate's -0.0", "operators.py", "            mirror.imag += 0.0\n", ""),
+    ("hn_norms ceiling cap off", "analytic.py",
+     "if at_ceiling >= CEILING_WINDOW and n < n_max:", "if False:"),
+    ("clip leaves one sample", "subspaces.py",
+     "values[self.stop:] = 0.0", "values[self.stop + 1:] = 0.0"),
+    ("zone guard ten times looser", "subspaces.py", "if off > tol:", "if off > 10 * tol:"),
+    ("chain's last step doubled", "zeno.py", "u._values(coeffs, step(last), owned)",
+     "u._values(coeffs, step(2 * last), owned)"),
+)
+
+
+def run(name: str, module: str, text: str, replacement: str) -> tuple[bool, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for part in ("src", "tests", "benchmarks"):
+            shutil.copytree(ROOT / part, work / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", work)
+        path = work / "src" / "zenolab" / module
+        source = path.read_text(encoding="utf-8")
+        if source.count(text) != 1:
+            raise SystemExit(f"mutant {name!r}: its text occurs {source.count(text)} times "
+                             f"in {module}")
+        path.write_text(source.replace(text, replacement), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-rf", "-p", "no:cacheprovider",
+             "--ignore=tests/test_golden.py", "--ignore=tests/test_spec_corpus.py"],
+            cwd=work, env=dict(os.environ, PYTHONPATH="src"), capture_output=True, text=True)
+    failed = re.findall(r"^FAILED (\S+)", proc.stdout, flags=re.MULTILINE)
+    return proc.returncode != 0, failed[0] if failed else proc.stdout.strip().splitlines()[-1]
+
+
+def main() -> int:
+    survivors = 0
+    for mutant in MUTANTS:
+        killed, detail = run(*mutant)
+        survivors += not killed
+        print(f"{'killed  ' if killed else 'SURVIVED'} {mutant[0]:32} {detail}", flush=True)
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} killed by named tests")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

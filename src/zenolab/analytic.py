@@ -206,12 +206,12 @@ def series_vs_spectral_curve(h: SpectralOperator, psi: WaveFunction, t: float,
                              n_values) -> ConvergenceCurve:
     """Distance of truncated-series states from the spectral evolution U(t) psi.
 
-    psi is transformed once to coefficients c, and depth n's error is
-    ||rest_n - (U(t) c - c)||, with rest_n the series propagator's own
-    record of terms 1..n-1: bitwise what a standalone truncated run changes
-    back, and no inverse transform, since the change of basis is an
-    isometry.  Only one partial sum is alive.  The divergence flag is
-    sticky: at the first diverged depth summing stops and that depth and
+    psi is transformed once, to coefficients c.  Depth n's error is
+    ||rest_n - (U(t) c - c)||, where rest_n is the kernel's sum of terms
+    1..n-1, bit for bit the one a standalone truncated run changes back to
+    values.  The change of basis is an isometry, so no depth needs an
+    inverse transform.  Only one partial sum is alive.  The divergence flag
+    is sticky: at the first diverged depth summing stops and that depth and
     all later ones read inf.
     """
     ns = tuple(int(n) for n in n_values)
