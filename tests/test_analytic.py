@@ -157,7 +157,7 @@ def test_compare_resolutions_requires_finer_cutoff(grid):
 
 
 def _report(cutoff: float, plateau: float) -> AnalyticityReport:
-    """A saturated report whose plateau sits at `plateau` of a cutoff."""
+    """A saturated-by-grid report with the given cutoff and plateau."""
     norms = HnNorms(1, (plateau,), (0.0, math.log(plateau)), None)
     return AnalyticityReport(cutoff, norms, "saturated-by-grid", math.nan, plateau)
 

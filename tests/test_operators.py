@@ -262,8 +262,8 @@ def test_series_divergence_flag(grid, momentum):
 
 
 def test_series_divergence_flag_is_sticky():
-    # t * k_max ~ 63: the middle terms pass the guard by about 1e14, and by
-    # term 300 they have decayed far below psi again; the flag stays set
+    # t * k_max ~ 63: the middle terms reach about 1e23 ||psi||, past the
+    # 1e12 guard, and term 300 is down to about 1e-77 ||psi||; the flag stays set
     coarse = Grid(-8.0, 8.0, 64)
     h = momentum_operator(coarse)
     assert evolve_series(h, make_bump(coarse, -2.0, 2.0), 5.0, 300).diverged

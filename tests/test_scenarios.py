@@ -16,8 +16,8 @@ from zenolab import (
     ScenarioSpec,
     run_scenario,
 )
-from zenolab.errors import PreconditionError
 from zenolab import scenarios
+from zenolab.errors import PreconditionError
 from zenolab.operators import Propagator
 from zenolab.scenarios import READS, SCENARIOS, _shift_schedule, make_flag
 
@@ -203,6 +203,7 @@ def test_shift_schedule_rounds_its_marks(total, n, marks):
     schedule = _shift_schedule(total, 0.5, n)
     assert schedule.t_final == total * 0.5
     assert schedule.times == tuple(m * 0.5 for m in marks)
+
 
 def test_hm_invariance_deltas():
     bundle = run_scenario("hm-invariance")
