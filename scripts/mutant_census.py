@@ -11,8 +11,10 @@ Run from anywhere (one pass takes a few minutes, one pytest at a time):
 
     python scripts/mutant_census.py
 
-It prints one line per mutant with the first failing test and exits 1 when
-any mutant survives.
+It first runs tier-1 on an unmutated copy and exits 2, naming the failing
+test, if that fails: otherwise every mutant would read as killed.  Then it
+prints one line per mutant with the first failing test and exits 1 when any
+mutant survives.
 """
 
 from __future__ import annotations
@@ -49,24 +51,35 @@ MUTANTS = (
     ("clip leaves one sample", "subspaces.py",
      "values[self.stop:] = 0.0", "values[self.stop + 1:] = 0.0"),
     ("zone guard ten times looser", "subspaces.py", "if off > tol:", "if off > 10 * tol:"),
-    ("chain's last step doubled", "zeno.py", "u._values(coeffs, step(last), owned)",
-     "u._values(coeffs, step(2 * last), owned)"),
+    ("chain's later steps doubled", "zeno.py", "step(dt), owned=True)",
+     "step(2 * dt), owned=True)"),
+    ("hn_norms applies 2 H", "analytic.py", "h.eigenvalues, owned=True)",
+     "2 * h.eigenvalues, owned=True)"),
+    ("shift transform copies", "operators.py", "        return psi.values\n",
+     "        return psi.values.copy()\n"),
 )
 
 
-def run(name: str, module: str, text: str, replacement: str) -> tuple[bool, str]:
+def tier1(mutant: tuple[str, str, str, str] | None = None) -> tuple[bool, str]:
+    """Run tier-1 on a fresh copy with `mutant` applied, if any.
+
+    Returns whether a test failed, and the first failing test or pytest's
+    last line.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for part in ("src", "tests", "benchmarks"):
             shutil.copytree(ROOT / part, work / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", work)
-        path = work / "src" / "zenolab" / module
-        source = path.read_text(encoding="utf-8")
-        if source.count(text) != 1:
-            raise SystemExit(f"mutant {name!r}: its text occurs {source.count(text)} times "
-                             f"in {module}")
-        path.write_text(source.replace(text, replacement), encoding="utf-8")
+        if mutant is not None:
+            name, module, text, replacement = mutant
+            path = work / "src" / "zenolab" / module
+            source = path.read_text(encoding="utf-8")
+            if source.count(text) != 1:
+                raise SystemExit(f"mutant {name!r}: its text occurs {source.count(text)} "
+                                 f"times in {module}")
+            path.write_text(source.replace(text, replacement), encoding="utf-8")
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-rf", "-p", "no:cacheprovider",
              "--ignore=tests/test_golden.py", "--ignore=tests/test_spec_corpus.py"],
@@ -76,9 +89,14 @@ def run(name: str, module: str, text: str, replacement: str) -> tuple[bool, str]
 
 
 def main() -> int:
+    # a kill only means something if the unmutated copy passes
+    failed, detail = tier1()
+    if failed:
+        print(f"tier-1 fails without any mutant: {detail}", file=sys.stderr)
+        return 2
     survivors = 0
     for mutant in MUTANTS:
-        killed, detail = run(*mutant)
+        killed, detail = tier1(mutant)
         survivors += not killed
         print(f"{'killed  ' if killed else 'SURVIVED'} {mutant[0]:32} {detail}", flush=True)
     print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} killed by named tests")

@@ -107,16 +107,16 @@ def hn_norms(h: SpectralOperator, psi: WaveFunction, n_max: int) -> HnNorms:
     if norm == 0.0:
         raise DomainError("cannot probe growth of the zero state")
     ceiling = h.spectral_radius
+    u = Propagator(h)
     scale = math.sqrt(psi.space.dx)
-    v = psi.values * (1.0 / (_norm(psi.values) * scale))
+    v = psi.values * (1.0 / (_norm(psi.values) * scale))  # fresh, so H acts in it
     log_norms = [math.log(norm)]
     ratios: list[float] = []
     nilpotent_at = None
     capped_at = None
     at_ceiling = 0
     for n in range(1, n_max + 1):
-        c = h._to_coeffs(v, owned=True)  # v is always an array of our own
-        w = h._from_coeffs(np.multiply(h.eigenvalues, c, out=c))
+        w = u._values(u._coeffs(v, owned=True), h.eigenvalues, owned=True)
         r = float(_norm(w) * scale)
         if r == 0.0:
             nilpotent_at = n

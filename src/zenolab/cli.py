@@ -84,13 +84,18 @@ def load_config(path: str) -> dict:
     """Parse a flat `key = value` file into typed option values."""
     values: dict[str, object] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_bytes().decode("utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{line_no}: not UTF-8 text ({exc.reason})") from None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        if "\0" in line:  # a path would fail only once the scenario has run
+            raise ConfigError(f"{path}:{line_no}: embedded NUL character")
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"{path}:{line_no}: expected 'key = value'")

@@ -15,15 +15,15 @@ propagator is the functional calculus U(t) = exp(-i t H), in three steps:
 caller that evolves one state to many times, or many states to one time,
 transforms each state once and builds each phase vector once and gets the
 same bits as separate evolves.  Coefficients and steps are read-only and
-``advance`` never writes to them.  ``advance`` and ``transform`` wrap two
-private primitives that take an ``owned`` flag: ``_values`` (an advance
-into a fresh array, or in the coefficients themselves when the caller
-hands them over) and ``_coeffs`` (the transform of an array, in place for
-the FFT basis when the caller hands it over).  With both, a measurement
-chain works in one buffer from its first segment to its end.  The FFT
-basis scales by multiplying with 1/sqrt(dx/n), which has the bits of
-dividing by sqrt(dx/n) at a fraction of the cost (see ``_from_coeffs``).
-``ShiftPropagator`` speaks the same protocol with the state itself as its
+``advance`` never writes to them.  ``Propagator`` alone changes basis, in
+three private primitives: ``_coeffs`` (forward), ``_values`` (multiply by
+a diagonal and change back: a step gives U(t) psi, the eigenvalues H psi)
+and ``_inverse`` (the bare change back).  The first two take an ``owned``
+flag: the FFT basis works in an array the caller hands over, so a
+measurement chain runs in one buffer from its first segment to its end.
+The FFT basis scales by multiplying with 1/sqrt(dx/n), which has the bits
+of dividing by sqrt(dx/n) at a fraction of the cost (see ``_inverse``).
+``ShiftPropagator`` speaks the same protocol with a state's values as its
 coefficients, a whole-step count as its step and a circular roll as its
 advance.  The adjoint U(t)^dagger is realized as U(-t); only the
 full-space unitary group is modelled here.
@@ -67,9 +67,9 @@ HERMITIAN_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class SpectralOperator:
-    """Hermitian operator H = V diag(eigenvalues) V^dagger.
+    """Hermitian operator H = V diag(eigenvalues) V^dagger, as checked data.
 
-    The basis selects the transform V:
+    The basis selects the transform V, which only `Propagator` applies:
       * None:     V^dagger = unitary FFT (grid spaces, odd spectrum),
       * a matrix: V = that explicit unitary (n, n) eigenvector matrix
         (dense spaces).
@@ -111,29 +111,6 @@ class SpectralOperator:
     @property
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(self.eigenvalues)))
-
-    def _to_coeffs(self, values: np.ndarray, owned: bool = False) -> np.ndarray:
-        """Coefficients of `values`; the FFT basis overwrites an `owned` array."""
-        w = self.space.dx
-        if self.basis is None:
-            coeffs = np.fft.fft(values, out=values if owned else None)
-            coeffs *= np.sqrt(w / self.space.n_points)
-            return coeffs
-        return self.basis.conj().T @ values
-
-    def _from_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        """Values of `coeffs`, which must be a fresh array: it is overwritten."""
-        w = self.space.dx
-        if self.basis is None:
-            # numpy divides by a real r as by r + 0j: Smith's formula with
-            # the zero ratio gives (re + im*0, im - re*0) * (1/r), and the
-            # complex multiply by 1/r gives (re*(1/r) - im*0, re*0 + im*(1/r)),
-            # the same bits on every finite nonzero part and the same nan/inf
-            # pattern at a fraction of the cost; only the sign of an exact
-            # zero may differ.  A float64 view would turn inf+nanj into inf+xj.
-            coeffs *= 1.0 / np.sqrt(w / self.space.n_points)
-            return np.fft.ifft(coeffs, out=coeffs)
-        return self.basis @ coeffs
 
 
 def momentum_operator(grid: Grid) -> SpectralOperator:
@@ -187,7 +164,12 @@ class Propagator:
         transforms it in place and returns it, with the bits of a fresh
         transform; a matrix basis returns a fresh array.
         """
-        coeffs = self.generator._to_coeffs(values, owned)
+        h = self.generator
+        if h.basis is None:
+            coeffs = np.fft.fft(values, out=values if owned else None)
+            coeffs *= np.sqrt(h.space.dx / h.space.n_points)
+        else:
+            coeffs = h.basis.conj().T @ values
         coeffs.setflags(write=False)
         return coeffs
 
@@ -222,18 +204,33 @@ class Propagator:
         """The state whose coefficients are step * coeffs; neither is written."""
         return WaveFunction._adopt(self.space, self._values(coeffs, step))
 
-    def _values(self, coeffs: np.ndarray, step: np.ndarray, owned: bool = False) -> np.ndarray:
-        """The values of `advance`, in an array the caller owns.
+    def _values(self, coeffs: np.ndarray, diagonal: np.ndarray,
+                owned: bool = False) -> np.ndarray:
+        """Values of diagonal * coeffs (a step gives U(t), the eigenvalues H).
 
-        With `owned` the caller hands `coeffs` over and the FFT basis
-        advances in it and returns it, with the bits of a fresh advance.
+        The result is an array the caller owns.  With `owned` the caller
+        hands `coeffs` over and the FFT basis works in it and returns it,
+        with the bits of a fresh array.
         """
-        # always step * coeffs: numpy's complex multiply is not bitwise
+        # always diagonal * coeffs: numpy's complex multiply is not bitwise
         # commutative, so a swapped operand order changes the last bits
         if owned:
             coeffs.setflags(write=True)
-        return self.generator._from_coeffs(
-            np.multiply(step, coeffs, out=coeffs if owned else None))
+        return self._inverse(np.multiply(diagonal, coeffs, out=coeffs if owned else None))
+
+    def _inverse(self, coeffs: np.ndarray) -> np.ndarray:
+        """Values of `coeffs`, which must be a fresh array: it is overwritten."""
+        h = self.generator
+        if h.basis is None:
+            # numpy divides by a real r as by r + 0j: Smith's formula with
+            # the zero ratio gives (re + im*0, im - re*0) * (1/r), and the
+            # complex multiply by 1/r gives (re*(1/r) - im*0, re*0 + im*(1/r)),
+            # the same bits on every finite nonzero part and the same nan/inf
+            # pattern at a fraction of the cost; only the sign of an exact
+            # zero may differ.  A float64 view would turn inf+nanj into inf+xj.
+            coeffs *= 1.0 / np.sqrt(h.space.dx / h.space.n_points)
+            return np.fft.ifft(coeffs, out=coeffs)
+        return h.basis @ coeffs
 
     def evolve(self, psi: WaveFunction, t: float) -> WaveFunction:
         return evolve_spectral(self, psi, t)
@@ -250,10 +247,10 @@ class ShiftPropagator:
 
     Shares the transform/step/advance/evolve protocol with Propagator so
     condition checks and measurement chains can run on either path: a
-    state is its own coefficients, a step is a whole-step count m and an
-    advance is a circular roll, which moves values right by m * dx bit for
-    bit (the zero-residual oracle for the spectral path at commensurate
-    times).
+    state's values are its coefficients, a step is a whole-step count m and
+    an advance is a circular roll, which moves values right by m * dx bit
+    for bit (the zero-residual oracle for the spectral path at
+    commensurate times).
     """
 
     grid: Grid
@@ -262,13 +259,13 @@ class ShiftPropagator:
     def space(self) -> Grid:
         return self.grid
 
-    def transform(self, psi: WaveFunction) -> WaveFunction:
+    def transform(self, psi: WaveFunction) -> np.ndarray:
         psi._require_space(self.grid)
-        return psi
+        return psi.values
 
-    def _coeffs(self, values: np.ndarray, owned: bool = False) -> WaveFunction:
-        """The state of `values`, which the caller hands over."""
-        return WaveFunction._adopt(self.grid, values)
+    def _coeffs(self, values: np.ndarray, owned: bool = False) -> np.ndarray:
+        """`values` themselves, which the caller hands over."""
+        return values
 
     def step(self, t: float) -> int:
         """Whole grid steps in t; DomainError unless t is a multiple of dx."""
@@ -280,12 +277,12 @@ class ShiftPropagator:
             )
         return round(ratio)
 
-    def advance(self, coeffs: WaveFunction, step: int) -> WaveFunction:
+    def advance(self, coeffs: np.ndarray, step: int) -> WaveFunction:
         return WaveFunction._adopt(self.grid, self._values(coeffs, step))
 
-    def _values(self, coeffs: WaveFunction, step: int, owned: bool = False) -> np.ndarray:
+    def _values(self, coeffs: np.ndarray, step: int, owned: bool = False) -> np.ndarray:
         """The values of `advance`, in a fresh array the caller owns."""
-        return np.roll(coeffs.values, int(step))
+        return np.roll(coeffs, int(step))
 
     def evolve(self, psi: WaveFunction, t: float) -> WaveFunction:
         return self.advance(self.transform(psi), self.step(t))
@@ -343,7 +340,8 @@ def evolve_series(h: SpectralOperator, psi: WaveFunction, t: float, n_terms: int
     """
     if n_terms < 1:
         raise DomainError(f"n_terms must be >= 1, got {n_terms}")
-    for _, rest, diverged in _series_terms(h, Propagator(h).transform(psi), t, n_terms):
+    u = Propagator(h)
+    for _, rest, diverged in _series_terms(h, u.transform(psi), t, n_terms):
         pass
-    rest_values = h._from_coeffs(rest)  # the drained kernel's last record is ours
+    rest_values = u._inverse(rest)  # the drained kernel's last record is ours
     return SeriesResult(WaveFunction._adopt(psi.space, psi.values + rest_values), diverged)

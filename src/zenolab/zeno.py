@@ -89,13 +89,12 @@ def _chain(u, p_core: SubspaceProjector, coeffs,
     """Selective measure-and-evolve chain from the prepared state's coefficients.
 
     Returns the unnormalized final state, whose norm squared is the
-    probability of passing every measurement.  Each segment advances,
-    zeroes the wave zone in place and transforms the buffer in place.  The
-    first advance reads the shared coefficients into a fresh array and every
-    later advance runs in the coefficients the chain owns, so a chain on the
-    FFT basis allocates one state-sized array (a matrix basis changes basis
-    into fresh arrays).  The bits are those of `advance`, `apply` and
-    `transform` on separate arrays.
+    probability of passing every measurement.  The first segment advances
+    the shared coefficients into a fresh array; each later one zeroes the
+    wave zone of that buffer, transforms it and advances it, all in place,
+    so a chain on the FFT basis allocates one state-sized array (a matrix
+    basis changes basis into fresh arrays), with the bits of `advance`,
+    `apply` and `transform` on separate arrays.
 
     The segments of an equally spaced schedule differ at most in the last
     ulp and alternate (a a b c b c b ...), so the steps of the two most
@@ -103,14 +102,11 @@ def _chain(u, p_core: SubspaceProjector, coeffs,
     equal keys have identical bits and each segment gets its own step.
     """
     step = functools.lru_cache(maxsize=2)(u.step)
-    *cuts, last = schedule.segments()
-    owned = False  # the first segment reads the caller's shared coefficients
-    for dt in cuts:
-        values = p_core._clip(u._values(coeffs, step(dt), owned))
-        del coeffs
-        coeffs = u._coeffs(values, owned=True)
-        owned = True
-    return WaveFunction._adopt(u.space, u._values(coeffs, step(last), owned))
+    first, *rest = schedule.segments()
+    values = u._values(coeffs, step(first))
+    for dt in rest:
+        values = u._values(u._coeffs(p_core._clip(values), owned=True), step(dt), owned=True)
+    return WaveFunction._adopt(u.space, values)
 
 
 @dataclass(frozen=True)

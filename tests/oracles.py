@@ -84,6 +84,6 @@ def stone_residuals(h, psi, ts) -> list[float]:
     on a log-log plot) as t -> 0+.
     """
     u = Propagator(h)
-    hpsi = h._from_coeffs(h.eigenvalues * h._to_coeffs(psi.values))
+    hpsi = u._values(u.transform(psi), h.eigenvalues)
     return [float(np.linalg.norm(1j * (u.evolve(psi, t).values - psi.values) / t - hpsi))
             * math.sqrt(psi.space.dx) for t in ts]

@@ -204,15 +204,16 @@ def test_curve_checkpoints_match_individual_runs():
     curves = []
     for g in (make_gaussian(wide, 0.0, 1.0), make_bump(fine, -2.0, 2.0)):
         h = momentum_operator(g.space)
-        reference = Propagator(h).evolve(g, 1.0)
+        u = Propagator(h)
+        reference = u.evolve(g, 1.0)
         curve = series_vs_spectral_curve(h, g, 1.0, ns)
         assert curve.n_terms == ns
         # the kernel's record at each depth is what a standalone run changes back
         records = {n: rest.copy() for n, rest, _ in
-                   _series_terms(h, h._to_coeffs(g.values), 1.0, ns[-1]) if n in ns}
+                   _series_terms(h, u.transform(g), 1.0, ns[-1]) if n in ns}
         for n, err in zip(curve.n_terms, curve.errors):
             single = evolve_series(h, g, 1.0, n).state
-            expected = g.values + h._from_coeffs(records[n])
+            expected = g.values + u._inverse(records[n])
             assert single.values.tobytes() == expected.tobytes()
             if math.isfinite(err):
                 # the same error in coefficients as in values, up to roundoff

@@ -260,6 +260,20 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b"omega = 1.0\ntime = \xff3\n", ":2: not UTF-8 text"),
+    (b"omega = 1.0\nout = o\x00b\n", ":2: embedded NUL character"),
+], ids=["not-utf8", "nul"])
+def test_undecodable_or_nul_config_exits_2(content, reason, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(content)
+    code = _run(["run", "rabi-control", "--config", str(cfg)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}{reason}")
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "absent.cfg"
     code = _run(["run", "hm-invariance", "--config", str(cfg), "--out", str(tmp_path)])

@@ -7,7 +7,7 @@ pair and every chain segment, and demand exact equality on a fourier grid
 (below and above numpy's 256 KiB temporary-elision size), the 2x2 matrix
 kind and the exact-shift path.  The half-spectrum phase vector is checked
 against a whole-array exp.  Operation-count guards check that the reuse
-actually happens.
+actually happens, and that every FFT is a `Propagator` change of basis.
 """
 
 from __future__ import annotations
@@ -41,11 +41,13 @@ from zenolab import (
     momentum_operator,
     survival_report,
 )
-from zenolab import subspaces
+from zenolab import scenarios, subspaces
 from zenolab.scenarios import (
     CURVE_POINTS,
+    SCENARIOS,
     T_SWEEP,
     ScenarioSpec,
+    run_scenario,
     scenario_hm_invariance,
     scenario_series_validity,
 )
@@ -365,13 +367,12 @@ def test_fourier_kind_needs_an_odd_spectrum():
 def test_advance_leaves_its_coefficients_alone(system):
     u, (p_core, _), e, waves, ts, _ = system
     coeffs = u.transform(e)
-    before = np.array(getattr(coeffs, "values", coeffs), copy=True)
+    before = coeffs.copy()
     outs = [u.advance(coeffs, u.step(t)) for t in ts]
     for t in ts:
         u._values(coeffs, u.step(t))  # not handed over, so not written either
-    after = getattr(coeffs, "values", coeffs)
-    assert np.array_equal(after, before)
-    assert not after.flags.writeable
+    assert np.array_equal(coeffs, before)
+    assert not coeffs.flags.writeable
     outs += [u.evolve(w, ts[0]) for w in waves]
     outs += [p_core.apply(o) for o in outs]
     assert all(not o.values.flags.writeable for o in outs)
@@ -382,7 +383,9 @@ def test_steps_and_shifts_are_read_only():
     u = Propagator(momentum_operator(grid))
     assert not u.step(0.3).flags.writeable
     psi = make_gaussian(grid, 0.0, 1.0)
-    assert not ShiftPropagator(grid).advance(psi, 3).values.flags.writeable
+    shifter = ShiftPropagator(grid)
+    assert shifter.transform(psi) is psi.values
+    assert not shifter.advance(shifter.transform(psi), 3).values.flags.writeable
     with pytest.raises(ValueError):
         u.transform(psi)[0] = 0.0
 
@@ -485,6 +488,40 @@ def test_series_validity_sums_its_series_in_coefficients():
         counts = _install_counters(mp)
         scenario_series_validity(ScenarioSpec(name="series-validity"))
     assert (counts["fft"], counts["ifft"]) == (43 + 3 + 1, 43 + 1)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_every_fft_is_a_propagator_basis_change(name):
+    """A default run calls np.fft only through `Propagator._coeffs` and
+    `_inverse`, apart from the one field-synthesis ifft of each
+    `_window_state` call."""
+    changes = {"fft": 0, "ifft": 0}
+    windows = []
+    lock = threading.Lock()
+
+    def counting(kind, primitive):
+        def wrapper(self, *args, **kwargs):
+            if self.generator.basis is None:
+                with lock:
+                    changes[kind] += 1
+            return primitive(self, *args, **kwargs)
+        return wrapper
+
+    window_state = scenarios._window_state
+
+    def counting_window(*args, **kwargs):
+        windows.append(1)
+        return window_state(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        counts = _install_counters(mp)
+        mp.setattr(Propagator, "_coeffs", counting("fft", Propagator._coeffs))
+        mp.setattr(Propagator, "_inverse", counting("ifft", Propagator._inverse))
+        mp.setattr(scenarios, "_window_state", counting_window)
+        run_scenario(name)
+    assert len(windows) == (name == "counterexample")
+    assert counts["fft"] == changes["fft"]
+    assert counts["ifft"] == changes["ifft"] + len(windows)
 
 
 @pytest.mark.parametrize("n", [0, 5])
