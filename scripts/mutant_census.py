@@ -57,6 +57,8 @@ MUTANTS = (
      "2 * h.eigenvalues, owned=True)"),
     ("shift transform copies", "operators.py", "        return psi.values\n",
      "        return psi.values.copy()\n"),
+    ("json fast path keeps nan and inf", "scenarios.py",
+     "kind is float and math.isfinite(obj) or", "kind is float or"),
 )
 
 

@@ -1,0 +1,145 @@
+"""Time two checkouts op by op on one benchmark workload, in alternating pairs.
+
+    python scripts/paired_ops.py PARENT CHANGE --workload lab-4k --seed 1 --pairs 400
+
+PARENT and CHANGE are the roots of two checkouts.  One worker process per
+checkout imports zenolab from that checkout's own ``src/`` through its
+``benchmarks/workloads.py``, builds the workload's seeded inputs and runs
+one untimed warm-up op.  The controller then sends the same input to both
+workers, one after the other: PARENT first in even pairs, CHANGE first in
+odd ones, so that a drift in the host's speed hits both sides alike.  A
+worker times ``Workload.run`` by wall clock and process CPU time, then
+checks the outputs untimed (``Workload.check``) and hashes the op's bundle
+bytes, so a pair also shows whether both sides attempted and failed the
+same scenario runs and wrote the same bundles.
+
+It prints each side's median op time with its quartiles, the median of the
+per-pair ratio CHANGE / PARENT and the number of pairs CHANGE won; the last
+line is a JSON object with the same numbers and every pair.  The times are
+raw wall seconds, not paced like ``benchmarks/run.py``'s, so use it to
+compare two checkouts on one host, not to read absolute speed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def worker(checkout: Path, workload: str, seed: int) -> int:
+    """Serve ops on stdin (one input index per line) until it closes."""
+    sys.path.insert(0, str(checkout / "benchmarks"))
+    import workloads
+
+    workloads.import_zenolab()
+    protocol, sys.stdout = sys.stdout, sys.stderr  # zenolab's prints stay off the protocol
+    with tempfile.TemporaryDirectory(prefix="paired-ops-") as tmp:
+        wl = workloads.WORKLOADS[workload](seed, Path(tmp))
+        wl.check(wl.inputs[0], wl.run(wl.inputs[0]))  # warm-up, untimed
+        print("ready", file=protocol, flush=True)
+        for line in sys.stdin:
+            item = wl.inputs[int(line) % len(wl.inputs)]
+            wall, cpu = time.perf_counter(), time.process_time()
+            result = wl.run(item)
+            wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+            out = wl.check(item, result)
+            digest = hashlib.sha256()
+            for key in sorted(out.bundles):
+                digest.update(repr(key).encode() + b"\0" + out.bundles[key])
+            record = {"wall_s": wall, "cpu_s": cpu, "attempted": out.attempted,
+                      "failed": out.failed, "incorrect": out.incorrect,
+                      "bundles_sha256": digest.hexdigest()}
+            print(json.dumps(record), file=protocol, flush=True)
+    return 0
+
+
+def _spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("parent", type=Path, nargs="?", help="root of the baseline checkout")
+    parser.add_argument("change", type=Path, nargs="?", help="root of the changed checkout")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=40, help="ops per side (default 40)")
+    parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        return worker(args.worker, args.workload, args.seed)
+    if args.parent is None or args.change is None:
+        parser.error("PARENT and CHANGE are required")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    procs = {}
+    try:
+        for side in SIDES:
+            procs[side] = subprocess.Popen(
+                [sys.executable, __file__, "--worker", str(getattr(args, side).resolve()),
+                 "--workload", args.workload, "--seed", str(args.seed)],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        for side, proc in procs.items():
+            if proc.stdout.readline().strip() != "ready":
+                print(f"error: the {side} worker did not start", file=sys.stderr)
+                return 2
+
+        pairs = []
+        for i in range(args.pairs):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            pair = {"index": i, "first": order[0]}
+            for side in order:
+                procs[side].stdin.write(f"{i}\n")
+                procs[side].stdin.flush()
+                line = procs[side].stdout.readline()
+                if not line:
+                    print(f"error: the {side} worker exited at pair {i}", file=sys.stderr)
+                    return 2
+                pair[side] = json.loads(line)
+            pairs.append(pair)
+    finally:
+        for proc in procs.values():
+            proc.stdin.close()
+            proc.wait()
+
+    walls = {side: [p[side]["wall_s"] for p in pairs] for side in SIDES}
+    ratios = [p["change"]["wall_s"] / p["parent"]["wall_s"] for p in pairs]
+    same = [all(p["parent"][k] == p["change"][k]
+                for k in ("attempted", "failed", "incorrect", "bundles_sha256")) for p in pairs]
+    summary = {
+        "workload": args.workload, "seed": args.seed, "pairs": len(pairs),
+        **{f"{side}_wall_s": _spread(walls[side]) for side in SIDES},
+        **{f"{side}_cpu_s_median": statistics.median(p[side]["cpu_s"] for p in pairs)
+           for side in SIDES},
+        "median_ratio": statistics.median(ratios),
+        "change_wins": sum(r < 1.0 for r in ratios),
+        "pairs_differing_in_outcome_or_bytes": same.count(False),
+    }
+    for side in SIDES:
+        s = summary[f"{side}_wall_s"]
+        print(f"{side:6} median {s['median'] * 1e3:.3f} ms "
+              f"(quartiles {s['q1'] * 1e3:.3f}-{s['q3'] * 1e3:.3f} ms), "
+              f"cpu median {summary[f'{side}_cpu_s_median'] * 1e3:.3f} ms")
+    print(f"median ratio change/parent {summary['median_ratio']:.4f}; change faster in "
+          f"{summary['change_wins']} of {len(pairs)} pairs; "
+          f"{summary['pairs_differing_in_outcome_or_bytes']} pairs differ in outcome or bytes")
+    print(json.dumps(dict(summary, pair_records=[
+        {"index": p["index"], "first": p["first"],
+         **{side: {k: p[side][k] for k in ("wall_s", "cpu_s", "attempted", "failed")}
+            for side in SIDES}} for p in pairs])))
+    return 1 if not all(same) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -220,13 +220,14 @@ def series_vs_spectral_curve(h: SpectralOperator, psi: WaveFunction, t: float,
     u = Propagator(h)
     c = u.transform(psi)
     d = u.step(t) * c - c
+    buf = np.empty_like(c)
     errors: list[float] = []
     for n, rest, diverged in _series_terms(h, c, t, ns[-1]):
         if n != ns[len(errors)]:
             continue
         if diverged:
             break
-        err = float(_norm(rest - d))
+        err = float(_norm(np.subtract(rest, d, out=buf)))
         errors.append(err if math.isfinite(err) else math.inf)
     errors += [math.inf] * (len(ns) - len(errors))
     return ConvergenceCurve(ns, tuple(errors), diverged)

@@ -70,14 +70,14 @@ HELP = {
 }
 
 
-def _coerce(key: str, raw: str):
+def _coerce(key: str, raw: str, where: str = ""):
     typ, _ = OPTIONS[key]
     if key == "format" and raw not in FORMATS:
-        raise ConfigError(f"format must be csv, bundle or both, not {raw!r}")
+        raise ConfigError(f"{where}format must be csv, bundle or both, not {raw!r}")
     try:
         return typ(raw)
     except ValueError:
-        raise ConfigError(f"key {key!r} expects {typ.__name__}, got {raw!r}") from None
+        raise ConfigError(f"{where}key {key!r} expects {typ.__name__}, got {raw!r}") from None
 
 
 def load_config(path: str) -> dict:
@@ -90,7 +90,8 @@ def load_config(path: str) -> dict:
     except UnicodeDecodeError as exc:
         line_no = exc.object.count(b"\n", 0, exc.start) + 1
         raise ConfigError(f"{path}:{line_no}: not UTF-8 text ({exc.reason})") from None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # only "\n" ends a line, not a form feed or U+2028; strip() drops CRLF's "\r"
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -102,7 +103,7 @@ def load_config(path: str) -> dict:
         key, value = key.strip(), value.strip()
         if key not in OPTIONS:
             raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-        values[key] = _coerce(key, value)
+        values[key] = _coerce(key, value, f"{path}:{line_no}: ")
     return values
 
 
@@ -171,6 +172,8 @@ def _output_root(options: dict) -> Path:
 
 
 def _format_cell(value) -> str:
+    if type(value) is float:  # the common cell, ahead of the isinstance chain
+        return format(value, ".16e")
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -181,10 +184,9 @@ def _format_cell(value) -> str:
 
 
 def write_table(path: Path, table: CurveTable) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# " + ",".join(table.columns) + "\n")
-        for row in table.rows:
-            fh.write(",".join(_format_cell(v) for v in row) + "\n")
+    lines = ["# " + ",".join(table.columns)]
+    lines += [",".join([_format_cell(v) for v in row]) for row in table.rows]
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def emit_outputs(bundle: VerdictBundle, out_dir: Path, fmt: str) -> list[Path]:
@@ -192,8 +194,7 @@ def emit_outputs(bundle: VerdictBundle, out_dir: Path, fmt: str) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     summary_path = out_dir / "summary.txt"
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(bundle.summary_text())
+    summary_path.write_bytes(bundle.summary_text().encode("utf-8"))
     written.append(summary_path)
     if fmt in ("bundle", "both"):
         bundle_path = out_dir / "bundle.json"

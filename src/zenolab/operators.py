@@ -148,6 +148,14 @@ class Propagator:
 
     generator: SpectralOperator
 
+    def __post_init__(self) -> None:
+        """Change-of-basis constants, once: sqrt(dx/n), its reciprocal, V^dagger."""
+        h = self.generator
+        scale = np.sqrt(h.space.dx / h.space.n_points)
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_inverse_scale", 1.0 / scale)
+        object.__setattr__(self, "_adjoint", None if h.basis is None else h.basis.conj().T)
+
     @property
     def space(self) -> Grid | DenseSpace:
         return self.generator.space
@@ -164,12 +172,11 @@ class Propagator:
         transforms it in place and returns it, with the bits of a fresh
         transform; a matrix basis returns a fresh array.
         """
-        h = self.generator
-        if h.basis is None:
+        if self._adjoint is None:
             coeffs = np.fft.fft(values, out=values if owned else None)
-            coeffs *= np.sqrt(h.space.dx / h.space.n_points)
+            coeffs *= self._scale
         else:
-            coeffs = h.basis.conj().T @ values
+            coeffs = self._adjoint @ values
         coeffs.setflags(write=False)
         return coeffs
 
@@ -220,17 +227,16 @@ class Propagator:
 
     def _inverse(self, coeffs: np.ndarray) -> np.ndarray:
         """Values of `coeffs`, which must be a fresh array: it is overwritten."""
-        h = self.generator
-        if h.basis is None:
+        if self._adjoint is None:
             # numpy divides by a real r as by r + 0j: Smith's formula with
             # the zero ratio gives (re + im*0, im - re*0) * (1/r), and the
             # complex multiply by 1/r gives (re*(1/r) - im*0, re*0 + im*(1/r)),
             # the same bits on every finite nonzero part and the same nan/inf
             # pattern at a fraction of the cost; only the sign of an exact
             # zero may differ.  A float64 view would turn inf+nanj into inf+xj.
-            coeffs *= 1.0 / np.sqrt(h.space.dx / h.space.n_points)
+            coeffs *= self._inverse_scale
             return np.fft.ifft(coeffs, out=coeffs)
-        return h.basis @ coeffs
+        return self.generator.basis @ coeffs
 
     def evolve(self, psi: WaveFunction, t: float) -> WaveFunction:
         return evolve_spectral(self, psi, t)
@@ -281,8 +287,9 @@ class ShiftPropagator:
         return WaveFunction._adopt(self.grid, self._values(coeffs, step))
 
     def _values(self, coeffs: np.ndarray, step: int, owned: bool = False) -> np.ndarray:
-        """The values of `advance`, in a fresh array the caller owns."""
-        return np.roll(coeffs, int(step))
+        """np.roll's values for `advance` as one copy of two slices, a fresh array."""
+        split = -int(step) % coeffs.shape[0]
+        return np.concatenate((coeffs[split:], coeffs[:split]))
 
     def evolve(self, psi: WaveFunction, t: float) -> WaveFunction:
         return self.advance(self.transform(psi), self.step(t))
@@ -321,7 +328,7 @@ def _series_terms(h: SpectralOperator, coeffs: np.ndarray, t: float, n_terms: in
         with np.errstate(over="ignore", invalid="ignore"):
             term = h.eigenvalues * term * (-1j * t / n)
             tn = float(_norm(term))
-        if not np.isfinite(tn):
+        if not math.isfinite(tn):
             # freeze the partial sum instead of poisoning it
             yield n + 1, rest, True
             return

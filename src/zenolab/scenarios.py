@@ -26,6 +26,7 @@ series-validity  power-series propagation converges fast on a Gaussian but
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -80,6 +81,8 @@ ZENO_LADDER = (8, 16, 32, 64, 128)
 ZENO_SLOPE_TOL = 0.15
 #: rows after t = 0 in each hm-invariance survival curve
 CURVE_POINTS = 8
+#: field names per dataclass type, filled by `_json_safe` from instances
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
 
 def _phi(z: float) -> float:
@@ -87,6 +90,7 @@ def _phi(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
+@functools.cache
 def _package_version() -> str:
     try:
         from importlib.metadata import version
@@ -218,6 +222,13 @@ class VerdictBundle:
 
 def _json_safe(obj):
     """Recursively coerce to JSON-serializable values with finite-float safety."""
+    kind = type(obj)  # exact types first; subclasses such as np.float64 take the chain
+    if kind is float and math.isfinite(obj) or kind is str or kind is int or obj is None:
+        return obj
+    if kind is tuple or kind is list:
+        return [_json_safe(v) for v in obj]
+    if kind in _FIELD_NAMES:
+        return {name: _json_safe(getattr(obj, name)) for name in _FIELD_NAMES[kind]}
     if isinstance(obj, dict):
         return {str(k): _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -236,7 +247,10 @@ def _json_safe(obj):
     if obj is None or isinstance(obj, str):
         return obj
     if is_dataclass(obj):
-        return {f.name: _json_safe(getattr(obj, f.name)) for f in fields(obj)}
+        names = tuple(f.name for f in fields(obj))
+        if not isinstance(obj, type):  # a class's type is `type`: cache instances only
+            _FIELD_NAMES[kind] = names
+        return {name: _json_safe(getattr(obj, name)) for name in names}
     raise DomainError(f"cannot serialize value of type {type(obj).__name__}")
 
 

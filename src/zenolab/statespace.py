@@ -75,11 +75,13 @@ def _map(fn, items, most: int | None = None, points: int | None = None) -> list:
     it runs, while items are left for others, it adds a helper for every
     permit it gets without waiting, at most `most` - 1 helpers in all, so a
     permit freed after the map began still joins it.  Items that evolve
-    states of `points` < MAP_MIN_POINTS points get none.  After an error no
-    new item starts; once every helper has finished, the error of the
-    earliest failing item is raised, the one a serial loop would raise,
-    since items are taken in order.
+    states of `points` < MAP_MIN_POINTS points, or with `most` == 1, run as
+    the serial loop.  After an error no new item starts; once every helper
+    has finished, the error of the earliest failing item is raised, the one
+    a serial loop would raise, since items are taken in order.
     """
+    if most == 1 or (points is not None and points < MAP_MIN_POINTS):
+        return [fn(x) for x in items]
     items = list(items)
     results = [None] * len(items)
     errors: dict[int, BaseException] = {}
@@ -99,8 +101,6 @@ def _map(fn, items, most: int | None = None, points: int | None = None) -> list:
         finally:
             _permits.release()
 
-    if points is not None and points < MAP_MIN_POINTS:
-        most = 1
     wanted = min(len(items), len(items) if most is None else most) - 1
     while not errors and (i := next(claim)) < len(items):
         # recruit only while some item is still left for a helper to take
@@ -115,11 +115,13 @@ def _map(fn, items, most: int | None = None, points: int | None = None) -> list:
 
 
 def _blocked(dot, a: np.ndarray, b: np.ndarray):
-    """dot(a, b) of two 1-D arrays as the in-order sum of blockwise dots.
+    """dot(a, b) of two 1-D arrays; past one block, the in-order sum of blockwise dots.
 
     Blocks are views of at most REDUCTION_BLOCK elements, so no BLAS call
     wakes a thread pool and the sum does not depend on the host.
     """
+    if a.shape[0] <= REDUCTION_BLOCK:
+        return dot(a, b)
     total = dot(a[:REDUCTION_BLOCK], b[:REDUCTION_BLOCK])
     for i in range(REDUCTION_BLOCK, a.shape[0], REDUCTION_BLOCK):
         total = total + dot(a[i:i + REDUCTION_BLOCK], b[i:i + REDUCTION_BLOCK])

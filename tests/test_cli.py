@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from zenolab import cli
@@ -12,12 +13,14 @@ from zenolab.cli import (
     ConfigError,
     _build_spec,
     _coerce,
+    _format_cell,
     _gather_options,
     build_parser,
     load_config,
     main,
+    write_table,
 )
-from zenolab.scenarios import READS, VerdictBundle
+from zenolab.scenarios import READS, CurveTable, VerdictBundle
 
 
 def _run(argv):
@@ -240,6 +243,31 @@ def test_config_type_error(tmp_path):
     cfg.write_text("grid-points = soon\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="expects int"):
         load_config(str(cfg))
+
+
+def test_config_type_error_names_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# comment\ntime = soon\n", encoding="utf-8")
+    code = _run(["run", "rabi-control", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 2
+    assert f"{cfg}:2: key 'time' expects float, got 'soon'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("separator", ["\x0c", "\x85", "\u2028"],
+                         ids=["form-feed", "next-line", "line-separator"])
+def test_config_lines_break_only_at_newline(separator, tmp_path, capsys):
+    # str.splitlines would read two assignments here
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"omega = 1.0{separator}time = 2\n", encoding="utf-8")
+    code = _run(["run", "rabi-control", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 2
+    assert f"{cfg}:1: key 'omega' expects float" in capsys.readouterr().err
+
+
+def test_config_crlf_lines_still_parse(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"# comment\r\nomega = 2.0\r\ntime = 1.5\r\n")
+    assert load_config(str(cfg)) == {"omega": 2.0, "time": 1.5}
 
 
 def test_flag_overrides_config(tmp_path):
@@ -497,3 +525,41 @@ def test_sweep_rejects_an_unread_key_before_any_point_runs(scenario, extra, key,
     assert captured.err.startswith(f"error: {scenario} does not read {key!r}")
     assert specs == []
     assert not (tmp_path / scenario).exists()
+
+
+# ----------------------------------------------------------------------
+# CSV cells
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("value, expected", [
+    (float("nan"), "nan"),
+    (float("inf"), "inf"),
+    (-float("inf"), "-inf"),
+    (0.1, "1.0000000000000001e-01"),
+    (-0.0, "-0.0000000000000000e+00"),
+    (np.float64(0.1), "1.0000000000000001e-01"),
+    (np.float64("nan"), "nan"),
+    (True, "1"),
+    (np.bool_(False), "0"),
+    (3, "3"),
+    (np.int64(-7), "-7"),
+    ("a,b", "a,b"),
+    (None, "None"),
+    ((1.0, [2, {"k": (float("nan"),)}]), "(1.0, [2, {'k': (nan,)}])"),
+    ({1: 2.5}, "{1: 2.5}"),
+], ids=lambda v: repr(v)[:40])
+def test_format_cell_pins_each_type(value, expected):
+    assert _format_cell(value) == expected
+
+
+def test_write_table_bytes(tmp_path):
+    table = CurveTable(("t", "flag", "label"), (
+        (0.1, True, "a"),
+        (float("nan"), np.bool_(False), None),
+        (np.float64(-2.5), 3, np.int64(-7)),
+        (float("inf"), -float("inf"), np.float64("nan")),
+    ))
+    path = tmp_path / "table.csv"
+    write_table(path, table)
+    assert path.read_bytes() == (b"# t,flag,label\n1.0000000000000001e-01,1,a\nnan,0,None\n"
+                                 b"-2.5000000000000000e+00,3,-7\ninf,-inf,nan\n")

@@ -530,14 +530,14 @@ def test_hm_invariance_runs_its_shift_report_once(n):
     # chain segments); the last shift curve row is the main shift run, so
     # there is one report per row (the t = 0 row runs none) and no other
     rolls = []
-    roll = np.roll
+    values = ShiftPropagator._values
 
-    def counting_roll(*args, **kwargs):
+    def counting_values(*args, **kwargs):
         rolls.append(1)
-        return roll(*args, **kwargs)
+        return values(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np, "roll", counting_roll)
+        mp.setattr(ShiftPropagator, "_values", counting_values)
         bundle = scenario_hm_invariance(ScenarioSpec(name="hm-invariance", n_measurements=n))
     reports = len(bundle.tables["survival_shift"].rows) - 1
     assert len(rolls) == reports * (n + 2)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -317,6 +317,50 @@ def test_bundle_payload_is_json_round_trippable():
     assert payload["provenance"]["parameters"]["seed"] == 1234
     names = {f["name"] for f in payload["flags"]}
     assert "cond_II_falsified" in names
+
+
+SERIALIZED = [
+    (float("nan"), "'nan'"),
+    (float("inf"), "'inf'"),
+    (-float("inf"), "'-inf'"),
+    (0.1, "0.1"),
+    (-0.0, "-0.0"),
+    (np.float64(0.1), "0.1"),
+    (np.float64("nan"), "'nan'"),
+    (True, "True"),
+    (np.bool_(False), "False"),
+    (3, "3"),
+    (np.int64(-7), "-7"),
+    ("a,b", "'a,b'"),
+    (None, "None"),
+    ((1.0, [2, {"k": (float("nan"),)}]), "[1.0, [2, {'k': ['nan']}]]"),
+    ({1: 2.5}, "{'1': 2.5}"),
+    (scenarios.FlagRecord("f", True, 0.5, "<=", 1.0),
+     "{'name': 'f', 'passed': True, 'value': 0.5, 'relation': '<=', 'threshold': 1.0}"),
+]
+
+
+@pytest.mark.parametrize("value, expected", SERIALIZED, ids=lambda v: repr(v)[:40])
+def test_json_safe_pins_each_type(value, expected):
+    # repr pins the type too: np.float64(0.1) and 0.1 compare equal
+    assert repr(scenarios._json_safe(value)) == expected
+    assert repr(scenarios._json_safe(value)) == expected  # a cached dataclass type too
+
+
+def test_json_safe_caches_no_dataclass_class():
+    @dataclass
+    class Point:
+        x: float = 1.0
+
+    @dataclass
+    class Label:
+        name: str = "a"
+
+    # a class is serialized by its defaults, as before; its type is `type`,
+    # which must not be remembered as Point's fields
+    assert scenarios._json_safe(Point) == {"x": 1.0}
+    assert scenarios._json_safe(Label) == {"name": "a"}
+    assert scenarios._json_safe(Point(2.0)) == {"x": 2.0}
 
 
 def test_spec_replace_round_trip():
