@@ -3,9 +3,13 @@
 The golden test and the spec corpus catch almost any change to a default
 run's bytes, so a change that regenerates those bytes on purpose would
 also hide a real fault in the same code.  This script applies each mutant
-below to its own copy of `src/`, `tests/` and `benchmarks/` and runs tier-1
-there with `-x`, without `tests/test_golden.py` and
-`tests/test_spec_corpus.py`.  A mutant is killed when a named test fails.
+below to its own copy of `src/`, `tests/`, `benchmarks/` and the README
+and runs tier-1 there with `-x`, without `tests/test_golden.py`,
+`tests/test_spec_corpus.py` and `tests/test_mutant_census.py` (which
+checks this script's mutant texts against the source, so it would fail on
+every mutant).  A mutant is killed only when pytest exits 1 and names a
+failed or errored test; any other exit (an import error, a collection
+error, an internal error) is an ERROR, not a kill.
 
 Run from anywhere (one pass takes a few minutes, one pytest at a time):
 
@@ -13,8 +17,9 @@ Run from anywhere (one pass takes a few minutes, one pytest at a time):
 
 It first runs tier-1 on an unmutated copy and exits 2, naming the failing
 test, if that fails: otherwise every mutant would read as killed.  Then it
-prints one line per mutant with the first failing test and exits 1 when any
-mutant survives.
+prints one line per mutant with the first failing test, or pytest's last
+line for an ERROR.  It exits 2 when any mutant ends in an ERROR, else 1
+when any mutant survives.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ MUTANTS = (
     ("coarse plateau band ignored", "analytic.py",
      "        and lo <= coarse.plateau_fraction <= hi\n", ""),
     ("shift marks floored", "scenarios.py",
-     "int(round(k * total_steps / (n + 1)))", "int(k * total_steps / (n + 1))"),
+     "round(k * total_steps / (n + 1))", "int(k * total_steps / (n + 1))"),
     ("ENTIRE_GROWTH 1.05", "analytic.py", "ENTIRE_GROWTH = 1.1", "ENTIRE_GROWTH = 1.05"),
     ("series terms without 1/n", "operators.py", "(-1j * t / n)", "(-1j * t)"),
     ("divergence flag not sticky", "operators.py",
@@ -57,23 +62,26 @@ MUTANTS = (
      "2 * h.eigenvalues, owned=True)"),
     ("shift transform copies", "operators.py", "        return psi.values\n",
      "        return psi.values.copy()\n"),
-    ("json fast path keeps nan and inf", "scenarios.py",
-     "kind is float and math.isfinite(obj) or", "kind is float or"),
+    ("json keeps nan and inf", "scenarios.py", "obj if math.isfinite(obj) else str(obj)",
+     "obj"),
+    ("json skips .item()", "scenarios.py", "return _json_safe(item)", "return obj"),
+    ("shift lattice unchecked", "scenarios.py", "if steps <= n:", "if False:"),
 )
 
 
-def tier1(mutant: tuple[str, str, str, str] | None = None) -> tuple[bool, str]:
+def tier1(mutant: tuple[str, str, str, str] | None = None) -> tuple[str, str]:
     """Run tier-1 on a fresh copy with `mutant` applied, if any.
 
-    Returns whether a test failed, and the first failing test or pytest's
-    last line.
+    Returns "passed", "failed" (pytest exited 1 and named a failed or
+    errored test) or "error", with the first such test or pytest's last line.
     """
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for part in ("src", "tests", "benchmarks"):
             shutil.copytree(ROOT / part, work / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(ROOT / "pyproject.toml", work)
+        for name in ("pyproject.toml", "README.md"):  # tier-1 reads README's tables
+            shutil.copy(ROOT / name, work)
         if mutant is not None:
             name, module, text, replacement = mutant
             path = work / "src" / "zenolab" / module
@@ -83,26 +91,39 @@ def tier1(mutant: tuple[str, str, str, str] | None = None) -> tuple[bool, str]:
                                  f"times in {module}")
             path.write_text(source.replace(text, replacement), encoding="utf-8")
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-rf", "-p", "no:cacheprovider",
-             "--ignore=tests/test_golden.py", "--ignore=tests/test_spec_corpus.py"],
+            [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",
+             "--ignore=tests/test_golden.py", "--ignore=tests/test_spec_corpus.py",
+             "--ignore=tests/test_mutant_census.py"],
             cwd=work, env=dict(os.environ, PYTHONPATH="src"), capture_output=True, text=True)
-    failed = re.findall(r"^FAILED (\S+)", proc.stdout, flags=re.MULTILINE)
-    return proc.returncode != 0, failed[0] if failed else proc.stdout.strip().splitlines()[-1]
+    return outcome(proc.returncode, proc.stdout, proc.stderr)
+
+
+def outcome(returncode: int, stdout: str, stderr: str) -> tuple[str, str]:
+    """Classify one pytest run as `tier1` reports it."""
+    # a collection error names a module, not a test; under -x it exits 1 too
+    named = re.findall(r"^(?:FAILED|ERROR) (\S+::\S+)", stdout, flags=re.MULTILINE)
+    if returncode == 0:
+        return "passed", ""
+    if returncode == 1 and named:
+        return "failed", named[0]
+    last = (stdout.strip() or stderr.strip() or "no output").splitlines()[-1]
+    return "error", f"pytest exit {returncode}: {last}"
 
 
 def main() -> int:
     # a kill only means something if the unmutated copy passes
-    failed, detail = tier1()
-    if failed:
+    result, detail = tier1()
+    if result != "passed":
         print(f"tier-1 fails without any mutant: {detail}", file=sys.stderr)
         return 2
-    survivors = 0
+    label = {"failed": "killed  ", "passed": "SURVIVED", "error": "ERROR   "}
+    counts = dict.fromkeys(label, 0)
     for mutant in MUTANTS:
-        killed, detail = tier1(mutant)
-        survivors += not killed
-        print(f"{'killed  ' if killed else 'SURVIVED'} {mutant[0]:32} {detail}", flush=True)
-    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} killed by named tests")
-    return 1 if survivors else 0
+        result, detail = tier1(mutant)
+        counts[result] += 1
+        print(f"{label[result]} {mutant[0]:32} {detail}", flush=True)
+    print(f"{counts['failed']} of {len(MUTANTS)} killed by named tests")
+    return 2 if counts["error"] else 1 if counts["passed"] else 0
 
 
 if __name__ == "__main__":

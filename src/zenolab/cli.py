@@ -10,11 +10,11 @@ sweep <scenario>    re-run one scenario over a list of values for one
                     threads than the CPUs this process may use
 
 Exit status: 0 when every pass flag is true, 1 when the scenario ran but a
-flag failed (scientific failure), 2 for usage, config, margin or I/O errors
-and for a flag or config key the scenario does not read (`scenarios.READS`),
-which sweep checks once, before any point runs.  A sweep prints one PASS,
-FAIL or ERROR line per point in input order and exits 2 when any point
-raised an error, after running all the others.
+flag failed (scientific failure), 2 for usage, config, margin, memory or
+I/O errors and for a flag or config key the scenario does not read
+(`scenarios.READS`), which sweep checks once, before any point runs.  A
+sweep prints one PASS, FAIL or ERROR line per point in input order and
+exits 2 when any point raised an error, after running all the others.
 
 Output layout: <out>/<scenario>/summary.txt, bundle.json and one CSV per
 curve table.  CSVs are UTF-8 with LF endings, a `# column,names` header
@@ -43,6 +43,11 @@ from .statespace import _map
 
 class ConfigError(ValueError):
     """Malformed or unknown configuration input."""
+
+
+#: errors that reject a spec (exit 2, or a sweep point's ERROR line); a MemoryError
+#: is a grid this host cannot hold, not a failed physical claim
+REJECTED = (ConfigError, DomainError, PreconditionError, MemoryError)
 
 
 #: long-flag spelling -> (python type, ScenarioSpec field or None for cli-only)
@@ -172,15 +177,14 @@ def _output_root(options: dict) -> Path:
 
 
 def _format_cell(value) -> str:
-    if type(value) is float:  # the common cell, ahead of the isinstance chain
+    kind = type(value)  # exact types; a numpy scalar is written as its `.item()`
+    if kind is float:
         return format(value, ".16e")
-    if isinstance(value, (bool, np.bool_)):
+    if kind is bool:
         return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".16e")
-    return str(value)
+    if kind is int or kind is str or not isinstance(value, np.generic):
+        return str(value)
+    return str(item) if isinstance(item := value.item(), np.generic) else _format_cell(item)
 
 
 def write_table(path: Path, table: CurveTable) -> None:
@@ -248,8 +252,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         try:
             spec = _build_spec(args.scenario, point)
             bundle = run_scenario(args.scenario, spec)
-        except (ConfigError, DomainError, PreconditionError) as exc:
-            return f"ERROR {exc}"
+        except REJECTED as exc:
+            return f"ERROR {_reason(exc)}"
         emit_outputs(bundle, root / f"{args.param}={value}", fmt)
         return "PASS" if bundle.passed else "FAIL"
 
@@ -262,6 +266,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if all(o == "PASS" for o in outcomes) else 1
 
 
+def _reason(exc: Exception) -> str:
+    """The message of a rejection, or its type when it has none (a bare MemoryError)."""
+    return str(exc) or type(exc).__name__
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -270,8 +279,8 @@ def main(argv=None) -> int:
         if args.command == "list":
             return _cmd_list()
         return _cmd_sweep(args)
-    except (ConfigError, DomainError, PreconditionError, SpaceMismatchError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (*REJECTED, SpaceMismatchError, OSError) as exc:
+        print(f"error: {_reason(exc)}", file=sys.stderr)
         return 2
 
 

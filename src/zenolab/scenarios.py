@@ -221,37 +221,27 @@ class VerdictBundle:
 
 
 def _json_safe(obj):
-    """Recursively coerce to JSON-serializable values with finite-float safety."""
-    kind = type(obj)  # exact types first; subclasses such as np.float64 take the chain
-    if kind is float and math.isfinite(obj) or kind is str or kind is int or obj is None:
+    """Recursively coerce to JSON values by exact type, a numpy scalar by its
+    `.item()`; a subclass of a builtin raises `DomainError`."""
+    kind = type(obj)
+    if kind is float:
+        return obj if math.isfinite(obj) else str(obj)  # "nan", "inf" or "-inf"
+    if kind is str or kind is int or kind is bool or obj is None:
         return obj
     if kind is tuple or kind is list:
         return [_json_safe(v) for v in obj]
     if kind in _FIELD_NAMES:
         return {name: _json_safe(getattr(obj, name)) for name in _FIELD_NAMES[kind]}
-    if isinstance(obj, dict):
+    if kind is dict:
         return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        if math.isnan(f):
-            return "nan"
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        return f
-    if obj is None or isinstance(obj, str):
-        return obj
+    if isinstance(obj, np.generic) and not isinstance(item := obj.item(), np.generic):
+        return _json_safe(item)
     if is_dataclass(obj):
         names = tuple(f.name for f in fields(obj))
         if not isinstance(obj, type):  # a class's type is `type`: cache instances only
             _FIELD_NAMES[kind] = names
         return {name: _json_safe(getattr(obj, name)) for name in names}
-    raise DomainError(f"cannot serialize value of type {type(obj).__name__}")
+    raise DomainError(f"cannot serialize value of type {kind.__name__}")
 
 
 def _provenance(spec: ScenarioSpec, **extra) -> dict:
@@ -374,13 +364,9 @@ def scenario_counterexample(spec: ScenarioSpec) -> VerdictBundle:
 # ----------------------------------------------------------------------
 
 def _shift_schedule(total_steps: int, dx: float, n: int) -> MeasurementSchedule:
-    """n measurements at distinct interior grid steps approximating equal spacing."""
-    marks = sorted({int(round(k * total_steps / (n + 1))) for k in range(1, n + 1)})
-    marks = [m for m in marks if 0 < m < total_steps]
-    if len(marks) != n:
-        raise DomainError(
-            f"cannot place {n} distinct measurement steps inside {total_steps} steps"
-        )
+    """n measurements at grid steps approximating equal spacing; for total_steps > n
+    the marks lie >= 1 step apart before rounding, so they are distinct and interior."""
+    marks = (round(k * total_steps / (n + 1)) for k in range(1, n + 1))
     return MeasurementSchedule(total_steps * dx, tuple(m * dx for m in marks))
 
 
@@ -397,24 +383,24 @@ def scenario_hm_invariance(spec: ScenarioSpec) -> VerdictBundle:
     _require_inside(grid, spec.center - 8.0 * spec.sigma, t,
                     f"clipped state at {spec.center} (sigma {spec.sigma}) drifting +{t}")
 
-    # every schedule is built, and so checked, before any state or FFT.  The
-    # last curve row ends at CURVE_POINTS * t / CURVE_POINTS, which is t
-    # exactly, so its report is the main spectral run
+    # the shift lattice is checked before any schedule, state or FFT
     n = spec.n_measurements
+    steps = round(t / grid.dx)
+    if steps < 1:
+        raise DomainError("final time is below one grid step; no shift path exists")
+    if steps <= n:
+        raise DomainError(f"cannot place {n} distinct measurement steps inside {steps} steps")
+    t_eff = steps * grid.dx
+    # the last curve row ends at CURVE_POINTS * t / CURVE_POINTS, which is t
+    # exactly, so its report is the main spectral run
     js = range(1, CURVE_POINTS + 1)
     curve_schedules = [MeasurementSchedule.equally_spaced(j * t / CURVE_POINTS, n)
                        for j in js]
-    steps = int(round(t / grid.dx))
-    if steps < 1:
-        raise DomainError("final time is below one grid step; no shift path exists")
-    t_eff = steps * grid.dx
-    # each distinct step count gives one shift row; fewer than n + 1 steps
-    # cannot hold n distinct interior instants, so such rows are
-    # unrepresentable on the quantized path, not an error.  The last row
-    # has `steps` steps and is the main shift run, which must exist
+    # each distinct step count gives one shift row; n steps or fewer cannot hold
+    # n distinct interior instants, so such rows are unrepresentable on the
+    # quantized path.  The last row has `steps` steps: the main shift run
     shift_steps = dict.fromkeys(round(j * steps / CURVE_POINTS) for j in js)
-    shift_schedules = [_shift_schedule(k, grid.dx, n) for k in shift_steps
-                       if k >= n + 1 or k == steps]
+    shift_schedules = [_shift_schedule(k, grid.dx, n) for k in shift_steps if k > n]
 
     p_core, _ = halfline_pair(grid)
     e = core_zone_state(p_core, make_gaussian(grid, spec.center, spec.sigma))

@@ -160,6 +160,9 @@ class Grid:
         n = self.n_points
         if n < 2 or (n & (n - 1)) != 0:
             raise DomainError(f"n_points must be a power of two >= 2, got {n}")
+        if n > np.iinfo(np.intp).max // 16:  # bytes of a complex128 array
+            raise DomainError(f"n_points {n} is too large: a complex128 state would "
+                              "exceed numpy's largest array")
 
     @property
     def dx(self) -> float:

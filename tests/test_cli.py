@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import collections
+import enum
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,6 +380,56 @@ def test_sweep_reports_a_nan_sigma_as_an_error(tmp_path, capsys):
     assert not (tmp_path / "counterexample" / "sigma=nan").exists()
 
 
+HUGE_GRID = str(2**62)  # numpy refuses a complex128 array this long before allocating
+
+
+@pytest.mark.parametrize("scenario", ["counterexample", "hm-invariance", "series-validity"])
+def test_a_grid_no_array_can_hold_exits_2(scenario, tmp_path, capsys):
+    code = _run(["run", scenario, "--grid-points", HUGE_GRID, "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (f"error: n_points {HUGE_GRID} is too large: a complex128 "
+                                       "state would exceed numpy's largest array\n")
+
+
+def test_sweep_reports_a_grid_no_array_can_hold_as_an_error(tmp_path, capsys):
+    code = _run(["sweep", "hm-invariance", "--param", "grid-points", "--values",
+                 f"1024,{HUGE_GRID}", "--out", str(tmp_path)])
+    assert code == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "grid-points=1024: PASS"
+    assert lines[1].startswith(f"grid-points={HUGE_GRID}: ERROR n_points {HUGE_GRID} is too large")
+
+
+@pytest.mark.parametrize("message, reason", [
+    ("Unable to allocate 16.0 TiB", "Unable to allocate 16.0 TiB"),
+    ("", "MemoryError"),  # Python's own MemoryError carries no message
+])
+def test_run_out_of_memory_exits_2(message, reason, tmp_path, capsys, monkeypatch):
+    def out_of_memory(name, spec):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run_scenario", out_of_memory)
+    assert _run(["run", "counterexample", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {reason}\n"
+
+
+def test_sweep_reports_out_of_memory_per_point(tmp_path, capsys, monkeypatch):
+    run_scenario = cli.run_scenario
+
+    def out_of_memory_at_large_sigma(name, spec):
+        if spec.sigma > 1.0:
+            raise MemoryError("Unable to allocate 16.0 TiB")
+        return run_scenario(name, spec)
+
+    monkeypatch.setattr(cli, "run_scenario", out_of_memory_at_large_sigma)
+    code = _run(["sweep", "counterexample", "--param", "sigma", "--values", "2.0,1.0",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["sigma=2.0: ERROR Unable to allocate 16.0 TiB", "sigma=1.0: PASS"]
+    assert (tmp_path / "counterexample" / "sigma=1.0" / "bundle.json").is_file()
+
+
 def test_series_validity_accepts_a_negative_time(tmp_path):
     assert _run(["run", "series-validity", "--time", "-1", "--out", str(tmp_path)]) == 0
 
@@ -406,6 +460,16 @@ def test_sweep_rejects_bad_jobs_or_empty_values(flags, reason, tmp_path, capsys)
 
 #: ScenarioSpec field -> its long-flag spelling
 KEY_OF = {f: k for k, (_, f) in OPTIONS.items() if f is not None}
+
+
+def test_readme_reads_table_matches_reads():
+    # README's "flags it reads" table restates `scenarios.READS` by hand
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| scenario          | flags it reads", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `([\w-]+)` +\| `([^`]*)`", table, flags=re.MULTILINE)
+    documented = {name: frozenset(OPTIONS[flag[2:]][1] for flag in flags.split())
+                  for name, flags in rows}
+    assert documented == READS
 
 
 def _reader(field: str | None) -> str:
@@ -550,6 +614,16 @@ def test_sweep_rejects_an_unread_key_before_any_point_runs(scenario, extra, key,
 ], ids=lambda v: repr(v)[:40])
 def test_format_cell_pins_each_type(value, expected):
     assert _format_cell(value) == expected
+
+
+def test_format_cell_writes_other_values_by_str():
+    # no subclass of a builtin is special-cased, and a numpy scalar whose
+    # `.item()` is still a numpy scalar is written as it is
+    class Level(enum.IntEnum):
+        LOW = 1
+
+    for value in (Level.LOW, np.longdouble(1.5), np.str_("a"), collections.OrderedDict(a=1)):
+        assert _format_cell(value) == str(value)
 
 
 def test_write_table_bytes(tmp_path):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import collections
+import enum
 import json
 import math
 import time
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -20,6 +23,8 @@ from zenolab import scenarios
 from zenolab.errors import PreconditionError
 from zenolab.operators import Propagator
 from zenolab.scenarios import READS, SCENARIOS, _shift_schedule, make_flag
+from zenolab.subspaces import ConditionReport, ConditionSample
+from zenolab.zeno import MeasurementSchedule
 
 RUNTIME_BUDGET = {
     "counterexample": 5.0,
@@ -160,20 +165,31 @@ def test_margin_edges_are_exact(name, field_name, edge, inward, extra):
     ({"grid_points": 65536, "n_measurements": 60, "time": 0.05},
      "cannot place 60 distinct measurement steps inside 41 steps"),
     ({"time": 0.005}, "final time is below one grid step"),
+    # eight N-long curve schedules would take seconds and hundreds of MiB
+    ({"n_measurements": 2_000_000},
+     "cannot place 2000000 distinct measurement steps inside 102 steps"),
 ])
 def test_hm_invariance_rejects_its_schedules_before_any_transform(overrides, reason,
                                                                    monkeypatch):
-    calls = []
+    calls, schedules = [], []
     transform = Propagator.transform
+    post_init = MeasurementSchedule.__post_init__
 
     def counting_transform(self, psi):
         calls.append(psi)
         return transform(self, psi)
 
+    def counting_post_init(self):
+        schedules.append(self)
+        post_init(self)
+
     monkeypatch.setattr(Propagator, "transform", counting_transform)
+    monkeypatch.setattr(MeasurementSchedule, "__post_init__", counting_post_init)
     with pytest.raises(DomainError, match=reason):
         run_scenario("hm-invariance", ScenarioSpec(name="hm-invariance", **overrides))
     assert calls == []
+    # the shift lattice is checked before any schedule is built
+    assert schedules == []
 
 
 # ----------------------------------------------------------------------
@@ -361,6 +377,59 @@ def test_json_safe_caches_no_dataclass_class():
     assert scenarios._json_safe(Point) == {"x": 1.0}
     assert scenarios._json_safe(Label) == {"name": "a"}
     assert scenarios._json_safe(Point(2.0)) == {"x": 2.0}
+
+
+#: the dataclasses a bundle is built from; `_json_safe` sees no other
+BUNDLE_TYPES = (scenarios.VerdictBundle, scenarios.FlagRecord, scenarios.CurveTable,
+                ConditionReport, ConditionSample)
+
+
+def _walk(value):
+    """Every value inside `value`, as `_json_safe` descends into it."""
+    yield value
+    if type(value) in BUNDLE_TYPES:
+        children = [getattr(value, f.name) for f in fields(value)]
+    elif type(value) is dict:
+        children = [*value, *value.values()]
+    elif type(value) in (tuple, list):
+        children = value
+    else:
+        children = ()
+    for child in children:
+        yield from _walk(child)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_bundles_carry_only_exact_plain_types(name):
+    # the one exact-type path in `_json_safe` and `cli._format_cell` is sized
+    # on this traffic: no numpy scalar and no subclass of a builtin
+    bundle = run_scenario(name)
+    plain = (float, int, str, bool, type(None), tuple, list, dict, *BUNDLE_TYPES)
+    kinds = {type(v) for v in _walk(bundle)}
+    assert kinds <= set(plain), kinds - set(plain)
+    cells = {type(v) for table in bundle.tables.values() for row in table.rows for v in row}
+    assert cells <= {float, int, str}, cells
+
+
+class _Pair(NamedTuple):
+    a: float
+    b: float
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+@pytest.mark.parametrize("metric, kind", [
+    (_Pair(1.0, 2.0), "_Pair"),
+    (_Level.LOW, "_Level"),
+    (collections.OrderedDict(a=1.0), "OrderedDict"),
+    (np.longdouble(1.5), "longdouble"),  # `.item()` keeps it a numpy scalar
+])
+def test_json_rejects_a_type_it_does_not_dispatch(metric, kind):
+    bundle = scenarios.VerdictBundle("custom", (), metrics={"m": metric})
+    with pytest.raises(DomainError, match=f"cannot serialize value of type {kind}$"):
+        bundle.to_json_bytes()
 
 
 def test_spec_replace_round_trip():
