@@ -66,6 +66,12 @@ MUTANTS = (
      "obj"),
     ("json skips .item()", "scenarios.py", "return _json_safe(item)", "return obj"),
     ("shift lattice unchecked", "scenarios.py", "if steps <= n:", "if False:"),
+    ("rabi overflow unchecked", "scenarios.py",
+     "if not all(map(math.isfinite, (t, spec.omega * t, t * ZENO_LADDER[-1]))):", "if False:"),
+    ("window mode floor unchecked", "scenarios.py",
+     "if grid.n_points < 2 * WINDOW_MODES + 1:", "if False:"),
+    ("schema drops ConditionSample", "scenarios.py",
+     "ConditionReport, ConditionSample)}", "ConditionReport)}"),
 )
 
 

@@ -203,8 +203,8 @@ class ConvergenceCurve:
 
 
 def series_vs_spectral_curve(h: SpectralOperator, psi: WaveFunction, t: float,
-                             n_values) -> ConvergenceCurve:
-    """Distance of truncated-series states from the spectral evolution U(t) psi.
+                             n_max: int) -> ConvergenceCurve:
+    """Distance of depth-1..n_max truncated series from the spectral evolution U(t) psi.
 
     psi is transformed once, to coefficients c.  Depth n's error is
     ||rest_n - (U(t) c - c)||, where rest_n is the kernel's sum of terms
@@ -214,20 +214,17 @@ def series_vs_spectral_curve(h: SpectralOperator, psi: WaveFunction, t: float,
     is sticky: at the first diverged depth summing stops and that depth and
     all later ones read inf.
     """
-    ns = tuple(int(n) for n in n_values)
-    if not ns or any(n < 1 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
-        raise DomainError("n_values must be strictly increasing positive ints")
+    if n_max < 1:
+        raise DomainError("n_max must be at least 1")
     u = Propagator(h)
     c = u.transform(psi)
     d = u.step(t) * c - c
     buf = np.empty_like(c)
     errors: list[float] = []
-    for n, rest, diverged in _series_terms(h, c, t, ns[-1]):
-        if n != ns[len(errors)]:
-            continue
+    for _, rest, diverged in _series_terms(h, c, t, n_max):
         if diverged:
             break
         err = float(_norm(np.subtract(rest, d, out=buf)))
         errors.append(err if math.isfinite(err) else math.inf)
-    errors += [math.inf] * (len(ns) - len(errors))
-    return ConvergenceCurve(ns, tuple(errors), diverged)
+    errors += [math.inf] * (n_max - len(errors))
+    return ConvergenceCurve(tuple(range(1, n_max + 1)), tuple(errors), diverged)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from .subspaces import (
     FALSIFY_TOL,
     INVARIANCE_TOL,
     ConditionReport,
+    ConditionSample,
     SubspaceProjector,
     _verdict,
     check_condition_I,
@@ -81,8 +82,8 @@ ZENO_LADDER = (8, 16, 32, 64, 128)
 ZENO_SLOPE_TOL = 0.15
 #: rows after t = 0 in each hm-invariance survival curve
 CURVE_POINTS = 8
-#: field names per dataclass type, filled by `_json_safe` from instances
-_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+#: Fourier modes on each side of zero in counterexample's windowed random field
+WINDOW_MODES = 40
 
 
 def _phi(z: float) -> float:
@@ -220,9 +221,14 @@ class VerdictBundle:
         return "\n".join(lines) + "\n"
 
 
+#: field names of the five dataclasses a bundle is built from
+_FIELD_NAMES = {kind: tuple(f.name for f in fields(kind)) for kind in
+                (VerdictBundle, FlagRecord, CurveTable, ConditionReport, ConditionSample)}
+
+
 def _json_safe(obj):
     """Recursively coerce to JSON values by exact type, a numpy scalar by its
-    `.item()`; a subclass of a builtin raises `DomainError`."""
+    `.item()`; a subclass of a builtin or any other dataclass raises `DomainError`."""
     kind = type(obj)
     if kind is float:
         return obj if math.isfinite(obj) else str(obj)  # "nan", "inf" or "-inf"
@@ -236,11 +242,6 @@ def _json_safe(obj):
         return {str(k): _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, np.generic) and not isinstance(item := obj.item(), np.generic):
         return _json_safe(item)
-    if is_dataclass(obj):
-        names = tuple(f.name for f in fields(obj))
-        if not isinstance(obj, type):  # a class's type is `type`: cache instances only
-            _FIELD_NAMES[kind] = names
-        return {name: _json_safe(getattr(obj, name)) for name in names}
     raise DomainError(f"cannot serialize value of type {kind.__name__}")
 
 
@@ -255,17 +256,18 @@ def _provenance(spec: ScenarioSpec, **extra) -> dict:
     return prov
 
 
-def _window_state(grid: Grid, lo: float, hi: float, n_modes: int, seed: int) -> WaveFunction:
+def _window_state(grid: Grid, lo: float, hi: float, seed: int) -> WaveFunction:
     """Seeded band-limited random field under a smooth compact window.
 
     The window vanishes identically outside (lo, hi), so the state is an
     exact zone member while staying smooth enough for spectral evolution.
     """
     rng = np.random.default_rng(seed)
-    amps = rng.standard_normal(2 * n_modes + 1) + 1j * rng.standard_normal(2 * n_modes + 1)
+    n_amps = 2 * WINDOW_MODES + 1
+    amps = rng.standard_normal(n_amps) + 1j * rng.standard_normal(n_amps)
     coeffs = np.zeros(grid.n_points, dtype=np.complex128)
-    coeffs[: n_modes + 1] = amps[: n_modes + 1]
-    coeffs[-n_modes:] = amps[n_modes + 1:]
+    coeffs[: WINDOW_MODES + 1] = amps[: WINDOW_MODES + 1]
+    coeffs[-WINDOW_MODES:] = amps[WINDOW_MODES + 1:]
     field_vals = np.fft.ifft(coeffs) * math.sqrt(grid.n_points)
     window = make_bump(grid, lo, hi)
     return WaveFunction(grid, window.values * field_vals).normalized()
@@ -298,6 +300,9 @@ def scenario_counterexample(spec: ScenarioSpec) -> VerdictBundle:
     _require_inside(grid, -8.0 - 8.0 * spec.sigma - drift,
                     max(12.0 + 8.0 * spec.sigma, window_hi) + drift,
                     f"trial states at -8..12 (sigma {spec.sigma}) drifting +-{drift}")
+    if grid.n_points < 2 * WINDOW_MODES + 1:
+        raise DomainError(f"the windowed random field needs {2 * WINDOW_MODES + 1} Fourier "
+                          f"modes, more than the {grid.n_points} grid points hold")
 
     pair = halfline_pair(grid)
     p_core, p_wave = pair
@@ -309,8 +314,7 @@ def scenario_counterexample(spec: ScenarioSpec) -> VerdictBundle:
         yield "gaussian(8)", make_gaussian(grid, 8.0, spec.sigma)
         yield "gaussian(12,k2)", make_gaussian(grid, 12.0, spec.sigma, k0=2.0)
         yield "bump[2,6]", make_bump(grid, 2.0, 6.0)
-        yield "windowed-random", _window_state(grid, window_lo, window_hi, n_modes=40,
-                                               seed=spec.seed)
+        yield "windowed-random", _window_state(grid, window_lo, window_hi, spec.seed)
 
     def core_states():
         yield "gaussian(-3)", make_gaussian(grid, -3.0, spec.sigma)
@@ -464,6 +468,10 @@ def scenario_rabi_control(spec: ScenarioSpec) -> VerdictBundle:
     t = spec.time if spec.time is not None else math.pi / (2.0 * spec.omega)
     if t <= 0.0:
         raise DomainError("final time must be positive")
+    # the closed form takes cos(omega * t) and the ladder's schedules place k * t
+    if not all(map(math.isfinite, (t, spec.omega * t, t * ZENO_LADDER[-1]))):
+        raise DomainError(f"omega {spec.omega:g} and time {t:g} overflow: t, omega * t and "
+                          f"{ZENO_LADDER[-1]} * t must be finite")
     # the ladder only judges 1/N freezing where the exact deficits already
     # follow it; outside that window no chain could pass zeno_slope
     closed = deficit_ladder(t, spec.omega, ZENO_LADDER)
@@ -545,7 +553,7 @@ def scenario_series_validity(spec: ScenarioSpec) -> VerdictBundle:
                           f"(k_max = {k_max:g}) is at most float64 eps: U(t) is the identity")
     h_wide = momentum_operator(wide)
     g = make_gaussian(wide, 0.0, spec.sigma)
-    g_curve = series_vs_spectral_curve(h_wide, g, t, range(1, 41))
+    g_curve = series_vs_spectral_curve(h_wide, g, t, 40)
     # growth probed only to n=16: past that the renormalized iterates of a
     # sampled Gaussian are roundoff riding the cutoff, not the state
     g_report = analyticity_report(h_wide, g, n_max=16)
@@ -556,7 +564,7 @@ def scenario_series_validity(spec: ScenarioSpec) -> VerdictBundle:
     def bump_branch(grid: Grid):
         h = momentum_operator(grid)
         b = make_bump(grid, -2.0, 2.0)
-        curve = series_vs_spectral_curve(h, b, t, range(1, 61))
+        curve = series_vs_spectral_curve(h, b, t, 60)
         peak = max(e for e in curve.errors if math.isfinite(e))
         return curve, peak, analyticity_report(h, b, n_max=40)
 

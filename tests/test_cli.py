@@ -6,10 +6,13 @@ import collections
 import enum
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from zenolab import cli
 from zenolab.cli import (
@@ -179,6 +182,16 @@ def test_rabi_control_exits_2_outside_its_zeno_window(tmp_path, capsys, flags, c
     # |t| * k_max at or below float64 eps: U(t) is the identity to rounding
     ("series-validity", ["--time", "0"], "time 0 is too short: |t| * k_max = 0"),
     ("series-validity", ["--time", "1e-300"], "(k_max = 160.85) is at most float64 eps"),
+    # cos(omega * t) and the ladder's instants k * t need finite products
+    ("rabi-control", ["--omega=1e308", "--time=1e308"],
+     "omega 1e+308 and time 1e+308 overflow: t, omega * t and 128 * t must be finite"),
+    ("rabi-control", ["--omega=5e-324"], "omega 4.94066e-324 and time inf overflow"),
+    ("rabi-control", ["--omega=1e-308"], "omega 1e-308 and time 1.5708e+308 overflow"),
+    # the windowed random field places 2 * 40 + 1 Fourier amplitudes
+    ("counterexample", ["--grid-points", "32"],
+     "the windowed random field needs 81 Fourier modes, more than the 32 grid points hold"),
+    ("counterexample", ["--grid-points", "64"],
+     "the windowed random field needs 81 Fourier modes, more than the 64 grid points hold"),
 ])
 def test_invalid_seed_or_tolerance_exits_2(scenario, flags, reason, tmp_path, capsys):
     assert _run(["run", scenario, "--out", str(tmp_path), *flags]) == 2
@@ -428,6 +441,54 @@ def test_sweep_reports_out_of_memory_per_point(tmp_path, capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == ["sigma=2.0: ERROR Unable to allocate 16.0 TiB", "sigma=1.0: PASS"]
     assert (tmp_path / "counterexample" / "sigma=1.0" / "bundle.json").is_file()
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["rabi-control", "--param", "omega", "--values", "1,2", "--time", "1e308"],
+     ["omega=1.0: ERROR omega 1 and time 1e+308 overflow",
+      "omega=2.0: ERROR omega 2 and time 1e+308 overflow"]),
+    (["counterexample", "--param", "grid-points", "--values", "256,32"],
+     ["grid-points=256: FAIL",
+      "grid-points=32: ERROR the windowed random field needs 81 Fourier modes"]),
+])
+def test_sweep_reports_an_overflow_or_a_small_grid_per_point(argv, lines, tmp_path, capsys):
+    assert _run(["sweep", *argv, "--out", str(tmp_path)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == len(lines) + 1 and out[-1].startswith("outputs:")
+    for line, start in zip(out, lines):
+        assert line.startswith(start)
+
+
+def _spec_value(key: str):
+    """Values for one option: every finite float, any seed, --N up to 10^6
+    and power-of-two grids up to 2^12."""
+    if key == "grid-points":
+        return st.integers(1, 12).map(lambda k: 2**k)
+    if key == "N":
+        return st.integers(max_value=10**6)
+    if OPTIONS[key][0] is int:
+        return st.integers()
+    return st.floats(-1e308, 1e308)
+
+
+@st.composite
+def run_argv(draw):
+    """A scenario and some of the flags it reads, in --key=value form."""
+    scenario = draw(st.sampled_from(sorted(READS)))
+    keys = [key for key, (_, field) in OPTIONS.items() if field in READS[scenario]]
+    values = draw(st.fixed_dictionaries({}, optional={k: _spec_value(k) for k in keys}))
+    return [scenario, *(f"--{k}={v!r}" for k, v in values.items())]
+
+
+@given(argv=run_argv())
+@example(argv=["rabi-control", "--omega=1e308", "--time=1e308"])
+@example(argv=["rabi-control", "--omega=5e-324"])
+@example(argv=["counterexample", "--grid-points=32"])
+@example(argv=["counterexample", "--grid-points=64"])
+def test_no_spec_escapes_main(argv):
+    # pytest turns warnings into errors (pyproject.toml), so a warning escapes too
+    with tempfile.TemporaryDirectory() as out:
+        assert main(["run", *argv, f"--out={out}"]) in (0, 1, 2)
 
 
 def test_series_validity_accepts_a_negative_time(tmp_path):

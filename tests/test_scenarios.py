@@ -24,7 +24,7 @@ from zenolab.errors import PreconditionError
 from zenolab.operators import Propagator
 from zenolab.scenarios import READS, SCENARIOS, _shift_schedule, make_flag
 from zenolab.subspaces import ConditionReport, ConditionSample
-from zenolab.zeno import MeasurementSchedule
+from zenolab.zeno import MeasurementSchedule, SurvivalReport
 
 RUNTIME_BUDGET = {
     "counterexample": 5.0,
@@ -363,22 +363,6 @@ def test_json_safe_pins_each_type(value, expected):
     assert repr(scenarios._json_safe(value)) == expected  # a cached dataclass type too
 
 
-def test_json_safe_caches_no_dataclass_class():
-    @dataclass
-    class Point:
-        x: float = 1.0
-
-    @dataclass
-    class Label:
-        name: str = "a"
-
-    # a class is serialized by its defaults, as before; its type is `type`,
-    # which must not be remembered as Point's fields
-    assert scenarios._json_safe(Point) == {"x": 1.0}
-    assert scenarios._json_safe(Label) == {"name": "a"}
-    assert scenarios._json_safe(Point(2.0)) == {"x": 2.0}
-
-
 #: the dataclasses a bundle is built from; `_json_safe` sees no other
 BUNDLE_TYPES = (scenarios.VerdictBundle, scenarios.FlagRecord, scenarios.CurveTable,
                 ConditionReport, ConditionSample)
@@ -420,11 +404,19 @@ class _Level(enum.IntEnum):
     LOW = 1
 
 
+@dataclass
+class _Point:
+    x: float = 1.0
+
+
 @pytest.mark.parametrize("metric, kind", [
     (_Pair(1.0, 2.0), "_Pair"),
     (_Level.LOW, "_Level"),
     (collections.OrderedDict(a=1.0), "OrderedDict"),
     (np.longdouble(1.5), "longdouble"),  # `.item()` keeps it a numpy scalar
+    # a dataclass outside the five bundle classes, and a dataclass class
+    (SurvivalReport(1.0, 0, 1.0, 1.0, 0.0, 1.0), "SurvivalReport"),
+    (_Point, "type"),
 ])
 def test_json_rejects_a_type_it_does_not_dispatch(metric, kind):
     bundle = scenarios.VerdictBundle("custom", (), metrics={"m": metric})

@@ -56,6 +56,12 @@ SPECS = (
     "run series-validity --x-min -20 --x-max 20",
     "run counterexample --x-min=-1e307 --x-max=1e307",
     "run series-validity --x-min=-1e307 --x-max=1e307",
+    # grids too small for counterexample's 81-mode windowed field, and rabi
+    # times whose products overflow
+    "run counterexample --grid-points 32",
+    "run counterexample --grid-points 64",
+    "run rabi-control --omega=1e308 --time=1e308",
+    "run rabi-control --omega=5e-324",
     # tolerances that no residual or survival gap can reach
     "run counterexample --tolerance-falsify 2",
     "run hm-invariance --tolerance-invariance 5",
