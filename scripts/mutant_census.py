@@ -43,11 +43,12 @@ MUTANTS = (
      "round(k * total_steps / (n + 1))", "int(k * total_steps / (n + 1))"),
     ("ENTIRE_GROWTH 1.05", "analytic.py", "ENTIRE_GROWTH = 1.1", "ENTIRE_GROWTH = 1.05"),
     ("series terms without 1/n", "operators.py", "(-1j * t / n)", "(-1j * t)"),
-    ("divergence flag not sticky", "operators.py",
-     "        if tn > DIVERGENCE_FACTOR * c_norm:\n            diverged = True\n",
-     "        diverged = tn > DIVERGENCE_FACTOR * c_norm\n"),
+    ("divergence bound only non-finite", "operators.py",
+     "if not tn <= DIVERGENCE_FACTOR * c_norm:", "if not math.isfinite(tn):"),
     ("curve error against U(t) c", "analytic.py",
      "d = u.step(t) * c - c", "d = u.step(t) * c"),
+    ("eigenvector reference with +1j", "scenarios.py",
+     "scalar = sum((-1j * k_mode * t) ** j", "scalar = sum((1j * k_mode * t) ** j"),
     ("series time bound off", "scenarios.py",
      "if abs(t) * k_max <= np.finfo(float).eps:", "if False:"),
     ("step keeps the conjugate's -0.0", "operators.py", "            mirror.imag += 0.0\n", ""),

@@ -19,11 +19,9 @@ from .analytic import (
 from .errors import DomainError, PreconditionError, SpaceMismatchError
 from .operators import (
     Propagator,
-    SeriesResult,
     ShiftPropagator,
     SpectralOperator,
     dense_hermitian,
-    evolve_series,
     evolve_spectral,
     momentum_operator,
 )
@@ -79,7 +77,6 @@ __all__ = [
     "Propagator",
     "SCENARIOS",
     "ScenarioSpec",
-    "SeriesResult",
     "ShiftPropagator",
     "SpaceMismatchError",
     "SpectralOperator",
@@ -96,7 +93,6 @@ __all__ = [
     "deficit_ladder",
     "deficit_slope",
     "dense_hermitian",
-    "evolve_series",
     "evolve_spectral",
     "halfline_pair",
     "hn_norms",

@@ -103,13 +103,13 @@ def hn_norms(h: SpectralOperator, psi: WaveFunction, n_max: int) -> HnNorms:
     the spectral radius of H (see HnNorms)."""
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
-    norm = psi.norm()
+    scale = math.sqrt(psi.space.dx)
+    norm = float(_norm(psi.values) * scale)
     if norm == 0.0:
         raise DomainError("cannot probe growth of the zero state")
     ceiling = h.spectral_radius
     u = Propagator(h)
-    scale = math.sqrt(psi.space.dx)
-    v = psi.values * (1.0 / (_norm(psi.values) * scale))  # fresh, so H acts in it
+    v = psi.values * (1.0 / norm)  # fresh, so H acts in it
     log_norms = [math.log(norm)]
     ratios: list[float] = []
     nilpotent_at = None
@@ -208,11 +208,11 @@ def series_vs_spectral_curve(h: SpectralOperator, psi: WaveFunction, t: float,
 
     psi is transformed once, to coefficients c.  Depth n's error is
     ||rest_n - (U(t) c - c)||, where rest_n is the kernel's sum of terms
-    1..n-1, bit for bit the one a standalone truncated run changes back to
-    values.  The change of basis is an isometry, so no depth needs an
-    inverse transform.  Only one partial sum is alive.  The divergence flag
-    is sticky: at the first diverged depth summing stops and that depth and
-    all later ones read inf.
+    1..n-1, so c + rest_n is the depth-n truncated series in coefficients.
+    The change of basis is an isometry, so no depth needs an inverse
+    transform.  Only one partial sum is alive.  The kernel stops at the
+    first diverged depth: the curve is then flagged diverged, and that depth
+    and all later ones read inf.
     """
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
@@ -221,10 +221,9 @@ def series_vs_spectral_curve(h: SpectralOperator, psi: WaveFunction, t: float,
     d = u.step(t) * c - c
     buf = np.empty_like(c)
     errors: list[float] = []
-    for _, rest, diverged in _series_terms(h, c, t, n_max):
-        if diverged:
-            break
+    for rest in _series_terms(h, c, t, n_max):
         err = float(_norm(np.subtract(rest, d, out=buf)))
         errors.append(err if math.isfinite(err) else math.inf)
+    diverged = len(errors) < n_max
     errors += [math.inf] * (n_max - len(errors))
     return ConvergenceCurve(tuple(range(1, n_max + 1)), tuple(errors), diverged)

@@ -42,10 +42,11 @@ unbounded-operator distinction between analytic and non-analytic vectors
 cannot literally exist here.  What discretization preserves is the *rate*
 structure: how fast ||H^n psi||^(1/n) grows before it saturates at the
 spectral cutoff, and how that saturation point moves when the grid is
-refined.  `evolve_series` sums its terms on the eigenbasis coefficients and
-changes basis back once.  It is always formally convergent, yet numerically
-trustworthy only while t * cutoff is small enough that the truncated sum
-does not amplify roundoff; the divergence flag reports this honestly.
+refined.  The power series (`_series_terms`) sums its terms on the
+eigenbasis coefficients and never changes basis back.  It is always formally
+convergent, yet numerically trustworthy only while t * cutoff is small enough
+that the truncated sum does not amplify roundoff; the kernel stops at the
+first term past its divergence bound, which reports this honestly.
 """
 
 from __future__ import annotations
@@ -295,60 +296,28 @@ class ShiftPropagator:
         return self.advance(self.transform(psi), self.step(t))
 
 
-@dataclass(frozen=True)
-class SeriesResult:
-    """Truncated power-series propagation output.
-
-    `diverged` is set when any partial term grows past
-    DIVERGENCE_FACTOR * ||psi|| (or stops being finite), which signals the
-    pre-asymptotic blow-up of states outside the series' comfort zone.
-    """
-
-    state: WaveFunction
-    diverged: bool
-
-
 def _series_terms(h: SpectralOperator, coeffs: np.ndarray, t: float, n_terms: int):
-    """Shared summation kernel on psi's eigenbasis coefficients `coeffs`.
+    """Running sums of the power series on psi's eigenbasis coefficients `coeffs`.
 
     Term n is term n-1 times lambda, then times -i t / n, so no term changes
     basis; its norm is the coefficients' plain l2 norm (the change of basis
     is an isometry).  Terms 1..n-1 are added in a fixed order into `rest`,
-    in place, and (n, rest, diverged) is yielded after each of the first
-    n_terms terms, so every caller sees the same bits; a consumer copies a
-    record it keeps, and stopping the iteration stops the summing.  A
-    non-finite term halts the sum: the last record keeps the partial sum
-    before it, with diverged set.
+    in place, and `rest` is yielded after each of the first n_terms terms, so
+    every caller sees the same bits; a consumer copies a record it keeps, and
+    stopping the iteration stops the summing.  The kernel returns at the
+    first term whose norm is not within DIVERGENCE_FACTOR * ||c||, inf and
+    nan included, without adding it: fewer than n_terms records mean the
+    series diverged.
     """
     c_norm = float(_norm(coeffs))
-    term, rest, diverged = coeffs, np.zeros_like(coeffs), False
-    yield 1, rest, diverged
+    term, rest = coeffs, np.zeros_like(coeffs)
+    yield rest
     for n in range(1, n_terms):
-        # an overflowing term is reported through `diverged`, not a warning
+        # an overflowing term ends the sum, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             term = h.eigenvalues * term * (-1j * t / n)
             tn = float(_norm(term))
-        if not math.isfinite(tn):
-            # freeze the partial sum instead of poisoning it
-            yield n + 1, rest, True
+        if not tn <= DIVERGENCE_FACTOR * c_norm:
             return
-        if tn > DIVERGENCE_FACTOR * c_norm:
-            diverged = True
         rest += term
-        yield n + 1, rest, diverged
-
-
-def evolve_series(h: SpectralOperator, psi: WaveFunction, t: float, n_terms: int) -> SeriesResult:
-    """Sum the first n_terms of exp(-i t H) psi = sum_n (-i t H)^n psi / n!.
-
-    The terms are summed on psi's coefficients, with 1/n! folded in as
-    term_{n+1} = (t / (i (n+1))) H term_n, and changed back to values once.
-    Overflowing terms set the divergence flag rather than raising.
-    """
-    if n_terms < 1:
-        raise DomainError(f"n_terms must be >= 1, got {n_terms}")
-    u = Propagator(h)
-    for _, rest, diverged in _series_terms(h, u.transform(psi), t, n_terms):
-        pass
-    rest_values = u._inverse(rest)  # the drained kernel's last record is ours
-    return SeriesResult(WaveFunction._adopt(psi.space, psi.values + rest_values), diverged)
+        yield rest

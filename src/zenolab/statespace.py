@@ -286,6 +286,9 @@ def make_gaussian(grid: Grid, center: float, sigma: float, k0: float = 0.0) -> W
     """
     if sigma <= 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
+    if not math.isfinite(float(k0) * max(abs(grid.x_min), abs(grid.x_max))):
+        raise DomainError(f"carrier k0 = {k0} makes k0 * x non-finite on the domain "
+                          f"[{grid.x_min}, {grid.x_max}]")
     lo, hi = center - 8.0 * sigma, center + 8.0 * sigma
     if not grid.contains(lo, hi):
         raise DomainError(

@@ -19,7 +19,6 @@ from zenolab import (
     analyticity_report,
     compare_resolutions,
     dense_hermitian,
-    evolve_series,
     hn_norms,
     make_bump,
     make_gaussian,
@@ -208,17 +207,16 @@ def test_curve_checkpoints_match_individual_runs():
         reference = u.evolve(g, 1.0)
         curve = series_vs_spectral_curve(h, g, 1.0, ns[-1])
         assert curve.n_terms == tuple(range(1, ns[-1] + 1))
-        # the kernel's record at each depth is what a standalone run changes back
-        records = {n: rest.copy() for n, rest, _ in
-                   _series_terms(h, u.transform(g), 1.0, ns[-1]) if n in ns}
-        for n in ns:
+        # the kernel's record at each depth, changed back to values, is the
+        # truncated series; it yields no record past the first diverged depth
+        records = {n: rest.copy() for n, rest in
+                   enumerate(_series_terms(h, u.transform(g), 1.0, ns[-1]), 1) if n in ns}
+        assert sorted(records) == [n for n in ns if math.isfinite(curve.errors[n - 1])]
+        for n, rest in records.items():
             err = curve.errors[n - 1]
-            single = evolve_series(h, g, 1.0, n).state
-            expected = g.values + u._inverse(records[n])
-            assert single.values.tobytes() == expected.tobytes()
-            if math.isfinite(err):
-                # the same error in coefficients as in values, up to roundoff
-                assert abs(err - (single - reference).norm()) <= max(1e-12 * err, 1e-15)
+            single = WaveFunction(g.space, g.values + u._inverse(rest))
+            # the same error in coefficients as in values, up to roundoff
+            assert abs(err - (single - reference).norm()) <= max(1e-12 * err, 1e-15)
         curves.append(curve)
     gaussian, bump = curves
     assert gaussian.errors[-1] <= 1e-10
@@ -243,20 +241,21 @@ def test_curve_reports_divergence_as_inf(grid, momentum):
 
 
 def test_curve_stops_summing_at_the_first_diverged_depth(grid, momentum, monkeypatch):
-    # the bump's terms pass DIVERGENCE_FACTOR at depth 16; the flag is
-    # sticky, so no later depth needs another application of H
+    # the bump's terms pass DIVERGENCE_FACTOR at depth 16, and the kernel
+    # stops there, so no later depth needs another application of H
     b = make_bump(grid, -2.0, 2.0)
     records = []
 
     def counting(*args):
-        for record in _series_terms(*args):
-            records.append(record[0])
-            yield record
+        for rest in _series_terms(*args):
+            records.append(rest.copy())
+            yield rest
 
     monkeypatch.setattr(analytic, "_series_terms", counting)
     curve = series_vs_spectral_curve(momentum, b, 1.0, 60)
-    # 16 records: psi itself and 15 applications of H
-    assert records == list(range(1, 17))
+    # 15 records: psi's zero remainder and the sums of terms 1..14; the
+    # 15th application of H gives the term past the guard
+    assert len(records) == 15
     assert curve.diverged
     assert all(math.isfinite(e) for e in curve.errors[:15])
     assert all(math.isinf(e) for e in curve.errors[15:])

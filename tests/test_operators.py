@@ -21,13 +21,15 @@ from zenolab import (
     SpectralOperator,
     WaveFunction,
     dense_hermitian,
-    evolve_series,
     inner_product,
     make_gaussian,
     make_bump,
     make_plane_wave,
     momentum_operator,
+    series_vs_spectral_curve,
 )
+from zenolab.operators import _series_terms
+from zenolab.statespace import _norm
 
 
 def _apply(h: SpectralOperator, psi: WaveFunction) -> WaveFunction:
@@ -213,14 +215,19 @@ def test_shift_matches_spectral_pointwise(small_grid, seed, steps):
 
 
 # ----------------------------------------------------------------------
-# Truncated power-series evolution
+# Truncated power series: the kernel and the curve built on it
 # ----------------------------------------------------------------------
+
+def _records(h: SpectralOperator, psi: WaveFunction, t: float, n_terms: int) -> list:
+    """Copies of every running sum the series kernel yields for psi."""
+    return [rest.copy() for rest in _series_terms(h, Propagator(h).transform(psi), t, n_terms)]
+
 
 def test_series_zero_time_is_exact(grid, momentum):
     g = make_gaussian(grid, -8.0, 1.0)
-    result = evolve_series(momentum, g, 0.0, 10)
-    assert np.array_equal(result.state.values, g.values)
-    assert not result.diverged
+    curve = series_vs_spectral_curve(momentum, g, 0.0, 10)
+    assert curve.errors == (0.0,) * 10
+    assert not curve.diverged
 
 
 def test_series_eigenvector_reduces_to_scalar(small_grid):
@@ -230,17 +237,18 @@ def test_series_eigenvector_reduces_to_scalar(small_grid):
     lam = float(h.eigenvalues[5])
     n = 20
     scalar = sum((-1j * lam * 1.0) ** j / math.factorial(j) for j in range(n))
-    result = evolve_series(h, pw, 1.0, n)
-    assert (result.state - pw * scalar).norm() <= 1e-12
+    c = Propagator(h).transform(pw)
+    records = _records(h, pw, 1.0, n)
+    assert len(records) == n
+    assert _norm(c + records[-1] - scalar * c) <= 1e-12
 
 
 def test_series_rabi_converges_to_spectral():
     h = dense_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
     e = WaveFunction(h.space, np.array([1.0, 0.0]))
-    t = math.pi / 2.0
-    result = evolve_series(h, e, t, 20)
-    assert (result.state - Propagator(h).evolve(e, t)).norm() <= 1e-12
-    assert not result.diverged
+    curve = series_vs_spectral_curve(h, e, math.pi / 2.0, 20)
+    assert curve.errors[-1] <= 1e-12
+    assert not curve.diverged
 
 
 def test_series_error_monotone_past_crossover():
@@ -248,9 +256,7 @@ def test_series_error_monotone_past_crossover():
     # past n ~ t * k_max the truncation error must not grow again
     tiny = Grid(-40.0, 40.0, 64)
     h = momentum_operator(tiny)
-    g = make_gaussian(tiny, 0.0, 4.0)
-    reference = Propagator(h).evolve(g, 1.0)
-    errors = [(evolve_series(h, g, 1.0, n).state - reference).norm() for n in range(1, 25)]
+    errors = series_vs_spectral_curve(h, make_gaussian(tiny, 0.0, 4.0), 1.0, 24).errors
     crossover = int(h.spectral_radius) + 1
     for before, after in zip(errors[crossover:], errors[crossover + 1:]):
         assert after <= before + 1e-15
@@ -258,40 +264,47 @@ def test_series_error_monotone_past_crossover():
 
 
 def test_series_divergence_flag(grid, momentum):
-    # t * k_max ~ 8000: terms blow past the divergence guard and say so
+    # t * k_max ~ 8000: a term blows past the divergence guard and the
+    # kernel stops there, short of the 60 records asked for
     g = make_gaussian(grid, 0.0, 1.0)
-    result = evolve_series(momentum, g, 50.0, 60)
-    assert result.diverged
+    assert len(_records(momentum, g, 50.0, 60)) < 60
 
 
-def test_series_divergence_flag_is_sticky():
+def test_series_divergence_is_reported_past_a_transient_blow_up():
     # t * k_max ~ 63: the middle terms reach about 1e23 ||psi||, past the
-    # 1e12 guard, and term 300 is down to about 1e-77 ||psi||; the flag stays set
+    # 1e12 guard, and term 300 is down to about 1e-77 ||psi||; the curve
+    # still reports the divergence, and every depth from the first term
+    # past the guard reads inf
     coarse = Grid(-8.0, 8.0, 64)
     h = momentum_operator(coarse)
-    assert evolve_series(h, make_bump(coarse, -2.0, 2.0), 5.0, 300).diverged
+    curve = series_vs_spectral_curve(h, make_bump(coarse, -2.0, 2.0), 5.0, 300)
+    assert curve.diverged
+    assert math.isinf(curve.errors[-1])
 
 
 def test_series_overflow_is_a_flag_not_a_warning():
-    # t * k_max ~ 2000 on a bump: the terms overflow to inf mid-sum; the
-    # suite turns any RuntimeWarning into an error, so this also checks
-    # that numpy stays quiet about it
+    # the first term's norm overflows to inf; the suite turns any
+    # RuntimeWarning into an error, so this also checks that numpy stays
+    # quiet about it
     fine = Grid(-40.0, 40.0, 1024)
-    result = evolve_series(momentum_operator(fine), make_bump(fine, -2.0, 2.0), 50.0, 200)
-    assert result.diverged
+    curve = series_vs_spectral_curve(momentum_operator(fine), make_bump(fine, -2.0, 2.0),
+                                     1e300, 200)
+    assert curve.diverged
+    assert math.isfinite(curve.errors[0]) and math.isinf(curve.errors[1])
 
 
-def test_series_validation(grid, momentum):
-    g = make_gaussian(grid, 0.0, 1.0)
+def test_series_validation():
+    # the dense basis too rejects a depth below one
+    h = dense_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(DomainError):
-        evolve_series(momentum, g, 1.0, 0)
+        series_vs_spectral_curve(h, WaveFunction(h.space, np.array([1.0, 0.0])), 1.0, 0)
 
 
 def test_operator_entry_points_reject_a_foreign_state(grid, momentum):
     # same point count on another domain: only the space comparison tells them apart
     foreign = make_gaussian(Grid(-20.0, 20.0, grid.n_points), 0.0, 1.0)
     with pytest.raises(SpaceMismatchError, match="state lives on"):
-        evolve_series(momentum, foreign, 0.1, 4)
+        series_vs_spectral_curve(momentum, foreign, 0.1, 4)
 
 
 # ----------------------------------------------------------------------

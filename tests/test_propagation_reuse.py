@@ -481,13 +481,13 @@ def test_hm_invariance_runs_its_spectral_report_once(n):
 
 def test_series_validity_sums_its_series_in_coefficients():
     # hn_norms applies H as one FFT pair per power, 43 powers in all; each
-    # of the three curves transforms its state once, and the eigenvector
-    # branch's evolve_series transforms once and changes back once.  With
-    # an FFT pair per series term the scenario ran 178 + 178
+    # of the three curves and the eigenvector branch transforms its state
+    # once, and none changes back.  With an FFT pair per series term the
+    # scenario ran 178 + 178
     with pytest.MonkeyPatch.context() as mp:
         counts = _install_counters(mp)
         scenario_series_validity(ScenarioSpec(name="series-validity"))
-    assert (counts["fft"], counts["ifft"]) == (43 + 3 + 1, 43 + 1)
+    assert (counts["fft"], counts["ifft"]) == (43 + 3 + 1, 43)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

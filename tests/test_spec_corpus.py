@@ -44,6 +44,9 @@ SPECS = (
     *(f"run {s} --sigma {sigma}"
       for s in ("counterexample", "hm-invariance", "series-validity")
       for sigma in ("0.8", "1.035", "1.05", "1e-160")),
+    # centre/sigma at most 5.3: the untruncated oracle misreads the clipped state
+    "run hm-invariance --sigma 1.5",
+    "run hm-invariance --sigma 2",
     "run hm-invariance --N 0",
     "run hm-invariance --N 13",
     # prepared-state centers, final times and domains off the defaults

@@ -130,6 +130,14 @@ def test_gaussian_rejects_a_sigma_whose_square_overflows(sigma):
         make_gaussian(wide, 0.0, sigma)
 
 
+@pytest.mark.parametrize("k0", [math.nan, math.inf, -math.inf, 1e308, np.float64(1e308)])
+def test_gaussian_rejects_a_carrier_that_overflows(grid, k0):
+    # k0 * x is not finite on the domain: a nan carrier, or one whose
+    # product with the domain edge overflows
+    with pytest.raises(DomainError, match="carrier k0 = "):
+        make_gaussian(grid, 0.0, 1.0, k0=k0)
+
+
 # ----------------------------------------------------------------------
 # Bump and plane-wave states
 # ----------------------------------------------------------------------

@@ -39,8 +39,6 @@ def series_validity_layers():
     # one Gaussian curve to depth 40 and two bump curves to depth 60
     ("analytic.series_curve.calls", 3),
     ("analytic.series_curve.terms", 160),
-    # the eigenvector branch's one truncated series
-    ("operators.series.calls", 1),
 ])
 def test_traced_series_validity_counters(series_validity_layers, metric, expected):
     assert series_validity_layers[metric] == expected
