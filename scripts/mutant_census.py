@@ -3,13 +3,14 @@
 The golden test and the spec corpus catch almost any change to a default
 run's bytes, so a change that regenerates those bytes on purpose would
 also hide a real fault in the same code.  This script applies each mutant
-below to its own copy of `src/`, `tests/`, `benchmarks/` and the README
-and runs tier-1 there with `-x`, without `tests/test_golden.py`,
-`tests/test_spec_corpus.py` and `tests/test_mutant_census.py` (which
-checks this script's mutant texts against the source, so it would fail on
-every mutant).  A mutant is killed only when pytest exits 1 and names a
-failed or errored test; any other exit (an import error, a collection
-error, an internal error) is an ERROR, not a kill.
+below to its own copy of `src/`, `tests/`, `benchmarks/`, `scripts/` (which
+tier-1 loads) and the README and runs tier-1 there with `-x`, without
+`tests/test_golden.py`, `tests/test_spec_corpus.py` and
+`tests/test_mutant_census.py` (which checks this script's mutant texts
+against the source, so it would fail on every mutant).  A mutant is killed
+only when pytest exits 1 and names a failed or errored test; any other exit
+(an import error, a collection error, an internal error) is an ERROR, not a
+kill.
 
 Run from anywhere (one pass takes a few minutes, one pytest at a time):
 
@@ -57,10 +58,15 @@ MUTANTS = (
     ("clip leaves one sample", "subspaces.py",
      "values[self.stop:] = 0.0", "values[self.stop + 1:] = 0.0"),
     ("zone guard ten times looser", "subspaces.py", "if off > tol:", "if off > 10 * tol:"),
-    ("chain's later steps doubled", "zeno.py", "step(dt), owned=True)",
-     "step(2 * dt), owned=True)"),
-    ("hn_norms applies 2 H", "analytic.py", "h.eigenvalues, owned=True)",
-     "2 * h.eigenvalues, owned=True)"),
+    ("chain's later steps doubled", "zeno.py", "_clip(values), step(dt))",
+     "_clip(values), step(2 * dt))"),
+    ("hn_norms applies 2 H", "analytic.py", "u._apply(v, h.eigenvalues)",
+     "u._apply(v, 2 * h.eigenvalues)"),
+    ("matrix _apply skips the diagonal", "operators.py",
+     "            coeffs = self._adjoint @ values\n"
+     "        return self._inverse(np.multiply(diagonal, coeffs, out=coeffs))",
+     "            return self._inverse(self._adjoint @ values)\n"
+     "        return self._inverse(np.multiply(diagonal, coeffs, out=coeffs))"),
     ("shift transform copies", "operators.py", "        return psi.values\n",
      "        return psi.values.copy()\n"),
     ("json keeps nan and inf", "scenarios.py", "obj if math.isfinite(obj) else str(obj)",
@@ -84,7 +90,7 @@ def tier1(mutant: tuple[str, str, str, str] | None = None) -> tuple[str, str]:
     """
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for part in ("src", "tests", "benchmarks"):
+        for part in ("src", "tests", "benchmarks", "scripts"):
             shutil.copytree(ROOT / part, work / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
         for name in ("pyproject.toml", "README.md"):  # tier-1 reads README's tables

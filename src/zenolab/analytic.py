@@ -116,7 +116,7 @@ def hn_norms(h: SpectralOperator, psi: WaveFunction, n_max: int) -> HnNorms:
     capped_at = None
     at_ceiling = 0
     for n in range(1, n_max + 1):
-        w = u._values(u._coeffs(v, owned=True), h.eigenvalues, owned=True)
+        w = u._apply(v, h.eigenvalues)
         r = float(_norm(w) * scale)
         if r == 0.0:
             nilpotent_at = n

@@ -16,11 +16,11 @@ caller that evolves one state to many times, or many states to one time,
 transforms each state once and builds each phase vector once and gets the
 same bits as separate evolves.  Coefficients and steps are read-only and
 ``advance`` never writes to them.  ``Propagator`` alone changes basis, in
-three private primitives: ``_coeffs`` (forward), ``_values`` (multiply by
-a diagonal and change back: a step gives U(t) psi, the eigenvalues H psi)
-and ``_inverse`` (the bare change back).  The first two take an ``owned``
-flag: the FFT basis works in an array the caller hands over, so a
-measurement chain runs in one buffer from its first segment to its end.
+four private primitives: ``_coeffs`` (forward), ``_values`` (multiply by
+a diagonal and change back: a step gives U(t) psi, the eigenvalues H psi),
+``_inverse`` (the bare change back) and ``_apply`` (all three on values
+the caller hands over, in that array on the FFT basis), so a measurement
+chain or a power iteration runs in one buffer from its first step on.
 The FFT basis scales by multiplying with 1/sqrt(dx/n), which has the bits
 of dividing by sqrt(dx/n) at a fraction of the cost (see ``_inverse``).
 ``ShiftPropagator`` speaks the same protocol with a state's values as its
@@ -166,15 +166,10 @@ class Propagator:
         psi._require_space(self.space)
         return self._coeffs(psi.values)
 
-    def _coeffs(self, values: np.ndarray, owned: bool = False) -> np.ndarray:
-        """Read-only coefficients of `values`.
-
-        With `owned` the caller hands the array over: the FFT basis
-        transforms it in place and returns it, with the bits of a fresh
-        transform; a matrix basis returns a fresh array.
-        """
+    def _coeffs(self, values: np.ndarray) -> np.ndarray:
+        """Read-only coefficients of `values`, a fresh array."""
         if self._adjoint is None:
-            coeffs = np.fft.fft(values, out=values if owned else None)
+            coeffs = np.fft.fft(values)
             coeffs *= self._scale
         else:
             coeffs = self._adjoint @ values
@@ -212,19 +207,21 @@ class Propagator:
         """The state whose coefficients are step * coeffs; neither is written."""
         return WaveFunction._adopt(self.space, self._values(coeffs, step))
 
-    def _values(self, coeffs: np.ndarray, diagonal: np.ndarray,
-                owned: bool = False) -> np.ndarray:
-        """Values of diagonal * coeffs (a step gives U(t), the eigenvalues H).
-
-        The result is an array the caller owns.  With `owned` the caller
-        hands `coeffs` over and the FFT basis works in it and returns it,
-        with the bits of a fresh array.
-        """
+    def _values(self, coeffs: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+        """Fresh values of diagonal * coeffs (a step gives U(t), the eigenvalues H)."""
         # always diagonal * coeffs: numpy's complex multiply is not bitwise
         # commutative, so a swapped operand order changes the last bits
-        if owned:
-            coeffs.setflags(write=True)
-        return self._inverse(np.multiply(diagonal, coeffs, out=coeffs if owned else None))
+        return self._inverse(np.multiply(diagonal, coeffs))
+
+    def _apply(self, values: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+        """`_values(_coeffs(values), diagonal)` bit for bit; the FFT basis works
+        in the handed-over `values` and returns it, a matrix basis a fresh array."""
+        if self._adjoint is None:
+            coeffs = np.fft.fft(values, out=values)
+            coeffs *= self._scale
+        else:
+            coeffs = self._adjoint @ values
+        return self._inverse(np.multiply(diagonal, coeffs, out=coeffs))
 
     def _inverse(self, coeffs: np.ndarray) -> np.ndarray:
         """Values of `coeffs`, which must be a fresh array: it is overwritten."""
@@ -270,10 +267,6 @@ class ShiftPropagator:
         psi._require_space(self.grid)
         return psi.values
 
-    def _coeffs(self, values: np.ndarray, owned: bool = False) -> np.ndarray:
-        """`values` themselves, which the caller hands over."""
-        return values
-
     def step(self, t: float) -> int:
         """Whole grid steps in t; DomainError unless t is a multiple of dx."""
         ratio = float(t) / self.grid.dx
@@ -287,10 +280,14 @@ class ShiftPropagator:
     def advance(self, coeffs: np.ndarray, step: int) -> WaveFunction:
         return WaveFunction._adopt(self.grid, self._values(coeffs, step))
 
-    def _values(self, coeffs: np.ndarray, step: int, owned: bool = False) -> np.ndarray:
+    def _values(self, coeffs: np.ndarray, step: int) -> np.ndarray:
         """np.roll's values for `advance` as one copy of two slices, a fresh array."""
         split = -int(step) % coeffs.shape[0]
         return np.concatenate((coeffs[split:], coeffs[:split]))
+
+    def _apply(self, values: np.ndarray, step: int) -> np.ndarray:
+        """`_values`, as the values are the coefficients: a fresh array."""
+        return self._values(values, step)
 
     def evolve(self, psi: WaveFunction, t: float) -> WaveFunction:
         return self.advance(self.transform(psi), self.step(t))

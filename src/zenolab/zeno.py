@@ -91,10 +91,11 @@ def _chain(u, p_core: SubspaceProjector, coeffs,
     Returns the unnormalized final state, whose norm squared is the
     probability of passing every measurement.  The first segment advances
     the shared coefficients into a fresh array; each later one zeroes the
-    wave zone of that buffer, transforms it and advances it, all in place,
-    so a chain on the FFT basis allocates one state-sized array (a matrix
-    basis changes basis into fresh arrays), with the bits of `advance`,
-    `apply` and `transform` on separate arrays.
+    wave zone of that buffer and hands it to the propagator's `_apply`,
+    which transforms and advances it in place, so a chain on the FFT basis
+    allocates one state-sized array (a matrix basis changes basis into fresh
+    arrays), with the bits of `advance`, `apply` and `transform` on separate
+    arrays.
 
     The segments of an equally spaced schedule differ at most in the last
     ulp and alternate (a a b c b c b ...), so the steps of the two most
@@ -105,7 +106,7 @@ def _chain(u, p_core: SubspaceProjector, coeffs,
     first, *rest = schedule.segments()
     values = u._values(coeffs, step(first))
     for dt in rest:
-        values = u._values(u._coeffs(p_core._clip(values), owned=True), step(dt), owned=True)
+        values = u._apply(p_core._clip(values), step(dt))
     return WaveFunction._adopt(u.space, values)
 
 

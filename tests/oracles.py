@@ -60,6 +60,11 @@ def momentum_power_norm(n: int, sigma: float) -> float:
     return math.sqrt(double_fact) / (2.0 * sigma) ** n
 
 
+def momentum_power_log_norm(n: int, sigma: float) -> float:
+    """log ||p^n g|| for a width-sigma Gaussian: 1/2 log((2n-1)!!) - n log(2 sigma)."""
+    return 0.5 * sum(math.log(2 * j - 1) for j in range(1, n + 1)) - n * math.log(2.0 * sigma)
+
+
 def rabi_unitary(omega: float, t: float) -> np.ndarray:
     """exp(-i t omega sigma_x) written out in closed form."""
     c, s = math.cos(omega * t), math.sin(omega * t)

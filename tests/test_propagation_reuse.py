@@ -206,8 +206,8 @@ def test_an_owned_advance_has_the_bits_of_advance(system):
     for psi in [e] + waves:
         shared = u.transform(psi)
         for t in ts:
-            owned = u._coeffs(np.array(psi.values), owned=True)
-            values = u._values(owned, u.step(t), owned=True)
+            owned = np.array(psi.values)
+            values = u._apply(owned, u.step(t))
             assert values.tobytes() == u.advance(shared, u.step(t)).values.tobytes()
             if isinstance(u, Propagator) and u.generator.basis is None:
                 assert values is owned
@@ -492,8 +492,8 @@ def test_series_validity_sums_its_series_in_coefficients():
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_every_fft_is_a_propagator_basis_change(name):
-    """A default run calls np.fft only through `Propagator._coeffs` and
-    `_inverse`, apart from the one field-synthesis ifft of each
+    """A default run calls np.fft only through `Propagator._coeffs`, `_apply`
+    (forward) and `_inverse`, apart from the one field-synthesis ifft of each
     `_window_state` call."""
     changes = {"fft": 0, "ifft": 0}
     windows = []
@@ -516,6 +516,7 @@ def test_every_fft_is_a_propagator_basis_change(name):
     with pytest.MonkeyPatch.context() as mp:
         counts = _install_counters(mp)
         mp.setattr(Propagator, "_coeffs", counting("fft", Propagator._coeffs))
+        mp.setattr(Propagator, "_apply", counting("fft", Propagator._apply))
         mp.setattr(Propagator, "_inverse", counting("ifft", Propagator._inverse))
         mp.setattr(scenarios, "_window_state", counting_window)
         run_scenario(name)
