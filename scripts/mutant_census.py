@@ -52,6 +52,13 @@ MUTANTS = (
      "scalar = sum((-1j * k_mode * t) ** j", "scalar = sum((1j * k_mode * t) ** j"),
     ("series time bound off", "scenarios.py",
      "if abs(t) * k_max <= np.finfo(float).eps:", "if False:"),
+    ("gaussian time budget off", "scenarios.py",
+     "if abs(t) * math.pi / wide.dx > math.log(gaussian_tol / CUTOFF_ROUNDOFF):", "if False:"),
+    ("coarse bump budget doubled", "scenarios.py",
+     "lambda tk: tk <= math.log(DIVERGENCE_FACTOR)",
+     "lambda tk: tk <= 2 * math.log(DIVERGENCE_FACTOR)"),
+    ("eigenvector budget against 1", "scenarios.py",
+     "<= math.log(eigen_tol / CUTOFF_ROUNDOFF)", "<= math.log(1.0 / CUTOFF_ROUNDOFF)"),
     ("step keeps the conjugate's -0.0", "operators.py", "            mirror.imag += 0.0\n", ""),
     ("hn_norms ceiling cap off", "analytic.py",
      "if at_ceiling >= CEILING_WINDOW and n < n_max:", "if False:"),

@@ -23,14 +23,13 @@ depths far beyond float overflow are safe.
 
 One purely floating-point effect shapes every curve here: a sampled state
 whose true spectral weight at the cutoff underflows still carries ~1e-16 of
-roundoff mass there, and a depth-n truncated exponential amplifies that
-mass by up to max_m (t k_max)^m / m!.  Error floors for the series curves
-are therefore only meaningful when t * k_max stays moderate (ceiling
-~e^(t k_max) otherwise), and the renormalized power iteration behind
-hn_norms always drifts to the cutoff eventually — hence its cap at the
-spectral radius.
-Callers probing entire-type behavior should budget t * k_max and n_max
-against those two ceilings; the shipped scenarios pick grids accordingly.
+roundoff mass there, a depth-n truncated exponential amplifies that mass by
+up to max_m (t k_max)^m / m! <= e^(t k_max), and the renormalized power
+iteration behind hn_norms always drifts to the cutoff eventually, hence its
+cap at the spectral radius.  So series-validity budgets |t| k_max on each
+grid: ln(1e-10 / 1e-16) on the Gaussian's (k_max sigma = 6), ln(1e12) =
+ln(DIVERGENCE_FACTOR) on the coarse bump's, and max_m (|t| k_max)^m / m! <=
+1e-12 / 1e-16 on the plane wave's.
 
 Why this is the right surrogate, and what it cannot prove.  In the
 continuum, Nelson's theorem [E. Nelson, "Analytic vectors", Ann. Math. 70

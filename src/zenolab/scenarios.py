@@ -36,6 +36,7 @@ import numpy as np
 from .analytic import analyticity_report, compare_resolutions, series_vs_spectral_curve
 from .errors import DomainError
 from .operators import (
+    DIVERGENCE_FACTOR,
     Propagator,
     ShiftPropagator,
     _series_terms,
@@ -85,6 +86,10 @@ ZENO_SLOPE_TOL = 0.15
 CURVE_POINTS = 8
 #: Fourier modes on each side of zero in counterexample's windowed random field
 WINDOW_MODES = 40
+#: k_max * sigma of series-validity's Gaussian grid, inside (sqrt(33), 9.75): see analytic.py
+GAUSSIAN_KMAX_SIGMA = 6.0
+#: roundoff mass a sampled state carries at the spectral cutoff
+CUTOFF_ROUNDOFF = 1e-16
 
 
 def _phi(z: float) -> float:
@@ -527,41 +532,54 @@ def scenario_rabi_control(spec: ScenarioSpec) -> VerdictBundle:
 # series-validity: who is allowed to use the power series
 # ----------------------------------------------------------------------
 
+def _budget_grid(spec: ScenarioSpec, t: float, cap: int, fits, what: str) -> Grid:
+    """The largest grid of 16 to `cap` points on the spec's domain whose |t| k_max fits."""
+    # cap, cap / 2, ..., 16; dx > 0, as every caller's domain holds the bump's [-2, 2]
+    for n in (cap >> j for j in range(cap.bit_length() - 4)):
+        grid = Grid(spec.x_min, spec.x_max, n)
+        if fits(abs(t) * math.pi / grid.dx):
+            return grid
+    raise DomainError(f"time {t:g} is too long for {what}: no grid of 16 or more points on "
+                      f"[{spec.x_min:g}, {spec.x_max:g}] keeps |t| * k_max in its budget")
+
+
 def scenario_series_validity(spec: ScenarioSpec) -> VerdictBundle:
     """power-series propagation: Gaussian vs bump, two resolutions"""
     t = spec.time if spec.time is not None else 1.0
-    if spec.grid_points < 64:
-        raise DomainError("series scenario needs at least 64 grid points")
-    fine = Grid(spec.x_min, spec.x_max, spec.grid_points)
-    coarse = Grid(spec.x_min, spec.x_max, spec.grid_points // 4)
-
-    # Gaussian branch: entire-type vector, series converges quickly.  Runs
-    # at full point count but on a 10x wider domain: a depth-n truncated
-    # exponential amplifies the float roundoff mass at the spectral cutoff
-    # by up to e^(t*k_max), so demonstrating the sub-1e-10 floor needs
-    # t*k_max ~ 16, not the 160 of the default domain.
-    try:
-        wide = Grid(10.0 * spec.x_min, 10.0 * spec.x_max, spec.grid_points)
-    except DomainError as exc:
-        raise DomainError(f"domain [{spec.x_min:g}, {spec.x_max:g}], which the Gaussian "
-                          f"branch widens tenfold: {exc}") from None
-    _require_inside(wide, -8.0 * spec.sigma - abs(t), 8.0 * spec.sigma + abs(t),
-                    f"gaussian at 0 (sigma {spec.sigma}) drifting +-{abs(t)}")
+    gaussian_tol, eigen_tol = 1e-10, 1e-12  # flag bounds, which set the grid budgets
+    # a depth-n series lifts the cutoff roundoff by up to e^(|t| k_max); the
+    # Gaussian's grid holds k_max * sigma fixed, so it is scale-free in sigma
+    half = 512 * math.pi * spec.sigma / GAUSSIAN_KMAX_SIGMA
+    wide = Grid(-half, half, 1024)
+    if abs(t) * math.pi / wide.dx > math.log(gaussian_tol / CUTOFF_ROUNDOFF):
+        raise DomainError(f"time {t:g} is too long for sigma {spec.sigma:g} (k_max = "
+                          f"{math.pi / wide.dx:g}): |t| * k_max exceeds ln(1e6) = 13.8")
+    # under that bound no bump series term passes DIVERGENCE_FACTOR on the coarse grid
+    _require_inside(Grid(spec.x_min, spec.x_max, 2), -2.0, 2.0, "the bump on [-2, 2]")
+    coarse = _budget_grid(spec, t, 1024, lambda tk: tk <= math.log(DIVERGENCE_FACTOR),
+                          "the coarse bump curve")
+    fine = Grid(spec.x_min, spec.x_max, 4 * coarse.n_points)
     # below this U(t) is the identity to float64 rounding: no error can grow
     k_max = math.pi / fine.dx
     if abs(t) * k_max <= np.finfo(float).eps:
         raise DomainError(f"time {t:g} is too short: |t| * k_max = {abs(t) * k_max:.3g} "
                           f"(k_max = {k_max:g}) is at most float64 eps: U(t) is the identity")
+    # the plane wave's 20 terms lift it by up to max_m (|t| k_max)^m / m!, taken
+    # in logs (tk > 0 past the check above)
+    small = _budget_grid(spec, t, 256, lambda tk: max(
+        m * math.log(tk) - math.lgamma(m + 1) for m in range(1, 20))
+        <= math.log(eigen_tol / CUTOFF_ROUNDOFF), "the eigenvector branch")
+
+    # Gaussian branch: entire-type vector, series converges quickly
     h_wide = momentum_operator(wide)
     g = make_gaussian(wide, 0.0, spec.sigma)
     g_curve = series_vs_spectral_curve(h_wide, g, t, 40)
-    # growth probed only to n=16: past that the renormalized iterates of a
-    # sampled Gaussian are roundoff riding the cutoff, not the state
+    # probed to n = 16, whose step ratio sqrt(33) / (2 sigma) is below saturation
     g_report = analyticity_report(h_wide, g, n_max=16)
     first_converged = next((n for n, err in zip(g_curve.n_terms, g_curve.errors)
-                            if err < 1e-10), -1)
+                            if err < gaussian_tol), -1)
 
-    # bump branch: saturates at the grid ceiling, worse on finer grids
+    # bump branch: saturates at the grid ceiling, worse on the finer grid
     def bump_branch(grid: Grid):
         h = momentum_operator(grid)
         b = make_bump(grid, -2.0, 2.0)
@@ -573,10 +591,8 @@ def scenario_series_validity(spec: ScenarioSpec) -> VerdictBundle:
     coarse_curve, coarse_peak, coarse_report = bump_branch(coarse)
     tracks_cutoff = compare_resolutions(fine_report, coarse_report)
 
-    # eigenvector branch: series must reduce to the scalar exponential.
-    # Runs on a small grid (k_max ~ 10) for the same cutoff-noise reason,
-    # on the plane wave's coefficients c: the change of basis is an isometry
-    small = Grid(spec.x_min, spec.x_max, max(spec.grid_points // 16, 16))
+    # eigenvector branch: the series must reduce to the scalar exponential on
+    # the plane wave's coefficients c, as the change of basis is an isometry
     h_small = momentum_operator(small)
     c = Propagator(h_small).transform(make_plane_wave(small, 5))
     k_mode = float(small.wavenumbers()[5])
@@ -585,14 +601,14 @@ def scenario_series_validity(spec: ScenarioSpec) -> VerdictBundle:
     eigen_error = float(_norm(c + rest - scalar * c))
 
     flags = (
-        make_flag("gaussian_series_n40", g_curve.errors[-1], "<=", 1e-10),
+        make_flag("gaussian_series_n40", g_curve.errors[-1], "<=", gaussian_tol),
         make_flag("gaussian_entire_like",
                   1.0 if g_report.classification == "entire-like" else 0.0, ">=", 1.0),
         make_flag("gaussian_rho_climbing", g_report.tail_growth, ">=", 1.1),
         make_flag("bump_peak_grows_with_resolution",
                   fine_peak - coarse_peak, ">", 0.0),
         make_flag("bump_tracks_cutoff", 1.0 if tracks_cutoff else 0.0, ">=", 1.0),
-        make_flag("eigenvector_sanity", eigen_error, "<=", 1e-12),
+        make_flag("eigenvector_sanity", eigen_error, "<=", eigen_tol),
     )
     metrics = {
         "t": t,
@@ -644,7 +660,7 @@ READS = {
     "hm-invariance": frozenset({"grid_points", "x_min", "x_max", "sigma", "center",
                                 "time", "n_measurements", "tolerance_invariance"}),
     "rabi-control": frozenset({"omega", "time"}),
-    "series-validity": frozenset({"grid_points", "x_min", "x_max", "sigma", "time"}),
+    "series-validity": frozenset({"x_min", "x_max", "sigma", "time"}),
 }
 
 

@@ -1,8 +1,9 @@
 """Reference values computed independently of the package under test.
 
 Everything here goes through a different code path than zenolab itself:
-closed forms via math/scipy, quadrature via scipy.integrate, and the
-two-level measurement chain via brute-force 2x2 matrix products.  The one
+closed forms via math/scipy, quadrature via scipy.integrate or numpy's
+Gauss-Hermite rule, and the two-level measurement chain via brute-force 2x2
+matrix products.  The one
 exception is `stone_residuals`, which writes out the generator's difference
 quotient over the package's own propagator, one evolve per time.  Frozen
 literals in the test modules were produced by these helpers.
@@ -63,6 +64,38 @@ def momentum_power_norm(n: int, sigma: float) -> float:
 def momentum_power_log_norm(n: int, sigma: float) -> float:
     """log ||p^n g|| for a width-sigma Gaussian: 1/2 log((2n-1)!!) - n log(2 sigma)."""
     return 0.5 * sum(math.log(2 * j - 1) for j in range(1, n + 1)) - n * math.log(2.0 * sigma)
+
+
+def gaussian_rho_tail_growth(n_max: int) -> float:
+    """`AnalyticityReport.tail_growth` of a Gaussian probed to n_max powers of p.
+
+    The step ratios are sqrt((2j + 1) / (4 sigma^2)), so rho_j = (j + 1) * 2 sigma /
+    sqrt(2j + 1) and sigma cancels from the ratio of the tail window's ends;
+    n_max = 16 gives 16 sqrt(23) / (12 sqrt(31)).
+    """
+    first = n_max - max(5, n_max // 3)
+    return (n_max / math.sqrt(2 * n_max - 1)) / ((first + 1) / math.sqrt(2 * first + 1))
+
+
+def gaussian_series_error(n: int, t: float, sigma: float, nodes: int = 120) -> float:
+    """||U(t) g - sum_{m<n} (-i t p)^m g / m!|| for a width-sigma Gaussian g.
+
+    err_n^2 = integral |g^(k)|^2 |R_n(-i t k)|^2 dk / 2 pi, where the momentum
+    density |g^(k)|^2 / 2 pi is normal with deviation 1 / (2 sigma) and R_n is
+    the exponential's remainder after n terms, summed term by term from
+    z^n / n! so that no cancellation against e^z occurs.  Gauss-Hermite
+    quadrature with `nodes` points.
+    """
+    u, w = np.polynomial.hermite.hermgauss(nodes)
+    z = -1j * t * (math.sqrt(2.0) * u / (2.0 * sigma))
+    term = np.ones_like(z)
+    for m in range(1, n + 1):
+        term = term * z / m
+    remainder = np.zeros_like(z)
+    for m in range(n + 1, n + 200):  # |z| <= 30 here: the tail is far below 1e-16 by then
+        remainder += term
+        term = term * z / m
+    return math.sqrt(float(np.sum(w * np.abs(remainder) ** 2)) / math.sqrt(math.pi))
 
 
 def rabi_unitary(omega: float, t: float) -> np.ndarray:

@@ -8,13 +8,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import momentum_power_log_norm, momentum_power_norm
+from oracles import (
+    gaussian_rho_tail_growth,
+    gaussian_series_error,
+    momentum_power_log_norm,
+    momentum_power_norm,
+)
 from zenolab import (
     AnalyticityReport,
     DomainError,
     Grid,
     HnNorms,
     Propagator,
+    ScenarioSpec,
     WaveFunction,
     analyticity_report,
     compare_resolutions,
@@ -24,10 +30,12 @@ from zenolab import (
     make_gaussian,
     make_plane_wave,
     momentum_operator,
+    run_scenario,
     series_vs_spectral_curve,
 )
 from zenolab import analytic
 from zenolab.operators import _series_terms
+from zenolab.scenarios import GAUSSIAN_KMAX_SIGMA
 
 
 # ----------------------------------------------------------------------
@@ -63,16 +71,49 @@ def test_hn_gaussian_momentum_moments(small_grid):
         assert math.exp(record.log_norms[n]) == pytest.approx(exact, rel=1e-6)
 
 
+def _series_validity(sigma: float = 1.0, time: float | None = None):
+    return run_scenario("series-validity",
+                        ScenarioSpec(name="series-validity", sigma=sigma, time=time))
+
+
 @pytest.mark.parametrize("sigma", [0.8, 1.0, 1.2])
 def test_hn_gaussian_log_norms_match_the_closed_form(sigma):
-    # series-validity's Gaussian branch grid; the worst case through n = 9
-    # is 2.8e-12 (sigma 1.2, n = 9), while at its probe depth n = 16 the
-    # error is 1.0e-5, 1.4e-2 and 1.3 at sigma 0.8, 1 and 1.2
-    wide = Grid(-400.0, 400.0, 4096)
-    record = hn_norms(momentum_operator(wide), make_gaussian(wide, 0.0, sigma), 9)
-    assert len(record.log_norms) == 10
+    # series-validity's Gaussian grid: 1024 points centred at 0 with k_max =
+    # GAUSSIAN_KMAX_SIGMA / sigma.  Through n = 9 the worst error is 2.3e-12
+    # (sigma 1), through its probe depth n = 16 it is 9.1e-11 (sigma 1.2); the
+    # earlier 4096 points on [-400, 400] were off by 1.0e-5, 1.4e-2 and 1.3
+    # at n = 16 for sigma 0.8, 1 and 1.2
+    half = 512 * math.pi * sigma / GAUSSIAN_KMAX_SIGMA
+    wide = Grid(-half, half, 1024)
+    record = hn_norms(momentum_operator(wide), make_gaussian(wide, 0.0, sigma), 16)
+    assert record.capped_at is None and len(record.log_norms) == 17
     for n, log_norm in enumerate(record.log_norms):
-        assert abs(log_norm - momentum_power_log_norm(n, sigma)) <= 1e-11
+        assert abs(log_norm - momentum_power_log_norm(n, sigma)) <= (1e-11 if n <= 9 else 1e-9)
+    # the scenario's own hn_gaussian table holds these bits, so this is its grid
+    table = _series_validity(sigma).tables["hn_gaussian"]
+    assert [row[1] for row in table.rows] == list(record.log_norms[:16])
+
+
+@pytest.mark.parametrize("sigma", [0.8, 1.0, 1.2])
+def test_series_validity_gaussian_tail_growth_is_the_closed_form(sigma):
+    # 16 sqrt(23) / (12 sqrt(31)) = 1.1484757 for every sigma
+    growth = _series_validity(sigma).metrics["gaussian_tail_growth"]
+    assert abs(growth - gaussian_rho_tail_growth(16)) <= 1e-9
+
+
+@pytest.mark.parametrize("time", [1.0, 2.0])
+def test_series_validity_gaussian_errors_match_the_quadrature_oracle(time):
+    # within 4.8e-7 relative at t = 1 and 6.7e-6 at t = 2; below 1e-13 the
+    # curve reads the cutoff roundoff, not the truncation error
+    rows = _series_validity(time=time).tables["series_gaussian"].rows
+    checked = 0
+    for n, err, resolution in rows:
+        assert resolution == "1024"
+        oracle = gaussian_series_error(n, time, 1.0)
+        if oracle > 1e-13:
+            assert abs(err - oracle) <= 1e-4 * oracle, n
+            checked += 1
+    assert checked >= 20
 
 
 def test_hn_nilpotent_detection():
@@ -274,7 +315,7 @@ def test_curve_stops_summing_at_the_first_diverged_depth(grid, momentum, monkeyp
 
 
 def test_curve_keeps_one_partial_sum_alive():
-    # k_max * sigma = 16 as in series-validity, so the sum never diverges
+    # k_max * sigma = 16, so the sum never diverges
     wide = Grid(-1600.0, 1600.0, 2**14)
     h = momentum_operator(wide)
     g = make_gaussian(wide, 0.0, 1.0)

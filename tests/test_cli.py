@@ -151,7 +151,10 @@ def test_rabi_control_exits_2_outside_its_zeno_window(tmp_path, capsys, flags, c
     # 2 pi sigma^2 underflows to 0 in the Gaussian's normalization
     ("counterexample", ["--sigma", "1e-300"], "2 pi sigma^2 underflows to 0"),
     ("hm-invariance", ["--sigma", "1e-300"], "2 pi sigma^2 underflows to 0"),
-    ("series-validity", ["--sigma", "1e-300"], "2 pi sigma^2 underflows to 0"),
+    # series-validity's Gaussian grid holds k_max at 6 / sigma, so a tiny sigma
+    # breaks the time budget |t| * k_max <= ln(1e6) before any state is built
+    ("series-validity", ["--sigma", "1e-300"],
+     "time 1 is too long for sigma 1e-300 (k_max = 6e+300): |t| * k_max exceeds ln(1e6)"),
     # ... and sigma^2 overflows past about 1.3e154
     ("counterexample", ["--x-min=-1e300", "--x-max=1e300", "--sigma=1e200"],
      "sigma 1e+200 is too large: 2 pi sigma^2 overflows"),
@@ -163,17 +166,17 @@ def test_rabi_control_exits_2_outside_its_zeno_window(tmp_path, capsys, flags, c
     ("counterexample", ["--tolerance-falsify", "2"], "tolerance_falsify must be below 1"),
     ("counterexample", ["--tolerance-invariance", "1"], "tolerance_invariance must be below 1"),
     ("hm-invariance", ["--tolerance-invariance", "5"], "tolerance_invariance must be below 1"),
-    # a domain whose length overflows has an infinite dx; series-validity's
-    # wide grid spans ten times the domain
-    ("series-validity", ["--x-min=-1e307", "--x-max=1e307"],
+    # a domain whose length overflows has an infinite dx
+    ("series-validity", ["--x-min=-1e308", "--x-max=1e308"],
      "domain [-1e+308, 1e+308] is too wide: its length overflows"),
     ("counterexample", ["--x-min=-1e308", "--x-max=1e308"],
      "domain [-1e+308, 1e+308] is too wide: its length overflows"),
     # at dx = 4.9e303 the wave-zone trial bump has no sample in its support
     ("counterexample", ["--x-min=-1e307", "--x-max=1e307"],
      "support [2.0, 6.0] holds no weighted sample of the grid (dx = 4.8828125e+303)"),
+    # ... and at dx = 4.9e303 even the 4096-point bump grid has k_max = 6.4e-304
     ("series-validity", ["--x-min=-1e307", "--x-max=1e307"],
-     "domain [-1e+307, 1e+307], which the Gaussian branch widens tenfold"),
+     "time 1 is too short: |t| * k_max = 6.43e-304 (k_max = 6.43398e-304)"),
     ("hm-invariance", ["--time", "-1"], "final time must be positive"),
     ("rabi-control", ["--omega", "0"], "omega must be positive"),
     ("rabi-control", ["--time", "0"], "final time must be positive"),
@@ -192,6 +195,20 @@ def test_rabi_control_exits_2_outside_its_zeno_window(tmp_path, capsys, flags, c
      "the windowed random field needs 81 Fourier modes, more than the 32 grid points hold"),
     ("counterexample", ["--grid-points", "64"],
      "the windowed random field needs 81 Fourier modes, more than the 64 grid points hold"),
+    # series-validity's budgets: e^(|t| k_max) amplifies the Gaussian's cutoff
+    # roundoff, and no grid of 16 points keeps the plane wave's 20 terms in budget
+    ("series-validity", ["--time", "2.4"],
+     "time 2.4 is too long for sigma 1 (k_max = 6): |t| * k_max exceeds ln(1e6) = 13.8"),
+    ("series-validity", ["--sigma", "1e-160"], "time 1 is too long for sigma 1e-160"),
+    ("series-validity", ["--time", "1e308"],
+     "time 1e+308 is too long for sigma 1 (k_max = 6)"),
+    ("series-validity", ["--x-min=-1e307", "--x-max=1e307", "--time", "1e-300"],
+     "time 1e-300 is too short: |t| * k_max = 0 (k_max = 6.43398e-304)"),
+    ("series-validity", ["--sigma", "100", "--time", "30"],
+     "time 30 is too long for the eigenvector branch: no grid of 16 or more points on "
+     "[-40, 40] keeps |t| * k_max in its budget"),
+    ("series-validity", ["--x-min", "0"],
+     "margin violation: the bump on [-2, 2] needs [-2.0, 2.0] inside [0.0, 40.0]"),
 ])
 def test_invalid_seed_or_tolerance_exits_2(scenario, flags, reason, tmp_path, capsys):
     assert _run(["run", scenario, "--out", str(tmp_path), *flags]) == 2
@@ -400,8 +417,11 @@ HUGE_GRID = str(2**62)  # numpy refuses a complex128 array this long before allo
 def test_a_grid_no_array_can_hold_exits_2(scenario, tmp_path, capsys):
     code = _run(["run", scenario, "--grid-points", HUGE_GRID, "--out", str(tmp_path)])
     assert code == 2
-    assert capsys.readouterr().err == (f"error: n_points {HUGE_GRID} is too large: a complex128 "
-                                       "state would exceed numpy's largest array\n")
+    # series-validity derives its grids from its budgets and reads no grid size
+    reason = ("series-validity does not read 'grid-points'" if scenario == "series-validity"
+              else f"n_points {HUGE_GRID} is too large: a complex128 state would exceed "
+                   "numpy's largest array")
+    assert capsys.readouterr().err == f"error: {reason}\n"
 
 
 def test_sweep_reports_a_grid_no_array_can_hold_as_an_error(tmp_path, capsys):
@@ -590,8 +610,8 @@ UNREAD = [(s, k) for s in sorted(READS) for k, (_, f) in OPTIONS.items()
 READ = [(s, KEY_OF[f]) for s in sorted(READS) for f in sorted(READS[s])]
 
 
-def test_the_cli_accepts_22_of_the_44_scenario_field_pairs():
-    assert len(UNREAD) == len(READ) == 22
+def test_the_cli_accepts_21_of_the_44_scenario_field_pairs():
+    assert (len(UNREAD), len(READ)) == (23, 21)
 
 
 @pytest.mark.parametrize("via", ["flag", "config"])

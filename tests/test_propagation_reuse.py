@@ -480,14 +480,15 @@ def test_hm_invariance_runs_its_spectral_report_once(n):
 
 
 def test_series_validity_sums_its_series_in_coefficients():
-    # hn_norms applies H as one FFT pair per power, 43 powers in all; each
-    # of the three curves and the eigenvector branch transforms its state
-    # once, and none changes back.  With an FFT pair per series term the
-    # scenario ran 178 + 178
+    # hn_norms applies H as one FFT pair per power, 40 powers in all (16 on
+    # the Gaussian, 13 and 11 on the fine and coarse bumps); each of the
+    # three curves and the eigenvector branch transforms its state once, and
+    # none changes back.  With an FFT pair per series term the scenario ran
+    # 178 + 178
     with pytest.MonkeyPatch.context() as mp:
         counts = _install_counters(mp)
         scenario_series_validity(ScenarioSpec(name="series-validity"))
-    assert (counts["fft"], counts["ifft"]) == (43 + 3 + 1, 43)
+    assert (counts["fft"], counts["ifft"]) == (40 + 3 + 1, 40)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

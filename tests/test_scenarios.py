@@ -137,10 +137,11 @@ def test_a_field_the_scenario_reads_changes_its_outcome(name):
 
 
 def _margin_rejects(name: str, **overrides) -> bool:
+    """Whether a margin check rejects the spec, or series-validity's Gaussian time budget."""
     try:
         run_scenario(name, ScenarioSpec(name=name, **overrides))
     except DomainError as exc:
-        return "margin violation" in str(exc)
+        return "margin violation" in str(exc) or "is too long for sigma" in str(exc)
     except PreconditionError:
         pass
     return False
@@ -152,8 +153,8 @@ def _margin_rejects(name: str, **overrides) -> bool:
     ("counterexample", "x_max", 38.0, -math.inf, {"sigma": 2.5}),  # 12 + 8 sigma + 6
     ("hm-invariance", "x_min", -16.0, math.inf, {}),        # center - 8 sigma
     ("hm-invariance", "x_max", 2.0, -math.inf, {}),         # t
-    # the 10x wide grid [-400, 400] holds 8 sigma + |t|
-    ("series-validity", "time", 392.0, math.inf, {"grid_points": 256}),
+    # |t| * k_max <= ln(1e-10 / 1e-16) on the Gaussian grid, k_max = 6 / sigma
+    ("series-validity", "time", 2.3025850929940455, math.inf, {}),
 ])
 def test_margin_edges_are_exact(name, field_name, edge, inward, extra):
     assert not _margin_rejects(name, **extra, **{field_name: edge})
@@ -299,11 +300,13 @@ def test_series_validity_bump_divergence_trend():
 
 def test_series_validity_rejects_a_time_below_roundoff_before_any_state(monkeypatch):
     # |t| * k_max at or below float64 eps: U(t) is the identity to rounding,
-    # so no series error can grow and the resolution trend cannot be judged
+    # so no series error can grow and the resolution trend cannot be judged.
+    # k_max is the derived fine grid's, 4 x 1024 points at such times
     k_max = math.pi / (80.0 / 4096)
     edge = np.finfo(float).eps / k_max
     built = []
-    monkeypatch.setattr(scenarios, "make_gaussian", lambda *a, **k: built.append(a))
+    for factory in ("make_gaussian", "make_bump", "make_plane_wave"):
+        monkeypatch.setattr(scenarios, factory, lambda *a, **k: built.append(a))
     for t in (0.0, 1e-300, -edge, edge):
         with pytest.raises(DomainError, match=r"time .* is too short: \|t\| \* k_max"):
             run_scenario("series-validity", ScenarioSpec(name="series-validity", time=t))
@@ -312,6 +315,31 @@ def test_series_validity_rejects_a_time_below_roundoff_before_any_state(monkeypa
     just_above = math.nextafter(edge, 1.0)
     assert run_scenario("series-validity",
                         ScenarioSpec(name="series-validity", time=just_above)).passed
+
+
+@pytest.mark.parametrize("overrides, fine, coarse, small", [
+    # |t| * k_max on the coarse grid is at most ln(1e12) = 27.6: 20.1 by default
+    # (40.2 on 1024 points); on the plane wave's grid at most 11.3: 10.1 by default
+    ({}, 2048, 512, 256),
+    ({"time": 0.1}, 4096, 1024, 256),                  # both at their caps
+    ({"time": -1.0}, 2048, 512, 256),
+    ({"time": 2.3}, 1024, 256, 64),                     # 23.1 and 5.8 (11.6 on 128)
+    ({"x_min": -20.0, "x_max": 20.0}, 1024, 256, 128),  # 20.1 and 10.1
+    # the bump and plane-wave grids read neither sigma nor grid_points
+    ({"sigma": 0.8, "grid_points": 64}, 2048, 512, 256),
+])
+def test_series_validity_derives_its_grids_from_its_budgets(overrides, fine, coarse, small,
+                                                            monkeypatch):
+    planes = []
+    make_plane_wave = scenarios.make_plane_wave
+    monkeypatch.setattr(scenarios, "make_plane_wave",
+                        lambda grid, mode: planes.append(grid) or make_plane_wave(grid, mode))
+    bundle = run_scenario("series-validity", ScenarioSpec(name="series-validity", **overrides))
+    assert bundle.passed
+    assert bundle.provenance["resolutions"] == [fine, coarse]
+    assert [grid.n_points for grid in planes] == [small]
+    # the Gaussian's 1024 points hold k_max * sigma at 6 whatever the spec
+    assert {row[2] for row in bundle.tables["series_gaussian"].rows} == {"1024"}
 
 
 def test_series_validity_gaussian_table_entry():

@@ -54,6 +54,9 @@ SPECS = (
     "run hm-invariance --center -6",
     "run hm-invariance --time 10",
     "run series-validity --time 2",
+    # the Gaussian budget |t| * k_max <= ln(1e6) at k_max = 6 / sigma: t <= 2.30 sigma
+    "run series-validity --time 2.3",
+    "run series-validity --time 2.4",
     "run series-validity --time 0",
     "run series-validity --time 1e-300",
     "run series-validity --x-min -20 --x-max 20",

@@ -33,9 +33,9 @@ def series_validity_layers():
 
 @pytest.mark.parametrize("metric, expected", [
     # one Gaussian report (16 powers requested) and two bump reports (40
-    # each); the ceiling cap stops them after 43 powers in all
+    # each); the ceiling cap stops the bumps after 13 and 11, 40 powers in all
     ("analytic.hn_norms.calls", 3),
-    ("analytic.hn_norms.powers_per_request", 43 / 96),
+    ("analytic.hn_norms.powers_per_request", 40 / 96),
     # one Gaussian curve to depth 40 and two bump curves to depth 60
     ("analytic.series_curve.calls", 3),
     ("analytic.series_curve.terms", 160),
