@@ -62,6 +62,8 @@ SPECS = (
     "run series-validity --x-min -20 --x-max 20",
     "run counterexample --x-min=-1e307 --x-max=1e307",
     "run series-validity --x-min=-1e307 --x-max=1e307",
+    # a sigma whose Gaussian grid length 1024 pi sigma / 6 overflows
+    "run series-validity --sigma 1e306",
     # grids too small for counterexample's 81-mode windowed field, and rabi
     # times whose products overflow
     "run counterexample --grid-points 32",
