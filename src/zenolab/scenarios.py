@@ -550,6 +550,9 @@ def scenario_series_validity(spec: ScenarioSpec) -> VerdictBundle:
     # a depth-n series lifts the cutoff roundoff by up to e^(|t| k_max); the
     # Gaussian's grid holds k_max * sigma fixed, so it is scale-free in sigma
     half = 512 * math.pi * spec.sigma / GAUSSIAN_KMAX_SIGMA
+    if not math.isfinite(2 * half):
+        raise DomainError(f"sigma {spec.sigma:g} is too large: the Gaussian grid's length "
+                          f"1024 pi sigma / {GAUSSIAN_KMAX_SIGMA:g} overflows")
     wide = Grid(-half, half, 1024)
     if abs(t) * math.pi / wide.dx > math.log(gaussian_tol / CUTOFF_ROUNDOFF):
         raise DomainError(f"time {t:g} is too long for sigma {spec.sigma:g} (k_max = "

@@ -209,6 +209,9 @@ def test_rabi_control_exits_2_outside_its_zeno_window(tmp_path, capsys, flags, c
      "[-40, 40] keeps |t| * k_max in its budget"),
     ("series-validity", ["--x-min", "0"],
      "margin violation: the bump on [-2, 2] needs [-2.0, 2.0] inside [0.0, 40.0]"),
+    # the Gaussian grid's length 1024 pi sigma / 6 overflows: sigma is named, not the grid
+    ("series-validity", ["--sigma", "1e306"],
+     "sigma 1e+306 is too large: the Gaussian grid's length 1024 pi sigma / 6 overflows"),
 ])
 def test_invalid_seed_or_tolerance_exits_2(scenario, flags, reason, tmp_path, capsys):
     assert _run(["run", scenario, "--out", str(tmp_path), *flags]) == 2
