@@ -67,8 +67,10 @@ MUTANTS = (
     ("zone guard ten times looser", "subspaces.py", "if off > tol:", "if off > 10 * tol:"),
     ("chain's later steps doubled", "zeno.py", "_clip(values), step(dt))",
      "_clip(values), step(2 * dt))"),
-    ("hn_norms applies 2 H", "analytic.py", "u._apply(v, h.eigenvalues)",
-     "u._apply(v, 2 * h.eigenvalues)"),
+    ("hn_norms applies 2 H", "analytic.py", "np.multiply(h.eigenvalues, v, out=v)",
+     "np.multiply(2 * h.eigenvalues, v, out=v)"),
+    ("hn_norms weights its norm by sqrt(dx)", "analytic.py", "r = float(_norm(v))",
+     "r = float(_norm(v) * math.sqrt(psi.space.dx))"),
     ("matrix _apply skips the diagonal", "operators.py",
      "            coeffs = self._adjoint @ values\n"
      "        return self._inverse(np.multiply(diagonal, coeffs, out=coeffs))",

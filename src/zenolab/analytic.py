@@ -98,31 +98,31 @@ class HnNorms:
 
 
 def hn_norms(h: SpectralOperator, psi: WaveFunction, n_max: int) -> HnNorms:
-    """Track ||H^n psi|| growth without forming the raw powers, capped at
-    the spectral radius of H (see HnNorms)."""
+    """Track ||H^n psi|| growth, capped at the spectral radius of H (see HnNorms).
+    psi is transformed once; each power multiplies its coefficients by the eigenvalues in
+    place and takes their plain l2 norm, as the change of basis is an isometry."""
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
-    scale = math.sqrt(psi.space.dx)
-    norm = float(_norm(psi.values) * scale)
+    c = Propagator(h).transform(psi)
+    norm = float(_norm(c))
     if norm == 0.0:
         raise DomainError("cannot probe growth of the zero state")
     ceiling = h.spectral_radius
-    u = Propagator(h)
-    v = psi.values * (1.0 / norm)  # fresh, so H acts in it
+    v = c * (1.0 / norm)  # fresh, so H acts in it
     log_norms = [math.log(norm)]
     ratios: list[float] = []
     nilpotent_at = None
     capped_at = None
     at_ceiling = 0
     for n in range(1, n_max + 1):
-        w = u._apply(v, h.eigenvalues)
-        r = float(_norm(w) * scale)
+        np.multiply(h.eigenvalues, v, out=v)
+        r = float(_norm(v))
         if r == 0.0:
             nilpotent_at = n
             break
         ratios.append(r)
         log_norms.append(log_norms[-1] + math.log(r))
-        v = np.multiply(w, 1.0 / r, out=w)
+        v *= 1.0 / r
         at_ceiling = at_ceiling + 1 if r >= SATURATION_FRACTION * ceiling else 0
         if at_ceiling >= CEILING_WINDOW and n < n_max:
             capped_at = n

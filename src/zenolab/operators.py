@@ -20,7 +20,7 @@ four private primitives: ``_coeffs`` (forward), ``_values`` (multiply by
 a diagonal and change back: a step gives U(t) psi, the eigenvalues H psi),
 ``_inverse`` (the bare change back) and ``_apply`` (all three on values
 the caller hands over, in that array on the FFT basis), so a measurement
-chain or a power iteration runs in one buffer from its first step on.
+chain runs in one buffer from its first step on.
 The FFT basis scales by multiplying with 1/sqrt(dx/n), which has the bits
 of dividing by sqrt(dx/n) at a fraction of the cost (see ``_inverse``).
 ``ShiftPropagator`` speaks the same protocol with a state's values as its
@@ -214,8 +214,8 @@ class Propagator:
         return self._inverse(np.multiply(diagonal, coeffs))
 
     def _apply(self, values: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
-        """`_values(_coeffs(values), diagonal)` bit for bit; the FFT basis works
-        in the handed-over `values` and returns it, a matrix basis a fresh array."""
+        """`_values(_coeffs(values), diagonal)` bit for bit, for a chain's later segments:
+        the FFT basis works in `values` and returns it, a matrix basis a fresh array."""
         if self._adjoint is None:
             coeffs = np.fft.fft(values, out=values)
             coeffs *= self._scale

@@ -5,8 +5,10 @@ closed forms via math/scipy, quadrature via scipy.integrate or numpy's
 Gauss-Hermite rule, and the two-level measurement chain via brute-force 2x2
 matrix products.  The one
 exception is `stone_residuals`, which writes out the generator's difference
-quotient over the package's own propagator, one evolve per time.  Frozen
-literals in the test modules were produced by these helpers.
+quotient over the package's own propagator, one evolve per time.
+`fft_pair_hn_norms` applies H = V Lambda V^dagger on the values as its
+definition, one numpy FFT pair per power.  Frozen literals in the test
+modules were produced by these helpers.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 from scipy import integrate
 
 from zenolab import Propagator
+from zenolab.analytic import CEILING_WINDOW, SATURATION_FRACTION
 
 
 def normal_cdf(z: float) -> float:
@@ -125,3 +128,31 @@ def stone_residuals(h, psi, ts) -> list[float]:
     hpsi = u._values(u.transform(psi), h.eigenvalues)
     return [float(np.linalg.norm(1j * (u.evolve(psi, t).values - psi.values) / t - hpsi))
             * math.sqrt(psi.space.dx) for t in ts]
+
+
+def fft_pair_hn_norms(h, psi, n_max: int):
+    """(step_ratios, nilpotent_at, capped_at) of `analytic.hn_norms` with H
+    applied on the values: forward FFT, multiply by the eigenvalues, inverse FFT.
+
+    Each power is renormalized by its norm sum |v|^2 dx, and the iteration
+    stops at an exact zero or after CEILING_WINDOW consecutive ratios of at
+    least SATURATION_FRACTION of the spectral radius, as `HnNorms` documents.
+    FFT-basis operators only.
+    """
+    lam = h.eigenvalues
+    ceiling = float(np.max(np.abs(lam)))
+    scale = math.sqrt(psi.space.dx)
+    v = psi.values / (np.linalg.norm(psi.values) * scale)
+    ratios: list[float] = []
+    at_ceiling = 0
+    for n in range(1, n_max + 1):
+        w = np.fft.ifft(lam * np.fft.fft(v))
+        r = float(np.linalg.norm(w)) * scale
+        if r == 0.0:
+            return ratios, n, None
+        ratios.append(r)
+        v = w / r
+        at_ceiling = at_ceiling + 1 if r >= SATURATION_FRACTION * ceiling else 0
+        if at_ceiling >= CEILING_WINDOW and n < n_max:
+            return ratios, None, n
+    return ratios, None, None

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    fft_pair_hn_norms,
     gaussian_rho_tail_growth,
     gaussian_series_error,
     momentum_power_log_norm,
@@ -134,6 +135,33 @@ def test_hn_ceiling_cap_stops_noise_riding(grid, momentum):
     assert record.capped_at is not None
     assert 8 <= record.capped_at <= 24
     assert len(record.step_ratios) == record.capped_at
+
+
+def _hn_matches_fft_pairs(h, psi, n_max, rel):
+    record = hn_norms(h, psi, n_max)
+    ratios, nilpotent_at, capped_at = fft_pair_hn_norms(h, psi, n_max)
+    assert (record.nilpotent_at, record.capped_at) == (nilpotent_at, capped_at)
+    assert len(record.step_ratios) == len(ratios)
+    for mine, ref in zip(record.step_ratios, ratios):
+        assert abs(mine - ref) <= rel * ref
+
+
+@pytest.mark.parametrize("sigma", [0.8, 1.0, 1.2])
+def test_hn_on_coefficients_matches_fft_pairs_on_the_gaussian_grid(sigma):
+    # series-validity's Gaussian grid and probe depth; worst 2.8e-13 (sigma 1)
+    half = 512 * math.pi * sigma / GAUSSIAN_KMAX_SIGMA
+    wide = Grid(-half, half, 1024)
+    _hn_matches_fft_pairs(momentum_operator(wide), make_gaussian(wide, 0.0, sigma), 16, 1e-12)
+
+
+@pytest.mark.parametrize("n_points", [16, 64, 256, 1024, 2048, 4096])
+def test_hn_on_coefficients_matches_fft_pairs_on_the_bump(n_points):
+    # series-validity's bump and probe depth, capped at 8 to 15 powers; at
+    # most 7.3e-14 up to 2048 points and 1.2e-10 at 4096.  Finer grids are
+    # left out: at 16384 the FFT pairs' own roundoff moves the ratios near
+    # the ceiling by 5.5e-2, though the cap depth agrees
+    grid = Grid(-40.0, 40.0, n_points)
+    _hn_matches_fft_pairs(momentum_operator(grid), make_bump(grid, -2.0, 2.0), 40, 1e-9)
 
 
 def test_hn_validation(small_grid):

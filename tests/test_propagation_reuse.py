@@ -480,15 +480,15 @@ def test_hm_invariance_runs_its_spectral_report_once(n):
 
 
 def test_series_validity_sums_its_series_in_coefficients():
-    # hn_norms applies H as one FFT pair per power, 40 powers in all (16 on
-    # the Gaussian, 13 and 11 on the fine and coarse bumps); each of the
-    # three curves and the eigenvector branch transforms its state once, and
-    # none changes back.  With an FFT pair per series term the scenario ran
-    # 178 + 178
+    # each of the three hn_norms probes and the three curves transforms its
+    # state once, and the eigenvector branch its plane wave: 3 + 3 + 1
+    # forward FFTs, and no power or term changes back.  With an FFT pair per
+    # power of H (16 on the Gaussian, 13 and 11 on the fine and coarse bumps)
+    # the scenario ran 40 + 3 + 1 and 40; with one per series term, 178 + 178
     with pytest.MonkeyPatch.context() as mp:
         counts = _install_counters(mp)
         scenario_series_validity(ScenarioSpec(name="series-validity"))
-    assert (counts["fft"], counts["ifft"]) == (40 + 3 + 1, 40)
+    assert (counts["fft"], counts["ifft"]) == (3 + 3 + 1, 0)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
