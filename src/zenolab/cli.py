@@ -11,8 +11,9 @@ sweep <scenario>    re-run one scenario over a list of values for one
 
 Exit status: 0 when every pass flag is true, 1 when the scenario ran but a
 flag failed (scientific failure), 2 for usage, config, margin, memory or
-I/O errors and for a flag or config key the scenario does not read
-(`scenarios.READS`), which sweep checks once, before any point runs.  A
+I/O errors and for a flag or config key the scenario does not read (its
+function's keyword-only parameters, `scenarios.READS`), which sweep checks
+once, before any point runs.  A
 sweep prints one PASS, FAIL or ERROR line per point in input order and
 exits 2 when any point raised an error, after running all the others.
 

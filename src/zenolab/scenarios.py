@@ -8,7 +8,10 @@ a seeded generator recorded in provenance, so re-running a scenario with
 the same spec serializes to byte-identical JSON.
 
 Run one with `run_scenario(name, spec=None)`: it alone builds the default
-`ScenarioSpec(name=name)`, and each function in `SCENARIOS` takes a spec.
+`ScenarioSpec(name=name)`.  Each function in `SCENARIOS` takes the spec
+fields it reads as keyword-only parameters, so its signature is the one
+record of what it reads (`READS`), and `run_scenario` passes it those fields
+alone and completes the bundle's provenance.
 
 Shipped scenarios
 -----------------
@@ -27,6 +30,7 @@ series-validity  power-series propagation converges fast on a Gaussian but
 from __future__ import annotations
 
 import functools
+import inspect
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -109,7 +113,7 @@ def _package_version() -> str:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Flat parameter record, one CLI flag per field; READS says who reads which."""
+    """Flat record, one CLI flag per field; a scenario's keyword parameters name those it reads."""
 
     name: str
     grid_points: int = 4096
@@ -251,17 +255,6 @@ def _json_safe(obj):
     raise DomainError(f"cannot serialize value of type {kind.__name__}")
 
 
-def _provenance(spec: ScenarioSpec, **extra) -> dict:
-    prov = {
-        "package": "zenolab",
-        "version": _package_version(),
-        "numpy": np.__version__,
-        "parameters": asdict(spec),
-    }
-    prov.update(extra)
-    return prov
-
-
 def _window_state(grid: Grid, lo: float, hi: float, seed: int) -> WaveFunction:
     """Seeded band-limited random field under a smooth compact window.
 
@@ -297,15 +290,15 @@ def _residual_table(report: ConditionReport) -> CurveTable:
 # counterexample: translation separates (I) from (II) and (I-A)
 # ----------------------------------------------------------------------
 
-def scenario_counterexample(spec: ScenarioSpec) -> VerdictBundle:
+def scenario_counterexample(*, grid_points, x_min, x_max, sigma, seed, tolerance_invariance,
+                            tolerance_falsify) -> VerdictBundle:
     """translation flow: (I) HOLDS, (II) FALSIFIED, (I-A) FAILS backward"""
-    grid = Grid(spec.x_min, spec.x_max, spec.grid_points)
+    grid = Grid(x_min, x_max, grid_points)
     drift = max(T_SWEEP)
     window_lo, window_hi = 2.0, 30.0
     # the Gaussian trial states (centers -8..12, 8-sigma slack) and the window
-    _require_inside(grid, -8.0 - 8.0 * spec.sigma - drift,
-                    max(12.0 + 8.0 * spec.sigma, window_hi) + drift,
-                    f"trial states at -8..12 (sigma {spec.sigma}) drifting +-{drift}")
+    _require_inside(grid, -8.0 - 8.0 * sigma - drift, max(12.0 + 8.0 * sigma, window_hi) + drift,
+                    f"trial states at -8..12 (sigma {sigma}) drifting +-{drift}")
     if grid.n_points < 2 * WINDOW_MODES + 1:
         raise DomainError(f"the windowed random field needs {2 * WINDOW_MODES + 1} Fourier "
                           f"modes, more than the {grid.n_points} grid points hold")
@@ -317,40 +310,38 @@ def scenario_counterexample(spec: ScenarioSpec) -> VerdictBundle:
     # each check draws its own trial states, so only coefficients stay alive
     # while it samples; (I), the longest, is the map's first item
     def wave_states():
-        yield "gaussian(8)", make_gaussian(grid, 8.0, spec.sigma)
-        yield "gaussian(12,k2)", make_gaussian(grid, 12.0, spec.sigma, k0=2.0)
+        yield "gaussian(8)", make_gaussian(grid, 8.0, sigma)
+        yield "gaussian(12,k2)", make_gaussian(grid, 12.0, sigma, k0=2.0)
         yield "bump[2,6]", make_bump(grid, 2.0, 6.0)
-        yield "windowed-random", _window_state(grid, window_lo, window_hi, spec.seed)
+        yield "windowed-random", _window_state(grid, window_lo, window_hi, seed)
 
     def core_states():
-        yield "gaussian(-3)", make_gaussian(grid, -3.0, spec.sigma)
-        yield "trunc-gaussian(-8)", core_zone_state(p_core, make_gaussian(grid, -8.0, spec.sigma))
+        yield "gaussian(-3)", make_gaussian(grid, -3.0, sigma)
+        yield "trunc-gaussian(-8)", core_zone_state(p_core, make_gaussian(grid, -8.0, sigma))
 
     def ia_states():
-        yield "gaussian(3)", make_gaussian(grid, 3.0, spec.sigma)
+        yield "gaussian(3)", make_gaussian(grid, 3.0, sigma)
 
     checks = (
-        lambda: check_condition_I(pair, u, T_SWEEP, wave_states(),
-                                  tolerance=spec.tolerance_invariance),
-        lambda: check_condition_II(pair, u, T_SWEEP, core_states(),
-                                   tolerance=spec.tolerance_falsify),
+        lambda: check_condition_I(pair, u, T_SWEEP, wave_states(), tolerance=tolerance_invariance),
+        lambda: check_condition_II(pair, u, T_SWEEP, core_states(), tolerance=tolerance_falsify),
         lambda: check_condition_IA(pair, u, (-6.0, 6.0), ia_states(),
-                                   tolerance=spec.tolerance_invariance),
-        lambda: leakage(p_wave, u, make_gaussian(grid, -3.0, spec.sigma), 6.0),
+                                   tolerance=tolerance_invariance),
+        lambda: leakage(p_wave, u, make_gaussian(grid, -3.0, sigma), 6.0),
     )
     rep_I, rep_II, rep_IA, leak = _map(lambda check: check(), checks, points=grid.n_points)
     ia_backward = max(s.residual for s in rep_IA.samples if s.t < 0)
     ia_forward = max(s.residual for s in rep_IA.samples if s.t > 0)
 
-    leak_oracle = _phi(3.0 / spec.sigma)
+    leak_oracle = _phi(3.0 / sigma)
 
     flags = (
-        make_flag("cond_I_holds", rep_I.max_residual, "<=", spec.tolerance_invariance),
-        make_flag("cond_II_falsified", rep_II.max_residual, ">", spec.tolerance_falsify),
+        make_flag("cond_I_holds", rep_I.max_residual, "<=", tolerance_invariance),
+        make_flag("cond_II_falsified", rep_II.max_residual, ">", tolerance_falsify),
         make_flag("leakage_large", leak, ">=", 0.99),
         make_flag("leakage_oracle", abs(leak - leak_oracle), "<=", 1e-3),
         make_flag("ia_backward_fails", ia_backward, ">=", 0.99),
-        make_flag("ia_forward_ok", ia_forward, "<=", spec.tolerance_invariance),
+        make_flag("ia_forward_ok", ia_forward, "<=", tolerance_invariance),
     )
     metrics = {
         "max_residual_I": rep_I.max_residual,
@@ -366,7 +357,7 @@ def scenario_counterexample(spec: ScenarioSpec) -> VerdictBundle:
         "residuals_IA": _residual_table(rep_IA),
     }
     return VerdictBundle("counterexample", flags, (rep_I, rep_II, rep_IA),
-                         metrics, tables, _provenance(spec, t_sweep=list(T_SWEEP)))
+                         metrics, tables, {"t_sweep": list(T_SWEEP)})
 
 
 # ----------------------------------------------------------------------
@@ -380,21 +371,22 @@ def _shift_schedule(total_steps: int, dx: float, n: int) -> MeasurementSchedule:
     return MeasurementSchedule(total_steps * dx, tuple(m * dx for m in marks))
 
 
-def scenario_hm_invariance(spec: ScenarioSpec) -> VerdictBundle:
+def scenario_hm_invariance(*, grid_points, x_min, x_max, sigma, center, time, n_measurements,
+                           tolerance_invariance) -> VerdictBundle:
     """selective core measurements leave survival unchanged"""
-    t = spec.time if spec.time is not None else 2.0
+    t = time if time is not None else 2.0
     if t <= 0.0:
         raise DomainError("final time must be positive")
-    grid = Grid(spec.x_min, spec.x_max, spec.grid_points)
-    if spec.center >= 0.0:
+    grid = Grid(x_min, x_max, grid_points)
+    if center >= 0.0:
         raise DomainError("prepared state must be centered in the core zone (x < 0)")
     # the prepared state is clipped to x < 0, so it needs full 8-sigma slack
     # leftward but only drift room on the wave side
-    _require_inside(grid, spec.center - 8.0 * spec.sigma, t,
-                    f"clipped state at {spec.center} (sigma {spec.sigma}) drifting +{t}")
+    _require_inside(grid, center - 8.0 * sigma, t,
+                    f"clipped state at {center} (sigma {sigma}) drifting +{t}")
 
     # the shift lattice is checked before any schedule, state or FFT
-    n = spec.n_measurements
+    n = n_measurements
     steps = round(t / grid.dx)
     if steps < 1:
         raise DomainError("final time is below one grid step; no shift path exists")
@@ -413,7 +405,7 @@ def scenario_hm_invariance(spec: ScenarioSpec) -> VerdictBundle:
     shift_schedules = [_shift_schedule(k, grid.dx, n) for k in shift_steps if k > n]
 
     p_core, _ = halfline_pair(grid)
-    e = core_zone_state(p_core, make_gaussian(grid, spec.center, spec.sigma))
+    e = core_zone_state(p_core, make_gaussian(grid, center, sigma))
     # the empty schedule, a real chain of one segment, shares t and so its
     # free evolve with the last curve row
     empty, *curve_spectral = survival_report(Propagator(momentum_operator(grid)), p_core, e,
@@ -423,11 +415,10 @@ def scenario_hm_invariance(spec: ScenarioSpec) -> VerdictBundle:
     rep_shift = curve_shift[-1]
 
     def autocorr_oracle(tau: float) -> float:
-        return math.exp(-(tau ** 2) / (4.0 * spec.sigma ** 2))
+        return math.exp(-(tau ** 2) / (4.0 * sigma ** 2))
 
     flags = (
-        make_flag("spectral_invariance", abs(rep_spectral.delta), "<=",
-                  spec.tolerance_invariance),
+        make_flag("spectral_invariance", abs(rep_spectral.delta), "<=", tolerance_invariance),
         make_flag("shift_invariance", abs(rep_shift.delta), "<=", SHIFT_INVARIANCE_TOL),
         make_flag("free_survival_oracle",
                   abs(rep_spectral.s_free - autocorr_oracle(t)), "<=", 1e-6),
@@ -455,11 +446,8 @@ def scenario_hm_invariance(spec: ScenarioSpec) -> VerdictBundle:
         "survival_spectral": _survival_table(curve_spectral, (0.0, 1.0, 1.0, n)),
         "survival_shift": _survival_table(curve_shift, (0.0, 1.0, 1.0, n)),
     }
-    prov = _provenance(
-        spec,
-        schedule_spectral=list(curve_schedules[-1].times),
-        schedule_shift=list(shift_schedules[-1].times),
-    )
+    prov = {"schedule_spectral": list(curve_schedules[-1].times),
+            "schedule_shift": list(shift_schedules[-1].times)}
     return VerdictBundle("hm-invariance", flags, (), metrics, tables, prov)
 
 
@@ -467,30 +455,30 @@ def scenario_hm_invariance(spec: ScenarioSpec) -> VerdictBundle:
 # rabi-control: the positive control where measurement freezes decay
 # ----------------------------------------------------------------------
 
-def scenario_rabi_control(spec: ScenarioSpec) -> VerdictBundle:
+def scenario_rabi_control(*, omega, time) -> VerdictBundle:
     """two-level control where measurements freeze decay (~1/N)"""
-    if spec.omega <= 0.0:
+    if omega <= 0.0:
         raise DomainError("omega must be positive")
-    t = spec.time if spec.time is not None else math.pi / (2.0 * spec.omega)
+    t = time if time is not None else math.pi / (2.0 * omega)
     if t <= 0.0:
         raise DomainError("final time must be positive")
     # the closed form takes cos(omega * t) and the ladder's schedules place k * t
-    if not all(map(math.isfinite, (t, spec.omega * t, t * ZENO_LADDER[-1]))):
-        raise DomainError(f"omega {spec.omega:g} and time {t:g} overflow: t, omega * t and "
+    if not all(map(math.isfinite, (t, omega * t, t * ZENO_LADDER[-1]))):
+        raise DomainError(f"omega {omega:g} and time {t:g} overflow: t, omega * t and "
                           f"{ZENO_LADDER[-1]} * t must be finite")
     # the ladder only judges 1/N freezing where the exact deficits already
     # follow it; outside that window no chain could pass zeno_slope
-    closed = deficit_ladder(t, spec.omega, ZENO_LADDER)
+    closed = deficit_ladder(t, omega, ZENO_LADDER)
     closed_slope = deficit_slope(tuple((n, 1.0 - d) for n, d in zip(ZENO_LADDER, closed)))
     if abs(closed_slope - (-1.0)) > ZENO_SLOPE_TOL:
         raise DomainError(
-            f"omega*t = {spec.omega * t:.6g} is outside the Zeno window: the closed-form "
+            f"omega*t = {omega * t:.6g} is outside the Zeno window: the closed-form "
             f"deficit slope over N = {ZENO_LADDER[0]}..{ZENO_LADDER[-1]} is "
             f"{closed_slope:.3f}, not within {ZENO_SLOPE_TOL:g} of -1"
         )
 
     space = DenseSpace(2)
-    h = dense_hermitian(np.array([[0.0, spec.omega], [spec.omega, 0.0]]))
+    h = dense_hermitian(np.array([[0.0, omega], [omega, 0.0]]))
     u = Propagator(h)
     e = WaveFunction(space, np.array([1.0, 0.0]))
     p_core = SubspaceProjector(space, 0, 1)
@@ -499,8 +487,8 @@ def scenario_rabi_control(spec: ScenarioSpec) -> VerdictBundle:
                                              for n in (1,) + ZENO_LADDER])
     s_free = reports[0].s_free
     s_one = reports[0].s_measured
-    oracle_free = math.cos(spec.omega * t) ** 2
-    oracle_one = math.cos(spec.omega * t / 2.0) ** 4
+    oracle_free = math.cos(omega * t) ** 2
+    oracle_one = math.cos(omega * t / 2.0) ** 4
 
     scaling = tuple((r.n_measurements, r.s_measured) for r in reports[1:])
     deficits = [1.0 - s for _, s in scaling]
@@ -525,43 +513,43 @@ def scenario_rabi_control(spec: ScenarioSpec) -> VerdictBundle:
         "chain_vs_closed_form": chain_error,
     }
     return VerdictBundle("rabi-control", flags, (), metrics, tables,
-                         _provenance(spec, zeno_ladder=list(ZENO_LADDER)))
+                         {"zeno_ladder": list(ZENO_LADDER)})
 
 
 # ----------------------------------------------------------------------
 # series-validity: who is allowed to use the power series
 # ----------------------------------------------------------------------
 
-def _budget_grid(spec: ScenarioSpec, t: float, cap: int, fits, what: str) -> Grid:
-    """The largest grid of 16 to `cap` points on the spec's domain whose |t| k_max fits."""
+def _budget_grid(x_min: float, x_max: float, t: float, cap: int, fits, what: str) -> Grid:
+    """The largest grid of 16 to `cap` points on [x_min, x_max] whose |t| k_max fits."""
     # cap, cap / 2, ..., 16; dx > 0, as every caller's domain holds the bump's [-2, 2]
     for n in (cap >> j for j in range(cap.bit_length() - 4)):
-        grid = Grid(spec.x_min, spec.x_max, n)
+        grid = Grid(x_min, x_max, n)
         if fits(abs(t) * math.pi / grid.dx):
             return grid
     raise DomainError(f"time {t:g} is too long for {what}: no grid of 16 or more points on "
-                      f"[{spec.x_min:g}, {spec.x_max:g}] keeps |t| * k_max in its budget")
+                      f"[{x_min:g}, {x_max:g}] keeps |t| * k_max in its budget")
 
 
-def scenario_series_validity(spec: ScenarioSpec) -> VerdictBundle:
+def scenario_series_validity(*, x_min, x_max, sigma, time) -> VerdictBundle:
     """power-series propagation: Gaussian vs bump, two resolutions"""
-    t = spec.time if spec.time is not None else 1.0
+    t = time if time is not None else 1.0
     gaussian_tol, eigen_tol = 1e-10, 1e-12  # flag bounds, which set the grid budgets
     # a depth-n series lifts the cutoff roundoff by up to e^(|t| k_max); the
     # Gaussian's grid holds k_max * sigma fixed, so it is scale-free in sigma
-    half = 512 * math.pi * spec.sigma / GAUSSIAN_KMAX_SIGMA
+    half = 512 * math.pi * sigma / GAUSSIAN_KMAX_SIGMA
     if not math.isfinite(2 * half):
-        raise DomainError(f"sigma {spec.sigma:g} is too large: the Gaussian grid's length "
+        raise DomainError(f"sigma {sigma:g} is too large: the Gaussian grid's length "
                           f"1024 pi sigma / {GAUSSIAN_KMAX_SIGMA:g} overflows")
     wide = Grid(-half, half, 1024)
     if abs(t) * math.pi / wide.dx > math.log(gaussian_tol / CUTOFF_ROUNDOFF):
-        raise DomainError(f"time {t:g} is too long for sigma {spec.sigma:g} (k_max = "
+        raise DomainError(f"time {t:g} is too long for sigma {sigma:g} (k_max = "
                           f"{math.pi / wide.dx:g}): |t| * k_max exceeds ln(1e6) = 13.8")
     # under that bound no bump series term passes DIVERGENCE_FACTOR on the coarse grid
-    _require_inside(Grid(spec.x_min, spec.x_max, 2), -2.0, 2.0, "the bump on [-2, 2]")
-    coarse = _budget_grid(spec, t, 1024, lambda tk: tk <= math.log(DIVERGENCE_FACTOR),
+    _require_inside(Grid(x_min, x_max, 2), -2.0, 2.0, "the bump on [-2, 2]")
+    coarse = _budget_grid(x_min, x_max, t, 1024, lambda tk: tk <= math.log(DIVERGENCE_FACTOR),
                           "the coarse bump curve")
-    fine = Grid(spec.x_min, spec.x_max, 4 * coarse.n_points)
+    fine = Grid(x_min, x_max, 4 * coarse.n_points)
     # below this U(t) is the identity to float64 rounding: no error can grow
     k_max = math.pi / fine.dx
     if abs(t) * k_max <= np.finfo(float).eps:
@@ -569,13 +557,13 @@ def scenario_series_validity(spec: ScenarioSpec) -> VerdictBundle:
                           f"(k_max = {k_max:g}) is at most float64 eps: U(t) is the identity")
     # the plane wave's 20 terms lift it by up to max_m (|t| k_max)^m / m!, taken
     # in logs (tk > 0 past the check above)
-    small = _budget_grid(spec, t, 256, lambda tk: max(
+    small = _budget_grid(x_min, x_max, t, 256, lambda tk: max(
         m * math.log(tk) - math.lgamma(m + 1) for m in range(1, 20))
         <= math.log(eigen_tol / CUTOFF_ROUNDOFF), "the eigenvector branch")
 
     # Gaussian branch: entire-type vector, series converges quickly
     h_wide = momentum_operator(wide)
-    g = make_gaussian(wide, 0.0, spec.sigma)
+    g = make_gaussian(wide, 0.0, sigma)
     g_curve = series_vs_spectral_curve(h_wide, g, t, 40)
     # probed to n = 16, whose step ratio sqrt(33) / (2 sigma) is below saturation
     g_report = analyticity_report(h_wide, g, n_max=16)
@@ -646,8 +634,8 @@ def scenario_series_validity(spec: ScenarioSpec) -> VerdictBundle:
         "hn_bump_fine": hn_table(fine_report),
         "hn_bump_coarse": hn_table(coarse_report),
     }
-    prov = _provenance(spec, resolutions=[fine.n_points, coarse.n_points])
-    return VerdictBundle("series-validity", flags, (), metrics, tables, prov)
+    return VerdictBundle("series-validity", flags, (), metrics, tables,
+                         {"resolutions": [fine.n_points, coarse.n_points]})
 
 
 SCENARIOS = {
@@ -656,15 +644,9 @@ SCENARIOS = {
     "rabi-control": scenario_rabi_control,
     "series-validity": scenario_series_validity,
 }
-#: the ScenarioSpec fields each scenario reads; the CLI rejects the others
-READS = {
-    "counterexample": frozenset({"grid_points", "x_min", "x_max", "sigma", "seed",
-                                 "tolerance_invariance", "tolerance_falsify"}),
-    "hm-invariance": frozenset({"grid_points", "x_min", "x_max", "sigma", "center",
-                                "time", "n_measurements", "tolerance_invariance"}),
-    "rabi-control": frozenset({"omega", "time"}),
-    "series-validity": frozenset({"x_min", "x_max", "sigma", "time"}),
-}
+#: the ScenarioSpec fields each scenario reads, its keyword-only parameters; the
+#: CLI rejects the others
+READS = {name: frozenset(inspect.signature(fn).parameters) for name, fn in SCENARIOS.items()}
 
 
 def run_scenario(name: str, spec: ScenarioSpec | None = None) -> VerdictBundle:
@@ -680,4 +662,8 @@ def run_scenario(name: str, spec: ScenarioSpec | None = None) -> VerdictBundle:
     elif spec.name != name:
         # the bundle's provenance records spec.name, so it would be mislabeled
         raise DomainError(f"spec for scenario {spec.name!r} cannot run scenario {name!r}")
-    return fn(spec)
+    bundle = fn(**{f: getattr(spec, f) for f in READS[name]})
+    # the scenario records only its own extras; every bundle records what made it
+    bundle.provenance.update(package="zenolab", version=_package_version(),
+                             numpy=np.__version__, parameters=asdict(spec))
+    return bundle

@@ -48,8 +48,6 @@ from zenolab.scenarios import (
     T_SWEEP,
     ScenarioSpec,
     run_scenario,
-    scenario_hm_invariance,
-    scenario_series_validity,
 )
 from zenolab.zeno import _chain
 
@@ -474,7 +472,7 @@ def test_hm_invariance_runs_its_spectral_report_once(n):
     # separate free evolve
     with pytest.MonkeyPatch.context() as mp:
         counts = _install_counters(mp)
-        scenario_hm_invariance(ScenarioSpec(name="hm-invariance", n_measurements=n))
+        run_scenario("hm-invariance", ScenarioSpec(name="hm-invariance", n_measurements=n))
     assert counts["fft"] == CURVE_POINTS * n + 1
     assert counts["ifft"] == CURVE_POINTS * (n + 2) + 1
 
@@ -487,7 +485,7 @@ def test_series_validity_sums_its_series_in_coefficients():
     # the scenario ran 40 + 3 + 1 and 40; with one per series term, 178 + 178
     with pytest.MonkeyPatch.context() as mp:
         counts = _install_counters(mp)
-        scenario_series_validity(ScenarioSpec(name="series-validity"))
+        run_scenario("series-validity")
     assert (counts["fft"], counts["ifft"]) == (3 + 3 + 1, 0)
 
 
@@ -540,6 +538,7 @@ def test_hm_invariance_runs_its_shift_report_once(n):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ShiftPropagator, "_values", counting_values)
-        bundle = scenario_hm_invariance(ScenarioSpec(name="hm-invariance", n_measurements=n))
+        spec = ScenarioSpec(name="hm-invariance", n_measurements=n)
+        bundle = run_scenario("hm-invariance", spec)
     reports = len(bundle.tables["survival_shift"].rows) - 1
     assert len(rolls) == reports * (n + 2)

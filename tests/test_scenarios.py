@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import enum
+import inspect
 import json
 import math
 import time
@@ -120,6 +121,17 @@ def test_every_parameter_has_an_altered_value():
     assert set(ALTERED) == {f.name for f in fields(ScenarioSpec)} - {"name"}
     assert set(READS) == set(SCENARIOS)
     assert all(fields_read <= set(ALTERED) for fields_read in READS.values())
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_a_scenario_takes_only_keyword_only_spec_fields(name):
+    # its parameters are its READS entry, so its body cannot read a field the
+    # CLI rejects, and run_scenario passes every value from the spec
+    params = inspect.signature(SCENARIOS[name]).parameters.values()
+    assert params
+    assert all(p.kind is inspect.Parameter.KEYWORD_ONLY and p.default is p.empty
+               for p in params)
+    assert {p.name for p in params} <= {f.name for f in fields(ScenarioSpec)} - {"name"}
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
