@@ -70,6 +70,13 @@ SPECS = (
     "run counterexample --grid-points 64",
     "run rabi-control --omega=1e308 --time=1e308",
     "run rabi-control --omega=5e-324",
+    # rabi times whose closed-form deficits sit at roundoff: at t = 1e-6 the N = 128
+    # deficit is 0.0 in float64, so the slope fit judges roundoff
+    "run rabi-control --time 1e-6",
+    "run rabi-control --time 1e-9",
+    # sigmas whose Gaussian spectra reach past k_max = pi / dx at 4096 points
+    "run counterexample --sigma 0.01",
+    "run hm-invariance --sigma 0.003",
     # tolerances that no residual or survival gap can reach
     "run counterexample --tolerance-falsify 2",
     "run hm-invariance --tolerance-invariance 5",
