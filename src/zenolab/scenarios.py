@@ -467,14 +467,34 @@ def scenario_rabi_control(*, omega, time) -> VerdictBundle:
         raise DomainError(f"omega {omega:g} and time {t:g} overflow: t, omega * t and "
                           f"{ZENO_LADDER[-1]} * t must be finite")
     # the ladder only judges 1/N freezing where the exact deficits already
-    # follow it; outside that window no chain could pass zeno_slope
+    # follow it, and where their roundoff cannot move the slope out of the
+    # window; outside it no chain could pass zeno_slope, or one could by chance
     closed = deficit_ladder(t, omega, ZENO_LADDER)
-    closed_slope = deficit_slope(tuple((n, 1.0 - d) for n, d in zip(ZENO_LADDER, closed)))
+    # a chain deficit lies within 4 (N + 1) eps of its closed form: each of the
+    # N + 1 segments and each factor of cos^(2(N + 1)) rounds s by about an eps
+    # (2.2 (N + 1) eps is the worst measured).  So ln d moves by at most
+    # -ln(1 - r), r = 4 (N + 1) eps / d, and the least-squares slope by the sum
+    # of |weight| times that: on N = 8..128 the |weights| sum to 6 / (10 ln 2) = 0.87
+    ratios = [4 * (n + 1) * np.finfo(float).eps / d if d > 0.0 else math.inf
+              for n, d in zip(ZENO_LADDER, closed)]
+    ln_n = np.log(ZENO_LADDER) - np.log(ZENO_LADDER).mean()
+    blur = (sum(abs(w) * -math.log1p(-r) for w, r in zip(ln_n / (ln_n @ ln_n), ratios))
+            if max(ratios) < 1.0 else math.inf)
+    # a deficit at or below its roundoff gives no slope at all
+    closed_slope = (deficit_slope(tuple((n, 1.0 - d) for n, d in zip(ZENO_LADDER, closed)))
+                    if blur < math.inf else math.nan)
     if abs(closed_slope - (-1.0)) > ZENO_SLOPE_TOL:
         raise DomainError(
             f"omega*t = {omega * t:.6g} is outside the Zeno window: the closed-form "
             f"deficit slope over N = {ZENO_LADDER[0]}..{ZENO_LADDER[-1]} is "
             f"{closed_slope:.3f}, not within {ZENO_SLOPE_TOL:g} of -1"
+        )
+    if not abs(closed_slope - (-1.0)) + blur <= ZENO_SLOPE_TOL:
+        raise DomainError(
+            f"omega*t = {omega * t:.6g} is outside the Zeno window: the closed-form "
+            f"deficit at N = {ZENO_LADDER[-1]} is {closed[-1]:.3g}, and a roundoff of "
+            f"4 (N + 1) eps per deficit could move the slope over N = "
+            f"{ZENO_LADDER[0]}..{ZENO_LADDER[-1]} by {blur:.3g}, out of {ZENO_SLOPE_TOL:g} of -1"
         )
 
     space = DenseSpace(2)

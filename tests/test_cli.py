@@ -212,6 +212,10 @@ def test_rabi_control_exits_2_outside_its_zeno_window(tmp_path, capsys, flags, c
     # the Gaussian grid's length 1024 pi sigma / 6 overflows: sigma is named, not the grid
     ("series-validity", ["--sigma", "1e306"],
      "sigma 1e+306 is too large: the Gaussian grid's length 1024 pi sigma / 6 overflows"),
+    # closed-form deficits at or near roundoff leave the ladder's slope to chance
+    ("rabi-control", ["--time", "1e-9"],
+     "omega*t = 1e-09 is outside the Zeno window: the closed-form deficit at N = 128 is 0"),
+    ("rabi-control", ["--time", "5e-6"], "by 0.27, out of 0.15 of -1"),
 ])
 def test_invalid_seed_or_tolerance_exits_2(scenario, flags, reason, tmp_path, capsys):
     assert _run(["run", scenario, "--out", str(tmp_path), *flags]) == 2
