@@ -51,6 +51,7 @@ from .statespace import (
     DenseSpace,
     Grid,
     WaveFunction,
+    _gaussian_variance,
     _map,
     _norm,
     make_bump,
@@ -153,6 +154,27 @@ def _require_inside(grid: Grid, lo: float, hi: float, what: str) -> None:
     if not grid.contains(lo, hi):
         raise DomainError(f"margin violation: {what} needs [{lo}, {hi}] inside "
                           f"[{grid.x_min}, {grid.x_max}]")
+
+
+def _require_resolved(grid: Grid, sigma: float, k0: float, tol: float, bump=None) -> None:
+    """Demand that a Gaussian at carrier k0 leave at most `tol` of its mass past k_max.
+
+    Its amplitude spectrum is exp(-sigma^2 (k - k0)^2), so the mass past
+    k_max = pi / dx stays under tol when sigma (k_max - |k0|) >= sqrt(ln(1 / tol) / 2).
+    A failing spec is named by a more basic fault first, if it has one: a sigma
+    whose 2 pi sigma^2 float64 cannot hold, then a trial `bump` support that
+    holds no weighted sample of the grid.
+    """
+    k_max = math.pi / grid.dx
+    bound = math.sqrt(math.log(1.0 / tol) / 2.0)
+    if not sigma * (k_max - abs(k0)) >= bound:
+        _gaussian_variance(sigma)
+        if bump is not None:
+            make_bump(grid, *bump)
+        raise DomainError(f"sigma {sigma:g} is too small for the grid step dx = {grid.dx:g}: "
+                          f"a Gaussian at k0 = {k0:g} puts more than {tol:g} of its mass past "
+                          f"k_max = {k_max:g} unless sigma * (k_max - |k0|) >= "
+                          f"sqrt(ln(1 / {tol:g}) / 2) = {bound:.3g}")
 
 
 @dataclass(frozen=True)
@@ -302,6 +324,8 @@ def scenario_counterexample(*, grid_points, x_min, x_max, sigma, seed, tolerance
     if grid.n_points < 2 * WINDOW_MODES + 1:
         raise DomainError(f"the windowed random field needs {2 * WINDOW_MODES + 1} Fourier "
                           f"modes, more than the {grid.n_points} grid points hold")
+    # gaussian(12,k2) sets the edge
+    _require_resolved(grid, sigma, 2.0, tolerance_invariance, bump=(2.0, 6.0))
 
     pair = halfline_pair(grid)
     p_core, p_wave = pair
@@ -384,6 +408,7 @@ def scenario_hm_invariance(*, grid_points, x_min, x_max, sigma, center, time, n_
     # leftward but only drift room on the wave side
     _require_inside(grid, center - 8.0 * sigma, t,
                     f"clipped state at {center} (sigma {sigma}) drifting +{t}")
+    _require_resolved(grid, sigma, 0.0, tolerance_invariance)
 
     # the shift lattice is checked before any schedule, state or FFT
     n = n_measurements

@@ -276,6 +276,18 @@ def inner_product(psi: WaveFunction, phi: WaveFunction) -> complex:
     return complex(_blocked(np.vdot, psi.values, phi.values) * psi.space.dx)
 
 
+def _gaussian_variance(sigma: float) -> np.float64:
+    """2 pi sigma^2, the Gaussian's normalization, when float64 holds it."""
+    # a numpy scalar's square overflows to inf, where a Python float's raises
+    with np.errstate(over="ignore"):
+        variance = 2.0 * np.pi * np.float64(sigma)**2
+    if variance == np.inf:
+        raise DomainError(f"sigma {sigma} is too large: 2 pi sigma^2 overflows")
+    if variance == 0.0:
+        raise DomainError(f"sigma {sigma} is too small: 2 pi sigma^2 underflows to 0")
+    return variance
+
+
 def make_gaussian(grid: Grid, center: float, sigma: float, k0: float = 0.0) -> WaveFunction:
     """Normalized Gaussian packet
 
@@ -295,13 +307,7 @@ def make_gaussian(grid: Grid, center: float, sigma: float, k0: float = 0.0) -> W
             f"gaussian support [{lo}, {hi}] (8 sigma) exceeds domain "
             f"[{grid.x_min}, {grid.x_max}]"
         )
-    # a numpy scalar's square overflows to inf, where a Python float's raises
-    with np.errstate(over="ignore"):
-        variance = 2.0 * np.pi * np.float64(sigma)**2
-    if variance == np.inf:
-        raise DomainError(f"sigma {sigma} is too large: 2 pi sigma^2 overflows")
-    if variance == 0.0:
-        raise DomainError(f"sigma {sigma} is too small: 2 pi sigma^2 underflows to 0")
+    variance = _gaussian_variance(sigma)
     x = grid.positions()
     # a sigma far below dx overflows the exponent to -inf, i.e. a zero sample
     with np.errstate(over="ignore"):

@@ -216,6 +216,12 @@ def test_rabi_control_exits_2_outside_its_zeno_window(tmp_path, capsys, flags, c
     ("rabi-control", ["--time", "1e-9"],
      "omega*t = 1e-09 is outside the Zeno window: the closed-form deficit at N = 128 is 0"),
     ("rabi-control", ["--time", "5e-6"], "by 0.27, out of 0.15 of -1"),
+    # a Gaussian spectrum exp(-sigma^2 (k - k0)^2) that reaches past k_max = pi / dx
+    ("counterexample", ["--sigma", "0.01"],
+     "sigma 0.01 is too small for the grid step dx = 0.0195312: a Gaussian at k0 = 2 puts "
+     "more than 1e-08 of its mass past k_max = 160.85"),
+    ("hm-invariance", ["--sigma", "0.003"],
+     "sigma 0.003 is too small for the grid step dx = 0.0195312: a Gaussian at k0 = 0"),
 ])
 def test_invalid_seed_or_tolerance_exits_2(scenario, flags, reason, tmp_path, capsys):
     assert _run(["run", scenario, "--out", str(tmp_path), *flags]) == 2

@@ -150,12 +150,13 @@ def test_a_field_the_scenario_reads_changes_its_outcome(name):
 
 def _margin_rejects(name: str, **overrides) -> bool:
     """Whether a margin check rejects the spec, or series-validity's Gaussian time budget,
-    or rabi-control's Zeno window."""
+    rabi-control's Zeno window or a Gaussian resolution window."""
     try:
         run_scenario(name, ScenarioSpec(name=name, **overrides))
     except DomainError as exc:
         return any(reason in str(exc) for reason in (
-            "margin violation", "is too long for sigma", "outside the Zeno window"))
+            "margin violation", "is too long for sigma", "outside the Zeno window",
+            "is too small for the grid step"))
     except PreconditionError:
         pass
     return False
@@ -172,6 +173,10 @@ def _margin_rejects(name: str, **overrides) -> bool:
     # below it a roundoff of 4 (N + 1) eps per closed-form deficit could move the
     # slope over N = 8..128 out of ZENO_SLOPE_TOL of -1
     ("rabi-control", "time", 7.167202948436696e-06, -math.inf, {}),
+    # sigma (k_max - |k0|) >= sqrt(ln(1e8) / 2) at k_max = pi / dx = 160.85: the
+    # gaussian(12,k2) trial state sets counterexample's edge, k0 = 0 hm-invariance's
+    ("counterexample", "sigma", 0.019105212296816367, -math.inf, {}),
+    ("hm-invariance", "sigma", 0.01886765847057743, -math.inf, {}),
 ])
 def test_margin_edges_are_exact(name, field_name, edge, inward, extra):
     assert not _margin_rejects(name, **extra, **{field_name: edge})
