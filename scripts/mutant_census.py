@@ -84,6 +84,10 @@ MUTANTS = (
     ("shift lattice unchecked", "scenarios.py", "if steps <= n:", "if False:"),
     ("rabi overflow unchecked", "scenarios.py",
      "if not all(map(math.isfinite, (t, omega * t, t * ZENO_LADDER[-1]))):", "if False:"),
+    ("rabi resolvability budget off", "scenarios.py",
+     "if not abs(closed_slope - (-1.0)) + blur <= ZENO_SLOPE_TOL:", "if False:"),
+    ("gaussian resolution budget off", "scenarios.py",
+     "if not sigma * (k_max - abs(k0)) >= bound:", "if False:"),
     ("window mode floor unchecked", "scenarios.py",
      "if grid.n_points < 2 * WINDOW_MODES + 1:", "if False:"),
     ("schema drops ConditionSample", "scenarios.py",
