@@ -92,6 +92,12 @@ MUTANTS = (
      "if grid.n_points < 2 * WINDOW_MODES + 1:", "if False:"),
     ("schema drops ConditionSample", "scenarios.py",
      "ConditionReport, ConditionSample)}", "ConditionReport)}"),
+    ("large scenarios stay on the main thread", "statespace.py",
+     "if (points or 0) < MAP_MIN_POINTS or", "if True or"),
+    ("maps ignore an interrupt", "statespace.py",
+     "if _stopping.is_set():", "if False:"),
+    ("a buffer per sampled pair", "subspaces.py",
+     "u._values(c, step, values)", "u._values(c, step)"),
 )
 
 

@@ -8,16 +8,18 @@ checkout imports zenolab from that checkout's own ``src/`` through its
 one untimed warm-up op.  The controller then sends the same input to both
 workers, one after the other: PARENT first in even pairs, CHANGE first in
 odd ones, so that a drift in the host's speed hits both sides alike.  A
-worker times ``Workload.run`` by wall clock and process CPU time, then
+worker times ``Workload.run`` by wall clock and process CPU time, counts
+the minor page faults the process took during it (``ru_minflt``), then
 checks the outputs untimed (``Workload.check``) and hashes the op's bundle
 bytes, so a pair also shows whether both sides attempted and failed the
 same scenario runs and wrote the same bundles.
 
-It prints each side's median op time with its quartiles, the median of the
-per-pair ratio CHANGE / PARENT, the number of pairs CHANGE won and, counted
-apart, the pairs whose sides differ in outcome (attempted, failed or
-incorrect runs) and in bundle bytes; the last line is a JSON object with the
-same numbers and every pair.  It exits 1 when any pair differs.  The times are
+It prints each side's median op time with its quartiles and its median CPU
+time and minor page faults per op, the median of the per-pair ratio
+CHANGE / PARENT, the number of pairs CHANGE won and, counted apart, the
+pairs whose sides differ in outcome (attempted, failed or incorrect runs)
+and in bundle bytes; the last line is a JSON object with the same numbers
+and every pair.  It exits 1 when any pair differs.  The times are
 raw wall seconds, not paced like ``benchmarks/run.py``'s, so use it to
 compare two checkouts on one host, not to read absolute speed.
 """
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -50,16 +53,18 @@ def worker(checkout: Path, workload: str, seed: int) -> int:
         print("ready", file=protocol, flush=True)
         for line in sys.stdin:
             item = wl.inputs[int(line) % len(wl.inputs)]
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             wall, cpu = time.perf_counter(), time.process_time()
             result = wl.run(item)
             wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
             out = wl.check(item, result)
             digest = hashlib.sha256()
             for key in sorted(out.bundles):
                 digest.update(repr(key).encode() + b"\0" + out.bundles[key])
-            record = {"wall_s": wall, "cpu_s": cpu, "attempted": out.attempted,
-                      "failed": out.failed, "incorrect": out.incorrect,
-                      "bundles_sha256": digest.hexdigest()}
+            record = {"wall_s": wall, "cpu_s": cpu, "minflt": faults,
+                      "attempted": out.attempted, "failed": out.failed,
+                      "incorrect": out.incorrect, "bundles_sha256": digest.hexdigest()}
             print(json.dumps(record), file=protocol, flush=True)
     return 0
 
@@ -122,6 +127,7 @@ def main(argv=None) -> int:
         for proc in procs.values():
             proc.stdin.close()
             proc.wait()
+            proc.stdout.close()
 
     walls = {side: [p[side]["wall_s"] for p in pairs] for side in SIDES}
     ratios = [p["change"]["wall_s"] / p["parent"]["wall_s"] for p in pairs]
@@ -129,8 +135,8 @@ def main(argv=None) -> int:
     summary = {
         "workload": args.workload, "seed": args.seed, "pairs": len(pairs),
         **{f"{side}_wall_s": _spread(walls[side]) for side in SIDES},
-        **{f"{side}_cpu_s_median": statistics.median(p[side]["cpu_s"] for p in pairs)
-           for side in SIDES},
+        **{f"{side}_{key}_median": statistics.median(p[side][key] for p in pairs)
+           for side in SIDES for key in ("cpu_s", "minflt")},
         "median_ratio": statistics.median(ratios),
         "change_wins": sum(r < 1.0 for r in ratios),
         **differ,
@@ -139,7 +145,8 @@ def main(argv=None) -> int:
         s = summary[f"{side}_wall_s"]
         print(f"{side:6} median {s['median'] * 1e3:.3f} ms "
               f"(quartiles {s['q1'] * 1e3:.3f}-{s['q3'] * 1e3:.3f} ms), "
-              f"cpu median {summary[f'{side}_cpu_s_median'] * 1e3:.3f} ms")
+              f"cpu median {summary[f'{side}_cpu_s_median'] * 1e3:.3f} ms, "
+              f"minor faults median {summary[f'{side}_minflt_median']:.0f}")
     print(f"median ratio change/parent {summary['median_ratio']:.4f}; change faster in "
           f"{summary['change_wins']} of {len(pairs)} pairs; "
           f"{differ['pairs_differing_in_outcome']} pairs differ in outcome, "

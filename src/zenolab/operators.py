@@ -207,11 +207,11 @@ class Propagator:
         """The state whose coefficients are step * coeffs; neither is written."""
         return WaveFunction._adopt(self.space, self._values(coeffs, step))
 
-    def _values(self, coeffs: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
-        """Fresh values of diagonal * coeffs (a step gives U(t), the eigenvalues H)."""
+    def _values(self, coeffs: np.ndarray, diagonal: np.ndarray, out=None) -> np.ndarray:
+        """Values of diagonal * coeffs (a step gives U(t)), fresh or, on the FFT basis, in `out`."""
         # always diagonal * coeffs: numpy's complex multiply is not bitwise
         # commutative, so a swapped operand order changes the last bits
-        return self._inverse(np.multiply(diagonal, coeffs))
+        return self._inverse(np.multiply(diagonal, coeffs, out=out))
 
     def _apply(self, values: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
         """`_values(_coeffs(values), diagonal)` bit for bit, for a chain's later segments:
@@ -280,10 +280,10 @@ class ShiftPropagator:
     def advance(self, coeffs: np.ndarray, step: int) -> WaveFunction:
         return WaveFunction._adopt(self.grid, self._values(coeffs, step))
 
-    def _values(self, coeffs: np.ndarray, step: int) -> np.ndarray:
-        """np.roll's values for `advance` as one copy of two slices, a fresh array."""
+    def _values(self, coeffs: np.ndarray, step: int, out=None) -> np.ndarray:
+        """np.roll's values for `advance` as one copy of two slices, into `out` or fresh."""
         split = -int(step) % coeffs.shape[0]
-        return np.concatenate((coeffs[split:], coeffs[:split]))
+        return np.concatenate((coeffs[split:], coeffs[:split]), out=out)
 
     def _apply(self, values: np.ndarray, step: int) -> np.ndarray:
         """`_values`, as the values are the coefficients: a fresh array."""

@@ -54,6 +54,7 @@ from .statespace import (
     _gaussian_variance,
     _map,
     _norm,
+    _run_apart,
     make_bump,
     make_gaussian,
     make_plane_wave,
@@ -707,7 +708,8 @@ def run_scenario(name: str, spec: ScenarioSpec | None = None) -> VerdictBundle:
     elif spec.name != name:
         # the bundle's provenance records spec.name, so it would be mislabeled
         raise DomainError(f"spec for scenario {spec.name!r} cannot run scenario {name!r}")
-    bundle = fn(**{f: getattr(spec, f) for f in READS[name]})
+    kwargs = {f: getattr(spec, f) for f in READS[name]}
+    bundle = _run_apart(lambda: fn(**kwargs), kwargs.get("grid_points"))
     # the scenario records only its own extras; every bundle records what made it
     bundle.provenance.update(package="zenolab", version=_package_version(),
                              numpy=np.__version__, parameters=asdict(spec))

@@ -36,7 +36,11 @@ too: such an item takes about as long as handing it to a helper, so a
 helper adds CPU time and timing jitter but no speed.  Each item runs the
 same code on the same inputs as a serial loop and results come back in
 input order, so the bits do not depend on how many helpers took part; with
-one CPU there are none.
+one CPU there are none.  A scenario of MAP_MIN_POINTS or more points called
+on the main thread runs on one runner thread, whose malloc arena refaults
+fewer pages (`_run_apart`): the runner and CPUS - 1 helpers compute while
+the main thread waits with no permit.  Interrupting that wait stops every
+map after its current item.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import itertools
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +70,9 @@ except AttributeError:  # no affinity call on this platform
 # one permit per pool thread; a helper holds its permit while it works
 _permits = threading.BoundedSemaphore(CPUS - 1)
 _pool = ThreadPoolExecutor(max_workers=max(CPUS - 1, 1), thread_name_prefix="zenolab")
+# the runner of `_run_apart`, and the flag set while an interrupted caller waits for it
+_runner = ThreadPoolExecutor(max_workers=1, thread_name_prefix="zenolab-runner")
+_stopping = threading.Event()
 
 
 def _map(fn, items, most: int | None = None, points: int | None = None) -> list:
@@ -90,6 +97,8 @@ def _map(fn, items, most: int | None = None, points: int | None = None) -> list:
 
     def run(i: int) -> None:
         try:
+            if _stopping.is_set():
+                raise KeyboardInterrupt  # the main thread's wait for the runner was interrupted
             results[i] = fn(items[i])
         except BaseException as exc:
             errors[i] = exc
@@ -112,6 +121,22 @@ def _map(fn, items, most: int | None = None, points: int | None = None) -> list:
     if errors:
         raise errors[min(errors)]
     return results
+
+
+def _run_apart(fn, points: int | None):
+    """fn(), on the runner when the main thread calls with `points` >= MAP_MIN_POINTS."""
+    if (points or 0) < MAP_MIN_POINTS or threading.current_thread() is not threading.main_thread():
+        return fn()
+    future = _runner.submit(fn)
+    try:
+        while not future.done():
+            wait((future,), timeout=0.05)  # timed, so a pending interrupt is raised
+    except KeyboardInterrupt:
+        _stopping.set()
+        wait((future,))
+        _stopping.clear()
+        raise
+    return future.result()
 
 
 def _blocked(dot, a: np.ndarray, b: np.ndarray):

@@ -81,7 +81,10 @@ class SubspaceProjector:
     def mass(self, psi: WaveFunction) -> float:
         """||P psi||^2, the probability captured by this zone."""
         psi._require_space(self.space)
-        return _norm_sq(psi.values[self.start:self.stop], self.space.dx)
+        return self._mass(psi.values)
+
+    def _mass(self, values: np.ndarray) -> float:
+        return _norm_sq(values[self.start:self.stop], self.space.dx)
 
 
 def halfline_pair(grid: Grid) -> tuple[SubspaceProjector, SubspaceProjector]:
@@ -179,17 +182,17 @@ def _verdict(condition: str, residual: float, tolerance: float) -> str:
     return "HOLDS" if residual <= tolerance else "FAILS"
 
 
-def _sample(condition: str, mass, u, ts, pairs: list,
+def _sample(condition: str, projector: SubspaceProjector, u, ts, pairs: list,
             tolerance: float) -> ConditionReport:
-    """Residual mass(U(t) s) at each (t, state) pair, t-major, and its verdict.
+    """Residual projector.mass(U(t) s) at each (t, state) pair, t-major, and its verdict.
 
-    Each state is transformed once and each time's step built once, when
-    that time is sampled; the residuals are the same bits as evolving every
-    pair separately.  Transforms and times run through `_map`, inline on
-    grids below its MAP_MIN_POINTS.  `pairs`, the (label, state) pairs, is
-    emptied once transformed, so a caller that hands over its only
-    references keeps just the coefficients alive while the times are
-    sampled.
+    Each state is transformed once and each time's step and values buffer
+    built once, when that time is sampled; the residuals are the same bits
+    as evolving every pair separately.  Transforms and times run through
+    `_map`, inline on grids below its MAP_MIN_POINTS.  `pairs`, the (label,
+    state) pairs, is emptied once transformed, so a caller that hands over
+    its only references keeps just the coefficients alive while the times
+    are sampled.
     """
     points = u.space.n_points
     names = [label for label, _ in pairs]
@@ -197,8 +200,8 @@ def _sample(condition: str, mass, u, ts, pairs: list,
     pairs.clear()
 
     def at(t: float) -> list[ConditionSample]:
-        step = u.step(t)
-        return [ConditionSample(t, name, mass(u.advance(c, step)))
+        step, values = u.step(t), None  # the first state's values are the time's buffer
+        return [ConditionSample(t, name, projector._mass(values := u._values(c, step, values)))
                 for name, c in zip(names, coeffs)]
 
     samples = tuple(s for row in _map(at, ts, points=points) for s in row)
@@ -214,7 +217,7 @@ def _check_invariance(condition: str, pair, u, ts, trial_states,
     """Sample ||P_core U(t) W||^2 over wave-zone trial states W."""
     p_core, _ = pair
     pairs = list(_in_zone(trial_states, p_core, state_tol, "wave-zone"))
-    return _sample(condition, p_core.mass, u, ts, pairs, tolerance)
+    return _sample(condition, p_core, u, ts, pairs, tolerance)
 
 
 def check_condition_I(pair, u, t_samples, trial_states,
@@ -255,7 +258,7 @@ def check_condition_II(pair, u, t_samples, trial_states,
         raise DomainError("condition (II) samples t >= 0")
     pairs = [(label, core_zone_state(p_core, c))
              for label, c in _in_zone(trial_states, p_wave, ZONE_TOL_LOOSE, "core-zone")]
-    return _sample("II", p_wave.mass, u, ts, pairs, tolerance)
+    return _sample("II", p_wave, u, ts, pairs, tolerance)
 
 
 def check_condition_IA(pair, u, t_samples, trial_states,

@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from zenolab import cli, statespace
-from zenolab.scenarios import SCENARIOS
+from zenolab.scenarios import SCENARIOS, ScenarioSpec
 from zenolab.statespace import _map
 
 
@@ -54,14 +54,20 @@ class Tally:
         self.most = 0
         self.threads = set()
 
-    def __call__(self, x):
+    def enter(self) -> None:
         with self.lock:
             self.active += 1
             self.most = max(self.most, self.active)
             self.threads.add(threading.get_ident())
-        time.sleep(0.002 * (x % 3))
+
+    def leave(self) -> None:
         with self.lock:
             self.active -= 1
+
+    def __call__(self, x):
+        self.enter()
+        time.sleep(0.002 * (x % 3))
+        self.leave()
         return x * x
 
 
@@ -185,15 +191,17 @@ def test_counterexample_hands_condition_I_times_to_a_thread_freed_by_the_others(
         helpers, monkeypatch, n):
     """(I) is the caller's item; the other checks finish first on helpers.
 
-    With two permits the second pool thread may start after the first has
-    taken every other check, so only one permit pins which thread helps.
+    The caller is the runner thread, which runs a 2^14-point scenario called
+    from the main thread.  With two permits the second pool thread may start
+    after the first has taken every other check, so only one permit pins
+    which thread helps.
     """
     from zenolab import scenarios, subspaces
 
     helpers(n)
     permits = WatchedPermits(n)
     monkeypatch.setattr(statespace, "_permits", permits)
-    caller = threading.get_ident()
+    caller = statespace._runner.submit(threading.get_ident).result(timeout=30)
     others = set()  # threads that ran (II), (I-A) or the leakage
     for name in ("check_condition_II", "check_condition_IA", "leakage"):
         def record(*args, _fn=getattr(scenarios, name), **kwargs):
@@ -306,6 +314,165 @@ def test_nested_map_in_a_helper_finishes(helpers, n):
     assert not runner.is_alive()
     assert out == [[28 * i for i in range(6)]]
     assert _permits_back(n)
+
+
+# ----------------------------------------------------------------------
+# the runner thread: large scenarios called from the main thread
+# ----------------------------------------------------------------------
+
+
+def _on_another_thread(fn):
+    """fn() on a fresh thread that is not the main one: its result, or its error raised."""
+    out = {}
+
+    def target():
+        try:
+            out["result"] = fn()
+        except BaseException as exc:
+            out["error"] = exc
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    if "error" in out:
+        raise out["error"]
+    return out["result"]
+
+
+def _runner_ident() -> int:
+    return statespace._runner.submit(threading.get_ident).result(timeout=30)
+
+
+@pytest.mark.parametrize("name, fields, apart", [
+    ("hm-invariance", {"grid_points": 65536}, True),
+    ("counterexample", {"grid_points": statespace.MAP_MIN_POINTS}, True),
+    ("hm-invariance", {"grid_points": 4096}, False),
+    ("hm-invariance", {"grid_points": statespace.MAP_MIN_POINTS // 2}, False),
+    ("rabi-control", {}, False),
+])
+def test_only_large_scenarios_from_the_main_thread_go_to_the_runner(
+        monkeypatch, name, fields, apart):
+    from zenolab import scenarios
+
+    ran = []
+    inner = scenarios.SCENARIOS[name]
+
+    def spy(**kwargs):
+        ran.append(threading.get_ident())
+        return inner(**kwargs)
+
+    monkeypatch.setitem(scenarios.SCENARIOS, name, spy)
+    assert scenarios.run_scenario(name, ScenarioSpec(name=name, **fields)).passed
+    assert ran == [_runner_ident() if apart else threading.get_ident()]
+
+    def run_here() -> int:
+        scenarios.run_scenario(name, ScenarioSpec(name=name, **fields))
+        return threading.get_ident()
+
+    # from any other thread the scenario runs inline, whatever its size
+    here = _on_another_thread(run_here)
+    assert ran[1:] == [here]
+
+
+def test_runner_hands_back_errors_unchanged(monkeypatch):
+    from zenolab import scenarios
+    from zenolab.errors import DomainError
+
+    spec = ScenarioSpec(name="hm-invariance", grid_points=65536, center=1.0)
+    with pytest.raises(DomainError) as apart:
+        scenarios.run_scenario("hm-invariance", spec)
+    with pytest.raises(DomainError) as inline:
+        _on_another_thread(lambda: scenarios.run_scenario("hm-invariance", spec))
+    assert str(apart.value) == str(inline.value) == (
+        "prepared state must be centered in the core zone (x < 0)")
+
+    raised = []
+
+    def no_room(*args, **kwargs):
+        raised.append((threading.get_ident(), MemoryError("no room for the packet")))
+        raise raised[-1][1]
+
+    monkeypatch.setattr(scenarios, "make_gaussian", no_room)
+    with pytest.raises(MemoryError, match="^no room for the packet$") as info:
+        scenarios.run_scenario("hm-invariance",
+                               ScenarioSpec(name="hm-invariance", grid_points=65536))
+    assert type(info.value) is MemoryError
+    assert raised == [(_runner_ident(), info.value)]
+
+
+def test_sweep_computes_on_at_most_cpus_threads_and_never_on_the_waiting_main_thread(
+        helpers, monkeypatch, tmp_path, capsys):
+    from zenolab.operators import Propagator
+
+    helpers(1)  # a host of CPUS = 2: one helper beside the caller
+    permits = WatchedPermits(1)
+    monkeypatch.setattr(statespace, "_permits", permits)
+    tally = Tally()  # threads inside a Propagator primitive, none of which calls another
+    for name in ("_coeffs", "step", "_values", "_apply"):
+        def counted(*args, _fn=getattr(Propagator, name), **kwargs):
+            tally.enter()
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                tally.leave()
+        monkeypatch.setattr(Propagator, name, counted)
+
+    argv = ["sweep", "hm-invariance", "--param", "sigma", "--values", "0.9,1.1",
+            "--grid-points", "65536", "--jobs", "2", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert tally.most <= 2
+    assert threading.get_ident() not in tally.threads
+    assert _runner_ident() in tally.threads
+    assert len(tally.threads) == 2  # the runner and the one pool thread
+    assert permits.all_free.is_set()
+    assert _permits_back(1)
+
+
+@pytest.mark.parametrize("name", ["counterexample", "hm-invariance"])
+def test_runner_bundles_match_inline_bundles_byte_for_byte(name):
+    from zenolab import scenarios
+
+    spec = ScenarioSpec(name=name, grid_points=65536)
+    apart = scenarios.run_scenario(name, spec).to_json_bytes()
+    inline = _on_another_thread(lambda: scenarios.run_scenario(name, spec).to_json_bytes())
+    assert apart == inline
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_interrupt_stops_the_runner_after_its_current_items(helpers, monkeypatch, n):
+    """An interrupt of the waiting main thread stops every map after the item in flight."""
+    import _thread
+
+    from zenolab import scenarios, zeno
+
+    helpers(n)
+    started = []
+    inner = statespace._map
+
+    def slowed(fn, items, most=None, points=None):
+        def item(x):
+            started.append(x)
+            if x is items[0]:  # the map's caller, the runner, takes the first item
+                _thread.interrupt_main()
+                # the main thread sees the interrupt within its next timed wait
+                assert statespace._stopping.wait(timeout=30)
+            time.sleep(0.2)
+            return fn(x)
+
+        return inner(item, items, most, points)
+
+    monkeypatch.setattr(zeno, "_map", slowed)
+    spec = ScenarioSpec(name="hm-invariance", grid_points=65536)
+    with pytest.raises(KeyboardInterrupt):
+        scenarios.run_scenario("hm-invariance", spec)
+    # the first survival report has 17 items; only those in flight ran
+    assert 1 <= len(started) <= 1 + n
+    assert not statespace._stopping.is_set()
+    assert _permits_back(n)
+    monkeypatch.setattr(zeno, "_map", inner)
+    assert scenarios.run_scenario("hm-invariance", spec).passed
 
 
 # ----------------------------------------------------------------------

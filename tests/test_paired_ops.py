@@ -1,8 +1,10 @@
-"""scripts/paired_ops.py: outcome and bundle bytes are counted apart."""
+"""scripts/paired_ops.py: outcome and bundle bytes are counted apart, faults per side."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import statistics
 from pathlib import Path
 
 import pytest
@@ -36,3 +38,49 @@ def test_outcome_and_bytes_are_counted_apart(changes, outcome, bytes_):
     pairs = [_pair(_side(), _side(**change)) for change in changes]
     assert paired_ops.differing(pairs) == {"pairs_differing_in_outcome": outcome,
                                            "pairs_differing_in_bytes": bytes_}
+
+
+FAKE_WORKLOADS = '''
+import mmap
+from types import SimpleNamespace
+
+
+def import_zenolab():
+    pass
+
+
+class Touch:
+    """Each op writes one byte in each page of a fresh 4 MiB mapping: 1024 faults."""
+
+    def __init__(self, seed, tmp):
+        self.inputs = [seed]
+
+    def run(self, item):
+        with mmap.mmap(-1, 4 << 20) as pages:
+            for i in range(0, len(pages), mmap.PAGESIZE):
+                pages[i] = 1
+            return len(pages)
+
+    def check(self, item, result):
+        return SimpleNamespace(bundles={"n": str(result).encode()}, attempted=1,
+                               failed=0, incorrect=False)
+
+
+WORKLOADS = {"touch": Touch}
+'''
+
+
+def test_each_side_reports_the_minor_faults_of_its_ops(tmp_path, capsys):
+    checkout = tmp_path / "checkout"
+    (checkout / "benchmarks").mkdir(parents=True)
+    (checkout / "benchmarks" / "workloads.py").write_text(FAKE_WORKLOADS)
+    assert paired_ops.main([str(checkout), str(checkout), "--workload", "touch",
+                            "--seed", "0", "--pairs", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    summary = json.loads(lines[-1])
+    for side in paired_ops.SIDES:
+        faults = [p[side]["minflt"] for p in summary["pair_records"]]
+        assert all(f >= 512 for f in faults), faults
+        assert summary[f"{side}_minflt_median"] == statistics.median(faults)
+        line = next(s for s in lines if s.startswith(side))
+        assert f"minor faults median {statistics.median(faults):.0f}" in line

@@ -439,6 +439,23 @@ def test_condition_I_transforms_each_state_and_time_once():
     assert counts == {"fft": 4, "ifft": 4 * len(T_SWEEP), "exp": len(T_SWEEP)}
 
 
+def test_condition_I_advances_every_state_of_a_time_into_one_buffer():
+    u, pair, waves, _ = _lab()
+    buffers = []  # each inverse FFT's output array, kept alive so no id is reused
+    ifft = np.fft.ifft
+
+    def recording(a, *args, out=None, **kwargs):
+        buffers.append(out)
+        return ifft(a, *args, out=out, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.fft, "ifft", recording)
+        report = check_condition_I(pair, u, T_SWEEP, named(waves))
+    assert len(buffers) == len(waves) * len(T_SWEEP)
+    assert len({id(b) for b in buffers}) == len(T_SWEEP)
+    assert _residuals(report) == naive_residuals(pair[0].mass, u, T_SWEEP, waves)
+
+
 @pytest.mark.parametrize("n, expected", [
     (3, {"fft": 4, "ifft": 5, "exp": 2}),
     (8, {"fft": 9, "ifft": 10, "exp": 4}),
