@@ -98,6 +98,18 @@ MUTANTS = (
      "if _stopping.is_set():", "if False:"),
     ("a buffer per sampled pair", "subspaces.py",
      "u._values(c, step, values)", "u._values(c, step)"),
+    ("lattice coarse stride b - 1", "operators.py",
+     "coarse = np.exp(theta * (b * np.arange(", "coarse = np.exp(theta * ((b - 1) * np.arange("),
+    ("any odd spectrum is a lattice", "operators.py",
+     "if lam.size >= 2 and np.array_equal(head, np.arange(mid + 1) * lam[1]):",
+     "if lam.size >= 2:"),
+    ("chains ignore an interrupt", "zeno.py",
+     "raise KeyboardInterrupt  # the main thread's wait", "pass  # the main thread's wait"),
+    ("closed-form deficit through cos", "zeno.py",
+     "out.append(-math.expm1(2 * (n + 1) * math.log1p(x)))",
+     "out.append(1.0 - math.cos(theta) ** (2 * (n + 1)))"),
+    ("closed slope fitted on 1 - (1 - d)", "scenarios.py",
+     "np.log(closed), 1)[0])", "np.log(1.0 - (1.0 - np.array(closed))), 1)[0])"),
 )
 
 

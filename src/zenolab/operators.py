@@ -7,8 +7,12 @@ propagator is the functional calculus U(t) = exp(-i t H), in three steps:
   * ``transform(psi)``: the state's eigenbasis coefficients (one forward
     change of basis),
   * ``step(t)``: the phase vector exp(-i lambda t) of one time; an
-    FFT-basis spectrum is odd (lambda[n-j] = -lambda[j]), so exp runs on
-    the entries [0, n/2] and the rest are their conjugates, bit for bit,
+    FFT-basis spectrum is odd (lambda[n-j] = -lambda[j]), so only the
+    entries [0, n/2] are computed and the rest are their conjugates, bit
+    for bit.  On a lattice, lambda[j] = j dk as the momentum operator has
+    it, those entries are the outer product of two tables of about
+    sqrt(n/2) exps, within a few ulp of exp over the whole array; any
+    other odd spectrum runs exp on them,
   * ``advance(coeffs, step)``: multiply and change back, giving U(t) psi.
 
 ``evolve(psi, t)`` is exactly ``advance(transform(psi), step(t))``, so a
@@ -31,7 +35,8 @@ full-space unitary group is modelled here.
 Sign and layout conventions:
   * momentum acts as -i d/dx, so U(t) = exp(-i t p) translates to the right:
     values move from x to x + t,
-  * wavenumbers follow FFT bin order with the Nyquist mode at +pi/dx,
+  * wavenumbers j * 2 pi / L follow FFT bin order with the Nyquist mode
+    at +pi/dx,
   * eigenbasis coefficients always carry plain l2 normalization, which makes
     the change of basis an exact isometry with respect to the state norm.
 
@@ -91,6 +96,7 @@ class SpectralOperator:
             raise DomainError("eigenvalues must be finite")
         lam.setflags(write=False)
         object.__setattr__(self, "eigenvalues", lam)
+        spacing = None
         if self.basis is not None:
             b = np.asarray(self.basis, dtype=np.complex128).copy()
             if b.shape != (lam.size, lam.size):
@@ -108,6 +114,13 @@ class SpectralOperator:
                     "an FFT-basis spectrum must be odd: lambda[n - j] = -lambda[j] "
                     "for 0 < j < n / 2"
                 )
+            # Propagator.step builds the phases of a lattice, lambda[j] == j *
+            # lambda[1] exactly for j <= n/2 (as wavenumbers have it), from two
+            # small tables; any other spectrum takes the plain exp
+            head = lam[:mid + 1]
+            if lam.size >= 2 and np.array_equal(head, np.arange(mid + 1) * lam[1]):
+                spacing = float(lam[1])
+        object.__setattr__(self, "_spacing", spacing)
 
     @property
     def spectral_radius(self) -> float:
@@ -179,10 +192,14 @@ class Propagator:
     def step(self, t: float) -> np.ndarray:
         """Read-only phase vector exp(-i t lambda).
 
-        An FFT-basis spectrum is odd, so exp runs on the entries [0, n/2]
-        only and the rest are the conjugates of entries n/2 - 1 .. 1: the
-        same bits as exp over the whole array for every finite t, at about
-        half the cost.
+        An FFT-basis spectrum is odd, so only the entries [0, n/2] are
+        computed and the rest are their conjugates, n/2 - 1 .. 1, bit for
+        bit.  On a lattice spectrum, lambda[j] = j * dk, entry j = r b + c
+        is coarse[r] * fine[c] with coarse = exp(i theta b r) and fine =
+        exp(i theta c), theta = -t dk and b = isqrt(n/2) + 1: two tables
+        of about sqrt(n/2) exps and one outer product, within a few ulp of
+        exp over the whole array.  Any other odd spectrum runs exp on the
+        entries [0, n/2].
         """
         h = self.generator
         if h.basis is not None:
@@ -192,8 +209,18 @@ class Propagator:
             n = h.eigenvalues.size
             half = n // 2 + 1
             phases = np.empty(n, dtype=np.complex128)
-            np.multiply(-1j * float(t), h.eigenvalues[:half], out=phases[:half])
-            np.exp(phases[:half], out=phases[:half])
+            if h._spacing is None:
+                np.multiply(-1j * float(t), h.eigenvalues[:half], out=phases[:half])
+                np.exp(phases[:half], out=phases[:half])
+            else:
+                b = math.isqrt(n // 2) + 1
+                rows = -(-half // b)
+                theta = 1j * (-float(t) * h._spacing)
+                coarse = np.exp(theta * (b * np.arange(rows, dtype=np.float64)))
+                fine = np.exp(theta * np.arange(b, dtype=np.float64))
+                # rows * b <= n, so the table fills a prefix of phases; the
+                # entries past n/2 are overwritten by the mirror below
+                np.multiply(coarse[:, None], fine, out=phases[:rows * b].reshape(rows, b))
             mirror = phases[half:]
             np.conjugate(phases[1:n - half + 1][::-1], out=mirror)
             # where t * lambda rounds to 0 the phase is 1 + 0j on both sides;

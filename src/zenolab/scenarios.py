@@ -506,8 +506,10 @@ def scenario_rabi_control(*, omega, time) -> VerdictBundle:
     ln_n = np.log(ZENO_LADDER) - np.log(ZENO_LADDER).mean()
     blur = (sum(abs(w) * -math.log1p(-r) for w, r in zip(ln_n / (ln_n @ ln_n), ratios))
             if max(ratios) < 1.0 else math.inf)
-    # a deficit at or below its roundoff gives no slope at all
-    closed_slope = (deficit_slope(tuple((n, 1.0 - d) for n, d in zip(ZENO_LADDER, closed)))
+    # a deficit at or below its roundoff gives no slope at all; the fit takes
+    # the deficits as they are, since deficit_slope's 1 - s would round each
+    # one through 1 - d and make the window's edge jitter in t
+    closed_slope = (float(np.polyfit(np.log(ZENO_LADDER), np.log(closed), 1)[0])
                     if blur < math.inf else math.nan)
     if abs(closed_slope - (-1.0)) > ZENO_SLOPE_TOL:
         raise DomainError(

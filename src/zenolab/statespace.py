@@ -40,7 +40,8 @@ one CPU there are none.  A scenario of MAP_MIN_POINTS or more points called
 on the main thread runs on one runner thread, whose malloc arena refaults
 fewer pages (`_run_apart`): the runner and CPUS - 1 helpers compute while
 the main thread waits with no permit.  Interrupting that wait stops every
-map after its current item.
+map after its current item, and a measurement chain after its current
+segment.
 """
 
 from __future__ import annotations
@@ -201,14 +202,18 @@ class Grid:
         return self.x_min + self.dx * np.arange(self.n_points)
 
     def wavenumbers(self) -> np.ndarray:
-        """Angular wavenumbers in FFT bin order.
+        """Angular wavenumbers j * dk in FFT bin order, dk = 2 pi / (n dx).
 
-        Symmetric layout; the single Nyquist mode is assigned +pi/dx so the
-        spectrum is a fixed, documented convention.
+        The integers j = 0, 1, .., n/2, -(n/2 - 1), .., -1 are exact and
+        each entry is one product j * dk, so the spectrum is an exact
+        lattice (k[j] == j * k[1] for j <= n/2) and odd (k[n - j] == -k[j]),
+        which `Propagator.step` exploits.  The single Nyquist mode is
+        +n/2 * dk = +pi/dx, a fixed, documented convention.
         """
-        k = 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dx)
-        k[self.n_points // 2] = abs(k[self.n_points // 2])
-        return k
+        n = self.n_points
+        j = np.arange(n, dtype=np.float64)
+        j[n // 2 + 1:] -= n
+        return j * (2.0 * np.pi / (n * self.dx))
 
     def contains(self, lo: float, hi: float) -> bool:
         """True when the interval [lo, hi] lies inside the domain."""

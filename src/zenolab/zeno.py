@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .statespace import WaveFunction, _map, inner_product
+from .statespace import WaveFunction, _map, _stopping, inner_product
 from .subspaces import SubspaceProjector, _require_unit_norm, _require_zone
 
 #: admissible wave-zone mass for the prepared state of a survival run
@@ -101,11 +101,16 @@ def _chain(u, p_core: SubspaceProjector, coeffs,
     ulp and alternate (a a b c b c b ...), so the steps of the two most
     recently used durations are kept.  Durations are strictly positive, so
     equal keys have identical bits and each segment gets its own step.
+    An interrupt pending for the runner (`statespace._stopping`) stops the
+    chain before its next segment, so Ctrl-C waits for one segment, not
+    one chain.
     """
     step = functools.lru_cache(maxsize=2)(u.step)
     first, *rest = schedule.segments()
     values = u._values(coeffs, step(first))
     for dt in rest:
+        if _stopping.is_set():
+            raise KeyboardInterrupt  # the main thread's wait for the runner was interrupted
         values = u._apply(p_core._clip(values), step(dt))
     return WaveFunction._adopt(u.space, values)
 
@@ -186,11 +191,19 @@ def deficit_ladder(t_final: float, omega: float, counts) -> tuple[float, ...]:
     """Closed-form deficits for the symmetric two-level generator.
 
     For H = omega * sigma_x the passed-and-survived probability on an
-    equally spaced n-schedule is cos(omega * t / (n+1)) ** (2 * (n + 1)).
-    Used as a cross-check against the numeric chain.
+    equally spaced n-schedule is cos(theta) ** (2 * (n + 1)), theta = omega
+    * t / (n + 1).  With cos(theta) = 1 - 2 sin(theta / 2)^2 the deficit is
+    -expm1(2 (n + 1) log1p(-2 sin(theta / 2)^2)), which never rounds cos
+    to 1 - k 2^-53 and so stays smooth in t where theta is small; where
+    cos(theta) <= 0 the power of cos is taken as it is.  Used as a
+    cross-check against the numeric chain.
     """
     out = []
     for n in counts:
         theta = omega * t_final / (n + 1)
-        out.append(1.0 - math.cos(theta) ** (2 * (n + 1)))
+        x = -2.0 * math.sin(theta / 2.0) ** 2  # cos(theta) - 1
+        if x > -1.0:
+            out.append(-math.expm1(2 * (n + 1) * math.log1p(x)))
+        else:
+            out.append(1.0 - math.cos(theta) ** (2 * (n + 1)))
     return tuple(out)

@@ -214,8 +214,8 @@ def test_rabi_control_exits_2_outside_its_zeno_window(tmp_path, capsys, flags, c
      "sigma 1e+306 is too large: the Gaussian grid's length 1024 pi sigma / 6 overflows"),
     # closed-form deficits at or near roundoff leave the ladder's slope to chance
     ("rabi-control", ["--time", "1e-9"],
-     "omega*t = 1e-09 is outside the Zeno window: the closed-form deficit at N = 128 is 0"),
-    ("rabi-control", ["--time", "5e-6"], "by 0.27, out of 0.15 of -1"),
+     "omega*t = 1e-09 is outside the Zeno window: the closed-form deficit at N = 128 is 7.75e-21"),
+    ("rabi-control", ["--time", "5e-6"], "by 0.284, out of 0.15 of -1"),
     # a Gaussian spectrum exp(-sigma^2 (k - k0)^2) that reaches past k_max = pi / dx
     ("counterexample", ["--sigma", "0.01"],
      "sigma 0.01 is too small for the grid step dx = 0.0195312: a Gaussian at k0 = 2 puts "

@@ -6,12 +6,14 @@ naive loops they replaced, which call `u.evolve` for every (time, state)
 pair and every chain segment, and demand exact equality on a fourier grid
 (below and above numpy's 256 KiB temporary-elision size), the 2x2 matrix
 kind and the exact-shift path.  The half-spectrum phase vector is checked
-against a whole-array exp.  Operation-count guards check that the reuse
+against a long-double reference on the momentum lattice and against a
+whole-array exp, bit for bit, off it.  Operation-count guards check that the reuse
 actually happens, and that every FFT is a `Propagator` change of basis.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 
@@ -307,6 +309,8 @@ def test_generator_drawn_states_are_dead_once_the_first_time_item_runs(monkeypat
 # half-spectrum phase vectors
 # ----------------------------------------------------------------------
 
+EPS = np.finfo(float).eps
+
 
 def naive_step(u, t: float) -> np.ndarray:
     """The phase vector as one exp over the whole spectrum."""
@@ -322,16 +326,59 @@ def _step_times() -> list[float]:
     return times
 
 
+def _off_lattice(grid: Grid) -> SpectralOperator:
+    """An odd spectrum that is no lattice: the entries 0 and n/2, which oddness
+    leaves free, moved off the wavenumbers."""
+    k = grid.wavenumbers()
+    k[0], k[grid.n_points // 2] = 0.5, 7.0
+    return SpectralOperator(grid, k)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS,
+                    reason="the reference needs a long double wider than float64")
+@pytest.mark.parametrize("n_points", [2, 2**12, 2**16])
+def test_step_is_as_accurate_as_whole_spectrum_exp(n_points):
+    """Against exp(-i t j dk) in long double, dk = 2 pi / L, the exact spectrum
+    of -i d/dx on the grid, the lattice step is never further off than exp
+    over the whole array of rounded eigenvalues, or 2 eps where that is closer."""
+    grid = Grid(-40.0, 40.0, n_points)
+    u = Propagator(momentum_operator(grid))
+    lam = u.generator.eigenvalues
+    exact = np.rint(lam / lam[1]).astype(np.longdouble) * (
+        8 * np.arctan(np.longdouble(1)) / np.longdouble(grid.length))
+    for t in _step_times():
+        reference = np.exp(-1j * (np.longdouble(t) * exact))
+        step_error = np.max(np.abs(u.step(t) - reference))
+        exp_error = np.max(np.abs(naive_step(u, t) - reference))
+        assert step_error <= max(exp_error, 2 * EPS), t
+
+
 @pytest.mark.parametrize("n_points", [2, 2**12, 2**16])
 def test_step_matches_whole_spectrum_exp_bit_for_bit(n_points):
-    u = Propagator(momentum_operator(Grid(-40.0, 40.0, n_points)))
+    """Off the lattice the half-spectrum exp and its mirror give exp's bits."""
+    u = Propagator(_off_lattice(Grid(-40.0, 40.0, n_points)))
     for t in _step_times():
         assert u.step(t).tobytes() == naive_step(u, t).tobytes(), t
 
 
+@pytest.mark.parametrize("n_points", [4, 256, 2**12])
+def test_step_mirrors_its_first_half_with_positive_zeros(n_points):
+    """Entries past n/2 are the conjugates of n/2 - 1 .. 1, bit for bit, except
+    that a zero imaginary part is +0.0 (t = -0.0 makes every one +0.0 first)."""
+    half = n_points // 2 + 1
+    for op in (momentum_operator(Grid(-40.0, 40.0, n_points)),
+               _off_lattice(Grid(-40.0, 40.0, n_points))):
+        u = Propagator(op)
+        for t in _step_times():
+            phases = u.step(t)
+            expected = np.conjugate(phases[1:n_points - half + 1][::-1])
+            expected.imag[expected.imag == 0.0] = 0.0
+            assert phases[half:].tobytes() == expected.tobytes(), t
+
+
 @pytest.mark.parametrize("n_points", [2, 256, 4096])
 def test_step_exponentiates_half_the_spectrum(n_points, monkeypatch):
-    u = Propagator(momentum_operator(Grid(-40.0, 40.0, n_points)))
+    grid = Grid(-40.0, 40.0, n_points)
     sizes = []
     lock = threading.Lock()
     exp = np.exp
@@ -341,10 +388,34 @@ def test_step_exponentiates_half_the_spectrum(n_points, monkeypatch):
             sizes.append(np.size(x))
         return exp(x, *args, **kwargs)
 
+    def exp_sizes(op: SpectralOperator) -> list[int]:
+        u = Propagator(op)
+        sizes.clear()
+        for t in (0.5, -3.0):
+            u.step(t)
+        return list(sizes)
+
     monkeypatch.setattr(np, "exp", counting_exp)
-    for t in (0.5, -3.0):
-        u.step(t)
-    assert sizes == [n_points // 2 + 1] * 2
+    # a lattice step exps two tables, of ceil((n/2 + 1) / b) and b entries,
+    # b = isqrt(n/2) + 1; any other odd spectrum its n/2 + 1 entries [0, n/2]
+    lattice = exp_sizes(momentum_operator(grid))
+    assert len(lattice) == 4
+    assert max(lattice[0] + lattice[1], lattice[2] + lattice[3]) <= 2 * (
+        math.isqrt(n_points // 2) + 1)
+    assert exp_sizes(_off_lattice(grid)) == [n_points // 2 + 1] * 2
+
+
+def test_momentum_operator_takes_the_lattice_path_on_any_grid():
+    rng = np.random.default_rng(33)
+    for _ in range(300):
+        x_min = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6, 6))
+        x_max = x_min + float(10.0 ** rng.uniform(-6, 6))
+        grid = Grid(x_min, x_max, 2 ** int(rng.integers(1, 17)))
+        op = momentum_operator(grid)
+        assert op._spacing == op.eigenvalues[1] == 2.0 * math.pi / grid.length, grid
+    assert _off_lattice(Grid(-40.0, 40.0, 8))._spacing is None
+    assert SpectralOperator(Grid(-40.0, 40.0, 8), np.zeros(8))._spacing == 0.0
+    assert dense_hermitian(np.eye(2))._spacing is None
 
 
 def test_fourier_kind_needs_an_odd_spectrum():
@@ -436,7 +507,8 @@ def test_condition_I_transforms_each_state_and_time_once():
     with pytest.MonkeyPatch.context() as mp:
         counts = _install_counters(mp)
         check_condition_I(pair, u, T_SWEEP, named(waves))
-    assert counts == {"fft": 4, "ifft": 4 * len(T_SWEEP), "exp": len(T_SWEEP)}
+    # two table exps per step
+    assert counts == {"fft": 4, "ifft": 4 * len(T_SWEEP), "exp": 2 * len(T_SWEEP)}
 
 
 def test_condition_I_advances_every_state_of_a_time_into_one_buffer():
@@ -457,8 +529,8 @@ def test_condition_I_advances_every_state_of_a_time_into_one_buffer():
 
 
 @pytest.mark.parametrize("n, expected", [
-    (3, {"fft": 4, "ifft": 5, "exp": 2}),
-    (8, {"fft": 9, "ifft": 10, "exp": 4}),
+    (3, {"fft": 4, "ifft": 5, "exp": 2 * 2}),
+    (8, {"fft": 9, "ifft": 10, "exp": 2 * 4}),
 ])
 def test_survival_report_shares_e_and_repeated_segments(n, expected):
     u, (p_core, _), _, e = _lab()
@@ -477,7 +549,7 @@ def test_survival_report_shares_e_and_free_evolves_across_schedules():
     with pytest.MonkeyPatch.context() as mp:
         counts = _install_counters(mp)
         reports = survival_report(u, p_core, e, schedules)
-    assert counts == {"fft": 12, "ifft": 15, "exp": 6}
+    assert counts == {"fft": 12, "ifft": 15, "exp": 2 * 6}
     assert reports == tuple(survival_report(u, p_core, e, [s])[0] for s in schedules)
 
 

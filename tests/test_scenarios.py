@@ -172,7 +172,7 @@ def _margin_rejects(name: str, **overrides) -> bool:
     ("series-validity", "time", 2.3025850929940455, math.inf, {}),
     # below it a roundoff of 4 (N + 1) eps per closed-form deficit could move the
     # slope over N = 8..128 out of ZENO_SLOPE_TOL of -1
-    ("rabi-control", "time", 7.167202948436696e-06, -math.inf, {}),
+    ("rabi-control", "time", 7.118390589914249e-06, -math.inf, {}),
     # sigma (k_max - |k0|) >= sqrt(ln(1e8) / 2) at k_max = pi / dx = 160.85: the
     # gaussian(12,k2) trial state sets counterexample's edge, k0 = 0 hm-invariance's
     ("counterexample", "sigma", 0.019105212296816367, -math.inf, {}),

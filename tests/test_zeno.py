@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import rabi_chain_survival
+from zenolab import statespace
 from zenolab import (
     DomainError,
     MeasurementSchedule,
@@ -26,6 +27,7 @@ from zenolab import (
     make_gaussian,
     survival_report,
 )
+from zenolab.zeno import _chain
 
 EXP_M1 = 0.36787944117144233  # exp(-1): free Gaussian survival at t = 2, sigma = 1
 
@@ -186,6 +188,29 @@ def test_retained_norm_monotone_and_bounds_survival(grid, zone_pair, translator)
         # Cauchy-Schwarz at the final overlap
         assert rep.s_measured <= rep.retained + 1e-12
         assert 0.0 < rep.retained <= 1.0
+
+
+def test_chain_stops_before_its_next_segment_once_an_interrupt_is_pending(
+        grid, zone_pair, translator, monkeypatch):
+    # the runner's waiting main thread sets statespace._stopping on Ctrl-C
+    p_core, _ = zone_pair
+    e = core_zone_state(p_core, make_gaussian(grid, -8.0, 1.0))
+    applied = []
+    apply = Propagator._apply
+
+    def interrupted(self, values, diagonal):
+        applied.append(1)
+        statespace._stopping.set()  # the interrupt arrives during this segment
+        return apply(self, values, diagonal)
+
+    monkeypatch.setattr(Propagator, "_apply", interrupted)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            _chain(translator, p_core, translator.transform(e),
+                   MeasurementSchedule.equally_spaced(2.0, 8))
+    finally:
+        statespace._stopping.clear()
+    assert applied == [1]
 
 
 # ----------------------------------------------------------------------
