@@ -65,8 +65,8 @@ MUTANTS = (
     ("clip leaves one sample", "subspaces.py",
      "values[self.stop:] = 0.0", "values[self.stop + 1:] = 0.0"),
     ("zone guard ten times looser", "subspaces.py", "if off > tol:", "if off > 10 * tol:"),
-    ("chain's later steps doubled", "zeno.py", "_clip(values), step(dt))",
-     "_clip(values), step(2 * dt))"),
+    ("chain's later steps doubled", "zeno.py", "_clip(values), step(dt), kit",
+     "_clip(values), step(2 * dt), kit"),
     ("hn_norms applies 2 H", "analytic.py", "np.multiply(h.eigenvalues, v, out=v)",
      "np.multiply(2 * h.eigenvalues, v, out=v)"),
     ("hn_norms weights its norm by sqrt(dx)", "analytic.py", "r = float(_norm(v))",
@@ -97,7 +97,7 @@ MUTANTS = (
     ("maps ignore an interrupt", "statespace.py",
      "if _stopping.is_set():", "if False:"),
     ("a buffer per sampled pair", "subspaces.py",
-     "u._values(c, step, values)", "u._values(c, step)"),
+     'u._values(c, step, kit.get("values"))', "u._values(c, step)"),
     ("lattice coarse stride b - 1", "operators.py",
      "coarse = np.exp(theta * (b * np.arange(", "coarse = np.exp(theta * ((b - 1) * np.arange("),
     ("any odd spectrum is a lattice", "operators.py",
@@ -110,6 +110,10 @@ MUTANTS = (
      "out.append(1.0 - math.cos(theta) ** (2 * (n + 1)))"),
     ("closed slope fitted on 1 - (1 - d)", "scenarios.py",
      "np.log(closed), 1)[0])", "np.log(1.0 - (1.0 - np.array(closed))), 1)[0])"),
+    ("two concurrent items share one workspace array", "statespace.py",
+     "kit = self._free.pop()", "kit = self._free[0]"),
+    ("the chain's two step slots collapse into one", "zeno.py",
+     'slots = [[None, "step2"], [None, "step"]]', 'slots = [[None, "step"], [None, "step"]]'),
 )
 
 

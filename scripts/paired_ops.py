@@ -10,12 +10,15 @@ workers, one after the other: PARENT first in even pairs, CHANGE first in
 odd ones, so that a drift in the host's speed hits both sides alike.  A
 worker times ``Workload.run`` by wall clock and process CPU time, counts
 the minor page faults the process took during it (``ru_minflt``), then
-checks the outputs untimed (``Workload.check``) and hashes the op's bundle
+checks the outputs untimed (``Workload.check``), hashes the op's bundle
 bytes, so a pair also shows whether both sides attempted and failed the
-same scenario runs and wrote the same bundles.
+same scenario runs and wrote the same bundles, and reads the process's peak
+resident set so far (``ru_maxrss``, which starts at the controller's RSS
+when the worker was spawned; the controller itself stays small).
 
-It prints each side's median op time with its quartiles and its median CPU
-time and minor page faults per op, the median of the per-pair ratio
+It prints each side's median op time with its quartiles, its median CPU
+time and minor page faults per op and its peak RSS after its last op (the
+warm-up included), the median of the per-pair ratio
 CHANGE / PARENT, the number of pairs CHANGE won and, counted apart, the
 pairs whose sides differ in outcome (attempted, failed or incorrect runs)
 and in bundle bytes; the last line is a JSON object with the same numbers
@@ -64,7 +67,9 @@ def worker(checkout: Path, workload: str, seed: int) -> int:
                 digest.update(repr(key).encode() + b"\0" + out.bundles[key])
             record = {"wall_s": wall, "cpu_s": cpu, "minflt": faults,
                       "attempted": out.attempted, "failed": out.failed,
-                      "incorrect": out.incorrect, "bundles_sha256": digest.hexdigest()}
+                      "incorrect": out.incorrect, "bundles_sha256": digest.hexdigest(),
+                      # KiB on Linux; the high-water mark, so the last op's is the peak
+                      "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}
             print(json.dumps(record), file=protocol, flush=True)
     return 0
 
@@ -137,6 +142,7 @@ def main(argv=None) -> int:
         **{f"{side}_wall_s": _spread(walls[side]) for side in SIDES},
         **{f"{side}_{key}_median": statistics.median(p[side][key] for p in pairs)
            for side in SIDES for key in ("cpu_s", "minflt")},
+        **{f"{side}_peak_rss_mib": pairs[-1][side]["maxrss_kib"] / 1024 for side in SIDES},
         "median_ratio": statistics.median(ratios),
         "change_wins": sum(r < 1.0 for r in ratios),
         **differ,
@@ -146,7 +152,8 @@ def main(argv=None) -> int:
         print(f"{side:6} median {s['median'] * 1e3:.3f} ms "
               f"(quartiles {s['q1'] * 1e3:.3f}-{s['q3'] * 1e3:.3f} ms), "
               f"cpu median {summary[f'{side}_cpu_s_median'] * 1e3:.3f} ms, "
-              f"minor faults median {summary[f'{side}_minflt_median']:.0f}")
+              f"minor faults median {summary[f'{side}_minflt_median']:.0f}, "
+              f"peak RSS {summary[f'{side}_peak_rss_mib']:.1f} MiB")
     print(f"median ratio change/parent {summary['median_ratio']:.4f}; change faster in "
           f"{summary['change_wins']} of {len(pairs)} pairs; "
           f"{differ['pairs_differing_in_outcome']} pairs differ in outcome, "

@@ -283,6 +283,9 @@ def main(argv=None) -> int:
     except (*REJECTED, SpaceMismatchError, OSError) as exc:
         print(f"error: {_reason(exc)}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:  # Ctrl-C: one line and the shell's 128 + SIGINT, no traceback
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

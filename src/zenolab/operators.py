@@ -24,7 +24,10 @@ four private primitives: ``_coeffs`` (forward), ``_values`` (multiply by
 a diagonal and change back: a step gives U(t) psi, the eigenvalues H psi),
 ``_inverse`` (the bare change back) and ``_apply`` (all three on values
 the caller hands over, in that array on the FFT basis), so a measurement
-chain runs in one buffer from its first step on.
+chain runs in one buffer from its first step on.  ``_step(t, out)`` writes
+a step into a buffer the caller hands over, and ``_values`` takes one too,
+so the items of a survival report or a condition check reuse their
+thread's arrays instead of allocating new ones.
 The FFT basis scales by multiplying with 1/sqrt(dx/n), which has the bits
 of dividing by sqrt(dx/n) at a fraction of the cost (see ``_inverse``).
 ``ShiftPropagator`` speaks the same protocol with a state's values as its
@@ -201,14 +204,20 @@ class Propagator:
         exp over the whole array.  Any other odd spectrum runs exp on the
         entries [0, n/2].
         """
+        phases = self._step(t)
+        phases.setflags(write=False)
+        return phases
+
+    def _step(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
+        """`step(t)`'s phases, written into the writable array `out`, or fresh when None."""
         h = self.generator
         if h.basis is not None:
-            phases = -1j * float(t) * h.eigenvalues
+            phases = np.multiply(-1j * float(t), h.eigenvalues, out=out)
             np.exp(phases, out=phases)
         else:
             n = h.eigenvalues.size
             half = n // 2 + 1
-            phases = np.empty(n, dtype=np.complex128)
+            phases = np.empty(n, dtype=np.complex128) if out is None else out
             if h._spacing is None:
                 np.multiply(-1j * float(t), h.eigenvalues[:half], out=phases[:half])
                 np.exp(phases[:half], out=phases[:half])
@@ -227,7 +236,6 @@ class Propagator:
             # adding +0.0 turns the conjugate's -0.0 back into +0.0 and
             # leaves every other value as it is
             mirror.imag += 0.0
-        phases.setflags(write=False)
         return phases
 
     def advance(self, coeffs: np.ndarray, step: np.ndarray) -> WaveFunction:
@@ -240,9 +248,10 @@ class Propagator:
         # commutative, so a swapped operand order changes the last bits
         return self._inverse(np.multiply(diagonal, coeffs, out=out))
 
-    def _apply(self, values: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    def _apply(self, values: np.ndarray, diagonal: np.ndarray, spare=None) -> np.ndarray:
         """`_values(_coeffs(values), diagonal)` bit for bit, for a chain's later segments:
-        the FFT basis works in `values` and returns it, a matrix basis a fresh array."""
+        the FFT basis works in `values` and returns it, a matrix basis a fresh array.
+        `spare` is for a shift, whose roll cannot run in place; it is not used here."""
         if self._adjoint is None:
             coeffs = np.fft.fft(values, out=values)
             coeffs *= self._scale
@@ -312,9 +321,14 @@ class ShiftPropagator:
         split = -int(step) % coeffs.shape[0]
         return np.concatenate((coeffs[split:], coeffs[:split]), out=out)
 
-    def _apply(self, values: np.ndarray, step: int) -> np.ndarray:
-        """`_values`, as the values are the coefficients: a fresh array."""
-        return self._values(values, step)
+    def _step(self, t: float, out=None) -> int:
+        """`step(t)`: a count, so `out` is not used."""
+        return self.step(t)
+
+    def _apply(self, values: np.ndarray, step: int, spare=None) -> np.ndarray:
+        """`_values`, as the values are the coefficients: into `spare`, which must
+        not be `values`, or fresh when None."""
+        return self._values(values, step, spare)
 
     def evolve(self, psi: WaveFunction, t: float) -> WaveFunction:
         return self.advance(self.transform(psi), self.step(t))

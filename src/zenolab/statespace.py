@@ -41,7 +41,11 @@ on the main thread runs on one runner thread, whose malloc arena refaults
 fewer pages (`_run_apart`): the runner and CPUS - 1 helpers compute while
 the main thread waits with no permit.  Interrupting that wait stops every
 map after its current item, and a measurement chain after its current
-segment.
+segment.  glibc trims a thread's arena after an item frees its arrays and
+faults the pages in again for the next one, so the items of a survival
+report or a condition check do not allocate their state-sized arrays: they
+borrow them from a `_Workspace` that the call owns, one kit per item that
+runs at once, and the arrays are freed when the call returns.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,6 +143,35 @@ def _run_apart(fn, points: int | None):
         _stopping.clear()
         raise
     return future.result()
+
+
+class _Workspace:
+    """State-sized arrays that the items of one call reuse, one kit per running item.
+
+    `kit()` lends an item a dict for as long as it runs.  The item keeps the
+    arrays it computes in it, under names of its choosing, and passes them
+    back as output buffers, so the next item that borrows the dict, on any
+    thread, writes into the same arrays instead of allocating new ones.
+    A dict is lent to one item at a time: items running at once never share
+    an array, and no more dicts are made than items ever ran at once.  The
+    owner makes a workspace per call and drops it on return, which frees
+    every array; one kept for the life of the process would hold each
+    thread's arrays while the thread idles.
+    """
+
+    def __init__(self) -> None:
+        self._free: list[dict] = []
+
+    @contextmanager
+    def kit(self):
+        try:
+            kit = self._free.pop()  # atomic under the GIL
+        except IndexError:  # every kit made so far is lent out
+            kit = {}
+        try:
+            yield kit
+        finally:
+            self._free.append(kit)
 
 
 def _blocked(dot, a: np.ndarray, b: np.ndarray):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError, SpaceMismatchError
-from .statespace import DenseSpace, Grid, WaveFunction, _map, _norm_sq
+from .statespace import DenseSpace, Grid, WaveFunction, _map, _norm_sq, _Workspace
 
 #: default residual bound under which an invariance verdict reads HOLDS
 INVARIANCE_TOL = 1e-8
@@ -186,23 +186,30 @@ def _sample(condition: str, projector: SubspaceProjector, u, ts, pairs: list,
             tolerance: float) -> ConditionReport:
     """Residual projector.mass(U(t) s) at each (t, state) pair, t-major, and its verdict.
 
-    Each state is transformed once and each time's step and values buffer
-    built once, when that time is sampled; the residuals are the same bits
-    as evolving every pair separately.  Transforms and times run through
-    `_map`, inline on grids below its MAP_MIN_POINTS.  `pairs`, the (label,
-    state) pairs, is emptied once transformed, so a caller that hands over
-    its only references keeps just the coefficients alive while the times
-    are sampled.
+    Each state is transformed once and each time's step built once, when
+    that time is sampled; the residuals are the same bits as evolving every
+    pair separately.  Transforms and times run through `_map`, inline on
+    grids below its MAP_MIN_POINTS.  A time item writes its step and every
+    state's values into the two arrays of a kit from a `_Workspace` that
+    this call owns, so a thread allocates them for its first time only.
+    `pairs`, the (label, state) pairs, is emptied once transformed, so a
+    caller that hands over its only references keeps just the coefficients
+    alive while the times are sampled.
     """
     points = u.space.n_points
     names = [label for label, _ in pairs]
     coeffs = _map(lambda pair: u.transform(pair[1]), pairs, points=points)
     pairs.clear()
+    workspace = _Workspace()
 
     def at(t: float) -> list[ConditionSample]:
-        step, values = u.step(t), None  # the first state's values are the time's buffer
-        return [ConditionSample(t, name, projector._mass(values := u._values(c, step, values)))
-                for name, c in zip(names, coeffs)]
+        with workspace.kit() as kit:
+            step = kit["step"] = u._step(t, kit.get("step"))
+            row = []
+            for name, c in zip(names, coeffs):
+                values = kit["values"] = u._values(c, step, kit.get("values"))
+                row.append(ConditionSample(t, name, projector._mass(values)))
+            return row
 
     samples = tuple(s for row in _map(at, ts, points=points) for s in row)
     worst = max(samples, key=lambda s: s.residual, default=None)

@@ -1,12 +1,15 @@
-"""Shared fixtures: the default lab grid plus seeded random-state helpers."""
+"""Shared fixtures: the default lab grid, a helper pool of chosen size and seeded random states."""
 
 from __future__ import annotations
+
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from zenolab import Grid, Propagator, WaveFunction, halfline_pair, momentum_operator
+from zenolab import Grid, Propagator, WaveFunction, halfline_pair, momentum_operator, statespace
 
 settings.register_profile(
     "suite",
@@ -15,6 +18,21 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """Install a helper pool of n threads and n permits for this test."""
+    pools = []
+
+    def install(n: int) -> None:
+        pools.append(ThreadPoolExecutor(max_workers=max(n, 1)))
+        monkeypatch.setattr(statespace, "_pool", pools[-1])
+        monkeypatch.setattr(statespace, "_permits", threading.BoundedSemaphore(n))
+
+    yield install
+    for pool in pools:
+        pool.shutdown(wait=True)
 
 
 @pytest.fixture(scope="session")

@@ -612,6 +612,22 @@ def test_bogus_format_exits_2(command, tmp_path, capsys):
     assert "format must be csv, bundle or both" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_an_interrupt_exits_130_with_one_line(command, tmp_path, monkeypatch, capsys):
+    def interrupted(name, spec):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_scenario", interrupted)
+    argv = [command, "rabi-control", "--out", str(tmp_path)]
+    if command == "sweep":
+        argv += ["--param", "omega", "--values", "1.0,2.0"]
+    assert main(argv) == 130
+    captured = capsys.readouterr()
+    assert captured.err == "interrupted\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 # ----------------------------------------------------------------------
 # the fields each scenario reads
 # ----------------------------------------------------------------------

@@ -11,28 +11,12 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from zenolab import cli, statespace
 from zenolab.scenarios import SCENARIOS, ScenarioSpec
 from zenolab.statespace import _map
-
-
-@pytest.fixture
-def helpers(monkeypatch):
-    """Install a helper pool of n threads and n permits for this test."""
-    pools = []
-
-    def install(n: int) -> None:
-        pools.append(ThreadPoolExecutor(max_workers=max(n, 1)))
-        monkeypatch.setattr(statespace, "_pool", pools[-1])
-        monkeypatch.setattr(statespace, "_permits", threading.BoundedSemaphore(n))
-
-    yield install
-    for pool in pools:
-        pool.shutdown(wait=True)
 
 
 def _permits_back(n: int) -> bool:

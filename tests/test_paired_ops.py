@@ -1,10 +1,12 @@
-"""scripts/paired_ops.py: outcome and bundle bytes are counted apart, faults per side."""
+"""scripts/paired_ops.py: outcome and bundle bytes are counted apart, faults and RSS per side."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
 import statistics
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,16 +52,20 @@ def import_zenolab():
 
 
 class Touch:
-    """Each op writes one byte in each page of a fresh 4 MiB mapping: 1024 faults."""
+    """Each op writes one byte in each page of a fresh 4 MiB mapping: 1024 faults.
+
+    The mappings stay open, so each op adds 4 MiB to the resident set."""
 
     def __init__(self, seed, tmp):
         self.inputs = [seed]
+        self.kept = []
 
     def run(self, item):
-        with mmap.mmap(-1, 4 << 20) as pages:
-            for i in range(0, len(pages), mmap.PAGESIZE):
-                pages[i] = 1
-            return len(pages)
+        pages = mmap.mmap(-1, 4 << 20)
+        for i in range(0, len(pages), mmap.PAGESIZE):
+            pages[i] = 1
+        self.kept.append(pages)
+        return len(pages)
 
     def check(self, item, result):
         return SimpleNamespace(bundles={"n": str(result).encode()}, attempted=1,
@@ -84,3 +90,25 @@ def test_each_side_reports_the_minor_faults_of_its_ops(tmp_path, capsys):
         assert summary[f"{side}_minflt_median"] == statistics.median(faults)
         line = next(s for s in lines if s.startswith(side))
         assert f"minor faults median {statistics.median(faults):.0f}" in line
+
+
+def test_each_side_reports_its_peak_rss_after_its_last_op(tmp_path):
+    checkout = tmp_path / "checkout"
+    (checkout / "benchmarks").mkdir(parents=True)
+    (checkout / "benchmarks" / "workloads.py").write_text(FAKE_WORKLOADS)
+    # a worker's ru_maxrss starts at the RSS of the process that spawned it,
+    # so the controller runs in a fresh interpreter, not inside pytest
+    run = subprocess.run([sys.executable, str(ROOT / "scripts" / "paired_ops.py"),
+                          str(checkout), str(checkout), "--workload", "touch",
+                          "--seed", "0", "--pairs", "3"],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    summary = json.loads(lines[-1])
+    for side in paired_ops.SIDES:
+        rss = [p[side]["maxrss_kib"] for p in summary["pair_records"]]
+        # the 4 MiB that each op keeps show in the high-water mark
+        assert all(b - a >= 3 << 10 for a, b in zip(rss, rss[1:])), rss
+        assert summary[f"{side}_peak_rss_mib"] == rss[-1] / 1024
+        line = next(s for s in lines if s.startswith(side))
+        assert f"peak RSS {rss[-1] / 1024:.1f} MiB" in line

@@ -158,9 +158,9 @@ def test_condition_residuals_match_per_pair_evolves(system):
 def test_measured_chain_matches_per_segment_evolves(system):
     u, (p_core, _), e, _, _, schedules = system
     for sched in schedules:
-        final = _chain(u, p_core, u.transform(e), sched)
+        final = _chain(u, p_core, u.transform(e), sched, {})
         ref_final = naive_chain(u, p_core, e, sched)
-        assert np.array_equal(final.values, ref_final.values)
+        assert np.array_equal(final, ref_final.values)
 
 
 def test_survival_report_matches_naive_protocols(system):
@@ -181,9 +181,9 @@ def test_ulp_apart_segments_each_get_their_own_step():
     u = Propagator(momentum_operator(e.space))
     sched = MeasurementSchedule.equally_spaced(2.0, 8)
     assert len({d.hex() for d in sched.segments()}) == 3
-    final = _chain(u, p_core, u.transform(e), sched)
+    final = _chain(u, p_core, u.transform(e), sched, {})
     ref_final = naive_chain(u, p_core, e, sched)
-    assert np.array_equal(final.values, ref_final.values)
+    assert np.array_equal(final, ref_final.values)
 
 
 def test_survival_report_never_projects_through_apply(system, monkeypatch):
@@ -228,10 +228,10 @@ def test_a_chain_clips_every_segment_in_one_buffer(name, monkeypatch):
         return clip(self, values)
 
     monkeypatch.setattr(SubspaceProjector, "_clip", recording)
-    final = _chain(u, p_core, coeffs, MeasurementSchedule.equally_spaced(2.0, 5))
+    final = _chain(u, p_core, coeffs, MeasurementSchedule.equally_spaced(2.0, 5), {})
     assert len(clipped) == 5
     assert not np.shares_memory(clipped[0], coeffs)
-    assert all(np.shares_memory(v, clipped[0]) for v in clipped[1:] + [final.values])
+    assert all(np.shares_memory(v, clipped[0]) for v in clipped[1:] + [final])
     assert np.array_equal(coeffs, before)
 
 
@@ -512,19 +512,22 @@ def test_condition_I_transforms_each_state_and_time_once():
 
 
 def test_condition_I_advances_every_state_of_a_time_into_one_buffer():
+    """Every time item of a thread writes all its states into the one values
+    array of its workspace kit, so the inverse FFTs use one buffer per thread."""
     u, pair, waves, _ = _lab()
-    buffers = []  # each inverse FFT's output array, kept alive so no id is reused
+    buffers = []  # (thread, output array) of each inverse FFT, kept alive so no id is reused
     ifft = np.fft.ifft
 
     def recording(a, *args, out=None, **kwargs):
-        buffers.append(out)
+        buffers.append((threading.get_ident(), out))
         return ifft(a, *args, out=out, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.fft, "ifft", recording)
         report = check_condition_I(pair, u, T_SWEEP, named(waves))
     assert len(buffers) == len(waves) * len(T_SWEEP)
-    assert len({id(b) for b in buffers}) == len(T_SWEEP)
+    threads = {thread for thread, _ in buffers}
+    assert len({(thread, id(b)) for thread, b in buffers}) == len(threads)
     assert _residuals(report) == naive_residuals(pair[0].mass, u, T_SWEEP, waves)
 
 

@@ -198,16 +198,16 @@ def test_chain_stops_before_its_next_segment_once_an_interrupt_is_pending(
     applied = []
     apply = Propagator._apply
 
-    def interrupted(self, values, diagonal):
+    def interrupted(self, values, diagonal, spare=None):
         applied.append(1)
         statespace._stopping.set()  # the interrupt arrives during this segment
-        return apply(self, values, diagonal)
+        return apply(self, values, diagonal, spare)
 
     monkeypatch.setattr(Propagator, "_apply", interrupted)
     try:
         with pytest.raises(KeyboardInterrupt):
             _chain(translator, p_core, translator.transform(e),
-                   MeasurementSchedule.equally_spaced(2.0, 8))
+                   MeasurementSchedule.equally_spaced(2.0, 8), {})
     finally:
         statespace._stopping.clear()
     assert applied == [1]
