@@ -41,8 +41,8 @@ on the main thread runs on one runner thread, whose malloc arena refaults
 fewer pages (`_run_apart`): the runner and CPUS - 1 helpers compute while
 the main thread waits with no permit.  Interrupting that wait stops every
 map after its current item, and a measurement chain after its current
-segment.  glibc trims a thread's arena after an item frees its arrays and
-faults the pages in again for the next one, so the items of a survival
+segment.  glibc trims a thread's arena after an item frees its arrays,
+and the next item faults the pages in again, so the items of a survival
 report or a condition check do not allocate their state-sized arrays: they
 borrow them from a `_Workspace` that the call owns, one kit per item that
 runs at once, and the arrays are freed when the call returns.
