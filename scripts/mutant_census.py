@@ -104,16 +104,21 @@ MUTANTS = (
      "if lam.size >= 2 and np.array_equal(head, np.arange(mid + 1) * lam[1]):",
      "if lam.size >= 2:"),
     ("chains ignore an interrupt", "zeno.py",
-     "raise KeyboardInterrupt  # the main thread's wait", "pass  # the main thread's wait"),
+     "raise KeyboardInterrupt  # the main thread was", "pass  # the main thread was"),
     ("closed-form deficit through cos", "zeno.py",
      "out.append(-math.expm1(2 * (n + 1) * math.log1p(x)))",
      "out.append(1.0 - math.cos(theta) ** (2 * (n + 1)))"),
     ("closed slope fitted on 1 - (1 - d)", "scenarios.py",
      "np.log(closed), 1)[0])", "np.log(1.0 - (1.0 - np.array(closed))), 1)[0])"),
-    ("two concurrent items share one workspace array", "statespace.py",
-     "kit = self._free.pop()", "kit = self._free[0]"),
+    ("two concurrent items share one workspace array", "zeno.py",
+     "scratch = threading.local()", "scratch = lambda: None"),  # one kit for all threads
     ("the chain's two step slots collapse into one", "zeno.py",
      'slots = [[None, "step2"], [None, "step"]]', 'slots = [[None, "step"], [None, "step"]]'),
+    ("a second interrupt clears the flag at once", "statespace.py",
+     "            pass\n        raise\n",
+     "            pass\n        raise\n    finally:\n        _stopping.clear()\n"),
+    ("sweep helpers are not counted as working", "statespace.py",
+     "helpers.append(_submit(_pool, helper))", "helpers.append(_pool.submit(helper))"),
 )
 
 

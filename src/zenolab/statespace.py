@@ -22,30 +22,17 @@ elements are one block and get exactly the bits of `np.vdot` and
 `np.linalg.norm`.
 
 Independent evolves (a scenario's checks, condition samples, survival
-schedules, sweep points) go through `_map`, which runs them on the calling
-thread and on whatever helper threads are idle.  The helpers form one
-process-wide pool of CPUS - 1 threads, each holding one of CPUS - 1
-permits for as long as it works, so at most CPUS threads compute at once
-and a `_map` nested inside a helper finds no permit and runs inline instead
-of waiting.  Helpers join late: before each item it takes, the caller tries
-again for a permit, so a map that started while a sibling map held every
-permit gets a helper as soon as that sibling finishes.  numpy's FFT, exp
-and elementwise arithmetic release the GIL, so a helper uses an otherwise
-idle CPU.  Evolves on fewer than MAP_MIN_POINTS = 2^14 points run inline
-too: such an item takes about as long as handing it to a helper, so a
-helper adds CPU time and timing jitter but no speed.  Each item runs the
-same code on the same inputs as a serial loop and results come back in
-input order, so the bits do not depend on how many helpers took part; with
-one CPU there are none.  A scenario of MAP_MIN_POINTS or more points called
-on the main thread runs on one runner thread, whose malloc arena refaults
-fewer pages (`_run_apart`): the runner and CPUS - 1 helpers compute while
-the main thread waits with no permit.  Interrupting that wait stops every
-map after its current item, and a measurement chain after its current
-segment.  glibc trims a thread's arena after an item frees its arrays,
-and the next item faults the pages in again, so the items of a survival
-report or a condition check do not allocate their state-sized arrays: they
-borrow them from a `_Workspace` that the call owns, one kit per item that
-runs at once, and the arrays are freed when the call returns.
+schedules, sweep points) go through `_map`, on the calling thread and idle
+helpers from one process-wide pool of CPUS - 1 threads.  A helper holds one
+of CPUS - 1 permits while it works, so at most CPUS threads compute and a
+`_map` nested inside a helper runs inline; numpy's FFT, exp and elementwise
+arithmetic release the GIL.  Each item runs the same code on the same
+inputs as a serial loop, so the bits do not depend on how many helpers took
+part.  A scenario of MAP_MIN_POINTS or more points called on the main
+thread runs on one runner thread, whose malloc arena refaults fewer pages
+(`_run_apart`), while the main thread waits with no permit.  An interrupt
+of a wait (`_join`) sets `_stopping` until neither the runner nor a helper
+works: every map stops after its current item, a chain after its segment.
 """
 
 from __future__ import annotations
@@ -55,7 +42,6 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +50,8 @@ from .errors import DomainError, SpaceMismatchError
 
 #: most elements per BLAS call in a reduction, below OpenBLAS's threading cutoff
 REDUCTION_BLOCK = 8192
-#: fewest points per state for which `_map` hands evolves to helpers
+#: fewest points per state for which `_map` hands evolves to helpers; a smaller
+#: item takes about as long as its handoff
 MAP_MIN_POINTS = 2**14
 
 try:
@@ -76,9 +63,43 @@ except AttributeError:  # no affinity call on this platform
 # one permit per pool thread; a helper holds its permit while it works
 _permits = threading.BoundedSemaphore(CPUS - 1)
 _pool = ThreadPoolExecutor(max_workers=max(CPUS - 1, 1), thread_name_prefix="zenolab")
-# the runner of `_run_apart`, and the flag set while an interrupted caller waits for it
+# the runner of `_run_apart`
 _runner = ThreadPoolExecutor(max_workers=1, thread_name_prefix="zenolab-runner")
+# set by an interrupt until no fn handed to the runner or a helper, `_working`, runs
 _stopping = threading.Event()
+_working: list = []
+_lock = threading.Lock()  # for each check of `_working` and the set or clear it decides
+
+
+def _submit(executor, fn):
+    """executor.submit(fn), with fn in `_working` until it returns or raises."""
+    def work():
+        try:
+            return fn()
+        finally:  # before the future is done, so that its waiters see this
+            with _lock:
+                _working.remove(fn)
+                if not _working:
+                    _stopping.clear()
+
+    _working.append(fn)  # atomic; a clear it races found all earlier work done
+    return executor.submit(work)
+
+
+def _join(futures) -> list:
+    """The futures' results, in timed waits that raise an interrupt: the first
+    sets `_stopping` and is raised once they are done, a second at once."""
+    try:
+        while wait(futures, timeout=0.05).not_done:
+            pass
+    except KeyboardInterrupt:
+        with _lock:
+            if _working:  # else no fn is left to clear it
+                _stopping.set()
+        while wait(futures, timeout=0.05).not_done:
+            pass
+        raise
+    return [f.result() for f in futures]
 
 
 def _map(fn, items, most: int | None = None, points: int | None = None) -> list:
@@ -104,7 +125,7 @@ def _map(fn, items, most: int | None = None, points: int | None = None) -> list:
     def run(i: int) -> None:
         try:
             if _stopping.is_set():
-                raise KeyboardInterrupt  # the main thread's wait for the runner was interrupted
+                raise KeyboardInterrupt  # the main thread was interrupted
             results[i] = fn(items[i])
         except BaseException as exc:
             errors[i] = exc
@@ -120,10 +141,9 @@ def _map(fn, items, most: int | None = None, points: int | None = None) -> list:
     while not errors and (i := next(claim)) < len(items):
         # recruit only while some item is still left for a helper to take
         while i + 1 < len(items) and len(helpers) < wanted and _permits.acquire(blocking=False):
-            helpers.append(_pool.submit(helper))
+            helpers.append(_submit(_pool, helper))
         run(i)
-    for h in helpers:
-        h.result()
+    _join(helpers)
     if errors:
         raise errors[min(errors)]
     return results
@@ -133,45 +153,7 @@ def _run_apart(fn, points: int | None):
     """fn(), on the runner when the main thread calls with `points` >= MAP_MIN_POINTS."""
     if (points or 0) < MAP_MIN_POINTS or threading.current_thread() is not threading.main_thread():
         return fn()
-    future = _runner.submit(fn)
-    try:
-        while not future.done():
-            wait((future,), timeout=0.05)  # timed, so a pending interrupt is raised
-    except KeyboardInterrupt:
-        _stopping.set()
-        wait((future,))
-        _stopping.clear()
-        raise
-    return future.result()
-
-
-class _Workspace:
-    """State-sized arrays that the items of one call reuse, one kit per running item.
-
-    `kit()` lends an item a dict for as long as it runs.  The item keeps the
-    arrays it computes in it, under names of its choosing, and passes them
-    back as output buffers, so the next item that borrows the dict, on any
-    thread, writes into the same arrays instead of allocating new ones.
-    A dict is lent to one item at a time: items running at once never share
-    an array, and no more dicts are made than items ever ran at once.  The
-    owner makes a workspace per call and drops it on return, which frees
-    every array; one kept for the life of the process would hold each
-    thread's arrays while the thread idles.
-    """
-
-    def __init__(self) -> None:
-        self._free: list[dict] = []
-
-    @contextmanager
-    def kit(self):
-        try:
-            kit = self._free.pop()  # atomic under the GIL
-        except IndexError:  # every kit made so far is lent out
-            kit = {}
-        try:
-            yield kit
-        finally:
-            self._free.append(kit)
+    return _join([_submit(_runner, fn)])[0]
 
 
 def _blocked(dot, a: np.ndarray, b: np.ndarray):

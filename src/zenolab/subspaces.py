@@ -27,12 +27,13 @@ Operator-norm certification is out of scope; everything is sampled.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError, SpaceMismatchError
-from .statespace import DenseSpace, Grid, WaveFunction, _map, _norm_sq, _Workspace
+from .statespace import DenseSpace, Grid, WaveFunction, _map, _norm_sq
 
 #: default residual bound under which an invariance verdict reads HOLDS
 INVARIANCE_TOL = 1e-8
@@ -190,7 +191,7 @@ def _sample(condition: str, projector: SubspaceProjector, u, ts, pairs: list,
     that time is sampled; the residuals are the same bits as evolving every
     pair separately.  Transforms and times run through `_map`, inline on
     grids below its MAP_MIN_POINTS.  A time item writes its step and every
-    state's values into the two arrays of a kit from a `_Workspace` that
+    state's values into its thread's kit, the dict of a `threading.local`
     this call owns, so a thread allocates them for its first time only.
     `pairs`, the (label, state) pairs, is emptied once transformed, so a
     caller that hands over its only references keeps just the coefficients
@@ -200,16 +201,16 @@ def _sample(condition: str, projector: SubspaceProjector, u, ts, pairs: list,
     names = [label for label, _ in pairs]
     coeffs = _map(lambda pair: u.transform(pair[1]), pairs, points=points)
     pairs.clear()
-    workspace = _Workspace()
+    scratch = threading.local()
 
     def at(t: float) -> list[ConditionSample]:
-        with workspace.kit() as kit:
-            step = kit["step"] = u._step(t, kit.get("step"))
-            row = []
-            for name, c in zip(names, coeffs):
-                values = kit["values"] = u._values(c, step, kit.get("values"))
-                row.append(ConditionSample(t, name, projector._mass(values)))
-            return row
+        kit = scratch.__dict__
+        step = kit["step"] = u._step(t, kit.get("step"))
+        row = []
+        for name, c in zip(names, coeffs):
+            values = kit["values"] = u._values(c, step, kit.get("values"))
+            row.append(ConditionSample(t, name, projector._mass(values)))
+        return row
 
     samples = tuple(s for row in _map(at, ts, points=points) for s in row)
     worst = max(samples, key=lambda s: s.residual, default=None)

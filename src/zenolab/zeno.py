@@ -37,12 +37,13 @@ matrices and is deliberately out of scope here.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .statespace import WaveFunction, _map, _stopping, _Workspace, inner_product
+from .statespace import WaveFunction, _map, _stopping, inner_product
 from .subspaces import SubspaceProjector, _require_unit_norm, _require_zone
 
 #: admissible wave-zone mass for the prepared state of a survival run
@@ -89,7 +90,7 @@ def _chain(u, p_core: SubspaceProjector, coeffs, schedule: MeasurementSchedule,
 
     Returns the values of the unnormalized final state, whose norm squared
     is the probability of passing every measurement.  The chain runs in the
-    arrays of `kit`, a dict lent by a `statespace._Workspace` (an empty one
+    arrays of `kit`, a dict that no other running item uses (an empty one
     will do), and leaves them there for the next item: the first segment
     advances the shared coefficients into `kit["values"]`; each later one
     zeroes the wave zone of that buffer and hands it to the propagator's
@@ -98,15 +99,14 @@ def _chain(u, p_core: SubspaceProjector, coeffs, schedule: MeasurementSchedule,
     the two buffers swap; a matrix basis changes basis into fresh arrays.
     The bits are those of `advance`, `apply` and `transform` on separate
     arrays.  The returned array is the kit's, so the caller reduces it
-    before the kit goes back.
+    before the kit's next item runs.
 
     The segments of an equally spaced schedule differ at most in the last
     ulp and alternate (a a b c b c b ...), so the steps of the two most
     recently used durations are kept, in `kit["step"]` and `kit["step2"]`.
     Durations are strictly positive, so equal keys have identical bits and
-    each segment gets its own step.  An interrupt pending for the runner
-    (`statespace._stopping`) stops the chain before its next segment, so
-    Ctrl-C waits for one segment, not one chain.
+    each segment gets its own step.  An interrupt (`statespace._stopping`)
+    stops the chain before its next segment: Ctrl-C waits for one segment.
     """
     # [duration, kit key], most recently used first; a chain of one duration
     # uses "step" only, the slot a free evolve uses too
@@ -124,7 +124,7 @@ def _chain(u, p_core: SubspaceProjector, coeffs, schedule: MeasurementSchedule,
     values = kit["values"] = u._values(coeffs, step(first), kit.get("values"))
     for dt in rest:
         if _stopping.is_set():
-            raise KeyboardInterrupt  # the main thread's wait for the runner was interrupted
+            raise KeyboardInterrupt  # the main thread was interrupted
         advanced = u._apply(p_core._clip(values), step(dt), kit.get("spare"))
         if advanced is not values:  # the old buffer is the next segment's spare
             kit["spare"], kit["values"] = values, advanced
@@ -158,35 +158,32 @@ def survival_report(u, p_core: SubspaceProjector, e: WaveFunction,
     e is checked and transformed once.  One `_map` (inline on grids below
     its MAP_MIN_POINTS) runs the chain of every schedule, the longer work,
     and then the free evolution once per distinct t_final.  Every item
-    works in the arrays of a kit from one `statespace._Workspace`, which
-    this call owns and drops on return, so a thread allocates its buffers
-    and steps for its first item only and reuses them for every later one.
-    Either kind of item reads its scalars through a read-only view of the
-    kit's array, which never leaves the item, and keeps only those, never a
-    final state; each report has the bits of a call with its schedule alone.
+    works in its thread's kit, the dict of a `threading.local` this call
+    owns, so a thread allocates its buffers and steps for its first item
+    only.  An item reads its scalars through a read-only view of the kit's
+    array, which never leaves the item, and keeps no final state; each
+    report has the bits of a call with its schedule alone.
     """
     norm_sq = _require_unit_norm(e, "prepared state")
     _require_zone(norm_sq - p_core.mass(e), CORE_STATE_TOL, "prepared state", "core-zone")
     schedules = tuple(schedules)
     coeffs = u.transform(e)
-    workspace = _Workspace()
+    scratch = threading.local()
 
     def lent(values: np.ndarray) -> WaveFunction:
-        # a read-only view: the kit keeps the writable array, and the state
-        # dies with the item that reduces it
+        # read-only: the kit keeps the writable array; the state dies with its item
         return WaveFunction._adopt(u.space, values.view())
 
     def chain(schedule: MeasurementSchedule) -> tuple[float, float]:
-        with workspace.kit() as kit:
-            final = lent(_chain(u, p_core, coeffs, schedule, kit))
-            return abs(inner_product(e, final)) ** 2, final.norm_sq()
+        final = lent(_chain(u, p_core, coeffs, schedule, scratch.__dict__))
+        return abs(inner_product(e, final)) ** 2, final.norm_sq()
 
     def free(t: float) -> tuple[float, float]:
-        with workspace.kit() as kit:
-            step = kit["step"] = u._step(t, kit.get("step"))
-            values = kit["values"] = u._values(coeffs, step, kit.get("values"))
-            psi = lent(values)
-            return abs(inner_product(e, psi)) ** 2, 1.0 - p_core.mass(psi)
+        kit = scratch.__dict__
+        step = kit["step"] = u._step(t, kit.get("step"))
+        values = kit["values"] = u._values(coeffs, step, kit.get("values"))
+        psi = lent(values)
+        return abs(inner_product(e, psi)) ** 2, 1.0 - p_core.mass(psi)
 
     finals = list(dict.fromkeys(s.t_final for s in schedules))
     jobs = [(chain, s) for s in schedules] + [(free, t) for t in finals]

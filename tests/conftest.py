@@ -1,4 +1,7 @@
-"""Shared fixtures: the default lab grid, a helper pool of chosen size and seeded random states."""
+"""Shared fixtures: the default lab grid, a helper pool of chosen size and seeded random states.
+
+Every test fails if it leaves `statespace._stopping` set, which would stop later runs.
+"""
 
 from __future__ import annotations
 
@@ -18,6 +21,15 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def no_stop_left():
+    """Fail a test that leaves `statespace._stopping` set, then clear it for the next test."""
+    yield
+    left = statespace._stopping.is_set()
+    statespace._stopping.clear()
+    assert not left, "the test left statespace._stopping set"
 
 
 @pytest.fixture

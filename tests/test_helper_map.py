@@ -459,6 +459,80 @@ def test_interrupt_stops_the_runner_after_its_current_items(helpers, monkeypatch
     assert scenarios.run_scenario("hm-invariance", spec).passed
 
 
+def test_a_second_interrupt_leaves_at_once_and_the_runner_still_stops(helpers, monkeypatch):
+    """The second interrupt is raised while the runner is still in its item;
+    `_stopping` stays set until the runner is done, and the next run completes."""
+    import _thread
+
+    from zenolab import scenarios, zeno
+
+    helpers(0)
+    started = []
+    left = threading.Event()  # the main thread has raised
+    inner = statespace._map
+
+    def slowed(fn, items, most=None, points=None):
+        def item(x):
+            started.append(x)
+            if x is items[0]:
+                _thread.interrupt_main()
+                assert statespace._stopping.wait(timeout=30)
+                _thread.interrupt_main()
+                assert left.wait(timeout=30)
+            return fn(x)
+
+        return inner(item, items, most, points)
+
+    monkeypatch.setattr(zeno, "_map", slowed)
+    spec = ScenarioSpec(name="hm-invariance", grid_points=65536)
+    with pytest.raises(KeyboardInterrupt):
+        scenarios.run_scenario("hm-invariance", spec)
+    assert statespace._stopping.is_set()  # the runner still works
+    left.set()
+    _runner_ident()  # the runner has finished the abandoned scenario
+    assert not statespace._stopping.is_set()
+    assert len(started) == 1  # its chain stopped before the next segment
+    monkeypatch.setattr(zeno, "_map", inner)
+    assert scenarios.run_scenario("hm-invariance", spec).passed
+
+
+def test_an_interrupted_sweep_keeps_stopping_until_the_helpers_point_is_done(
+        helpers, monkeypatch, tmp_path, capsys):
+    """Ctrl-C during `sweep --jobs 2`: the main thread's point, on the runner,
+    stops, and `_stopping` stays set until the helper's point has stopped too."""
+    import _thread
+
+    from zenolab import scenarios
+
+    helpers(1)
+    runner = _runner_ident()
+    both = threading.Barrier(2, action=_thread.interrupt_main, timeout=30)
+    runner_done = threading.Event()
+    seen = []  # whether the helper's point still found `_stopping` set
+
+    def blocked(**kwargs):
+        both.wait()  # both points run
+        if threading.get_ident() == runner:
+            try:
+                assert statespace._stopping.wait(timeout=30)
+                raise KeyboardInterrupt  # as a chain does before its next segment
+            finally:
+                runner_done.set()
+        assert runner_done.wait(timeout=30)
+        time.sleep(0.2)  # the main thread sees the runner done
+        seen.append(statespace._stopping.is_set())
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(scenarios.SCENARIOS, "hm-invariance", blocked)
+    argv = ["sweep", "hm-invariance", "--param", "sigma", "--values", "0.9,1.1",
+            "--grid-points", "65536", "--jobs", "2", "--out", str(tmp_path)]
+    assert cli.main(argv) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+    assert seen == [True]
+    assert not statespace._stopping.is_set()
+    assert _permits_back(1)
+
+
 # ----------------------------------------------------------------------
 # byte identity of CLI outputs
 # ----------------------------------------------------------------------

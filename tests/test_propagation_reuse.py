@@ -513,7 +513,7 @@ def test_condition_I_transforms_each_state_and_time_once():
 
 def test_condition_I_advances_every_state_of_a_time_into_one_buffer():
     """Every time item of a thread writes all its states into the one values
-    array of its workspace kit, so the inverse FFTs use one buffer per thread."""
+    array of its thread's kit, so the inverse FFTs use one buffer per thread."""
     u, pair, waves, _ = _lab()
     buffers = []  # (thread, output array) of each inverse FFT, kept alive so no id is reused
     ifft = np.fft.ifft

@@ -1,13 +1,13 @@
-"""The workspace of a survival report: a fixed set of arrays, one kit per running item.
+"""The kits of a survival report: a fixed set of arrays, one kit per thread.
 
-`survival_report` owns a `statespace._Workspace` for the length of the call
-and every chain and free-evolve item writes its values and steps into the
-arrays of a kit borrowed from it.  numpy reports its data buffers to
-`tracemalloc`, so these tests count state-sized allocations without relying
-on the allocator's page faults: a warm report allocates the same few arrays
-however many schedules it runs.  Items running at once never share an array,
-the arrays die with the report, and the reports keep their bits with and
-without a helper.
+`survival_report` owns a `threading.local` for the length of the call, and
+every chain and free-evolve item writes its values and steps into the
+arrays of its thread's kit, the local's dict.  numpy reports its data
+buffers to `tracemalloc`, so these tests count state-sized allocations
+without relying on the allocator's page faults: a warm report allocates the
+same few arrays however many schedules it runs.  Items running at once
+never share an array, the arrays die with the report, and the reports keep
+their bits with and without a helper.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import gc
 import threading
 import tracemalloc
 import weakref
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -63,10 +62,10 @@ def _bits(reports) -> list[str]:
 
 
 def test_a_warm_report_allocates_the_same_state_arrays_for_any_schedule_count(monkeypatch):
-    """Items run one after the other here, so a kit is made once: the first
-    chain allocates its values and the two step slots, and no later chain or
-    free evolve allocates a state-sized array.  With fresh arrays per item
-    each one allocated at least two.
+    """Items run one after the other on one thread here, so they share one
+    kit: the first chain allocates its values and the two step slots, and no
+    later chain or free evolve allocates a state-sized array.  With fresh
+    arrays per item each one allocated at least two.
 
     The grid has 2^15 points: a lattice step's outer product goes through
     numpy's buffered iterator, whose two temporary buffers of 8192 complex
@@ -106,19 +105,16 @@ def test_a_warm_report_allocates_the_same_state_arrays_for_any_schedule_count(mo
     assert [items[0] for items in counts.values()] == [2, 2]
 
 
-@contextmanager
-def _recording_kits(monkeypatch, seen: list):
-    """Append each kit's arrays, as its item hands it back, to `seen`."""
-    kit = statespace._Workspace.kit
+def _recording_kits(monkeypatch, seen: list) -> None:
+    """Append the arrays of each chain's kit, as the chain returns, to `seen`."""
+    chain = zeno._chain
 
-    @contextmanager
-    def recording(self):
-        with kit(self) as lent:
-            yield lent
-            seen.append([a for a in lent.values() if isinstance(a, np.ndarray)])
+    def recording(u, p_core, coeffs, schedule, kit):
+        final = chain(u, p_core, coeffs, schedule, kit)
+        seen.append([a for a in kit.values() if isinstance(a, np.ndarray)])
+        return final
 
-    monkeypatch.setattr(statespace._Workspace, "kit", recording)
-    yield
+    monkeypatch.setattr(zeno, "_chain", recording)
 
 
 @pytest.mark.parametrize("kind", ["spectral", "shift"])
@@ -157,8 +153,8 @@ def test_the_workspace_arrays_die_when_the_report_returns(kind, helpers, monkeyp
     seen = []
     gc.disable()  # freed by reference counts alone: no cycle holds them
     try:
-        with _recording_kits(monkeypatch, seen):
-            survival_report(u, p_core, e, _schedules(6, dx))
+        _recording_kits(monkeypatch, seen)
+        survival_report(u, p_core, e, _schedules(6, dx))
         refs = [weakref.ref(a) for arrays in seen for a in arrays]
         seen.clear()
         assert refs
