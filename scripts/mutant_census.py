@@ -59,7 +59,7 @@ MUTANTS = (
      "lambda tk: tk <= 2 * math.log(DIVERGENCE_FACTOR)"),
     ("eigenvector budget against 1", "scenarios.py",
      "<= math.log(eigen_tol / CUTOFF_ROUNDOFF)", "<= math.log(1.0 / CUTOFF_ROUNDOFF)"),
-    ("step keeps the conjugate's -0.0", "operators.py", "            mirror.imag += 0.0\n", ""),
+    ("step keeps the conjugate's -0.0", "operators.py", "        mirror.imag += 0.0\n", ""),
     ("hn_norms ceiling cap off", "analytic.py",
      "if at_ceiling >= CEILING_WINDOW and n < n_max:", "if False:"),
     ("clip leaves one sample", "subspaces.py",
@@ -72,10 +72,12 @@ MUTANTS = (
     ("hn_norms weights its norm by sqrt(dx)", "analytic.py", "r = float(_norm(v))",
      "r = float(_norm(v) * math.sqrt(psi.space.dx))"),
     ("matrix _apply skips the diagonal", "operators.py",
-     "            coeffs = self._adjoint @ values\n"
-     "        return self._inverse(np.multiply(diagonal, coeffs, out=coeffs))",
-     "            return self._inverse(self._adjoint @ values)\n"
-     "        return self._inverse(np.multiply(diagonal, coeffs, out=coeffs))"),
+     "        return self._values(coeffs, diagonal, out=coeffs)\n",
+     "        if self._adjoint is not None:\n"
+     "            return self._inverse(coeffs)\n"
+     "        return self._values(coeffs, diagonal, out=coeffs)\n"),
+    ("_coeffs ignores out", "operators.py",
+     "np.fft.fft(values, out=out)", "np.fft.fft(values)"),
     ("shift transform copies", "operators.py", "        return psi.values\n",
      "        return psi.values.copy()\n"),
     ("json keeps nan and inf", "scenarios.py", "obj if math.isfinite(obj) else str(obj)",
@@ -119,6 +121,9 @@ MUTANTS = (
      "            pass\n        raise\n    finally:\n        _stopping.clear()\n"),
     ("sweep helpers are not counted as working", "statespace.py",
      "helpers.append(_submit(_pool, helper))", "helpers.append(_pool.submit(helper))"),
+    ("a map's own interrupt leaves the helpers running", "statespace.py",
+     "                _halt()\n            errors[i] = exc",
+     "                pass\n            errors[i] = exc"),
 )
 
 

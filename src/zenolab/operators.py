@@ -19,12 +19,12 @@ propagator is the functional calculus U(t) = exp(-i t H), in three steps:
 caller that evolves one state to many times, or many states to one time,
 transforms each state once and builds each phase vector once and gets the
 same bits as separate evolves.  Coefficients and steps are read-only and
-``advance`` never writes to them.  ``Propagator`` alone changes basis, in
-four private primitives: ``_coeffs`` (forward), ``_values`` (multiply by
-a diagonal and change back: a step gives U(t) psi, the eigenvalues H psi),
-``_inverse`` (the bare change back) and ``_apply`` (all three on values
-the caller hands over, in that array on the FFT basis), so a measurement
-chain runs in one buffer from its first step on.  ``_step(t, out)`` writes
+``advance`` never writes to them.  ``Propagator`` alone changes basis, each
+way in one place: ``_coeffs`` forward, ``_inverse`` back, ``_values``
+multiplies by a diagonal and changes back (a step gives U(t) psi, the
+eigenvalues H psi), and ``_apply`` is ``_coeffs`` then ``_values`` on one
+buffer, the caller's values on the FFT basis, so a measurement chain runs
+in one buffer from its first step on.  ``_step(t, out)`` writes
 a step into a buffer the caller hands over, and ``_values`` takes one too,
 so the items of a survival report or a condition check reuse their
 thread's arrays instead of allocating new ones.
@@ -180,17 +180,17 @@ class Propagator:
     def transform(self, psi: WaveFunction) -> np.ndarray:
         """Read-only eigenbasis coefficients of psi."""
         psi._require_space(self.space)
-        return self._coeffs(psi.values)
-
-    def _coeffs(self, values: np.ndarray) -> np.ndarray:
-        """Read-only coefficients of `values`, a fresh array."""
-        if self._adjoint is None:
-            coeffs = np.fft.fft(values)
-            coeffs *= self._scale
-        else:
-            coeffs = self._adjoint @ values
+        coeffs = self._coeffs(psi.values)
         coeffs.setflags(write=False)
         return coeffs
+
+    def _coeffs(self, values: np.ndarray, out=None) -> np.ndarray:
+        """Coefficients of `values`, fresh or, on the FFT basis, in `out`."""
+        if self._adjoint is None:
+            coeffs = np.fft.fft(values, out=out)
+            coeffs *= self._scale
+            return coeffs
+        return self._adjoint @ values
 
     def step(self, t: float) -> np.ndarray:
         """Read-only phase vector exp(-i t lambda).
@@ -209,33 +209,30 @@ class Propagator:
         return phases
 
     def _step(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
-        """`step(t)`'s phases, written into the writable array `out`, or fresh when None."""
+        """`step(t)`'s phases, into the writable array `out` or fresh when None; one multiply-
+        and-exp covers a non-lattice spectrum: all n entries, no mirror, on a matrix basis."""
         h = self.generator
-        if h.basis is not None:
-            phases = np.multiply(-1j * float(t), h.eigenvalues, out=out)
-            np.exp(phases, out=phases)
+        n = h.eigenvalues.size
+        half = n if h.basis is not None else n // 2 + 1
+        phases = np.empty(n, dtype=np.complex128) if out is None else out
+        if h._spacing is None:
+            np.multiply(-1j * float(t), h.eigenvalues[:half], out=phases[:half])
+            np.exp(phases[:half], out=phases[:half])
         else:
-            n = h.eigenvalues.size
-            half = n // 2 + 1
-            phases = np.empty(n, dtype=np.complex128) if out is None else out
-            if h._spacing is None:
-                np.multiply(-1j * float(t), h.eigenvalues[:half], out=phases[:half])
-                np.exp(phases[:half], out=phases[:half])
-            else:
-                b = math.isqrt(n // 2) + 1
-                rows = -(-half // b)
-                theta = 1j * (-float(t) * h._spacing)
-                coarse = np.exp(theta * (b * np.arange(rows, dtype=np.float64)))
-                fine = np.exp(theta * np.arange(b, dtype=np.float64))
-                # rows * b <= n, so the table fills a prefix of phases; the
-                # entries past n/2 are overwritten by the mirror below
-                np.multiply(coarse[:, None], fine, out=phases[:rows * b].reshape(rows, b))
-            mirror = phases[half:]
-            np.conjugate(phases[1:n - half + 1][::-1], out=mirror)
-            # where t * lambda rounds to 0 the phase is 1 + 0j on both sides;
-            # adding +0.0 turns the conjugate's -0.0 back into +0.0 and
-            # leaves every other value as it is
-            mirror.imag += 0.0
+            b = math.isqrt(n // 2) + 1
+            rows = -(-half // b)
+            theta = 1j * (-float(t) * h._spacing)
+            coarse = np.exp(theta * (b * np.arange(rows, dtype=np.float64)))
+            fine = np.exp(theta * np.arange(b, dtype=np.float64))
+            # rows * b <= n, so the table fills a prefix of phases; the
+            # entries past n/2 are overwritten by the mirror below
+            np.multiply(coarse[:, None], fine, out=phases[:rows * b].reshape(rows, b))
+        mirror = phases[half:]
+        np.conjugate(phases[1:n - half + 1][::-1], out=mirror)
+        # where t * lambda rounds to 0 the phase is 1 + 0j on both sides;
+        # adding +0.0 turns the conjugate's -0.0 back into +0.0 and
+        # leaves every other value as it is
+        mirror.imag += 0.0
         return phases
 
     def advance(self, coeffs: np.ndarray, step: np.ndarray) -> WaveFunction:
@@ -249,15 +246,11 @@ class Propagator:
         return self._inverse(np.multiply(diagonal, coeffs, out=out))
 
     def _apply(self, values: np.ndarray, diagonal: np.ndarray, spare=None) -> np.ndarray:
-        """`_values(_coeffs(values), diagonal)` bit for bit, for a chain's later segments:
+        """`_values(_coeffs(values), diagonal)` on one buffer, for a chain's later segments:
         the FFT basis works in `values` and returns it, a matrix basis a fresh array.
         `spare` is for a shift, whose roll cannot run in place; it is not used here."""
-        if self._adjoint is None:
-            coeffs = np.fft.fft(values, out=values)
-            coeffs *= self._scale
-        else:
-            coeffs = self._adjoint @ values
-        return self._inverse(np.multiply(diagonal, coeffs, out=coeffs))
+        coeffs = self._coeffs(values, out=values)
+        return self._values(coeffs, diagonal, out=coeffs)
 
     def _inverse(self, coeffs: np.ndarray) -> np.ndarray:
         """Values of `coeffs`, which must be a fresh array: it is overwritten."""
@@ -326,8 +319,7 @@ class ShiftPropagator:
         return self.step(t)
 
     def _apply(self, values: np.ndarray, step: int, spare=None) -> np.ndarray:
-        """`_values`, as the values are the coefficients: into `spare`, which must
-        not be `values`, or fresh when None."""
+        """`_values`, as values are coefficients: into `spare`, never `values`, or fresh."""
         return self._values(values, step, spare)
 
     def evolve(self, psi: WaveFunction, t: float) -> WaveFunction:

@@ -31,8 +31,8 @@ inputs as a serial loop, so the bits do not depend on how many helpers took
 part.  A scenario of MAP_MIN_POINTS or more points called on the main
 thread runs on one runner thread, whose malloc arena refaults fewer pages
 (`_run_apart`), while the main thread waits with no permit.  An interrupt
-of a wait (`_join`) sets `_stopping` until neither the runner nor a helper
-works: every map stops after its current item, a chain after its segment.
+of a wait (`_join`) or a map item sets `_stopping` until neither the runner
+nor a helper works: every map stops after its item, a chain after its segment.
 """
 
 from __future__ import annotations
@@ -86,6 +86,13 @@ def _submit(executor, fn):
     return executor.submit(work)
 
 
+def _halt() -> None:
+    """Set `_stopping` for an interrupt while some fn in `_working` is left to clear it."""
+    with _lock:
+        if _working:
+            _stopping.set()
+
+
 def _join(futures) -> list:
     """The futures' results, in timed waits that raise an interrupt: the first
     sets `_stopping` and is raised once they are done, a second at once."""
@@ -93,9 +100,7 @@ def _join(futures) -> list:
         while wait(futures, timeout=0.05).not_done:
             pass
     except KeyboardInterrupt:
-        with _lock:
-            if _working:  # else no fn is left to clear it
-                _stopping.set()
+        _halt()
         while wait(futures, timeout=0.05).not_done:
             pass
         raise
@@ -128,6 +133,8 @@ def _map(fn, items, most: int | None = None, points: int | None = None) -> list:
                 raise KeyboardInterrupt  # the main thread was interrupted
             results[i] = fn(items[i])
         except BaseException as exc:
+            if isinstance(exc, KeyboardInterrupt):  # the helpers' items stop too
+                _halt()
             errors[i] = exc
 
     def helper() -> None:

@@ -108,8 +108,7 @@ def _chain(u, p_core: SubspaceProjector, coeffs, schedule: MeasurementSchedule,
     each segment gets its own step.  An interrupt (`statespace._stopping`)
     stops the chain before its next segment: Ctrl-C waits for one segment.
     """
-    # [duration, kit key], most recently used first; a chain of one duration
-    # uses "step" only, the slot a free evolve uses too
+    # [duration, kit key], most recently used first; one duration uses "step" only
     slots = [[None, "step2"], [None, "step"]]
 
     def step(dt: float):
@@ -157,37 +156,29 @@ def survival_report(u, p_core: SubspaceProjector, e: WaveFunction,
 
     e is checked and transformed once.  One `_map` (inline on grids below
     its MAP_MIN_POINTS) runs the chain of every schedule, the longer work,
-    and then the free evolution once per distinct t_final.  Every item
-    works in its thread's kit, the dict of a `threading.local` this call
-    owns, so a thread allocates its buffers and steps for its first item
-    only.  An item reads its scalars through a read-only view of the kit's
-    array, which never leaves the item, and keeps no final state; each
-    report has the bits of a call with its schedule alone.
+    and then, as an empty schedule's chain, the free evolve to each distinct
+    t_final.  Every item works in its thread's kit, the dict of a
+    `threading.local` this call owns, so a thread allocates its buffers and
+    steps for its first item only.  An item reads its scalars through a
+    read-only view of the kit's array and keeps no final state; each report
+    has the bits of a call with its schedule alone.
     """
     norm_sq = _require_unit_norm(e, "prepared state")
     _require_zone(norm_sq - p_core.mass(e), CORE_STATE_TOL, "prepared state", "core-zone")
     schedules = tuple(schedules)
     coeffs = u.transform(e)
     scratch = threading.local()
-
-    def lent(values: np.ndarray) -> WaveFunction:
-        # read-only: the kit keeps the writable array; the state dies with its item
-        return WaveFunction._adopt(u.space, values.view())
-
-    def chain(schedule: MeasurementSchedule) -> tuple[float, float]:
-        final = lent(_chain(u, p_core, coeffs, schedule, scratch.__dict__))
-        return abs(inner_product(e, final)) ** 2, final.norm_sq()
-
-    def free(t: float) -> tuple[float, float]:
-        kit = scratch.__dict__
-        step = kit["step"] = u._step(t, kit.get("step"))
-        values = kit["values"] = u._values(coeffs, step, kit.get("values"))
-        psi = lent(values)
-        return abs(inner_product(e, psi)) ** 2, 1.0 - p_core.mass(psi)
-
     finals = list(dict.fromkeys(s.t_final for s in schedules))
-    jobs = [(chain, s) for s in schedules] + [(free, t) for t in finals]
-    done = _map(lambda job: job[0](job[1]), jobs, points=u.space.n_points)
+    jobs = schedules + tuple(MeasurementSchedule(t, ()) for t in finals)
+
+    def chain(i: int) -> tuple[float, float]:
+        # read-only: the kit keeps the writable array; the state dies with its item
+        values = _chain(u, p_core, coeffs, jobs[i], scratch.__dict__).view()
+        final = WaveFunction._adopt(u.space, values)
+        kept = final.norm_sq() if i < len(schedules) else 1.0 - p_core.mass(final)
+        return abs(inner_product(e, final)) ** 2, kept
+
+    done = _map(chain, range(len(jobs)), points=u.space.n_points)
     free_at = dict(zip(finals, done[len(schedules):]))
     return tuple(
         SurvivalReport(

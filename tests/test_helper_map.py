@@ -393,7 +393,7 @@ def test_sweep_computes_on_at_most_cpus_threads_and_never_on_the_waiting_main_th
     permits = WatchedPermits(1)
     monkeypatch.setattr(statespace, "_permits", permits)
     tally = Tally()  # threads inside a Propagator primitive, none of which calls another
-    for name in ("_coeffs", "step", "_values", "_apply"):
+    for name in ("_coeffs", "step", "_values"):  # `_apply` is `_coeffs` then `_values`
         def counted(*args, _fn=getattr(Propagator, name), **kwargs):
             tally.enter()
             try:
@@ -529,6 +529,37 @@ def test_an_interrupted_sweep_keeps_stopping_until_the_helpers_point_is_done(
     assert cli.main(argv) == 130
     assert capsys.readouterr().err == "interrupted\n"
     assert seen == [True]
+    assert not statespace._stopping.is_set()
+    assert _permits_back(1)
+
+
+def test_an_interrupt_in_the_callers_own_item_stops_the_helpers_item(helpers):
+    """Ctrl-C that lands in the item the calling main thread runs itself sets
+    `_stopping`: the helper's item stops at its next poll, not at its end, and
+    the flag is clear once the helper is done."""
+    helpers(1)
+    both = threading.Barrier(2, timeout=30)
+    raised = threading.Event()
+    seen = []  # polls that still found `_stopping` clear after the interrupt
+
+    def item(x):
+        both.wait()  # both items run
+        if threading.current_thread() is threading.main_thread():
+            raised.set()
+            raise KeyboardInterrupt  # as Python's SIGINT handler raises it here
+        late = 0
+        for _ in range(40):  # 2 s of polls
+            if statespace._stopping.is_set():
+                seen.append(late)
+                raise KeyboardInterrupt  # as a chain does before its next segment
+            late += raised.is_set()
+            time.sleep(0.05)
+        seen.append(None)
+        return x
+
+    with pytest.raises(KeyboardInterrupt):
+        _map(item, range(2))
+    assert seen in ([0], [1])  # 1 when a poll fell between the raise and the set
     assert not statespace._stopping.is_set()
     assert _permits_back(1)
 

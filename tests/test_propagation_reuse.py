@@ -340,16 +340,23 @@ def _off_lattice(grid: Grid) -> SpectralOperator:
 def test_step_is_as_accurate_as_whole_spectrum_exp(n_points):
     """Against exp(-i t j dk) in long double, dk = 2 pi / L, the exact spectrum
     of -i d/dx on the grid, the lattice step is never further off than exp
-    over the whole array of rounded eigenvalues, or 2 eps where that is closer."""
+    over the whole array of rounded eigenvalues, or 2 eps where that is closer.
+
+    Only the entries [0, n/2] are compared, which holds the same over all n:
+    `test_step_mirrors_its_first_half_with_positive_zeros` pins each entry
+    past n/2 as the conjugate of one before it, the exact spectrum is odd so
+    the reference is mirrored too, and |conj(a) - conj(b)| = |a - b|; exp's
+    error on the first half bounds the step at least as strictly as on all n."""
     grid = Grid(-40.0, 40.0, n_points)
     u = Propagator(momentum_operator(grid))
+    half = n_points // 2 + 1
     lam = u.generator.eigenvalues
-    exact = np.rint(lam / lam[1]).astype(np.longdouble) * (
+    exact = np.rint(lam[:half] / lam[1]).astype(np.longdouble) * (
         8 * np.arctan(np.longdouble(1)) / np.longdouble(grid.length))
     for t in _step_times():
         reference = np.exp(-1j * (np.longdouble(t) * exact))
-        step_error = np.max(np.abs(u.step(t) - reference))
-        exp_error = np.max(np.abs(naive_step(u, t) - reference))
+        step_error = np.max(np.abs(u.step(t)[:half] - reference))
+        exp_error = np.max(np.abs(naive_step(u, t)[:half] - reference))
         assert step_error <= max(exp_error, 2 * EPS), t
 
 
@@ -361,7 +368,7 @@ def test_step_matches_whole_spectrum_exp_bit_for_bit(n_points):
         assert u.step(t).tobytes() == naive_step(u, t).tobytes(), t
 
 
-@pytest.mark.parametrize("n_points", [4, 256, 2**12])
+@pytest.mark.parametrize("n_points", [4, 256, 2**12, 2**16])
 def test_step_mirrors_its_first_half_with_positive_zeros(n_points):
     """Entries past n/2 are the conjugates of n/2 - 1 .. 1, bit for bit, except
     that a zero imaginary part is +0.0 (t = -0.0 makes every one +0.0 first)."""
@@ -583,9 +590,9 @@ def test_series_validity_sums_its_series_in_coefficients():
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_every_fft_is_a_propagator_basis_change(name):
-    """A default run calls np.fft only through `Propagator._coeffs`, `_apply`
-    (forward) and `_inverse`, apart from the one field-synthesis ifft of each
-    `_window_state` call."""
+    """A default run calls np.fft only through `Propagator._coeffs` (forward,
+    `_apply`'s too) and `_inverse`, apart from the one field-synthesis ifft of
+    each `_window_state` call."""
     changes = {"fft": 0, "ifft": 0}
     windows = []
     lock = threading.Lock()
@@ -607,7 +614,6 @@ def test_every_fft_is_a_propagator_basis_change(name):
     with pytest.MonkeyPatch.context() as mp:
         counts = _install_counters(mp)
         mp.setattr(Propagator, "_coeffs", counting("fft", Propagator._coeffs))
-        mp.setattr(Propagator, "_apply", counting("fft", Propagator._apply))
         mp.setattr(Propagator, "_inverse", counting("ifft", Propagator._inverse))
         mp.setattr(scenarios, "_window_state", counting_window)
         run_scenario(name)

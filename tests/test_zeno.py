@@ -155,11 +155,17 @@ def test_translation_measurement_invariance_exact_shift(grid, zone_pair):
 
 
 def test_empty_schedule_reduces_to_free_survival(grid, zone_pair, translator):
+    """Both survivals of an empty schedule, and the free leakage, have the bits
+    of a plain `evolve` into fresh arrays, a path apart from the report's."""
     p_core, _ = zone_pair
     e = core_zone_state(p_core, make_gaussian(grid, -8.0, 1.0))
-    rep = survival_report(translator, p_core, e, [MeasurementSchedule.equally_spaced(2.0, 0)])[0]
-    assert rep.s_measured == rep.s_free
-    assert rep.n_measurements == 0
+    for u, t in [(translator, 2.0), (ShiftPropagator(grid), 102 * grid.dx)]:
+        rep = survival_report(u, p_core, e, [MeasurementSchedule.equally_spaced(t, 0)])[0]
+        free = u.evolve(e, t)
+        s_free = abs(inner_product(e, free)) ** 2
+        assert rep.s_measured.hex() == rep.s_free.hex() == s_free.hex()
+        assert rep.leakage_free.hex() == (1.0 - p_core.mass(free)).hex()
+        assert rep.n_measurements == 0
 
 
 def _prefix_reports(u, p_core, e, schedule):
