@@ -5,7 +5,10 @@
 PARENT and CHANGE are the roots of two checkouts.  One worker process per
 checkout imports zenolab from that checkout's own ``src/`` through its
 ``benchmarks/workloads.py``, builds the workload's seeded inputs and runs
-one untimed warm-up op.  The controller then sends the same input to both
+one untimed warm-up op.  Like ``benchmarks/run.py``, a worker writes its
+outputs under its checkout's ``.bench_out/`` (in ``paired-<pid>/``, removed
+when it exits), so an emission change is timed on the filesystem the
+benchmark writes to.  The controller then sends the same input to both
 workers, one after the other: PARENT first in even pairs, CHANGE first in
 odd ones, so that a drift in the host's speed hits both sides alike.  A
 worker times ``Workload.run`` by wall clock and process CPU time, counts
@@ -32,11 +35,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -50,8 +54,10 @@ def worker(checkout: Path, workload: str, seed: int) -> int:
 
     workloads.import_zenolab()
     protocol, sys.stdout = sys.stdout, sys.stderr  # zenolab's prints stay off the protocol
-    with tempfile.TemporaryDirectory(prefix="paired-ops-") as tmp:
-        wl = workloads.WORKLOADS[workload](seed, Path(tmp))
+    out_dir = checkout / ".bench_out" / f"paired-{os.getpid()}"
+    out_dir.parent.mkdir(exist_ok=True)
+    try:
+        wl = workloads.WORKLOADS[workload](seed, out_dir)
         wl.check(wl.inputs[0], wl.run(wl.inputs[0]))  # warm-up, untimed
         print("ready", file=protocol, flush=True)
         for line in sys.stdin:
@@ -71,6 +77,8 @@ def worker(checkout: Path, workload: str, seed: int) -> int:
                       # KiB on Linux; the high-water mark, so the last op's is the peak
                       "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}
             print(json.dumps(record), file=protocol, flush=True)
+    finally:
+        shutil.rmtree(out_dir, ignore_errors=True)
     return 0
 
 

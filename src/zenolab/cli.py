@@ -20,8 +20,12 @@ exits 2 when any point raised an error, after running all the others.
 Output layout: <out>/<scenario>/summary.txt, bundle.json and one CSV per
 curve table.  CSVs are UTF-8 with LF endings, a `# column,names` header
 line, and 17-significant-digit scientific notation for floats so that
-golden files round-trip bit-exactly.  The output root comes from --out,
-else $ZENOLAB_OUT, else ./zenolab-out.
+golden files round-trip bit-exactly.  An existing output file is rewritten
+in place and cut to length: the same bytes as a truncate-then-write, and no
+more atomic.  A write that fails midway leaves a partial file, and a machine
+crash before writeback may leave the previous run's file whole, looking
+complete and valid, or old and new bytes mixed.  The output root comes from
+--out, else $ZENOLAB_OUT, else ./zenolab-out.
 
 Config files are flat `key = value` lines with `#` comments; keys use the
 long flag spellings (e.g. `grid-points = 4096`).  Explicit flags override
@@ -191,7 +195,19 @@ def _format_cell(value) -> str:
 def write_table(path: Path, table: CurveTable) -> None:
     lines = ["# " + ",".join(table.columns)]
     lines += [",".join([_format_cell(v) for v in row]) for row in table.rows]
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    _write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+
+
+def _write(path: Path, data: bytes) -> None:
+    """`Path.write_bytes` in place: ext4, xfs and btrfs start writeback when a file truncated
+    to zero and rewritten closes, so an existing file is overwritten and cut to length.
+    Only a longer old file is cut: a FIFO or a device has no length and cannot be cut."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as file:
+        old = os.fstat(fd).st_size
+        file.write(data)
+        if len(data) < old:
+            file.truncate()
 
 
 def emit_outputs(bundle: VerdictBundle, out_dir: Path, fmt: str) -> list[Path]:
@@ -199,11 +215,11 @@ def emit_outputs(bundle: VerdictBundle, out_dir: Path, fmt: str) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     summary_path = out_dir / "summary.txt"
-    summary_path.write_bytes(bundle.summary_text().encode("utf-8"))
+    _write(summary_path, bundle.summary_text().encode("utf-8"))
     written.append(summary_path)
     if fmt in ("bundle", "both"):
         bundle_path = out_dir / "bundle.json"
-        bundle_path.write_bytes(bundle.to_json_bytes())
+        _write(bundle_path, bundle.to_json_bytes())
         written.append(bundle_path)
     if fmt in ("csv", "both"):
         for name in sorted(bundle.tables):

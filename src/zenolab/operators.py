@@ -227,12 +227,13 @@ class Propagator:
             # rows * b <= n, so the table fills a prefix of phases; the
             # entries past n/2 are overwritten by the mirror below
             np.multiply(coarse[:, None], fine, out=phases[:rows * b].reshape(rows, b))
-        mirror = phases[half:]
-        np.conjugate(phases[1:n - half + 1][::-1], out=mirror)
-        # where t * lambda rounds to 0 the phase is 1 + 0j on both sides;
-        # adding +0.0 turns the conjugate's -0.0 back into +0.0 and
-        # leaves every other value as it is
-        mirror.imag += 0.0
+        if half < n:
+            mirror = phases[half:]
+            np.conjugate(phases[1:n - half + 1][::-1], out=mirror)
+            # where t * lambda rounds to 0 the phase is 1 + 0j on both sides;
+            # adding +0.0 turns the conjugate's -0.0 back into +0.0 and
+            # leaves every other value as it is
+            mirror.imag += 0.0
         return phases
 
     def advance(self, coeffs: np.ndarray, step: np.ndarray) -> WaveFunction:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import enum
 import json
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -388,6 +389,21 @@ def test_sweep_parallel_jobs(tmp_path, capsys):
     assert (tmp_path / "rabi-control" / "omega=1.1" / "summary.txt").is_file()
 
 
+def test_a_sweep_run_again_into_its_output_root_rewrites_the_same_files(tmp_path, capsys):
+    argv = ["sweep", "rabi-control", "--param", "omega", "--values", "1.0,1.1",
+            "--out", str(tmp_path)]
+
+    def files():
+        return {p.relative_to(tmp_path): p.read_bytes()
+                for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+
+    assert _run(argv) == 0
+    first = files()
+    assert _run(argv) == 0
+    capsys.readouterr()
+    assert len(first) == 2 * 3 and files() == first  # summary, bundle and one CSV a point
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweep_reports_every_point_when_one_is_rejected(jobs, tmp_path, capsys):
     # sigma = 1.4 puts 5e-9 of gaussian(8) into the core zone, past the
@@ -747,3 +763,32 @@ def test_write_table_bytes(tmp_path):
     write_table(path, table)
     assert path.read_bytes() == (b"# t,flag,label\n1.0000000000000001e-01,1,a\nnan,0,None\n"
                                  b"-2.5000000000000000e+00,3,-7\ninf,-inf,nan\n")
+
+
+@pytest.mark.parametrize("stale", [b"x" * 4096, b"# t\n", None], ids=["longer", "shorter", "none"])
+def test_write_table_leaves_only_its_own_bytes_over_a_stale_file(stale, tmp_path):
+    """The table is written over the old file in place, and the old tail is cut off."""
+    table = CurveTable(("t", "flag"), ((0.5, True), (1.5, False)))
+    path = tmp_path / "table.csv"
+    if stale is not None:
+        path.write_bytes(stale)
+    write_table(path, table)
+    assert path.read_bytes() == b"# t,flag\n5.0000000000000000e-01,1\n1.5000000000000000e+00,0\n"
+
+
+def test_write_needs_no_read_access_to_an_existing_file(tmp_path):
+    path = tmp_path / "summary.txt"
+    path.write_bytes(b"x" * 64)
+    path.chmod(0o200)
+    cli._write(path, b"new\n")
+    path.chmod(0o600)
+    assert path.read_bytes() == b"new\n"
+
+
+@pytest.mark.skipif(os.name == "nt", reason="the null device cannot be a symlink's target")
+def test_write_through_a_link_to_a_device_does_not_cut_it(tmp_path):
+    """A device has no length: writing through a link to one must not try to truncate it."""
+    path = tmp_path / "summary.txt"
+    path.symlink_to(os.devnull)
+    cli._write(path, b"new\n")
+    assert path.is_symlink()

@@ -34,10 +34,15 @@ def _masked(name: str, data: bytes) -> bytes:
 
 @pytest.mark.parametrize("scenario", SCENARIO_NAMES)
 def test_default_run_matches_golden(scenario, tmp_path, capsys):
-    assert main(["run", scenario, "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
+    """Each output path first holds junk longer than its golden file: the run writes over it
+    in place, so it must also cut the old tail off."""
     produced = tmp_path / scenario
     expected = GOLDEN / scenario
+    produced.mkdir()
+    for path in expected.iterdir():
+        (produced / path.name).write_bytes(b"stale\n" * (path.stat().st_size // 6 + 100))
+    assert main(["run", scenario, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
     assert sorted(p.name for p in produced.iterdir()) == sorted(p.name for p in expected.iterdir())
     for path in sorted(expected.iterdir()):
         assert _masked(path.name, (produced / path.name).read_bytes()) == path.read_bytes(), path.name

@@ -1,8 +1,12 @@
-"""scripts/mutant_census.py: its mutants apply, and only a named test counts as a kill."""
+"""scripts/mutant_census.py: its mutants apply, each names a test it runs, and only a named
+test counts as a kill."""
 
 from __future__ import annotations
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,10 +20,45 @@ _spec.loader.exec_module(census)
 
 @pytest.mark.parametrize("mutant", census.MUTANTS, ids=lambda m: m[0])
 def test_each_mutant_text_occurs_once(mutant):
-    _, module, text, replacement = mutant
+    _, module, text, replacement, _ = mutant
     source = (ROOT / "src" / "zenolab" / module).read_text(encoding="utf-8")
     assert source.count(text) == 1
     assert replacement != text
+
+
+def test_every_killer_is_a_tier1_test_that_the_census_runs():
+    killers = {m[4] for m in census.MUTANTS}
+    ignored = {flag.split("=", 1)[1] for flag in census.TIER1}
+    assert not {k for k in killers if k.split("::")[0] in ignored}
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+         *sorted(killers)],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert {line for line in run.stdout.splitlines() if "::" in line} == killers
+
+
+@pytest.mark.parametrize("killer_run, tier1_run, expected", [
+    ("failed", None, ("killed", "tests/k.py::test_k")),
+    ("passed", "failed", ("mismatch", "tests/o.py::test_o (the table names tests/k.py::test_k)")),
+    ("error", "failed", ("mismatch", "tests/o.py::test_o (the table names tests/k.py::test_k)")),
+    ("passed", "passed", ("passed", "")),
+])
+def test_only_a_mutant_its_killer_misses_gets_the_full_run(killer_run, tier1_run, expected,
+                                                           monkeypatch):
+    runs = []
+
+    def pytest_run(work, *args):
+        runs.append(args)
+        if args == ("tests/k.py::test_k",):
+            return killer_run, ""
+        return tier1_run, "tests/o.py::test_o" if tier1_run == "failed" else ""
+
+    monkeypatch.setattr(census, "pytest", pytest_run)
+    mutant = (*census.MUTANTS[-1][:4], "tests/k.py::test_k")
+    assert census.census(mutant) == expected
+    assert runs == [("tests/k.py::test_k",)] + [census.TIER1] * (tier1_run is not None)
 
 
 @pytest.mark.parametrize("returncode, stdout, stderr, expected", [

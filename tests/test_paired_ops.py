@@ -1,4 +1,5 @@
-"""scripts/paired_ops.py: outcome and bundle bytes are counted apart, faults and RSS per side."""
+"""scripts/paired_ops.py: outcome and bytes are counted apart, faults and RSS per side, and
+where a worker writes."""
 
 from __future__ import annotations
 
@@ -44,6 +45,8 @@ def test_outcome_and_bytes_are_counted_apart(changes, outcome, bytes_):
 
 FAKE_WORKLOADS = '''
 import mmap
+import os
+from pathlib import Path
 from types import SimpleNamespace
 
 
@@ -54,13 +57,20 @@ def import_zenolab():
 class Touch:
     """Each op writes one byte in each page of a fresh 4 MiB mapping: 1024 faults.
 
-    The mappings stay open, so each op adds 4 MiB to the resident set."""
+    The mappings stay open, so each op adds 4 MiB to the resident set.  Each op
+    also writes a file into the output directory, which must be the one that
+    benchmarks/run.py would use, but named for this worker."""
 
-    def __init__(self, seed, tmp):
+    def __init__(self, seed, out_dir):
+        checkout = Path(__file__).resolve().parent.parent
+        assert out_dir == checkout / ".bench_out" / f"paired-{os.getpid()}", out_dir
+        self.out_dir = out_dir
         self.inputs = [seed]
         self.kept = []
 
     def run(self, item):
+        self.out_dir.mkdir(exist_ok=True)
+        (self.out_dir / "op.txt").write_bytes(b"op")
         pages = mmap.mmap(-1, 4 << 20)
         for i in range(0, len(pages), mmap.PAGESIZE):
             pages[i] = 1
@@ -82,6 +92,8 @@ def test_each_side_reports_the_minor_faults_of_its_ops(tmp_path, capsys):
     (checkout / "benchmarks" / "workloads.py").write_text(FAKE_WORKLOADS)
     assert paired_ops.main([str(checkout), str(checkout), "--workload", "touch",
                             "--seed", "0", "--pairs", "3"]) == 0
+    # each worker wrote under the checkout's .bench_out/ and removed its directory
+    assert list((checkout / ".bench_out").iterdir()) == []
     lines = capsys.readouterr().out.splitlines()
     summary = json.loads(lines[-1])
     for side in paired_ops.SIDES:
