@@ -89,12 +89,12 @@ MUTANTS = (
      "if at_ceiling >= CEILING_WINDOW and n < n_max:", "if False:",
      "tests/test_analytic.py::test_hn_ceiling_cap_stops_noise_riding"),
     ("clip leaves one sample", "subspaces.py",
-     "values[self.stop:] = 0.0", "values[self.stop + 1:] = 0.0",
+     "values[..., self.stop:] = 0.0", "values[..., self.stop + 1:] = 0.0",
      "tests/test_acceptance.py::test_acceptance_3_rabi_control"),
     ("zone guard ten times looser", "subspaces.py", "if off > tol:", "if off > 10 * tol:",
      "tests/test_zeno.py::test_real_wave_zone_mass_is_still_rejected"),
-    ("chain's later steps doubled", "zeno.py", "_clip(values), step(dt), kit",
-     "_clip(values), step(2 * dt), kit",
+    ("chain's later steps doubled", "zeno.py", "_clip(values), step(dts), kit",
+     "_clip(values), step([2 * dt for dt in dts]), kit",
      "tests/test_acceptance.py::test_acceptance_2_measurement_invariance"),
     ("hn_norms applies 2 H", "analytic.py", "np.multiply(h.eigenvalues, v, out=v)",
      "np.multiply(2 * h.eigenvalues, v, out=v)",
@@ -177,7 +177,7 @@ MUTANTS = (
      "scratch = threading.local()", "scratch = lambda: None",
      "tests/test_workspace.py::test_items_running_at_once_never_hold_the_same_array[spectral]"),  # one kit for all threads
     ("the chain's two step slots collapse into one", "zeno.py",
-     'slots = [[None, "step2"], [None, "step"]]', 'slots = [[None, "step"], [None, "step"]]',
+     'slots = [[[None, "step2"], [None, "step"]]', 'slots = [[[None, "step"], [None, "step"]]',
      "tests/test_workspace.py::test_a_warm_report_allocates_the_same_state_arrays_for_any_schedu"
      "le_count"),
     ("a second interrupt clears the flag at once", "statespace.py",
@@ -197,6 +197,12 @@ MUTANTS = (
      "tests/test_cli.py::test_write_table_leaves_only_its_own_bytes_over_a_stale_file[longer]"),
     ("the writer cuts a device", "cli.py", "if len(data) < old:", "if True:",
      "tests/test_cli.py::test_write_through_a_link_to_a_device_does_not_cut_it"),
+    ("a block's rows share one step slot", "zeno.py",
+     "steps = [kit[held[0][1]][r] for", "steps = [kit[held[0][1]][0] for",
+     "tests/test_workspace.py::test_a_block_of_rows_has_the_bits_of_one_schedule_reports"),
+    ("a block clips only its first row", "zeno.py",
+     "p_core._clip(values)", "p_core._clip(values[:1])",
+     "tests/test_workspace.py::test_a_block_of_rows_has_the_bits_of_one_schedule_reports"),
 )
 
 #: the full tier-1 run, without the files that would fail on every mutant
@@ -246,8 +252,11 @@ def pytest(work: Path, *args: str) -> tuple[str, str]:
 def outcome(returncode: int, stdout: str, stderr: str) -> tuple[str, str]:
     """"passed"; "failed" (pytest exited 1 and named a failed or errored test)
     with the first such test; or "error" with pytest's last line."""
-    # a collection error names a module, not a test; under -x it exits 1 too
-    named = re.findall(r"^(?:FAILED|ERROR) (\S+::\S+)", stdout, flags=re.MULTILINE)
+    # a collection error names a module, not a test; under -x it exits 1 too.  A
+    # node id runs to the end of the line or to " - " and the message after its
+    # parameters' "]", which may hold spaces
+    named = re.findall(r"^(?:FAILED|ERROR) (\S+::[^\s\[]+(?:\[.*?\])?)(?: - .*)?$", stdout,
+                       flags=re.MULTILINE)
     if returncode == 0:
         return "passed", ""
     if returncode == 1 and named:

@@ -23,11 +23,11 @@ same bits as separate evolves.  Coefficients and steps are read-only and
 way in one place: ``_coeffs`` forward, ``_inverse`` back, ``_values``
 multiplies by a diagonal and changes back (a step gives U(t) psi, the
 eigenvalues H psi), and ``_apply`` is ``_coeffs`` then ``_values`` on one
-buffer, the caller's values on the FFT basis, so a measurement chain runs
-in one buffer from its first step on.  ``_step(t, out)`` writes
-a step into a buffer the caller hands over, and ``_values`` takes one too,
-so the items of a survival report or a condition check reuse their
-thread's arrays instead of allocating new ones.
+buffer, the caller's values on the FFT basis, so a measurement chain runs in
+one buffer from its first step on (or a block, in one call, with a diagonal
+per row).  ``_step(t, out)`` writes a step into a buffer the caller hands
+over, and ``_values`` takes one too, so the items of a survival report or a
+condition check reuse their thread's arrays instead of allocating new ones.
 The FFT basis scales by multiplying with 1/sqrt(dx/n), which has the bits
 of dividing by sqrt(dx/n) at a fraction of the cost (see ``_inverse``).
 ``ShiftPropagator`` speaks the same protocol with a state's values as its
@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SpaceMismatchError
-from .statespace import DenseSpace, Grid, WaveFunction, _norm
+from .statespace import MAP_MIN_POINTS, DenseSpace, Grid, WaveFunction, _norm
 
 #: a series term whose norm exceeds DIVERGENCE_FACTOR * ||psi|| flags divergence
 DIVERGENCE_FACTOR = 1e12
@@ -166,12 +166,14 @@ class Propagator:
     generator: SpectralOperator
 
     def __post_init__(self) -> None:
-        """Change-of-basis constants, once: sqrt(dx/n), its reciprocal, V^dagger."""
+        """Change-of-basis constants, once: sqrt(dx/n), its reciprocal, V^dagger, `_rows`."""
         h = self.generator
         scale = np.sqrt(h.space.dx / h.space.n_points)
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_inverse_scale", 1.0 / scale)
         object.__setattr__(self, "_adjoint", None if h.basis is None else h.basis.conj().T)
+        rows = max(MAP_MIN_POINTS // h.space.n_points, 1) if h.basis is None else 1
+        object.__setattr__(self, "_rows", rows)  # the states of one chain block
 
     @property
     def space(self) -> Grid | DenseSpace:
@@ -240,13 +242,18 @@ class Propagator:
         """The state whose coefficients are step * coeffs; neither is written."""
         return WaveFunction._adopt(self.space, self._values(coeffs, step))
 
-    def _values(self, coeffs: np.ndarray, diagonal: np.ndarray, out=None) -> np.ndarray:
-        """Values of diagonal * coeffs (a step gives U(t)), fresh or, on the FFT basis, in `out`."""
+    def _values(self, coeffs: np.ndarray, diagonal, out=None) -> np.ndarray:
+        """Values of diagonal * coeffs (a step gives U(t)), fresh or, on the FFT basis, in `out`;
+        a list of diagonals fills a block `out` row by row, from `coeffs` or its rows."""
         # always diagonal * coeffs: numpy's complex multiply is not bitwise
         # commutative, so a swapped operand order changes the last bits
+        if isinstance(diagonal, list):
+            for d, c, row in zip(diagonal, coeffs if coeffs.ndim > 1 else [coeffs] * len(out), out):
+                np.multiply(d, c, out=row)
+            return self._inverse(out)
         return self._inverse(np.multiply(diagonal, coeffs, out=out))
 
-    def _apply(self, values: np.ndarray, diagonal: np.ndarray, spare=None) -> np.ndarray:
+    def _apply(self, values: np.ndarray, diagonal, spare=None) -> np.ndarray:
         """`_values(_coeffs(values), diagonal)` on one buffer, for a chain's later segments:
         the FFT basis works in `values` and returns it, a matrix basis a fresh array.
         `spare` is for a shift, whose roll cannot run in place; it is not used here."""
@@ -288,6 +295,7 @@ class ShiftPropagator:
     """
 
     grid: Grid
+    _rows = 1  # a roll is one state's
 
     @property
     def space(self) -> Grid:

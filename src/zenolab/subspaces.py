@@ -74,9 +74,9 @@ class SubspaceProjector:
         return WaveFunction._adopt(self.space, self._clip(np.array(psi.values)))
 
     def _clip(self, values: np.ndarray) -> np.ndarray:
-        """Project the writable samples `values` in place and return them."""
-        values[:self.start] = 0.0
-        values[self.stop:] = 0.0
+        """Project the writable samples `values`, each row of a block, in place and return them."""
+        values[..., :self.start] = 0.0
+        values[..., self.stop:] = 0.0
         return values
 
     def mass(self, psi: WaveFunction) -> float:

@@ -11,9 +11,9 @@ found in e at the final time,
 which for an empty schedule reduces bitwise to the free survival
 |<e, U(T) e>|^2.
 
-`survival_report` takes every schedule for one prepared state at once and
-returns one report per schedule, in order, each with the bits of a call
-with that schedule alone.
+`survival_report` runs every schedule for one prepared state at once (on
+grids below MAP_MIN_POINTS points, chains of one length as the rows of a
+block) and returns one report per schedule, in order, with its bits alone.
 
 Two regimes are of interest.  For a pure right-translation, amplitude that
 crosses into the wave zone never returns, so clipping it changes nothing
@@ -84,51 +84,56 @@ class MeasurementSchedule:
         return tuple(b - a for a, b in zip(knots, knots[1:]))
 
 
-def _chain(u, p_core: SubspaceProjector, coeffs, schedule: MeasurementSchedule,
-           kit: dict) -> np.ndarray:
-    """Selective measure-and-evolve chain from the prepared state's coefficients.
+def _chain(u, p_core: SubspaceProjector, coeffs, block, kit: dict) -> np.ndarray:
+    """Selective measure-and-evolve chains of the schedules in `block`, all of one
+    segment count, from the prepared state's coefficients.
 
-    Returns the values of the unnormalized final state, whose norm squared
-    is the probability of passing every measurement.  The chain runs in the
-    arrays of `kit`, a dict that no other running item uses (an empty one
-    will do), and leaves them there for the next item: the first segment
-    advances the shared coefficients into `kit["values"]`; each later one
-    zeroes the wave zone of that buffer and hands it to the propagator's
-    `_apply`, which transforms and advances it in place on the FFT basis.
-    A shift's roll cannot run in place, so it rolls into `kit["spare"]` and
-    the two buffers swap; a matrix basis changes basis into fresh arrays.
-    The bits are those of `advance`, `apply` and `transform` on separate
-    arrays.  The returned array is the kit's, so the caller reduces it
-    before the kit's next item runs.
+    Returns the unnormalized final states' values, one row per schedule, in
+    the arrays of `kit`, a dict no other running item uses (an empty one will
+    do): the caller reduces them before the kit's next item.  Where `u._rows`
+    > 1 (the FFT basis below MAP_MIN_POINTS points) a kit's first block
+    allocates the values of `u._rows` rows and each row's two step slots; a
+    segment multiplies each row by its own step, and clips the whole block
+    and changes its basis in one call each, in place.  Otherwise a block is
+    one schedule on 1-D arrays: `_apply` works in place on the FFT basis, a
+    shift rolls into `kit["spare"]` and the two buffers swap, and a matrix
+    basis changes basis into fresh arrays.  Every row has the bits of
+    `advance`, `apply` and `transform` on separate arrays.
 
-    The segments of an equally spaced schedule differ at most in the last
-    ulp and alternate (a a b c b c b ...), so the steps of the two most
-    recently used durations are kept, in `kit["step"]` and `kit["step2"]`.
-    Durations are strictly positive, so equal keys have identical bits and
-    each segment gets its own step.  An interrupt (`statespace._stopping`)
-    stops the chain before its next segment: Ctrl-C waits for one segment.
+    The segments of an equally spaced schedule differ at most in the last ulp
+    and alternate (a a b c b c b ...), so each row keeps the steps of its two
+    latest durations; durations are positive, so equal keys have identical
+    bits.  An interrupt (`statespace._stopping`) stops the chain before its
+    next segment: Ctrl-C waits for one segment.
     """
-    # [duration, kit key], most recently used first; one duration uses "step" only
-    slots = [[None, "step2"], [None, "step"]]
+    if "step" not in kit:  # a block's values and each row's two step slots, rows of one array
+        arrays = [None, [None], [None]] if u._rows == 1 else np.empty(
+            (3, u._rows, coeffs.size), np.complex128)
+        kit["block"], kit["step"], kit["step2"] = arrays[0], list(arrays[1]), list(arrays[2])
+    # per row, [duration, kit key] most recently used first; one duration uses "step" only
+    slots = [[[None, "step2"], [None, "step"]] for _ in block]
 
-    def step(dt: float):
-        if slots[0][0] != dt:
-            if slots[1][0] != dt:  # neither slot holds dt: the older one takes it
-                slots[1][0] = dt
-                kit[slots[1][1]] = u._step(dt, kit.get(slots[1][1]))
-            slots.reverse()
-        return kit[slots[0][1]]
+    def step(dts):  # each row's step for its duration in dts: a list on a block, else the one
+        for r, (held, dt) in enumerate(zip(slots, dts)):
+            if held[0][0] != dt:
+                if held[1][0] != dt:  # neither slot holds dt: the older one takes it
+                    held[1][0] = dt
+                    kit[held[1][1]][r] = u._step(dt, kit[held[1][1]][r])
+                held.reverse()
+        steps = [kit[held[0][1]][r] for r, held in enumerate(slots)]
+        return steps if u._rows > 1 else steps[0]
 
-    first, *rest = schedule.segments()
-    values = kit["values"] = u._values(coeffs, step(first), kit.get("values"))
-    for dt in rest:
+    first, *rest = zip(*(s.segments() for s in block))
+    out = kit.get("values") if u._rows == 1 else kit["block"][:len(block)]
+    values = kit["values"] = u._values(coeffs, step(first), out)
+    for dts in rest:
         if _stopping.is_set():
             raise KeyboardInterrupt  # the main thread was interrupted
-        advanced = u._apply(p_core._clip(values), step(dt), kit.get("spare"))
+        advanced = u._apply(p_core._clip(values), step(dts), kit.get("spare"))
         if advanced is not values:  # the old buffer is the next segment's spare
             kit["spare"], kit["values"] = values, advanced
         values = advanced
-    return values
+    return values.reshape(len(block), -1)
 
 
 @dataclass(frozen=True)
@@ -157,11 +162,12 @@ def survival_report(u, p_core: SubspaceProjector, e: WaveFunction,
     e is checked and transformed once.  One `_map` (inline on grids below
     its MAP_MIN_POINTS) runs the chain of every schedule, the longer work,
     and then, as an empty schedule's chain, the free evolve to each distinct
-    t_final.  Every item works in its thread's kit, the dict of a
-    `threading.local` this call owns, so a thread allocates its buffers and
-    steps for its first item only.  An item reads its scalars through a
-    read-only view of the kit's array and keeps no final state; each report
-    has the bits of a call with its schedule alone.
+    t_final, in blocks: runs of jobs of one segment count, in job order, of at
+    most `u._rows` (1 but on the FFT basis below MAP_MIN_POINTS points).  An
+    item works in its thread's kit, the dict of a `threading.local` this call
+    owns, so a thread allocates its arrays for its first block only; it reads
+    its scalars through read-only views of the kit's rows and keeps no final
+    state.  Each report has the bits of a call with its schedule alone.
     """
     norm_sq = _require_unit_norm(e, "prepared state")
     _require_zone(norm_sq - p_core.mass(e), CORE_STATE_TOL, "prepared state", "core-zone")
@@ -170,15 +176,22 @@ def survival_report(u, p_core: SubspaceProjector, e: WaveFunction,
     scratch = threading.local()
     finals = list(dict.fromkeys(s.t_final for s in schedules))
     jobs = schedules + tuple(MeasurementSchedule(t, ()) for t in finals)
+    blocks = []  # runs of one segment count, in job order, of at most u._rows jobs
+    for i, job in enumerate(jobs):
+        if i and len(blocks[-1]) < u._rows and jobs[i - 1].n_measurements == job.n_measurements:
+            blocks[-1].append(i)
+        else:
+            blocks.append([i])
 
-    def chain(i: int) -> tuple[float, float]:
-        # read-only: the kit keeps the writable array; the state dies with its item
-        values = _chain(u, p_core, coeffs, jobs[i], scratch.__dict__).view()
-        final = WaveFunction._adopt(u.space, values)
-        kept = final.norm_sq() if i < len(schedules) else 1.0 - p_core.mass(final)
-        return abs(inner_product(e, final)) ** 2, kept
+    def chain(block: list) -> list:
+        # read-only row views: the kit keeps the writable array; the states die with their item
+        states = map(WaveFunction._adopt, [u.space] * len(block),
+                     _chain(u, p_core, coeffs, [jobs[i] for i in block], scratch.__dict__))
+        return [(abs(inner_product(e, final)) ** 2,
+                 final.norm_sq() if i < len(schedules) else 1.0 - p_core.mass(final))
+                for i, final in zip(block, states)]
 
-    done = _map(chain, range(len(jobs)), points=u.space.n_points)
+    done = [job for block in _map(chain, blocks, points=u.space.n_points) for job in block]
     free_at = dict(zip(finals, done[len(schedules):]))
     return tuple(
         SurvivalReport(

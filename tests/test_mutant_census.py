@@ -61,6 +61,11 @@ def test_only_a_mutant_its_killer_misses_gets_the_full_run(killer_run, tier1_run
     assert runs == [("tests/k.py::test_k",)] + [census.TIER1] * (tier1_run is not None)
 
 
+#: a real tier-1 node id whose parameters hold spaces
+SPACED = ("tests/test_cli.py::test_invalid_seed_or_tolerance_exits_2[series-validity-flags23-time "
+          "1 is too short: |t| * k_max = 6.43e-304 (k_max = 6.43398e-304)]")
+
+
 @pytest.mark.parametrize("returncode, stdout, stderr, expected", [
     (0, "600 passed in 12.0s\n", "", ("passed", "")),
     (1, "F\nFAILED tests/test_cli.py::test_a - AssertionError\n1 failed\n", "",
@@ -76,6 +81,9 @@ def test_only_a_mutant_its_killer_misses_gets_the_full_run(killer_run, tier1_run
     (2, "ERROR tests/test_cli.py - ImportError\n!! Interrupted: 1 error during collection !!\n",
      "", ("error", "pytest exit 2: !! Interrupted: 1 error during collection !!")),
     (1, "", "", ("error", "pytest exit 1: no output")),
+    # a parametrized id with spaces, with and without pytest's message after it
+    (1, f"F\nFAILED {SPACED} - assert 0 == 2\n1 failed\n", "", ("failed", SPACED)),
+    (1, f"F\nFAILED {SPACED}\n1 failed\n", "", ("failed", SPACED)),
 ])
 def test_only_a_named_test_failure_is_a_kill(returncode, stdout, stderr, expected):
     assert census.outcome(returncode, stdout, stderr) == expected

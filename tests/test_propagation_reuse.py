@@ -43,7 +43,7 @@ from zenolab import (
     momentum_operator,
     survival_report,
 )
-from zenolab import scenarios, subspaces
+from zenolab import scenarios, statespace, subspaces
 from zenolab.scenarios import (
     CURVE_POINTS,
     SCENARIOS,
@@ -158,7 +158,7 @@ def test_condition_residuals_match_per_pair_evolves(system):
 def test_measured_chain_matches_per_segment_evolves(system):
     u, (p_core, _), e, _, _, schedules = system
     for sched in schedules:
-        final = _chain(u, p_core, u.transform(e), sched, {})
+        final = _chain(u, p_core, u.transform(e), [sched], {})[0]
         ref_final = naive_chain(u, p_core, e, sched)
         assert np.array_equal(final, ref_final.values)
 
@@ -181,7 +181,7 @@ def test_ulp_apart_segments_each_get_their_own_step():
     u = Propagator(momentum_operator(e.space))
     sched = MeasurementSchedule.equally_spaced(2.0, 8)
     assert len({d.hex() for d in sched.segments()}) == 3
-    final = _chain(u, p_core, u.transform(e), sched, {})
+    final = _chain(u, p_core, u.transform(e), [sched], {})[0]
     ref_final = naive_chain(u, p_core, e, sched)
     assert np.array_equal(final, ref_final.values)
 
@@ -228,7 +228,7 @@ def test_a_chain_clips_every_segment_in_one_buffer(name, monkeypatch):
         return clip(self, values)
 
     monkeypatch.setattr(SubspaceProjector, "_clip", recording)
-    final = _chain(u, p_core, coeffs, MeasurementSchedule.equally_spaced(2.0, 5), {})
+    final = _chain(u, p_core, coeffs, [MeasurementSchedule.equally_spaced(2.0, 5)], {})[0]
     assert len(clipped) == 5
     assert not np.shares_memory(clipped[0], coeffs)
     assert all(np.shares_memory(v, clipped[0]) for v in clipped[1:] + [final])
@@ -481,7 +481,14 @@ def test_transform_rejects_a_foreign_space():
 # ----------------------------------------------------------------------
 
 
-def _install_counters(mp) -> dict:
+def _rows(x) -> int:
+    """The states an operand carries: a 2-D block's first-axis length, else one."""
+    return len(x) if np.ndim(x) == 2 else 1
+
+
+def _install_counters(mp, calls: dict | None = None) -> dict:
+    """Count the rows that each of fft, ifft and complex exp transforms, and its
+    calls into `calls` when one is given."""
     # helper threads of the evolve loops call these too, so count under a lock
     counts = {"fft": 0, "ifft": 0, "exp": 0}
     lock = threading.Lock()
@@ -490,7 +497,9 @@ def _install_counters(mp) -> dict:
         def wrapper(x, *args, **kwargs):
             if not complex_only or np.iscomplexobj(x):
                 with lock:
-                    counts[name] += 1
+                    counts[name] += _rows(x)
+                    if calls is not None:
+                        calls[name] = calls.get(name, 0) + 1
             return fn(x, *args, **kwargs)
         return wrapper
 
@@ -592,7 +601,7 @@ def test_series_validity_sums_its_series_in_coefficients():
 def test_every_fft_is_a_propagator_basis_change(name):
     """A default run calls np.fft only through `Propagator._coeffs` (forward,
     `_apply`'s too) and `_inverse`, apart from the one field-synthesis ifft of
-    each `_window_state` call."""
+    each `_window_state` call; both sides count the rows of a block."""
     changes = {"fft": 0, "ifft": 0}
     windows = []
     lock = threading.Lock()
@@ -601,7 +610,7 @@ def test_every_fft_is_a_propagator_basis_change(name):
         def wrapper(self, *args, **kwargs):
             if self.generator.basis is None:
                 with lock:
-                    changes[kind] += 1
+                    changes[kind] += _rows(args[0])
             return primitive(self, *args, **kwargs)
         return wrapper
 
@@ -620,6 +629,24 @@ def test_every_fft_is_a_propagator_basis_change(name):
     assert len(windows) == (name == "counterexample")
     assert counts["fft"] == changes["fft"]
     assert counts["ifft"] == changes["ifft"] + len(windows)
+
+
+@pytest.mark.parametrize("n, calls", [(0, {"fft": 1, "ifft": 5}), (5, {"fft": 11, "ifft": 15})])
+def test_hm_invariance_changes_the_basis_of_a_block_of_rows_per_call(n, calls):
+    # at 4096 points a block holds MAP_MIN_POINTS // 4096 = 4 rows.  The spectral
+    # report's jobs are the empty schedule (one segment), CURVE_POINTS = 8 curve rows
+    # of N + 1 segments and 8 free evolves (one segment), cut in job order into runs
+    # of one segment count of at most 4 rows.  A block of S segments calls fft S - 1
+    # times and ifft S times, after the one fft of e.  For N > 0 the runs are [empty],
+    # two blocks of curve rows and two of free evolves: 1 + 2 N ffts and
+    # 1 + 2 (N + 1) + 2 = 2 N + 5 iffts.  For N = 0 all 17 jobs have one segment:
+    # ceil(17 / 4) = 5 blocks, 1 fft and 5 iffts
+    assert statespace.MAP_MIN_POINTS // 4096 == 4 and CURVE_POINTS == 8
+    seen = {}
+    with pytest.MonkeyPatch.context() as mp:
+        _install_counters(mp, seen)
+        run_scenario("hm-invariance", ScenarioSpec(name="hm-invariance", n_measurements=n))
+    assert {k: seen[k] for k in calls} == calls
 
 
 @pytest.mark.parametrize("n", [0, 5])

@@ -7,7 +7,9 @@ buffers to `tracemalloc`, so these tests count state-sized allocations
 without relying on the allocator's page faults: a warm report allocates the
 same few arrays however many schedules it runs.  Items running at once
 never share an array, the arrays die with the report, and the reports keep
-their bits with and without a helper.
+their bits with and without a helper.  Below MAP_MIN_POINTS points a kit's
+arrays are those of a block of rows, and every row keeps the bits of a
+report with its schedule alone.
 """
 
 from __future__ import annotations
@@ -25,8 +27,12 @@ from zenolab import (
     MeasurementSchedule,
     Propagator,
     ShiftPropagator,
+    SubspaceProjector,
+    WaveFunction,
     core_zone_state,
+    dense_hermitian,
     halfline_pair,
+    inner_product,
     make_gaussian,
     momentum_operator,
     statespace,
@@ -105,13 +111,19 @@ def test_a_warm_report_allocates_the_same_state_arrays_for_any_schedule_count(mo
     assert [items[0] for items in counts.values()] == [2, 2]
 
 
+def _kit_arrays(kit: dict) -> list:
+    """The arrays of a kit: its values, its spare and each row's two step slots."""
+    return [a for held in kit.values() for a in (held if isinstance(held, list) else [held])
+            if isinstance(a, np.ndarray)]
+
+
 def _recording_kits(monkeypatch, seen: list) -> None:
     """Append the arrays of each chain's kit, as the chain returns, to `seen`."""
     chain = zeno._chain
 
-    def recording(u, p_core, coeffs, schedule, kit):
-        final = chain(u, p_core, coeffs, schedule, kit)
-        seen.append([a for a in kit.values() if isinstance(a, np.ndarray)])
+    def recording(u, p_core, coeffs, block, kit):
+        final = chain(u, p_core, coeffs, block, kit)
+        seen.append(_kit_arrays(kit))
         return final
 
     monkeypatch.setattr(zeno, "_chain", recording)
@@ -129,11 +141,10 @@ def test_items_running_at_once_never_hold_the_same_array(kind, helpers, monkeypa
     lock = threading.Lock()
     chain = zeno._chain
 
-    def meeting(u, p_core, coeffs, schedule, kit):
-        final = chain(u, p_core, coeffs, schedule, kit)
+    def meeting(u, p_core, coeffs, block, kit):
+        final = chain(u, p_core, coeffs, block, kit)
         with lock:
-            meetings.append((threading.get_ident(),
-                             [a for a in kit.values() if isinstance(a, np.ndarray)]))
+            meetings.append((threading.get_ident(), _kit_arrays(kit)))
         barrier.wait()  # both chains of this round hold their kits here
         return final
 
@@ -174,3 +185,108 @@ def test_reports_are_bit_identical_with_no_helper_and_one(kind, helpers):
         bits.append(_bits(survival_report(u, p_core, e, schedules)))
     alone = [_bits(survival_report(u, p_core, e, [s]))[0:4] for s in schedules]
     assert bits[0] == bits[1] == [x for report in alone for x in report]
+
+
+# ----------------------------------------------------------------------
+# blocks of rows below MAP_MIN_POINTS
+# ----------------------------------------------------------------------
+
+
+def _recording_blocks(monkeypatch, seen: list) -> None:
+    """Append the schedules of each chain block, as the chain starts, to `seen`."""
+    chain = zeno._chain
+
+    def recording(u, p_core, coeffs, block, kit):
+        seen.append(list(block))
+        return chain(u, p_core, coeffs, block, kit)
+
+    monkeypatch.setattr(zeno, "_chain", recording)
+
+
+def _naive_bits(u, p_core, e, schedule) -> list[str]:
+    """A report's fields from one evolve per segment and one free evolve, on 1-D arrays."""
+    psi, elapsed = e, 0.0
+    for t_k in schedule.times:
+        psi = p_core.apply(u.evolve(psi, t_k - elapsed))
+        elapsed = t_k
+    final = u.evolve(psi, schedule.t_final - elapsed)
+    free = u.evolve(e, schedule.t_final)
+    return [x.hex() for x in (abs(inner_product(e, free)) ** 2,
+                              abs(inner_product(e, final)) ** 2,
+                              1.0 - p_core.mass(free), final.norm_sq())]
+
+
+def test_a_block_of_rows_has_the_bits_of_one_schedule_reports(monkeypatch):
+    """At 4096 points a block holds 4 rows.  Five schedules of 3 instants and four of
+    6, each with its own t_final and so its own durations, and the free evolves to the
+    seven distinct finals cut into blocks of 4 and 1 (partly empty), 4, and 4 and 3.
+    Every field of every report has the bits of a report of its schedule alone and
+    of one evolve per segment."""
+    u, p_core, e, _ = _system("spectral", 4096)
+    assert u._rows == statespace.MAP_MIN_POINTS // 4096 == 4
+    finals = (1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 1.25, 1.5, 3.0)
+    schedules = [MeasurementSchedule.equally_spaced(t, 3 if i < 5 else 6)
+                 for i, t in enumerate(finals)]
+    blocks = []
+    _recording_blocks(monkeypatch, blocks)
+    reports = survival_report(u, p_core, e, schedules)
+    assert [len(b) for b in blocks] == [4, 1, 4, 4, 3]
+    counts = [b.n_measurements for b in blocks[0] + blocks[2] + blocks[3]]
+    assert counts == [3] * 4 + [6] * 4 + [0] * 4
+    alone = [_bits(survival_report(u, p_core, e, [s])) for s in schedules]
+    assert [_bits([r]) for r in reports] == alone
+    assert alone == [_naive_bits(u, p_core, e, s) for s in schedules]
+
+
+@pytest.mark.parametrize("kind", ["shift", "matrix"])
+def test_shift_and_matrix_blocks_hold_one_row(kind, monkeypatch):
+    """A roll and a matrix basis change one state at a time: each block is one
+    schedule, run on 1-D arrays with the bits of one evolve per segment."""
+    if kind == "shift":
+        u, p_core, e, dx = _system("shift", 4096)
+        schedules = [_schedule(600, n, dx) for n in (2, 2, 3, 3, 3, 0)]
+    else:
+        h = dense_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        u, p_core = Propagator(h), SubspaceProjector(h.space, 0, 1)
+        e = WaveFunction(h.space, np.array([1.0, 0.0]))
+        schedules = [MeasurementSchedule.equally_spaced(t, n)
+                     for t, n in ((1.5, 2), (1.0, 2), (1.5, 7), (0.5, 7), (1.0, 0))]
+    blocks = []
+    _recording_blocks(monkeypatch, blocks)
+    reports = survival_report(u, p_core, e, schedules)
+    assert u._rows == 1
+    assert [len(b) for b in blocks] == [1] * (len(schedules) + len({s.t_final for s in schedules}))
+    assert [_bits([r]) for r in reports] == [_naive_bits(u, p_core, e, s) for s in schedules]
+
+
+def test_a_warm_report_allocates_its_block_arrays_in_its_first_block_only(monkeypatch):
+    """At 4096 points the first block of a kit allocates the values of 4 rows and
+    their two step slots each, three arrays of MAP_MIN_POINTS values, though it
+    runs one row; no later block allocates an array that large, whatever its rows."""
+    u, p_core, e, _ = _system("spectral", 4096)
+    block_bytes = 16 * statespace.MAP_MIN_POINTS
+    inner = statespace._map
+    allocated = []  # block-sized arrays that each block's peak shows
+
+    def measured_map(fn, items, most=None, points=None):
+        def measured(item):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = fn(item)
+            allocated.append((tracemalloc.get_traced_memory()[1] - before) // block_bytes)
+            return result
+
+        return inner(measured, items, most, points)
+
+    monkeypatch.setattr(zeno, "_map", measured_map)
+    # the empty schedule first, a block of one row, as hm-invariance runs it
+    schedules = [MeasurementSchedule(2.0, ())] + [
+        MeasurementSchedule.equally_spaced(j * 0.25, 5) for j in range(1, 9)]
+    tracemalloc.start()
+    try:
+        survival_report(u, p_core, e, schedules)  # warm-up
+        allocated.clear()
+        survival_report(u, p_core, e, schedules)
+    finally:
+        tracemalloc.stop()
+    assert allocated == [3, 0, 0, 0, 0]

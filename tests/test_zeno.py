@@ -213,7 +213,7 @@ def test_chain_stops_before_its_next_segment_once_an_interrupt_is_pending(
     try:
         with pytest.raises(KeyboardInterrupt):
             _chain(translator, p_core, translator.transform(e),
-                   MeasurementSchedule.equally_spaced(2.0, 8), {})
+                   [MeasurementSchedule.equally_spaced(2.0, 8)], {})
     finally:
         statespace._stopping.clear()
     assert applied == [1]
