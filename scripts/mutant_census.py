@@ -203,6 +203,13 @@ MUTANTS = (
     ("a block clips only its first row", "zeno.py",
      "p_core._clip(values)", "p_core._clip(values[:1])",
      "tests/test_workspace.py::test_a_block_of_rows_has_the_bits_of_one_schedule_reports"),
+    ("a report's s_free is read from its own chain", "zeno.py",
+     "s_free=done[free][0]", "s_free=done[schedule][0]",
+     "tests/test_workspace.py::test_a_report_runs_each_distinct_schedule_once[matrix]"),
+    ("duplicate schedules are not merged", "zeno.py",
+     "sorted(dict.fromkeys(job for pair in zip(schedules, frees) for job in pair),",
+     "sorted([job for pair in zip(schedules, frees) for job in pair],",
+     "tests/test_workspace.py::test_a_report_runs_each_distinct_schedule_once[spectral]"),
 )
 
 #: the full tier-1 run, without the files that would fail on every mutant

@@ -432,8 +432,8 @@ def scenario_hm_invariance(*, grid_points, x_min, x_max, sigma, center, time, n_
 
     p_core, _ = halfline_pair(grid)
     e = core_zone_state(p_core, make_gaussian(grid, center, sigma))
-    # the empty schedule, a real chain of one segment, shares t and so its
-    # free evolve with the last curve row
+    # the empty schedule is the free evolve to t, the last curve row's: one job
+    # gives both sides of its report
     empty, *curve_spectral = survival_report(Propagator(momentum_operator(grid)), p_core, e,
                                              [MeasurementSchedule(t, ()), *curve_schedules])
     rep_spectral = curve_spectral[-1]

@@ -11,9 +11,10 @@ found in e at the final time,
 which for an empty schedule reduces bitwise to the free survival
 |<e, U(T) e>|^2.
 
-`survival_report` runs every schedule for one prepared state at once (on
-grids below MAP_MIN_POINTS points, chains of one length as the rows of a
-block) and returns one report per schedule, in order, with its bits alone.
+`survival_report` runs each distinct schedule for one prepared state once,
+longest first, the free evolve to t as the empty schedule at t (on grids
+below MAP_MIN_POINTS points, chains of one length as the rows of a block),
+and returns one report per schedule, in order, with its bits alone.
 
 Two regimes are of interest.  For a pure right-translation, amplitude that
 crosses into the wave zone never returns, so clipping it changes nothing
@@ -39,6 +40,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -159,51 +161,44 @@ def survival_report(u, p_core: SubspaceProjector, e: WaveFunction,
                     schedules) -> tuple[SurvivalReport, ...]:
     """Run both protocols for each MeasurementSchedule in `schedules`, in order.
 
-    e is checked and transformed once.  One `_map` (inline on grids below
-    its MAP_MIN_POINTS) runs the chain of every schedule, the longer work,
-    and then, as an empty schedule's chain, the free evolve to each distinct
-    t_final, in blocks: runs of jobs of one segment count, in job order, of at
-    most `u._rows` (1 but on the FFT basis below MAP_MIN_POINTS points).  An
-    item works in its thread's kit, the dict of a `threading.local` this call
-    owns, so a thread allocates its arrays for its first block only; it reads
-    its scalars through read-only views of the kit's rows and keeps no final
-    state.  Each report has the bits of a call with its schedule alone.
+    e is checked and transformed once.  Each distinct schedule is one job, and
+    so is the free evolve to each distinct t_final: it is the empty schedule
+    at t_final, one job with an empty schedule given there.  One `_map`
+    (inline on grids below its MAP_MIN_POINTS) runs the jobs longest first, in
+    blocks: runs of one segment count of at most `u._rows` jobs (1 but on the
+    FFT basis below MAP_MIN_POINTS points).  An item works in its thread's
+    kit, the dict of a `threading.local` this call owns, so a thread allocates
+    its arrays for its first block only; it reduces each row, through a
+    read-only view of the kit's row, to one record keyed by its schedule and
+    keeps no final state.  Equal schedules have equal floats, so each report
+    has the bits of a call with its schedule alone.
     """
     norm_sq = _require_unit_norm(e, "prepared state")
     _require_zone(norm_sq - p_core.mass(e), CORE_STATE_TOL, "prepared state", "core-zone")
     schedules = tuple(schedules)
+    frees = [MeasurementSchedule(s.t_final, ()) for s in schedules]
     coeffs = u.transform(e)
     scratch = threading.local()
-    finals = list(dict.fromkeys(s.t_final for s in schedules))
-    jobs = schedules + tuple(MeasurementSchedule(t, ()) for t in finals)
-    blocks = []  # runs of one segment count, in job order, of at most u._rows jobs
-    for i, job in enumerate(jobs):
-        if i and len(blocks[-1]) < u._rows and jobs[i - 1].n_measurements == job.n_measurements:
-            blocks[-1].append(i)
-        else:
-            blocks.append([i])
+    jobs = sorted(dict.fromkeys(job for pair in zip(schedules, frees) for job in pair),
+                  key=lambda job: job.n_measurements, reverse=True)
+    blocks = []  # runs of one segment count, longest first, of at most u._rows jobs
+    for _, run in groupby(jobs, key=lambda job: job.n_measurements):
+        run = list(run)
+        blocks += (run[i:i + u._rows] for i in range(0, len(run), u._rows))
 
     def chain(block: list) -> list:
         # read-only row views: the kit keeps the writable array; the states die with their item
         states = map(WaveFunction._adopt, [u.space] * len(block),
-                     _chain(u, p_core, coeffs, [jobs[i] for i in block], scratch.__dict__))
-        return [(abs(inner_product(e, final)) ** 2,
-                 final.norm_sq() if i < len(schedules) else 1.0 - p_core.mass(final))
-                for i, final in zip(block, states)]
+                     _chain(u, p_core, coeffs, block, scratch.__dict__))
+        return [(job, (abs(inner_product(e, final)) ** 2, final.norm_sq(),
+                       1.0 - p_core.mass(final))) for job, final in zip(block, states)]
 
-    done = [job for block in _map(chain, blocks, points=u.space.n_points) for job in block]
-    free_at = dict(zip(finals, done[len(schedules):]))
+    done = dict(row for block in _map(chain, blocks, points=u.space.n_points) for row in block)
     return tuple(
-        SurvivalReport(
-            t_final=schedule.t_final,
-            n_measurements=schedule.n_measurements,
-            s_free=free_at[schedule.t_final][0],
-            s_measured=s_measured,
-            leakage_free=free_at[schedule.t_final][1],
-            retained=retained,
-        )
-        for schedule, (s_measured, retained) in zip(schedules, done)
-    )
+        SurvivalReport(t_final=schedule.t_final, n_measurements=schedule.n_measurements,
+                       s_free=done[free][0], s_measured=done[schedule][0],
+                       leakage_free=done[free][2], retained=done[schedule][1])
+        for schedule, free in zip(schedules, frees))
 
 
 def deficit_slope(scaling: tuple[tuple[int, float], ...]) -> float:

@@ -561,28 +561,36 @@ def test_survival_report_shares_e_and_repeated_segments(n, expected):
 
 
 def test_survival_report_shares_e_and_free_evolves_across_schedules():
-    # one transform of e and one free evolve at t = 2 serve all three
-    # schedules; three one-schedule calls cost 14 ffts and 17 iffts
+    # one transform of e serves all three schedules, and the empty one is the
+    # free evolve to t = 2 of all three.  The jobs are the chains of 9, 4 and 1
+    # segments: 1 + 8 + 3 ffts and 9 + 4 + 1 iffts.  Their steps: 2/9 alternates
+    # in its last ulp, so the 8-instant chain builds 3, and 1/2 and 2 are exact,
+    # so the others build 1 each: 5 steps of two table exps.  Three one-schedule
+    # calls cost 14 ffts, 16 iffts and 7 steps
     u, (p_core, _), _, e = _lab()
     schedules = [MeasurementSchedule.equally_spaced(2.0, n) for n in (0, 3, 8)]
     with pytest.MonkeyPatch.context() as mp:
         counts = _install_counters(mp)
         reports = survival_report(u, p_core, e, schedules)
-    assert counts == {"fft": 12, "ifft": 15, "exp": 2 * 6}
+    assert counts == {"fft": 1 + 8 + 3, "ifft": 9 + 4 + 1, "exp": 2 * (3 + 1 + 1)}
     assert reports == tuple(survival_report(u, p_core, e, [s])[0] for s in schedules)
 
 
 @pytest.mark.parametrize("n", [0, 5])
 def test_hm_invariance_runs_its_spectral_report_once(n):
-    # one transform of e, then CURVE_POINTS survival reports of N forward
-    # and N + 2 inverse FFTs (the last is the main spectral run), plus the
-    # empty schedule's one-segment chain; no separate main report and no
-    # separate free evolve
-    with pytest.MonkeyPatch.context() as mp:
-        counts = _install_counters(mp)
-        run_scenario("hm-invariance", ScenarioSpec(name="hm-invariance", n_measurements=n))
-    assert counts["fft"] == CURVE_POINTS * n + 1
-    assert counts["ifft"] == CURVE_POINTS * (n + 2) + 1
+    # one transform of e, then CURVE_POINTS chains of N forward and N + 1
+    # inverse FFTs (the last is the main spectral run) and, for N > 0, the
+    # CURVE_POINTS free evolves of one inverse FFT each.  The empty schedule at
+    # t is the last row's free evolve, and at N = 0 every curve row is its own
+    # free evolve: 8 inverse FFTs at N = 0 (17 before the jobs were merged) and
+    # 56 at N = 5 (57), on both grids.  No separate main report
+    for points in (4096, 65536):
+        spec = ScenarioSpec(name="hm-invariance", grid_points=points, n_measurements=n)
+        with pytest.MonkeyPatch.context() as mp:
+            counts = _install_counters(mp)
+            run_scenario("hm-invariance", spec)
+        assert counts["fft"] == CURVE_POINTS * n + 1
+        assert counts["ifft"] == CURVE_POINTS * (n + 1 + (n > 0)) == {0: 8, 5: 56}[n]
 
 
 def test_series_validity_sums_its_series_in_coefficients():
@@ -631,16 +639,16 @@ def test_every_fft_is_a_propagator_basis_change(name):
     assert counts["ifft"] == changes["ifft"] + len(windows)
 
 
-@pytest.mark.parametrize("n, calls", [(0, {"fft": 1, "ifft": 5}), (5, {"fft": 11, "ifft": 15})])
+@pytest.mark.parametrize("n, calls", [(0, {"fft": 1, "ifft": 2}), (5, {"fft": 11, "ifft": 14})])
 def test_hm_invariance_changes_the_basis_of_a_block_of_rows_per_call(n, calls):
     # at 4096 points a block holds MAP_MIN_POINTS // 4096 = 4 rows.  The spectral
-    # report's jobs are the empty schedule (one segment), CURVE_POINTS = 8 curve rows
-    # of N + 1 segments and 8 free evolves (one segment), cut in job order into runs
-    # of one segment count of at most 4 rows.  A block of S segments calls fft S - 1
-    # times and ifft S times, after the one fft of e.  For N > 0 the runs are [empty],
-    # two blocks of curve rows and two of free evolves: 1 + 2 N ffts and
-    # 1 + 2 (N + 1) + 2 = 2 N + 5 iffts.  For N = 0 all 17 jobs have one segment:
-    # ceil(17 / 4) = 5 blocks, 1 fft and 5 iffts
+    # report's distinct jobs are CURVE_POINTS = 8 curve rows of N + 1 segments and,
+    # for N > 0, the 8 free evolves (one segment; the empty schedule at t is the
+    # last one), cut longest first into runs of one segment count of at most 4 rows.
+    # A block of S segments calls fft S - 1 times and ifft S times, after the one fft
+    # of e.  For N > 0 the runs are two blocks of curve rows and two of free evolves:
+    # 1 + 2 N ffts and 2 (N + 1) + 2 = 2 N + 4 iffts.  For N = 0 the curve rows are
+    # the free evolves, 8 jobs of one segment: 2 blocks, 1 fft and 2 iffts
     assert statespace.MAP_MIN_POINTS // 4096 == 4 and CURVE_POINTS == 8
     seen = {}
     with pytest.MonkeyPatch.context() as mp:
@@ -652,7 +660,9 @@ def test_hm_invariance_changes_the_basis_of_a_block_of_rows_per_call(n, calls):
 @pytest.mark.parametrize("n", [0, 5])
 def test_hm_invariance_runs_its_shift_report_once(n):
     # a shift survival report rolls N + 2 times (the free evolve and N + 1
-    # chain segments); the last shift curve row is the main shift run, so
+    # chain segments) for N > 0; at N = 0 each row's empty schedule is its
+    # own free evolve, one roll.  The rows' final times differ, so no free
+    # evolve is shared.  The last shift curve row is the main shift run, so
     # there is one report per row (the t = 0 row runs none) and no other
     rolls = []
     values = ShiftPropagator._values
@@ -666,4 +676,4 @@ def test_hm_invariance_runs_its_shift_report_once(n):
         spec = ScenarioSpec(name="hm-invariance", n_measurements=n)
         bundle = run_scenario("hm-invariance", spec)
     reports = len(bundle.tables["survival_shift"].rows) - 1
-    assert len(rolls) == reports * (n + 2)
+    assert len(rolls) == reports * (n + 1 + (n > 0))

@@ -33,6 +33,7 @@ from zenolab import (
     make_gaussian,
     momentum_operator,
 )
+from zenolab import scenarios
 from zenolab.statespace import _blocked
 
 T_SWEEP = (0.5, 1.0, 2.0, 3.0, 4.5, 6.0)
@@ -317,6 +318,46 @@ def test_condition_IA_zero_time(grid, zone_pair, translator):
     assert spectral.max_residual <= 1e-12
     shift = check_condition_IA(zone_pair, ShiftPropagator(grid), [0.0], [("bump", bump)])
     assert shift.max_residual == 0.0
+
+
+@pytest.mark.parametrize("n_points, x_max", [(256, 40.0), (4096, 690.0)])
+def test_counterexample_conditions_at_lattice_times_match_the_exact_shift(n_points, x_max):
+    """At t = m dx the spectral step exp(-i t k_j) = exp(-2 pi i j m / n) is the
+    circular shift by m, so counterexample's (I) and (I-A) residuals on `Propagator`
+    differ from `ShiftPropagator`'s exact ones by roundoff alone.  The times are the
+    lattice times nearest T_SWEEP, and +-6 for (I-A).  Both grids exit 1 on
+    `cond_I_holds` at T_SWEEP itself, so that failure is a sub-grid one.
+
+    Bound: a forward or inverse FFT errs in L2 by at most log2(n) (1 + 4 sqrt 2) eps
+    relative to its input, to first order (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Thm. 24.2); the phase multiply and the scaling
+    add a few eps, so the spectral state lies within delta = 16 eps log2(n) ||psi||
+    of the rolled one.  A residual r = ||P_C psi_t||^2 then moves by at most
+    (sqrt(r) + delta)^2 - r, and each side's mass sum by n eps of itself."""
+    grid = Grid(-40.0, x_max, n_points)
+    pair = halfline_pair(grid)
+    spec = scenarios.ScenarioSpec(name="counterexample")
+    waves = [("gaussian(8)", make_gaussian(grid, 8.0, spec.sigma)),
+             ("gaussian(12,k2)", make_gaussian(grid, 12.0, spec.sigma, k0=2.0)),
+             ("bump[2,6]", make_bump(grid, 2.0, 6.0)),
+             ("windowed-random", scenarios._window_state(grid, 2.0, 30.0, spec.seed))]
+    ia = [("gaussian(3)", make_gaussian(grid, 3.0, spec.sigma))]
+    norms = {label: state.norm_sq() for label, state in waves + ia}
+    lattice = [round(t / grid.dx) * grid.dx for t in scenarios.T_SWEEP]
+    m6 = round(6.0 / grid.dx) * grid.dx
+    spectral, shift = Propagator(momentum_operator(grid)), ShiftPropagator(grid)
+    eps = np.finfo(float).eps
+    for check, ts, states in ((check_condition_I, lattice, waves),
+                              (check_condition_IA, [-m6, m6], ia)):
+        exact = check(pair, shift, ts, list(states), tolerance=1.0).samples
+        rounded = check(pair, spectral, ts, list(states), tolerance=1.0).samples
+        assert [(s.t, s.state) for s in rounded] == [(s.t, s.state) for s in exact]
+        for a, b in zip(rounded, exact):
+            delta = 16 * eps * math.log2(n_points) * math.sqrt(norms[b.state])
+            reach = (math.sqrt(b.residual) + delta) ** 2
+            assert abs(a.residual - b.residual) <= reach - b.residual + 2 * n_points * eps * reach
+    off = check_condition_I(pair, spectral, scenarios.T_SWEEP, waves, tolerance=1.0)
+    assert off.max_residual > spec.tolerance_invariance
 
 
 # ----------------------------------------------------------------------

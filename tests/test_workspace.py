@@ -100,15 +100,16 @@ def test_a_warm_report_allocates_the_same_state_arrays_for_any_schedule_count(mo
             survival_report(u, p_core, e, schedules)  # warm-up
             allocated.clear()
             survival_report(u, p_core, e, schedules)
-            assert len(allocated) == n_schedules + 2  # and a free evolve per final time
+            # and the free evolve to 900 steps; schedule 0, empty, is the one to 600
+            assert len(allocated) == n_schedules + 1
             counts[n_schedules] = list(allocated)
     finally:
         tracemalloc.stop()
-    # one kit: the first chain allocates its values and the step slot that
-    # free evolves share, and the first chain of two distinct durations the
-    # other slot (schedules 0 and 1 have one duration each)
+    # one kit: the first item, the longest chain, allocates its values and a
+    # step slot, and the other slot when it has two distinct durations
+    # (schedule 1 has one duration, schedule 8 two); no later item allocates
     assert {n: sum(items) for n, items in counts.items()} == {2: 2, 9: 3}
-    assert [items[0] for items in counts.values()] == [2, 2]
+    assert [items[0] for items in counts.values()] == [2, 3]
 
 
 def _kit_arrays(kit: dict) -> list:
@@ -217,11 +218,11 @@ def _naive_bits(u, p_core, e, schedule) -> list[str]:
 
 
 def test_a_block_of_rows_has_the_bits_of_one_schedule_reports(monkeypatch):
-    """At 4096 points a block holds 4 rows.  Five schedules of 3 instants and four of
-    6, each with its own t_final and so its own durations, and the free evolves to the
-    seven distinct finals cut into blocks of 4 and 1 (partly empty), 4, and 4 and 3.
-    Every field of every report has the bits of a report of its schedule alone and
-    of one evolve per segment."""
+    """At 4096 points a block holds 4 rows.  Four schedules of 6 instants and five of
+    3, each with its own t_final and so its own durations, and the free evolves to the
+    seven distinct finals cut longest first into blocks of 4, 4 and 1 (partly empty),
+    and 4 and 3.  Every field of every report has the bits of a report of its schedule
+    alone and of one evolve per segment."""
     u, p_core, e, _ = _system("spectral", 4096)
     assert u._rows == statespace.MAP_MIN_POINTS // 4096 == 4
     finals = (1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 1.25, 1.5, 3.0)
@@ -230,9 +231,9 @@ def test_a_block_of_rows_has_the_bits_of_one_schedule_reports(monkeypatch):
     blocks = []
     _recording_blocks(monkeypatch, blocks)
     reports = survival_report(u, p_core, e, schedules)
-    assert [len(b) for b in blocks] == [4, 1, 4, 4, 3]
-    counts = [b.n_measurements for b in blocks[0] + blocks[2] + blocks[3]]
-    assert counts == [3] * 4 + [6] * 4 + [0] * 4
+    assert [len(b) for b in blocks] == [4, 4, 1, 4, 3]
+    counts = [b.n_measurements for b in blocks[0] + blocks[1] + blocks[3]]
+    assert counts == [6] * 4 + [3] * 4 + [0] * 4
     alone = [_bits(survival_report(u, p_core, e, [s])) for s in schedules]
     assert [_bits([r]) for r in reports] == alone
     assert alone == [_naive_bits(u, p_core, e, s) for s in schedules]
@@ -241,28 +242,75 @@ def test_a_block_of_rows_has_the_bits_of_one_schedule_reports(monkeypatch):
 @pytest.mark.parametrize("kind", ["shift", "matrix"])
 def test_shift_and_matrix_blocks_hold_one_row(kind, monkeypatch):
     """A roll and a matrix basis change one state at a time: each block is one
-    schedule, run on 1-D arrays with the bits of one evolve per segment."""
+    distinct schedule, longest first, run on 1-D arrays with the bits of one evolve
+    per segment."""
     if kind == "shift":
+        # three distinct schedules over one final time; the empty one is the free evolve
         u, p_core, e, dx = _system("shift", 4096)
         schedules = [_schedule(600, n, dx) for n in (2, 2, 3, 3, 3, 0)]
+        expected = [3, 2, 0]
     else:
+        # five distinct schedules, and the free evolves to 1.5 and 0.5: the empty
+        # schedule is the one to 1.0
         h = dense_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
         u, p_core = Propagator(h), SubspaceProjector(h.space, 0, 1)
         e = WaveFunction(h.space, np.array([1.0, 0.0]))
         schedules = [MeasurementSchedule.equally_spaced(t, n)
                      for t, n in ((1.5, 2), (1.0, 2), (1.5, 7), (0.5, 7), (1.0, 0))]
+        expected = [7, 7, 2, 2, 0, 0, 0]
     blocks = []
     _recording_blocks(monkeypatch, blocks)
     reports = survival_report(u, p_core, e, schedules)
     assert u._rows == 1
-    assert [len(b) for b in blocks] == [1] * (len(schedules) + len({s.t_final for s in schedules}))
+    assert [len(b) for b in blocks] == [1] * len(expected)
+    assert [b[0].n_measurements for b in blocks] == expected
     assert [_bits([r]) for r in reports] == [_naive_bits(u, p_core, e, s) for s in schedules]
+
+
+@pytest.mark.parametrize("kind", ["spectral", "shift", "matrix"])
+def test_a_report_runs_each_distinct_schedule_once(kind, monkeypatch):
+    """Duplicate schedules, an empty schedule and two segment counts given shortest
+    first: each distinct job (a schedule, or the free evolve to a final time that no
+    empty schedule given reaches) runs once, so the rows transformed back are the
+    sum of their segments.  Every field of every report has the bits of a report of
+    its schedule alone and of one evolve per segment."""
+    if kind == "matrix":
+        h = dense_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        u, p_core = Propagator(h), SubspaceProjector(h.space, 0, 1)
+        e = WaveFunction(h.space, np.array([1.0, 0.0]))
+        dx = 0.0625  # marks on a lattice, like the shift path's
+    else:
+        u, p_core, e, dx = _system(kind, 4096)
+    # (steps, instants): 2 over 600 twice, the empty 900, 5 over 900 twice, 5 over 300
+    schedules = [_schedule(steps, n, dx)
+                 for steps, n in ((600, 2), (900, 2), (600, 2), (900, 0), (900, 5), (300, 5),
+                                  (900, 5))]
+    # jobs: (900, 5), (300, 5), (600, 2), (900, 2), the empty 900 and the free
+    # evolves to 300 and 600: 6 + 6 + 3 + 3 + 1 + 1 + 1 segments, each one roll
+    # or one change back of every row of its block
+    owner, name = (ShiftPropagator, "_values") if kind == "shift" else (Propagator, "_inverse")
+    primitive = getattr(owner, name)
+    rows = []
+
+    def counting(self, values, *args, **kwargs):
+        rows.append(len(values) if values.ndim == 2 else 1)
+        return primitive(self, values, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    reports = survival_report(u, p_core, e, schedules)
+    assert sum(rows) == 6 + 6 + 3 + 3 + 1 + 1 + 1
+    monkeypatch.undo()
+    alone = [_bits(survival_report(u, p_core, e, [s])) for s in schedules]
+    assert [_bits([r]) for r in reports] == alone
+    assert alone == [_naive_bits(u, p_core, e, s) for s in schedules]
 
 
 def test_a_warm_report_allocates_its_block_arrays_in_its_first_block_only(monkeypatch):
     """At 4096 points the first block of a kit allocates the values of 4 rows and
     their two step slots each, three arrays of MAP_MIN_POINTS values, though it
-    runs one row; no later block allocates an array that large, whatever its rows."""
+    runs one row; no later block allocates an array that large, whatever its rows.
+    The longest schedule, alone, is the first block; then come two blocks of the
+    eight 5-instant rows and two of the free evolves to the eight distinct finals."""
     u, p_core, e, _ = _system("spectral", 4096)
     block_bytes = 16 * statespace.MAP_MIN_POINTS
     inner = statespace._map
@@ -279,8 +327,7 @@ def test_a_warm_report_allocates_its_block_arrays_in_its_first_block_only(monkey
         return inner(measured, items, most, points)
 
     monkeypatch.setattr(zeno, "_map", measured_map)
-    # the empty schedule first, a block of one row, as hm-invariance runs it
-    schedules = [MeasurementSchedule(2.0, ())] + [
+    schedules = [MeasurementSchedule.equally_spaced(2.0, 6)] + [
         MeasurementSchedule.equally_spaced(j * 0.25, 5) for j in range(1, 9)]
     tracemalloc.start()
     try:
