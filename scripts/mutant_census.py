@@ -110,11 +110,11 @@ MUTANTS = (
      "tests/test_acceptance.py::test_acceptance_3_rabi_control"),
     ("_coeffs ignores out", "operators.py",
      "np.fft.fft(values, out=out)", "np.fft.fft(values)",
-     "tests/test_propagation_reuse.py::test_an_owned_advance_has_the_bits_of_advance["
+     "tests/test_propagation_reuse.py::test_apply_on_an_owned_buffer_has_the_bits_of_evolve["
      "fourier-16384]"),
     ("shift transform copies", "operators.py", "        return psi.values\n",
      "        return psi.values.copy()\n",
-     "tests/test_propagation_reuse.py::test_advance_leaves_its_coefficients_alone[shift]"),
+     "tests/test_propagation_reuse.py::test_values_leave_their_coefficients_alone[shift]"),
     ("json keeps nan and inf", "scenarios.py", "obj if math.isfinite(obj) else str(obj)",
      "obj",
      'tests/test_scenarios.py::test_json_safe_pins_each_type[nan-"\'nan\'"]'),
@@ -210,6 +210,12 @@ MUTANTS = (
      "sorted(dict.fromkeys(job for pair in zip(schedules, frees) for job in pair),",
      "sorted([job for pair in zip(schedules, frees) for job in pair],",
      "tests/test_workspace.py::test_a_report_runs_each_distinct_schedule_once[spectral]"),
+    ("a schedule takes an infinite t_final", "zeno.py",
+     "if not 0.0 < self.t_final < math.inf:", "if not 0.0 < self.t_final:",
+     "tests/test_zeno.py::test_schedule_rejects_a_non_finite_final_time[inf]"),
+    ("condition checks take a nan time", "subspaces.py",
+     "if bad := [t for t in ts if not np.isfinite(t)]:", "if bad := []:",
+     "tests/test_subspaces.py::test_conditions_reject_a_non_finite_time_before_drawing_a_state[I]"),
 )
 
 #: the full tier-1 run, without the files that would fail on every mutant

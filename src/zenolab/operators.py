@@ -13,14 +13,14 @@ propagator is the functional calculus U(t) = exp(-i t H), in three steps:
     it, those entries are the outer product of two tables of about
     sqrt(n/2) exps, within a few ulp of exp over the whole array; any
     other odd spectrum runs exp on them,
-  * ``advance(coeffs, step)``: multiply and change back, giving U(t) psi.
+  * ``_values(coeffs, step)``: multiply and change back, giving U(t) psi.
 
-``evolve(psi, t)`` is exactly ``advance(transform(psi), step(t))``, so a
-caller that evolves one state to many times, or many states to one time,
-transforms each state once and builds each phase vector once and gets the
-same bits as separate evolves.  Coefficients and steps are read-only and
-``advance`` never writes to them.  ``Propagator`` alone changes basis, each
-way in one place: ``_coeffs`` forward, ``_inverse`` back, ``_values``
+``evolve(psi, t)`` adopts ``_values(transform(psi), step(t))`` as a state,
+so a caller that evolves one state to many times, or many states to one
+time, transforms each state once and builds each phase vector once and gets
+the same bits as separate evolves.  Coefficients and steps are read-only
+and ``_values`` never writes to them.  ``Propagator`` alone changes basis,
+each way in one place: ``_coeffs`` forward, ``_inverse`` back, ``_values``
 multiplies by a diagonal and changes back (a step gives U(t) psi, the
 eigenvalues H psi), and ``_apply`` is ``_coeffs`` then ``_values`` on one
 buffer, the caller's values on the FFT basis, so a measurement chain runs in
@@ -32,7 +32,7 @@ The FFT basis scales by multiplying with 1/sqrt(dx/n), which has the bits
 of dividing by sqrt(dx/n) at a fraction of the cost (see ``_inverse``).
 ``ShiftPropagator`` speaks the same protocol with a state's values as its
 coefficients, a whole-step count as its step and a circular roll as its
-advance.  The adjoint U(t)^dagger is realized as U(-t); only the
+``_values``.  The adjoint U(t)^dagger is realized as U(-t); only the
 full-space unitary group is modelled here.
 
 Sign and layout conventions:
@@ -238,10 +238,6 @@ class Propagator:
             mirror.imag += 0.0
         return phases
 
-    def advance(self, coeffs: np.ndarray, step: np.ndarray) -> WaveFunction:
-        """The state whose coefficients are step * coeffs; neither is written."""
-        return WaveFunction._adopt(self.space, self._values(coeffs, step))
-
     def _values(self, coeffs: np.ndarray, diagonal, out=None) -> np.ndarray:
         """Values of diagonal * coeffs (a step gives U(t)), fresh or, on the FFT basis, in `out`;
         a list of diagonals fills a block `out` row by row, from `coeffs` or its rows."""
@@ -279,19 +275,20 @@ class Propagator:
 
 def evolve_spectral(propagator: Propagator, psi: WaveFunction, t: float) -> WaveFunction:
     """Apply exp(-i t H) through the eigenbasis phase multiply."""
-    return propagator.advance(propagator.transform(psi), propagator.step(t))
+    coeffs = propagator.transform(psi)
+    return WaveFunction._adopt(propagator.space, propagator._values(coeffs, propagator.step(t)))
 
 
 @dataclass(frozen=True, eq=False)
 class ShiftPropagator:
     """Translation restricted to whole grid steps t = m * dx.
 
-    Shares the transform/step/advance/evolve protocol with Propagator so
-    condition checks and measurement chains can run on either path: a
-    state's values are its coefficients, a step is a whole-step count m and
-    an advance is a circular roll, which moves values right by m * dx bit
-    for bit (the zero-residual oracle for the spectral path at
-    commensurate times).
+    Shares the transform/step/evolve protocol and the private `_values`
+    with Propagator so condition checks and measurement chains can run on
+    either path: a state's values are its coefficients, a step is a
+    whole-step count m and `_values` is a circular roll, which moves values
+    right by m * dx bit for bit (the zero-residual oracle for the spectral
+    path at commensurate times).
     """
 
     grid: Grid
@@ -315,11 +312,8 @@ class ShiftPropagator:
             )
         return round(ratio)
 
-    def advance(self, coeffs: np.ndarray, step: int) -> WaveFunction:
-        return WaveFunction._adopt(self.grid, self._values(coeffs, step))
-
     def _values(self, coeffs: np.ndarray, step: int, out=None) -> np.ndarray:
-        """np.roll's values for `advance` as one copy of two slices, into `out` or fresh."""
+        """np.roll(coeffs, step) as one copy of two slices, into `out` or fresh."""
         split = -int(step) % coeffs.shape[0]
         return np.concatenate((coeffs[split:], coeffs[:split]), out=out)
 
@@ -332,7 +326,7 @@ class ShiftPropagator:
         return self._values(values, step, spare)
 
     def evolve(self, psi: WaveFunction, t: float) -> WaveFunction:
-        return self.advance(self.transform(psi), self.step(t))
+        return WaveFunction._adopt(self.grid, self._values(self.transform(psi), self.step(t)))
 
 
 def _series_terms(h: SpectralOperator, coeffs: np.ndarray, t: float, n_terms: int):

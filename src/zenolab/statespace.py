@@ -309,19 +309,6 @@ class WaveFunction:
         if self.space != space:
             raise SpaceMismatchError(f"state lives on {self.space}, not on {space}")
 
-    def __add__(self, other: "WaveFunction") -> "WaveFunction":
-        other._require_space(self.space)
-        return WaveFunction(self.space, self.values + other.values)
-
-    def __sub__(self, other: "WaveFunction") -> "WaveFunction":
-        other._require_space(self.space)
-        return WaveFunction(self.space, self.values - other.values)
-
-    def __mul__(self, scalar: complex) -> "WaveFunction":
-        return WaveFunction(self.space, self.values * scalar)
-
-    __rmul__ = __mul__
-
 
 def inner_product(psi: WaveFunction, phi: WaveFunction) -> complex:
     """Riemann-sum inner product, conjugate-linear in the first argument."""

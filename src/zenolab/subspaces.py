@@ -183,6 +183,14 @@ def _verdict(condition: str, residual: float, tolerance: float) -> str:
     return "HOLDS" if residual <= tolerance else "FAILS"
 
 
+def _finite(t_samples) -> list[float]:
+    """`t_samples` as floats; DomainError naming the first one that is not finite."""
+    ts = [float(t) for t in t_samples]
+    if bad := [t for t in ts if not np.isfinite(t)]:  # max() would skip a nan residual
+        raise DomainError(f"sampled time {bad[0]} is not finite")
+    return ts
+
+
 def _sample(condition: str, projector: SubspaceProjector, u, ts, pairs: list,
             tolerance: float) -> ConditionReport:
     """Residual projector.mass(U(t) s) at each (t, state) pair, t-major, and its verdict.
@@ -240,7 +248,7 @@ def check_condition_I(pair, u, t_samples, trial_states,
     sampled, so a caller that passes a generator keeps only coefficients
     alive.
     """
-    ts = [float(t) for t in t_samples]
+    ts = _finite(t_samples)
     if any(t <= 0.0 for t in ts):
         raise DomainError("condition (I) samples forward times only (t > 0)")
     return _check_invariance("I", pair, u, ts, trial_states, tolerance, ZONE_TOL_STRICT)
@@ -261,7 +269,7 @@ def check_condition_II(pair, u, t_samples, trial_states,
     clipped and transformed.
     """
     p_core, p_wave = pair
-    ts = [float(t) for t in t_samples]
+    ts = _finite(t_samples)
     if any(t < 0.0 for t in ts):
         raise DomainError("condition (II) samples t >= 0")
     pairs = [(label, core_zone_state(p_core, c))
@@ -279,6 +287,6 @@ def check_condition_IA(pair, u, t_samples, trial_states,
     each state within ZONE_TOL_LOOSE of the wave zone; it may be any
     iterable, is drawn once, and the states are dropped once transformed.
     """
-    ts = [float(t) for t in t_samples]
+    ts = _finite(t_samples)
     return _check_invariance("I-A", pair, u, ts, trial_states, tolerance, ZONE_TOL_LOOSE)
 

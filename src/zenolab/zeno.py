@@ -60,8 +60,8 @@ class MeasurementSchedule:
     times: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.t_final > 0.0:
-            raise DomainError("t_final must be positive")
+        if not 0.0 < self.t_final < math.inf:  # nan fails both comparisons
+            raise DomainError(f"t_final must be positive and finite, got {self.t_final}")
         ts = tuple(float(t) for t in self.times)
         if any(not (0.0 < a < self.t_final) for a in ts):
             raise DomainError("measurement instants must lie strictly inside (0, t_final)")
@@ -100,7 +100,7 @@ def _chain(u, p_core: SubspaceProjector, coeffs, block, kit: dict) -> np.ndarray
     one schedule on 1-D arrays: `_apply` works in place on the FFT basis, a
     shift rolls into `kit["spare"]` and the two buffers swap, and a matrix
     basis changes basis into fresh arrays.  Every row has the bits of
-    `advance`, `apply` and `transform` on separate arrays.
+    `transform`, `_values` and the projector's `apply` on separate arrays.
 
     The segments of an equally spaced schedule differ at most in the last ulp
     and alternate (a a b c b c b ...), so each row keeps the steps of its two

@@ -201,14 +201,13 @@ def test_survival_report_never_projects_through_apply(system, monkeypatch):
         assert rep.retained == final.norm_sq()
 
 
-def test_an_owned_advance_has_the_bits_of_advance(system):
+def test_apply_on_an_owned_buffer_has_the_bits_of_evolve(system):
     u, _, e, waves, ts, _ = system
     for psi in [e] + waves:
-        shared = u.transform(psi)
         for t in ts:
             owned = np.array(psi.values)
             values = u._apply(owned, u.step(t))
-            assert values.tobytes() == u.advance(shared, u.step(t)).values.tobytes()
+            assert values.tobytes() == u.evolve(psi, t).values.tobytes()
             if isinstance(u, Propagator) and u.generator.basis is None:
                 assert values is owned
 
@@ -440,16 +439,15 @@ def test_fourier_kind_needs_an_odd_spectrum():
 # ----------------------------------------------------------------------
 
 
-def test_advance_leaves_its_coefficients_alone(system):
+def test_values_leave_their_coefficients_alone(system):
     u, (p_core, _), e, waves, ts, _ = system
     coeffs = u.transform(e)
     before = coeffs.copy()
-    outs = [u.advance(coeffs, u.step(t)) for t in ts]
     for t in ts:
-        u._values(coeffs, u.step(t))  # not handed over, so not written either
+        u._values(coeffs, u.step(t))  # not handed over as `out`, so not written
     assert np.array_equal(coeffs, before)
     assert not coeffs.flags.writeable
-    outs += [u.evolve(w, ts[0]) for w in waves]
+    outs = [u.evolve(e, t) for t in ts] + [u.evolve(w, ts[0]) for w in waves]
     outs += [p_core.apply(o) for o in outs]
     assert all(not o.values.flags.writeable for o in outs)
 
@@ -461,7 +459,7 @@ def test_steps_and_shifts_are_read_only():
     psi = make_gaussian(grid, 0.0, 1.0)
     shifter = ShiftPropagator(grid)
     assert shifter.transform(psi) is psi.values
-    assert not shifter.advance(shifter.transform(psi), 3).values.flags.writeable
+    assert not shifter.evolve(psi, 3 * grid.dx).values.flags.writeable
     with pytest.raises(ValueError):
         u.transform(psi)[0] = 0.0
 

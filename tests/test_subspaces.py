@@ -112,7 +112,7 @@ def test_indicator_projector_algebra(small_grid, seed):
     # idempotence is exact for sample indicators
     assert np.array_equal(p_core.apply(once).values, once.values)
     # complementarity reconstructs the state exactly
-    assert np.array_equal((p_core.apply(psi) + p_wave.apply(psi)).values, psi.values)
+    assert np.array_equal(p_core.apply(psi).values + p_wave.apply(psi).values, psi.values)
     # Pythagoras
     assert abs(p_core.mass(psi) + p_wave.mass(psi) - 1.0) <= 1e-12
 
@@ -198,7 +198,7 @@ def test_leakage_preconditions(grid, zone_pair, translator):
     _, p_wave = zone_pair
     g = make_gaussian(grid, -3.0, 1.0)
     with pytest.raises(PreconditionError, match="not normalized"):
-        leakage(p_wave, translator, g * 0.7, 1.0)
+        leakage(p_wave, translator, WaveFunction(grid, g.values * 0.7), 1.0)
     with pytest.raises(PreconditionError, match="not core-zone"):
         leakage(p_wave, translator, make_gaussian(grid, 5.0, 1.0), 1.0)
 
@@ -295,6 +295,23 @@ def test_condition_II_rejects_negative_times(grid, zone_pair, translator):
     with pytest.raises(DomainError, match="t >= 0"):
         check_condition_II(zone_pair, translator, [-1.0],
                            [("g-3", make_gaussian(grid, -3.0, 1.0))])
+
+
+def _undrawn():
+    raise AssertionError("a trial state was drawn")
+    yield  # a generator, so the error comes only on drawing
+
+
+@pytest.mark.parametrize("check, ts, shown", [
+    (check_condition_I, [1.0, math.nan], "nan"),
+    (check_condition_II, [0.5, math.inf], "inf"),
+    (check_condition_IA, [-math.inf, 1.0], "-inf"),
+], ids=["I", "II", "I-A"])
+def test_conditions_reject_a_non_finite_time_before_drawing_a_state(zone_pair, translator,
+                                                                    check, ts, shown):
+    # max() skips a nan residual, so a nan time would read HOLDS or NOT_FALSIFIED
+    with pytest.raises(DomainError, match=f"sampled time {shown} is not finite"):
+        check(zone_pair, translator, ts, _undrawn())
 
 
 # ----------------------------------------------------------------------

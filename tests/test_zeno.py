@@ -67,6 +67,13 @@ def test_schedule_validation():
         MeasurementSchedule.equally_spaced(2.0, -1)
 
 
+@pytest.mark.parametrize("t_final", [math.inf, math.nan])
+def test_schedule_rejects_a_non_finite_final_time(t_final):
+    # an infinite t_final reads nan in every spectral survival field
+    with pytest.raises(DomainError, match=f"finite, got {t_final}"):
+        MeasurementSchedule(t_final, ())
+
+
 # ----------------------------------------------------------------------
 # Free survival
 # ----------------------------------------------------------------------
@@ -100,7 +107,8 @@ def test_measured_survival_requires_core_state(grid, zone_pair, translator):
 
 
 def test_measured_survival_requires_a_normalized_state(grid, zone_pair, translator):
-    e = core_zone_state(zone_pair[0], make_gaussian(grid, -8.0, 1.0)) * 0.7
+    core = core_zone_state(zone_pair[0], make_gaussian(grid, -8.0, 1.0))
+    e = WaveFunction(grid, core.values * 0.7)
     with pytest.raises(PreconditionError, match="prepared state is not normalized"):
         survival_report(translator, zone_pair[0], e,
                         [MeasurementSchedule.equally_spaced(2.0, 5)])
@@ -110,7 +118,8 @@ def test_core_state_below_unit_norm_is_still_core_zone(grid, zone_pair, translat
     # ||e||^2 = 1 - 5e-10 passes the 1e-9 normalization check and the state
     # has no wave-zone amplitude at all, so it is a core-zone state
     p_core, p_wave = zone_pair
-    e = core_zone_state(p_core, make_gaussian(grid, -8.0, 1.0)) * math.sqrt(1.0 - 5e-10)
+    core = core_zone_state(p_core, make_gaussian(grid, -8.0, 1.0))
+    e = WaveFunction(grid, core.values * math.sqrt(1.0 - 5e-10))
     assert p_wave.mass(e) == 0.0
     assert abs(e.norm_sq() - (1.0 - 5e-10)) <= 1e-15
     rep = survival_report(translator, p_core, e, [MeasurementSchedule.equally_spaced(2.0, 3)])[0]
