@@ -216,6 +216,30 @@ MUTANTS = (
     ("condition checks take a nan time", "subspaces.py",
      "if bad := [t for t in ts if not np.isfinite(t)]:", "if bad := []:",
      "tests/test_subspaces.py::test_conditions_reject_a_non_finite_time_before_drawing_a_state[I]"),
+    ("leakage takes a non-finite time", "subspaces.py", "    _finite([t])\n", "",
+     "tests/test_subspaces.py::test_leakage_rejects_a_non_finite_time[spectral-inf]"),
+    ("condition (I) takes t = 0", "subspaces.py",
+     "any(t <= 0.0 for t in ts)", "any(t < 0.0 for t in ts)",
+     "tests/test_subspaces.py::test_condition_I_rejects_time_zero_before_drawing_a_state"),
+    ("a bump takes equal ends", "statespace.py",
+     "if not support_lo < support_hi:", "if not support_lo <= support_hi:",
+     "tests/test_statespace.py::test_bump_support_guard"),
+    ("two step ratios cannot classify", "analytic.py",
+     "len(norms.step_ratios) < 2", "len(norms.step_ratios) <= 2",
+     "tests/test_analytic.py::test_two_step_ratios_are_enough_to_classify"),
+    ("rabi fits a slope at an unbounded blur", "scenarios.py",
+     "if blur < math.inf else math.nan", "if blur <= math.inf else math.nan",
+     "tests/test_scenarios.py::test_rabi_control_window_at_subnormal_deficits_names_an_"
+     "unbounded_blur"),
+    ("an int field parsed as float", "cli.py",
+     "(int if _HINTS[f.name] is int else float, f.name)", "(float, f.name)",
+     "tests/test_cli.py::test_options_leave_only_int_fields_the_n_spelling_and_two_cli_keys_"
+     "implicit"),
+    ("N spelled n-measurements", "cli.py",
+     '"N" if f.name == "n_measurements" else f.name.replace("_", "-")',
+     'f.name.replace("_", "-")',
+     "tests/test_cli.py::test_options_leave_only_int_fields_the_n_spelling_and_two_cli_keys_"
+     "implicit"),
 )
 
 #: the full tier-1 run, without the files that would fail on every mutant

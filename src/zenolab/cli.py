@@ -27,9 +27,9 @@ crash before writeback may leave the previous run's file whole, looking
 complete and valid, or old and new bytes mixed.  The output root comes from
 --out, else $ZENOLAB_OUT, else ./zenolab-out.
 
-Config files are flat `key = value` lines with `#` comments; keys use the
-long flag spellings (e.g. `grid-points = 4096`).  Explicit flags override
-file values.
+Flags and config keys are the `ScenarioSpec` fields but `name`, dashed
+(`grid-points`), `N` for `n_measurements`, plus `out` and `format`.  Config
+files are flat `key = value` lines with `#` comments; flags override them.
 """
 
 from __future__ import annotations
@@ -37,7 +37,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -55,22 +57,13 @@ class ConfigError(ValueError):
 REJECTED = (ConfigError, DomainError, PreconditionError, MemoryError)
 
 
+_HINTS = get_type_hints(ScenarioSpec)
 #: long-flag spelling -> (python type, ScenarioSpec field or None for cli-only)
 OPTIONS: dict[str, tuple[type, str | None]] = {
-    "grid-points": (int, "grid_points"),
-    "x-min": (float, "x_min"),
-    "x-max": (float, "x_max"),
-    "sigma": (float, "sigma"),
-    "center": (float, "center"),
-    "time": (float, "time"),
-    "N": (int, "n_measurements"),
-    "omega": (float, "omega"),
-    "tolerance-invariance": (float, "tolerance_invariance"),
-    "tolerance-falsify": (float, "tolerance_falsify"),
-    "seed": (int, "seed"),
-    "out": (str, None),
-    "format": (str, None),
-}
+    "N" if f.name == "n_measurements" else f.name.replace("_", "-"):
+        (int if _HINTS[f.name] is int else float, f.name)
+    for f in fields(ScenarioSpec) if f.name != "name"
+} | {"out": (str, None), "format": (str, None)}
 #: values accepted by --format
 FORMATS = ("csv", "bundle", "both")
 #: --help text of the options that carry one

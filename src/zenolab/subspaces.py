@@ -132,8 +132,9 @@ def leakage(p_wave: SubspaceProjector, u, e: WaveFunction, t: float) -> float:
     """Decay probability ||P_wave U(t) e||^2 for a core-zone initial state.
 
     `u` is a Propagator or ShiftPropagator.  The initial state must be
-    normalized and carry at most ZONE_TOL_LOOSE wave-zone mass.
+    normalized and carry at most ZONE_TOL_LOOSE wave-zone mass, and t finite.
     """
+    _finite([t])
     _require_unit_norm(e, "initial state")
     _require_zone(p_wave.mass(e), ZONE_TOL_LOOSE, "initial state", "core-zone")
     return p_wave.mass(u.evolve(e, t))

@@ -177,6 +177,14 @@ def test_hn_validation(small_grid):
         analyticity_report(h, g, n_max=1)
 
 
+def test_two_step_ratios_are_enough_to_classify(small_grid):
+    # ||H^n g|| / ||H^(n-1) g|| for a unit-width Gaussian: 1/2, then sqrt(3)/2
+    h = momentum_operator(small_grid)
+    report = analyticity_report(h, make_gaussian(small_grid, 0.0, 1.0), n_max=2)
+    assert report.norms.step_ratios == pytest.approx((0.5, math.sqrt(3.0) / 2.0), rel=1e-12)
+    assert report.classification == "entire-like"
+
+
 # ----------------------------------------------------------------------
 # Regime classification
 # ----------------------------------------------------------------------

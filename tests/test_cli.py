@@ -572,6 +572,12 @@ def test_sweep_rejects_bad_jobs_or_empty_values(flags, reason, tmp_path, capsys)
 KEY_OF = {f: k for k, (_, f) in OPTIONS.items() if f is not None}
 
 
+def test_options_leave_only_int_fields_the_n_spelling_and_two_cli_keys_implicit():
+    assert {key for key, (typ, _) in OPTIONS.items() if typ is int} == {"grid-points", "N", "seed"}
+    assert KEY_OF["n_measurements"] == "N"
+    assert [key for key, (_, field) in OPTIONS.items() if field is None] == ["out", "format"]
+
+
 def test_readme_reads_table_matches_reads():
     # README's "flags it reads" table restates `scenarios.READS` by hand
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

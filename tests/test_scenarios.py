@@ -291,6 +291,13 @@ def test_rabi_control_quarter_and_slope():
     assert bundle.metrics["chain_vs_closed_form"] <= 1e-12
 
 
+def test_rabi_control_window_at_subnormal_deficits_names_an_unbounded_blur():
+    # at omega * t = 4.5e-160 every closed-form deficit is subnormal, below its own
+    # roundoff, so none bounds a slope; a fit of their quantized values would read -0.849
+    with pytest.raises(DomainError, match="could move the slope over N = 8..128 by inf"):
+        run_scenario("rabi-control", ScenarioSpec(name="rabi-control", time=4.5e-160))
+
+
 def test_rabi_control_table_matches_matrix_oracle():
     bundle = run_scenario("rabi-control")
     t = bundle.metrics["t"]

@@ -154,6 +154,8 @@ def test_bump_exact_support(grid):
 def test_bump_support_guard(grid):
     with pytest.raises(DomainError, match="empty support"):
         make_bump(grid, 6.0, 2.0)
+    with pytest.raises(DomainError, match=r"empty support \[2.0, 2.0\]"):
+        make_bump(grid, 2.0, 2.0)
     with pytest.raises(DomainError, match="exceeds domain"):
         make_bump(grid, 30.0, 50.0)
     # dx = 5: the support lies between two samples

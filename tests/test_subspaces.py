@@ -194,6 +194,16 @@ def test_leakage_half_at_midpoint_fine_grid():
     assert abs(leakage(p_wave, u, g, 3.0) - 0.5) <= 1e-4
 
 
+@pytest.mark.parametrize("kind, t", [("spectral", math.inf), ("spectral", math.nan),
+                                     ("shift", math.inf), ("shift", math.nan)],
+                         ids=["spectral-inf", "spectral-nan", "shift-inf", "shift-nan"])
+def test_leakage_rejects_a_non_finite_time(grid, zone_pair, translator, kind, t):
+    # the spectral path would return nan, and the exact shift would call t incommensurate
+    u = translator if kind == "spectral" else ShiftPropagator(grid)
+    with pytest.raises(DomainError, match=f"sampled time {t} is not finite"):
+        leakage(zone_pair[1], u, make_gaussian(grid, -3.0, 1.0), t)
+
+
 def test_leakage_preconditions(grid, zone_pair, translator):
     _, p_wave = zone_pair
     g = make_gaussian(grid, -3.0, 1.0)
@@ -312,6 +322,11 @@ def test_conditions_reject_a_non_finite_time_before_drawing_a_state(zone_pair, t
     # max() skips a nan residual, so a nan time would read HOLDS or NOT_FALSIFIED
     with pytest.raises(DomainError, match=f"sampled time {shown} is not finite"):
         check(zone_pair, translator, ts, _undrawn())
+
+
+def test_condition_I_rejects_time_zero_before_drawing_a_state(zone_pair, translator):
+    with pytest.raises(DomainError, match=r"forward times only \(t > 0\)"):
+        check_condition_I(zone_pair, translator, [0.0], _undrawn())
 
 
 # ----------------------------------------------------------------------
