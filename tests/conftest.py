@@ -1,4 +1,5 @@
-"""Shared fixtures: the default lab grid, a helper pool of chosen size and seeded random states.
+"""Shared fixtures and references: the default lab grid and its prepared core state, a
+helper pool of chosen size, seeded random states and the two-level Rabi system.
 
 Every test fails if it leaves `statespace._stopping` set, which would stop later runs.
 """
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from zenolab import Grid, Propagator, WaveFunction, halfline_pair, momentum_operator, statespace
+from zenolab import (Grid, Propagator, SubspaceProjector, WaveFunction, core_zone_state,
+                     dense_hermitian, halfline_pair, make_gaussian, momentum_operator, statespace)
 
 settings.register_profile(
     "suite",
@@ -74,8 +76,22 @@ def zone_pair(grid):
     return halfline_pair(grid)
 
 
+@pytest.fixture(scope="session")
+def core_state(grid, zone_pair):
+    """The default prepared state: the Gaussian at -8, sigma 1, clipped to the core zone."""
+    return core_zone_state(zone_pair[0], make_gaussian(grid, -8.0, 1.0))
+
+
 def random_state(space, seed: int) -> WaveFunction:
     """Normalized state with iid complex-normal samples from a seeded rng."""
     rng = np.random.default_rng(seed)
     values = rng.normal(size=space.n_points) + 1j * rng.normal(size=space.n_points)
     return WaveFunction(space, values).normalized()
+
+
+def rabi_system():
+    """The two-level Rabi control: H = sigma_x, its propagator, the excited state [1, 0]
+    and the projector pair [0, 1) / [1, 2), as (h, u, e, (p_core, p_wave))."""
+    h = dense_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    pair = (SubspaceProjector(h.space, 0, 1), SubspaceProjector(h.space, 1, 2))
+    return h, Propagator(h), WaveFunction(h.space, np.array([1.0, 0.0])), pair

@@ -3,12 +3,13 @@
 Everything here goes through a different code path than zenolab itself:
 closed forms via math/scipy, quadrature via scipy.integrate or numpy's
 Gauss-Hermite rule, and the two-level measurement chain via brute-force 2x2
-matrix products.  The one
-exception is `stone_residuals`, which writes out the generator's difference
-quotient over the package's own propagator, one evolve per time.
-`fft_pair_hn_norms` applies H = V Lambda V^dagger on the values as its
-definition, one numpy FFT pair per power.  Frozen literals in the test
-modules were produced by these helpers.
+matrix products.  Three references build on the package's own propagator:
+`stone_residuals` writes out the generator's difference quotient, one evolve
+per time; `naive_chain` runs a measured chain, one evolve per segment; and
+`dense_momentum_twin` builds the momentum operator without an FFT, for the
+matrix-basis path.  `fft_pair_hn_norms` applies H = V Lambda V^dagger on the
+values as its definition, one numpy FFT pair per power.  Frozen literals in
+the test modules were produced by these helpers.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import numpy as np
 from scipy import integrate
 
-from zenolab import Propagator
+from zenolab import Propagator, SpectralOperator
 from zenolab.analytic import CEILING_WINDOW, SATURATION_FRACTION
 
 
@@ -128,6 +129,32 @@ def stone_residuals(h, psi, ts) -> list[float]:
     hpsi = u._values(u.transform(psi), h.eigenvalues)
     return [float(np.linalg.norm(1j * (u.evolve(psi, t).values - psi.values) / t - hpsi))
             * math.sqrt(psi.space.dx) for t in ts]
+
+
+def naive_chain(u, p_core, e, schedule):
+    """The final state of e measured by p_core at each instant of the schedule: one
+    `u.evolve` and one `p_core.apply` per instant, then one evolve to t_final."""
+    psi, elapsed = e, 0.0
+    for t_k in schedule.times:
+        psi = p_core.apply(u.evolve(psi, t_k - elapsed))
+        elapsed = t_k
+    return u.evolve(psi, schedule.t_final - elapsed)
+
+
+def dense_momentum_twin(grid) -> SpectralOperator:
+    """-i d/dx on `grid` as a dense Hermitian matrix diagonalized by `np.linalg.eigh`.
+
+    P = sum_j k_j w_j w_j^dagger over the unit plane waves w_j[m] = exp(2 pi i j m / n) /
+    sqrt(n), with k_j = j 2 pi / L for j <= n/2 and (j - n) 2 pi / L above: FFT bin order,
+    the Nyquist mode at +pi/dx.  Each exponent takes j m mod n, an exact integer, so no
+    phase loses accuracy to a large argument.  No FFT and no `Grid.wavenumbers`.
+    """
+    n = grid.n_points
+    idx = np.arange(n)
+    k = np.where(idx <= n // 2, idx, idx - n) * (2.0 * math.pi / grid.length)
+    waves = np.exp((2j * math.pi / n) * (np.outer(idx, idx) % n)) / math.sqrt(n)
+    lam, basis = np.linalg.eigh((waves * k) @ waves.conj().T)
+    return SpectralOperator(grid, lam, basis=basis)
 
 
 def fft_pair_hn_norms(h, psi, n_max: int):

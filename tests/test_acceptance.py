@@ -19,10 +19,7 @@ from zenolab import (
     MeasurementSchedule,
     Propagator,
     ShiftPropagator,
-    core_zone_state,
     deficit_slope,
-    dense_hermitian,
-    halfline_pair,
     inner_product,
     make_gaussian,
     make_plane_wave,
@@ -32,8 +29,7 @@ from zenolab import (
 )
 from zenolab.cli import main
 from zenolab.statespace import WaveFunction
-from zenolab.subspaces import SubspaceProjector
-from conftest import random_state
+from conftest import rabi_system, random_state
 
 
 def _gate(label: str, checks: dict[str, bool], detail: str = "") -> None:
@@ -79,10 +75,9 @@ def test_acceptance_1_counterexample_cli(tmp_path):
 # 2. measurement invariance of survival for core-zone states
 # ----------------------------------------------------------------------
 
-def test_acceptance_2_measurement_invariance(grid, translator, zone_pair):
+def test_acceptance_2_measurement_invariance(grid, translator, zone_pair, core_state):
     start = time.perf_counter()
     p_core, _ = zone_pair
-    e = core_zone_state(p_core, make_gaussian(grid, -8.0, 1.0))
     rng = np.random.default_rng(20260814)
     t_spec = 2.0
     n_steps = 102
@@ -96,13 +91,13 @@ def test_acceptance_2_measurement_invariance(grid, translator, zone_pair):
         # arbitrary strictly ordered instants, not just equally spaced ones
         times = np.sort(rng.uniform(0.02 * t_spec, 0.98 * t_spec, size=n))
         assert np.all(np.diff(times) > 0.0)
-        rep = survival_report(translator, p_core, e,
+        rep = survival_report(translator, p_core, core_state,
                               [MeasurementSchedule(t_spec, tuple(times))])[0]
         worst_spectral = max(worst_spectral, abs(rep.delta))
         worst_free = max(worst_free, abs(rep.s_free - math.exp(-t_spec ** 2 / 4.0)))
 
         marks = np.sort(rng.choice(np.arange(1, n_steps), size=n, replace=False))
-        rep = survival_report(shifter, p_core, e,
+        rep = survival_report(shifter, p_core, core_state,
                               [MeasurementSchedule(t_shift, tuple(marks * grid.dx))])[0]
         worst_shift = max(worst_shift, abs(rep.delta))
         worst_free = max(worst_free, abs(rep.s_free - math.exp(-t_shift ** 2 / 4.0)))
@@ -127,10 +122,7 @@ def test_acceptance_2_measurement_invariance(grid, translator, zone_pair):
 
 def test_acceptance_3_rabi_control():
     start = time.perf_counter()
-    h = dense_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    u = Propagator(h)
-    e = WaveFunction(h.space, np.array([1.0, 0.0]))
-    p_core = SubspaceProjector(h.space, 0, 1)
+    _, u, e, (p_core, _) = rabi_system()
     t = math.pi / 2.0
 
     s_single = survival_report(u, p_core, e, [MeasurementSchedule.equally_spaced(t, 1)])[0].s_measured

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_state
+from conftest import rabi_system, random_state
 from oracles import rabi_unitary, stone_residuals
 from zenolab import (
     DenseSpace,
@@ -164,9 +164,7 @@ def test_propagator_group_laws(small_grid, seed, t, s):
 
 
 def test_rabi_survival_cosine():
-    h = dense_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    u = Propagator(h)
-    e = WaveFunction(h.space, np.array([1.0, 0.0]))
+    _, u, e, _ = rabi_system()
     for t in (0.3, 0.7, 1.2):
         s = abs(inner_product(e, u.evolve(e, t))) ** 2
         assert s == pytest.approx(math.cos(t) ** 2, abs=1e-12)
@@ -246,8 +244,7 @@ def test_series_eigenvector_reduces_to_scalar(small_grid):
 
 
 def test_series_rabi_converges_to_spectral():
-    h = dense_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    e = WaveFunction(h.space, np.array([1.0, 0.0]))
+    h, _, e, _ = rabi_system()
     curve = series_vs_spectral_curve(h, e, math.pi / 2.0, 20)
     assert curve.errors[-1] <= 1e-12
     assert not curve.diverged
@@ -297,9 +294,9 @@ def test_series_overflow_is_a_flag_not_a_warning():
 
 def test_series_validation():
     # the dense basis too rejects a depth below one
-    h = dense_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    h, _, e, _ = rabi_system()
     with pytest.raises(DomainError):
-        series_vs_spectral_curve(h, WaveFunction(h.space, np.array([1.0, 0.0])), 1.0, 0)
+        series_vs_spectral_curve(h, e, 1.0, 0)
 
 
 def test_operator_entry_points_reject_a_foreign_state(grid, momentum):

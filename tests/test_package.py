@@ -12,6 +12,7 @@ import zenolab
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "zenolab").glob("*.py"))
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def test_every_exported_name_resolves():
@@ -29,7 +30,7 @@ def _exported(tree: ast.Module) -> set[str]:
     return set()
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + SCRIPTS + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     # no linter runs in tier-1, and a deleted call site tends to leave its import behind
     tree = ast.parse(path.read_text(), filename=str(path))

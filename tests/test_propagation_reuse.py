@@ -20,6 +20,8 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import rabi_system
+from oracles import naive_chain
 from zenolab import (
     DenseSpace,
     DomainError,
@@ -54,7 +56,7 @@ from zenolab.scenarios import (
 from zenolab.zeno import _chain
 
 # ----------------------------------------------------------------------
-# naive references: one evolve per pair, one evolve per segment
+# naive references: one evolve per pair (oracles.naive_chain: one per segment)
 # ----------------------------------------------------------------------
 
 
@@ -65,15 +67,6 @@ def naive_residuals(mass, u, ts, states) -> list[float]:
 def named(states) -> list[tuple[str, WaveFunction]]:
     """Trial-state pairs labelled s0, s1, ... in order."""
     return [(f"s{i}", s) for i, s in enumerate(states)]
-
-
-def naive_chain(u, p_core, e, schedule):
-    psi = e
-    elapsed = 0.0
-    for t_k in schedule.times:
-        psi = p_core.apply(u.evolve(psi, t_k - elapsed))
-        elapsed = t_k
-    return u.evolve(psi, schedule.t_final - elapsed)
 
 
 # ----------------------------------------------------------------------
@@ -93,14 +86,11 @@ def _fourier(n_points: int):
 
 
 def _rabi():
-    h = dense_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    space = h.space
-    pair = (SubspaceProjector(space, 0, 1), SubspaceProjector(space, 1, 2))
-    e = WaveFunction(space, np.array([1.0, 0.0]))
-    waves = [WaveFunction(space, np.array([0.0, 1.0])),
-             WaveFunction(space, np.array([0.0, 1.0j]))]
+    h, u, e, pair = rabi_system()
+    waves = [WaveFunction(h.space, np.array([0.0, 1.0])),
+             WaveFunction(h.space, np.array([0.0, 1.0j]))]
     schedules = [MeasurementSchedule.equally_spaced(np.pi / 2, n) for n in (0, 1, 7, 16)]
-    return Propagator(h), pair, e, waves, (0.1, 0.7, 1.3, 0.7), schedules
+    return u, pair, e, waves, (0.1, 0.7, 1.3, 0.7), schedules
 
 
 def _shift():
@@ -507,28 +497,24 @@ def _install_counters(mp, calls: dict | None = None) -> dict:
     return counts
 
 
-def _lab():
-    grid = Grid(-40.0, 40.0, 4096)
-    pair = halfline_pair(grid)
-    waves = [make_gaussian(grid, 8.0, 1.0), make_gaussian(grid, 12.0, 1.0, k0=2.0),
-             make_bump(grid, 2.0, 6.0), make_gaussian(grid, 20.0, 1.5)]
-    e = core_zone_state(pair[0], make_gaussian(grid, -8.0, 1.0))
-    return Propagator(momentum_operator(grid)), pair, waves, e
+def _lab_waves(grid):
+    return [make_gaussian(grid, 8.0, 1.0), make_gaussian(grid, 12.0, 1.0, k0=2.0),
+            make_bump(grid, 2.0, 6.0), make_gaussian(grid, 20.0, 1.5)]
 
 
-def test_condition_I_transforms_each_state_and_time_once():
-    u, pair, waves, _ = _lab()
+def test_condition_I_transforms_each_state_and_time_once(grid, zone_pair, translator):
+    waves = _lab_waves(grid)
     with pytest.MonkeyPatch.context() as mp:
         counts = _install_counters(mp)
-        check_condition_I(pair, u, T_SWEEP, named(waves))
+        check_condition_I(zone_pair, translator, T_SWEEP, named(waves))
     # two table exps per step
     assert counts == {"fft": 4, "ifft": 4 * len(T_SWEEP), "exp": 2 * len(T_SWEEP)}
 
 
-def test_condition_I_advances_every_state_of_a_time_into_one_buffer():
+def test_condition_I_advances_every_state_of_a_time_into_one_buffer(grid, zone_pair, translator):
     """Every time item of a thread writes all its states into the one values
     array of its thread's kit, so the inverse FFTs use one buffer per thread."""
-    u, pair, waves, _ = _lab()
+    u, pair, waves = translator, zone_pair, _lab_waves(grid)
     buffers = []  # (thread, output array) of each inverse FFT, kept alive so no id is reused
     ifft = np.fft.ifft
 
@@ -549,8 +535,9 @@ def test_condition_I_advances_every_state_of_a_time_into_one_buffer():
     (3, {"fft": 4, "ifft": 5, "exp": 2 * 2}),
     (8, {"fft": 9, "ifft": 10, "exp": 2 * 4}),
 ])
-def test_survival_report_shares_e_and_repeated_segments(n, expected):
-    u, (p_core, _), _, e = _lab()
+def test_survival_report_shares_e_and_repeated_segments(n, expected, zone_pair, translator,
+                                                       core_state):
+    u, (p_core, _), e = translator, zone_pair, core_state
     sched = MeasurementSchedule.equally_spaced(2.0, n)
     with pytest.MonkeyPatch.context() as mp:
         counts = _install_counters(mp)
@@ -558,14 +545,15 @@ def test_survival_report_shares_e_and_repeated_segments(n, expected):
     assert counts == expected
 
 
-def test_survival_report_shares_e_and_free_evolves_across_schedules():
+def test_survival_report_shares_e_and_free_evolves_across_schedules(zone_pair, translator,
+                                                                  core_state):
     # one transform of e serves all three schedules, and the empty one is the
     # free evolve to t = 2 of all three.  The jobs are the chains of 9, 4 and 1
     # segments: 1 + 8 + 3 ffts and 9 + 4 + 1 iffts.  Their steps: 2/9 alternates
     # in its last ulp, so the 8-instant chain builds 3, and 1/2 and 2 are exact,
     # so the others build 1 each: 5 steps of two table exps.  Three one-schedule
     # calls cost 14 ffts, 16 iffts and 7 steps
-    u, (p_core, _), _, e = _lab()
+    u, (p_core, _), e = translator, zone_pair, core_state
     schedules = [MeasurementSchedule.equally_spaced(2.0, n) for n in (0, 3, 8)]
     with pytest.MonkeyPatch.context() as mp:
         counts = _install_counters(mp)

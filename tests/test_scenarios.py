@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from oracles import normal_cdf, rabi_chain_survival
+from oracles import dense_momentum_twin, normal_cdf, rabi_chain_survival
 from zenolab import (
     DomainError,
     ScenarioSpec,
@@ -278,6 +278,47 @@ def test_hm_invariance_respects_n_override():
 def test_hm_invariance_rejects_wave_zone_preparation():
     with pytest.raises(DomainError, match="core zone"):
         run_scenario("hm-invariance", ScenarioSpec(name="hm-invariance", center=3.0))
+
+
+@pytest.mark.parametrize("name, n_points", [("counterexample", 256), ("counterexample", 512),
+                                             ("hm-invariance", 256), ("hm-invariance", 512)])
+def test_a_dense_twin_without_ffts_gives_the_grid_scenarios_verdicts(name, n_points,
+                                                                    monkeypatch):
+    """Both grid scenarios rerun with `momentum_operator` swapped for a dense twin, P
+    diagonalized by eigh on the matrix-basis path, which shares no FFT, bin order, scaling,
+    lattice table or mirror with the FFT basis.  Every flag passes or fails alike,
+    counterexample's `cond_I_holds` failure at 256 points included, and every finite float
+    metric and flag value agrees within a bound from the two paths' errors.
+
+    Bound, with p(n) = n for every n-term step (the modest growth that LAPACK's
+    eigensolver error bounds assume): building P and eigh leave the exact eigensystem of
+    P + E, ||E|| <= 2 n eps ||P|| with ||P|| = pi / dx, which moves a state evolved for a
+    total time t by at most t ||E||, and each segment's two products with V add n eps
+    each.  The FFT path errs by 16 eps log2(n) per segment (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., Thm. 24.2, as in test_subspaces' lattice test).
+    Each metric is a squared overlap, mass or norm of unit states, moved by at most
+    2 delta + delta^2, or a difference of two such.  The worst gaps measured are 3e-16 to
+    5e-15, against bounds of 1.3e-11 to 1.1e-10."""
+    spec = ScenarioSpec(name=name, grid_points=n_points)
+    fft = run_scenario(name, spec)
+    monkeypatch.setattr(scenarios, "momentum_operator", dense_momentum_twin)
+    twin = run_scenario(name, spec)
+    assert [(f.name, f.passed) for f in twin.flags] == [(f.name, f.passed) for f in fft.flags]
+    eps = np.finfo(float).eps
+    norm_p = math.pi / ((spec.x_max - spec.x_min) / n_points)
+    # counterexample evolves each state once, up to |t| = 6; hm-invariance runs N + 1
+    # segments over t
+    t, segments = ((max(scenarios.T_SWEEP), 1) if name == "counterexample"
+                   else (fft.metrics["t"], spec.n_measurements + 1))
+    delta = (2 * t * n_points * norm_p
+             + segments * (2 * n_points + 16 * math.log2(n_points))) * eps
+    bound = 2 * (2 * delta + delta**2)
+    pairs = [(f.name, f.value, g.value) for f, g in zip(fft.flags, twin.flags)]
+    pairs += [(key, value, twin.metrics[key]) for key, value in fft.metrics.items()
+              if isinstance(value, float)]
+    for key, a, b in pairs:
+        if math.isfinite(a):
+            assert abs(a - b) <= bound, key
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_state
+from conftest import rabi_system, random_state
 from oracles import normal_cdf
 from zenolab import (
     DenseSpace,
@@ -25,7 +25,6 @@ from zenolab import (
     check_condition_IA,
     check_condition_II,
     core_zone_state,
-    dense_hermitian,
     halfline_pair,
     inner_product,
     leakage,
@@ -34,15 +33,8 @@ from zenolab import (
     momentum_operator,
 )
 from zenolab import scenarios
+from zenolab.scenarios import T_SWEEP
 from zenolab.statespace import _blocked
-
-T_SWEEP = (0.5, 1.0, 2.0, 3.0, 4.5, 6.0)
-
-
-def _rabi_setup():
-    h = dense_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    space = h.space
-    return h, Propagator(h), (SubspaceProjector(space, 0, 1), SubspaceProjector(space, 1, 2))
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +252,7 @@ def test_condition_I_zone_guard(grid, zone_pair, translator):
 
 
 def test_condition_I_rabi_fails_with_sine_residual():
-    _, u, pair = _rabi_setup()
+    _, u, _, pair = rabi_system()
     wave = WaveFunction(DenseSpace(2), np.array([0.0, 1.0]))
     t = 0.7
     report = check_condition_I(pair, u, [t], [("excited", wave)])
@@ -293,8 +285,7 @@ def test_condition_II_zero_time_never_falsifies(grid, zone_pair, translator):
 
 
 def test_condition_II_rabi_falsified_with_sine_residual():
-    _, u, pair = _rabi_setup()
-    ground = WaveFunction(DenseSpace(2), np.array([1.0, 0.0]))
+    _, u, ground, pair = rabi_system()
     t = 0.7
     report = check_condition_II(pair, u, [t], [("ground", ground)])
     assert report.verdict == "FALSIFIED"
@@ -375,7 +366,7 @@ def test_counterexample_conditions_at_lattice_times_match_the_exact_shift(n_poin
              ("windowed-random", scenarios._window_state(grid, 2.0, 30.0, spec.seed))]
     ia = [("gaussian(3)", make_gaussian(grid, 3.0, spec.sigma))]
     norms = {label: state.norm_sq() for label, state in waves + ia}
-    lattice = [round(t / grid.dx) * grid.dx for t in scenarios.T_SWEEP]
+    lattice = [round(t / grid.dx) * grid.dx for t in T_SWEEP]
     m6 = round(6.0 / grid.dx) * grid.dx
     spectral, shift = Propagator(momentum_operator(grid)), ShiftPropagator(grid)
     eps = np.finfo(float).eps
@@ -388,7 +379,7 @@ def test_counterexample_conditions_at_lattice_times_match_the_exact_shift(n_poin
             delta = 16 * eps * math.log2(n_points) * math.sqrt(norms[b.state])
             reach = (math.sqrt(b.residual) + delta) ** 2
             assert abs(a.residual - b.residual) <= reach - b.residual + 2 * n_points * eps * reach
-    off = check_condition_I(pair, spectral, scenarios.T_SWEEP, waves, tolerance=1.0)
+    off = check_condition_I(pair, spectral, T_SWEEP, waves, tolerance=1.0)
     assert off.max_residual > spec.tolerance_invariance
 
 

@@ -22,15 +22,14 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import rabi_system
+from oracles import naive_chain
 from zenolab import (
     Grid,
     MeasurementSchedule,
     Propagator,
     ShiftPropagator,
-    SubspaceProjector,
-    WaveFunction,
     core_zone_state,
-    dense_hermitian,
     halfline_pair,
     inner_product,
     make_gaussian,
@@ -39,6 +38,7 @@ from zenolab import (
     survival_report,
     zeno,
 )
+from zenolab.scenarios import _shift_schedule
 
 N_POINTS = statespace.MAP_MIN_POINTS  # the smallest grid whose items go to helpers
 
@@ -51,15 +51,9 @@ def _system(kind: str, n_points: int = N_POINTS):
     return u, p_core, e, grid.dx
 
 
-def _schedule(steps: int, n: int, dx: float) -> MeasurementSchedule:
-    """n nearly equally spaced instants on the grid's lattice, over `steps` steps."""
-    return MeasurementSchedule(steps * dx, tuple(round(k * steps / (n + 1)) * dx
-                                                 for k in range(1, n + 1)))
-
-
 def _schedules(count: int, dx: float) -> list[MeasurementSchedule]:
-    """`count` schedules of 0..count-1 instants, over two final times."""
-    return [_schedule(600 + 300 * (n % 2), n, dx) for n in range(count)]
+    """`count` schedules of 0..count-1 instants on the grid's lattice, over two final times."""
+    return [_shift_schedule(600 + 300 * (n % 2), dx, n) for n in range(count)]
 
 
 def _bits(reports) -> list[str]:
@@ -150,7 +144,7 @@ def test_items_running_at_once_never_hold_the_same_array(kind, helpers, monkeypa
         return final
 
     monkeypatch.setattr(zeno, "_chain", meeting)
-    schedules = [_schedule(600, n, dx) for n in (2, 3, 4, 5, 6)]
+    schedules = [_shift_schedule(600, dx, n) for n in (2, 3, 4, 5, 6)]
     survival_report(u, p_core, e, schedules)
     assert len(meetings) == len(schedules) + 1
     for (thread_a, arrays_a), (thread_b, arrays_b) in zip(meetings[::2], meetings[1::2]):
@@ -206,11 +200,7 @@ def _recording_blocks(monkeypatch, seen: list) -> None:
 
 def _naive_bits(u, p_core, e, schedule) -> list[str]:
     """A report's fields from one evolve per segment and one free evolve, on 1-D arrays."""
-    psi, elapsed = e, 0.0
-    for t_k in schedule.times:
-        psi = p_core.apply(u.evolve(psi, t_k - elapsed))
-        elapsed = t_k
-    final = u.evolve(psi, schedule.t_final - elapsed)
+    final = naive_chain(u, p_core, e, schedule)
     free = u.evolve(e, schedule.t_final)
     return [x.hex() for x in (abs(inner_product(e, free)) ** 2,
                               abs(inner_product(e, final)) ** 2,
@@ -247,14 +237,12 @@ def test_shift_and_matrix_blocks_hold_one_row(kind, monkeypatch):
     if kind == "shift":
         # three distinct schedules over one final time; the empty one is the free evolve
         u, p_core, e, dx = _system("shift", 4096)
-        schedules = [_schedule(600, n, dx) for n in (2, 2, 3, 3, 3, 0)]
+        schedules = [_shift_schedule(600, dx, n) for n in (2, 2, 3, 3, 3, 0)]
         expected = [3, 2, 0]
     else:
         # five distinct schedules, and the free evolves to 1.5 and 0.5: the empty
         # schedule is the one to 1.0
-        h = dense_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        u, p_core = Propagator(h), SubspaceProjector(h.space, 0, 1)
-        e = WaveFunction(h.space, np.array([1.0, 0.0]))
+        _, u, e, (p_core, _) = rabi_system()
         schedules = [MeasurementSchedule.equally_spaced(t, n)
                      for t, n in ((1.5, 2), (1.0, 2), (1.5, 7), (0.5, 7), (1.0, 0))]
         expected = [7, 7, 2, 2, 0, 0, 0]
@@ -275,14 +263,12 @@ def test_a_report_runs_each_distinct_schedule_once(kind, monkeypatch):
     sum of their segments.  Every field of every report has the bits of a report of
     its schedule alone and of one evolve per segment."""
     if kind == "matrix":
-        h = dense_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        u, p_core = Propagator(h), SubspaceProjector(h.space, 0, 1)
-        e = WaveFunction(h.space, np.array([1.0, 0.0]))
+        _, u, e, (p_core, _) = rabi_system()
         dx = 0.0625  # marks on a lattice, like the shift path's
     else:
         u, p_core, e, dx = _system(kind, 4096)
     # (steps, instants): 2 over 600 twice, the empty 900, 5 over 900 twice, 5 over 300
-    schedules = [_schedule(steps, n, dx)
+    schedules = [_shift_schedule(steps, dx, n)
                  for steps, n in ((600, 2), (900, 2), (600, 2), (900, 0), (900, 5), (300, 5),
                                   (900, 5))]
     # jobs: (900, 5), (300, 5), (600, 2), (900, 2), the empty 900 and the free

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import rabi_system
 from oracles import rabi_chain_survival
 from zenolab import statespace
 from zenolab import (
@@ -17,12 +18,10 @@ from zenolab import (
     PreconditionError,
     Propagator,
     ShiftPropagator,
-    SubspaceProjector,
     WaveFunction,
     core_zone_state,
     deficit_ladder,
     deficit_slope,
-    dense_hermitian,
     inner_product,
     make_gaussian,
     survival_report,
@@ -30,14 +29,6 @@ from zenolab import (
 from zenolab.zeno import _chain
 
 EXP_M1 = 0.36787944117144233  # exp(-1): free Gaussian survival at t = 2, sigma = 1
-
-
-def _rabi():
-    h = dense_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    u = Propagator(h)
-    e = WaveFunction(h.space, np.array([1.0, 0.0]))
-    p_core = SubspaceProjector(h.space, 0, 1)
-    return u, p_core, e
 
 
 # ----------------------------------------------------------------------
@@ -106,30 +97,27 @@ def test_measured_survival_requires_core_state(grid, zone_pair, translator):
                         [MeasurementSchedule.equally_spaced(2.0, 5)])[0]
 
 
-def test_measured_survival_requires_a_normalized_state(grid, zone_pair, translator):
-    core = core_zone_state(zone_pair[0], make_gaussian(grid, -8.0, 1.0))
-    e = WaveFunction(grid, core.values * 0.7)
+def test_measured_survival_requires_a_normalized_state(grid, zone_pair, translator, core_state):
+    e = WaveFunction(grid, core_state.values * 0.7)
     with pytest.raises(PreconditionError, match="prepared state is not normalized"):
         survival_report(translator, zone_pair[0], e,
                         [MeasurementSchedule.equally_spaced(2.0, 5)])
 
 
-def test_core_state_below_unit_norm_is_still_core_zone(grid, zone_pair, translator):
+def test_core_state_below_unit_norm_is_still_core_zone(grid, zone_pair, translator, core_state):
     # ||e||^2 = 1 - 5e-10 passes the 1e-9 normalization check and the state
     # has no wave-zone amplitude at all, so it is a core-zone state
     p_core, p_wave = zone_pair
-    core = core_zone_state(p_core, make_gaussian(grid, -8.0, 1.0))
-    e = WaveFunction(grid, core.values * math.sqrt(1.0 - 5e-10))
+    e = WaveFunction(grid, core_state.values * math.sqrt(1.0 - 5e-10))
     assert p_wave.mass(e) == 0.0
     assert abs(e.norm_sq() - (1.0 - 5e-10)) <= 1e-15
     rep = survival_report(translator, p_core, e, [MeasurementSchedule.equally_spaced(2.0, 3)])[0]
     assert abs(rep.delta) <= 1e-12
 
 
-def test_real_wave_zone_mass_is_still_rejected(grid, zone_pair, translator):
+def test_real_wave_zone_mass_is_still_rejected(grid, zone_pair, translator, core_state):
     p_core, p_wave = zone_pair
-    core = core_zone_state(p_core, make_gaussian(grid, -8.0, 1.0))
-    values = core.values * math.sqrt(1.0 - 2e-10)
+    values = core_state.values * math.sqrt(1.0 - 2e-10)
     spike = np.zeros(grid.n_points)
     spike[-100] = math.sqrt(2e-10 / grid.dx)  # x ~ 38, deep in the wave zone
     e = WaveFunction(grid, values + spike)
@@ -139,7 +127,7 @@ def test_real_wave_zone_mass_is_still_rejected(grid, zone_pair, translator):
         survival_report(translator, p_core, e, [MeasurementSchedule.equally_spaced(2.0, 3)])[0]
 
 
-def test_translation_measurement_invariance_spectral(grid, zone_pair, translator):
+def test_translation_measurement_invariance_spectral(grid, zone_pair, translator, core_state):
     p_core, _ = zone_pair
     sched = MeasurementSchedule.equally_spaced(2.0, 5)
     # the truncation jump at x = 0 sets the dispersion floor; further from
@@ -147,31 +135,28 @@ def test_translation_measurement_invariance_spectral(grid, zone_pair, translator
     e5 = core_zone_state(p_core, make_gaussian(grid, -5.0, 1.0))
     rep5 = survival_report(translator, p_core, e5, [sched])[0]
     assert abs(rep5.delta) <= 1e-8
-    e8 = core_zone_state(p_core, make_gaussian(grid, -8.0, 1.0))
-    rep8 = survival_report(translator, p_core, e8, [sched])[0]
+    rep8 = survival_report(translator, p_core, core_state, [sched])[0]
     assert abs(rep8.delta) <= 1e-12
 
 
-def test_translation_measurement_invariance_exact_shift(grid, zone_pair):
+def test_translation_measurement_invariance_exact_shift(grid, zone_pair, core_state):
     p_core, _ = zone_pair
     shifter = ShiftPropagator(grid)
-    e = core_zone_state(p_core, make_gaussian(grid, -8.0, 1.0))
     t_final = 102 * grid.dx
     times = tuple(k * 17 * grid.dx for k in range(1, 6))
-    rep = survival_report(shifter, p_core, e, [MeasurementSchedule(t_final, times)])[0]
+    rep = survival_report(shifter, p_core, core_state, [MeasurementSchedule(t_final, times)])[0]
     # clipped amplitude never returns under a right shift: bitwise equality
     assert rep.delta == 0.0
 
 
-def test_empty_schedule_reduces_to_free_survival(grid, zone_pair, translator):
+def test_empty_schedule_reduces_to_free_survival(grid, zone_pair, translator, core_state):
     """Both survivals of an empty schedule, and the free leakage, have the bits
     of a plain `evolve` into fresh arrays, a path apart from the report's."""
     p_core, _ = zone_pair
-    e = core_zone_state(p_core, make_gaussian(grid, -8.0, 1.0))
     for u, t in [(translator, 2.0), (ShiftPropagator(grid), 102 * grid.dx)]:
-        rep = survival_report(u, p_core, e, [MeasurementSchedule.equally_spaced(t, 0)])[0]
-        free = u.evolve(e, t)
-        s_free = abs(inner_product(e, free)) ** 2
+        rep = survival_report(u, p_core, core_state, [MeasurementSchedule.equally_spaced(t, 0)])[0]
+        free = u.evolve(core_state, t)
+        s_free = abs(inner_product(core_state, free)) ** 2
         assert rep.s_measured.hex() == rep.s_free.hex() == s_free.hex()
         assert rep.leakage_free.hex() == (1.0 - p_core.mass(free)).hex()
         assert rep.n_measurements == 0
@@ -206,10 +191,9 @@ def test_retained_norm_monotone_and_bounds_survival(grid, zone_pair, translator)
 
 
 def test_chain_stops_before_its_next_segment_once_an_interrupt_is_pending(
-        grid, zone_pair, translator, monkeypatch):
+        zone_pair, translator, core_state, monkeypatch):
     # the runner's waiting main thread sets statespace._stopping on Ctrl-C
     p_core, _ = zone_pair
-    e = core_zone_state(p_core, make_gaussian(grid, -8.0, 1.0))
     applied = []
     apply = Propagator._apply
 
@@ -221,7 +205,7 @@ def test_chain_stops_before_its_next_segment_once_an_interrupt_is_pending(
     monkeypatch.setattr(Propagator, "_apply", interrupted)
     try:
         with pytest.raises(KeyboardInterrupt):
-            _chain(translator, p_core, translator.transform(e),
+            _chain(translator, p_core, translator.transform(core_state),
                    [MeasurementSchedule.equally_spaced(2.0, 8)], {})
     finally:
         statespace._stopping.clear()
@@ -233,7 +217,7 @@ def test_chain_stops_before_its_next_segment_once_an_interrupt_is_pending(
 # ----------------------------------------------------------------------
 
 def test_rabi_single_measurement_quarter():
-    u, p_core, e = _rabi()
+    _, u, e, (p_core, _) = rabi_system()
     t = math.pi / 2.0
     s = survival_report(u, p_core, e, [MeasurementSchedule.equally_spaced(t, 1)])[0].s_measured
     assert abs(s - 0.25) <= 1e-10
@@ -242,7 +226,7 @@ def test_rabi_single_measurement_quarter():
 
 @pytest.mark.parametrize("n", [1, 3, 8, 21])
 def test_rabi_chain_matches_matrix_oracle(n):
-    u, p_core, e = _rabi()
+    _, u, e, (p_core, _) = rabi_system()
     t = math.pi / 2.0
     s = survival_report(u, p_core, e, [MeasurementSchedule.equally_spaced(t, n)])[0].s_measured
     assert abs(s - rabi_chain_survival(1.0, t, n)) <= 1e-12
@@ -257,7 +241,7 @@ def test_deficit_ladder_closed_form():
 
 
 def test_zeno_scaling_and_slope():
-    u, p_core, e = _rabi()
+    _, u, e, (p_core, _) = rabi_system()
     t = math.pi / 2.0
     reports = [survival_report(u, p_core, e, [MeasurementSchedule.equally_spaced(t, n)])[0]
                for n in (0, 8, 16, 32, 64, 128)]
@@ -273,7 +257,7 @@ def test_zeno_scaling_and_slope():
 
 
 def test_zeno_scaling_validation():
-    u, p_core, e = _rabi()
+    _, u, e, (p_core, _) = rabi_system()
     free = survival_report(u, p_core, e, [MeasurementSchedule.equally_spaced(1.0, 0)])[0]
     with pytest.raises(DomainError, match="at least two"):
         deficit_slope(((free.n_measurements, free.s_measured),))
@@ -285,7 +269,7 @@ def test_zeno_scaling_validation():
 )
 def test_rabi_survival_bounded_by_retained_norm(n, seed):
     # arbitrary strictly ordered schedules, not just equally spaced ones
-    u, p_core, e = _rabi()
+    _, u, e, (p_core, _) = rabi_system()
     rng = np.random.default_rng(seed)
     times = np.sort(rng.uniform(0.05, 1.95, size=n))
     times = tuple(float(t) for t in np.unique(times))
