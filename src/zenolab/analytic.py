@@ -99,11 +99,12 @@ class HnNorms:
 
 def hn_norms(h: SpectralOperator, psi: WaveFunction, n_max: int) -> HnNorms:
     """Track ||H^n psi|| growth, capped at the spectral radius of H (see HnNorms).
-    psi is transformed once; each power multiplies its coefficients by the eigenvalues in
-    place and takes their plain l2 norm, as the change of basis is an isometry."""
+    psi is transformed once; each power multiplies its coefficients by their eigenvalues
+    in place and takes their plain l2 norm, as the change of basis is an isometry."""
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
     c = Propagator(h).transform(psi)
+    lam = h.eigenvalues[:c.shape[-1]]  # [0, n/2] on the FFT basis
     norm = float(_norm(c))
     if norm == 0.0:
         raise DomainError("cannot probe growth of the zero state")
@@ -115,7 +116,7 @@ def hn_norms(h: SpectralOperator, psi: WaveFunction, n_max: int) -> HnNorms:
     capped_at = None
     at_ceiling = 0
     for n in range(1, n_max + 1):
-        np.multiply(h.eigenvalues, v, out=v)
+        np.multiply(lam, v, out=v)
         r = float(_norm(v))
         if r == 0.0:
             nilpotent_at = n

@@ -1,19 +1,27 @@
 """Hermitian operators in spectral form and the propagators built from them.
 
 An operator is stored as a real spectrum plus a unitary change of basis:
-the FFT when its basis is None, else an explicit eigenvector matrix.  The
-propagator is the functional calculus U(t) = exp(-i t H), in three steps:
+the real FFT when its basis is None, else an explicit eigenvector matrix.
+The propagator is the functional calculus U(t) = exp(-i t H), in three steps:
 
   * ``transform(psi)``: the state's eigenbasis coefficients (one forward
     change of basis),
-  * ``step(t)``: the phase vector exp(-i lambda t) of one time; an
-    FFT-basis spectrum is odd (lambda[n-j] = -lambda[j]), so only the
-    entries [0, n/2] are computed and the rest are their conjugates, bit
-    for bit.  On a lattice, lambda[j] = j dk as the momentum operator has
-    it, those entries are the outer product of two tables of about
-    sqrt(n/2) exps, within a few ulp of exp over the whole array; any
-    other odd spectrum runs exp on them,
+  * ``step(t)``: the phase vector exp(-i lambda t) of one time.  An
+    FFT-basis spectrum is odd, lambda[n-j] = -lambda[j] for every j (so
+    lambda[0] = lambda[n/2] = 0), and only its entries [0, n/2] are needed.
+    On a lattice, lambda[j] = j dk for j < n/2 as the momentum operator has
+    it, they are the outer product of two tables of about sqrt(n/2) exps,
+    within a few ulp of exp, and a Nyquist 1; any other spectrum runs exp,
   * ``_values(coeffs, step)``: multiply and change back, giving U(t) psi.
+
+On the FFT basis U(t) maps real rows to real rows: a float64 state is one
+row and a complex128 state two, re and im.  A row's coefficients are the
+entries [0, n/2] of its `rfft` times sqrt(dx/n), and sqrt(2) more at 0 < j <
+n/2 for the conjugate n - j each stands for, so their plain l2 norm is the
+state norm.  They have shape (n/2 + 1,) for a real state and (2, n/2 + 1)
+for a complex one, and the eigenvalues of coefficients c are
+h.eigenvalues[:c.shape[-1]] on either basis.  H maps real rows to imaginary
+ones, so it acts on coefficients only (`_series_terms`, `analytic.hn_norms`).
 
 ``evolve(psi, t)`` adopts ``_values(transform(psi), step(t))`` as a state,
 so a caller that evolves one state to many times, or many states to one
@@ -21,15 +29,14 @@ time, transforms each state once and builds each phase vector once and gets
 the same bits as separate evolves.  Coefficients and steps are read-only
 and ``_values`` never writes to them.  ``Propagator`` alone changes basis,
 each way in one place: ``_coeffs`` forward, ``_inverse`` back, ``_values``
-multiplies by a diagonal and changes back (a step gives U(t) psi, the
-eigenvalues H psi), and ``_apply`` is ``_coeffs`` then ``_values`` on one
-buffer, the caller's values on the FFT basis, so a measurement chain runs in
-one buffer from its first step on (or a block, in one call, with a diagonal
-per row).  ``_step(t, out)`` writes a step into a buffer the caller hands
-over, and ``_values`` takes one too, so the items of a survival report or a
-condition check reuse their thread's arrays instead of allocating new ones.
-The FFT basis scales by multiplying with 1/sqrt(dx/n), which has the bits
-of dividing by sqrt(dx/n) at a fraction of the cost (see ``_inverse``).
+multiplies by a diagonal and changes back (a step gives U(t) psi), and
+``_apply`` is ``_coeffs`` then ``_values`` on the caller's values and
+coefficient buffers, so a measurement chain runs in two buffers from its
+first step on (or a block, in one call, with a diagonal per row).
+``_step(t, out)`` and ``_values`` write into buffers the caller hands over,
+so the items of a survival report or a condition check reuse their thread's
+arrays instead of allocating new ones.  Scaling multiplies float64 parts,
+which rounds alike on every host.
 ``ShiftPropagator`` speaks the same protocol with a state's values as its
 coefficients, a whole-step count as its step and a circular roll as its
 ``_values``.  The adjoint U(t)^dagger is realized as U(-t); only the
@@ -38,8 +45,8 @@ full-space unitary group is modelled here.
 Sign and layout conventions:
   * momentum acts as -i d/dx, so U(t) = exp(-i t p) translates to the right:
     values move from x to x + t,
-  * wavenumbers j * 2 pi / L follow FFT bin order with the Nyquist mode
-    at +pi/dx,
+  * wavenumbers j * 2 pi / L follow FFT bin order, and the Nyquist mode's
+    is 0, so -i d/dx is real and odd (see `Grid.wavenumbers`),
   * eigenbasis coefficients always carry plain l2 normalization, which makes
     the change of basis an exact isometry with respect to the state norm.
 
@@ -79,7 +86,8 @@ class SpectralOperator:
     """Hermitian operator H = V diag(eigenvalues) V^dagger, as checked data.
 
     The basis selects the transform V, which only `Propagator` applies:
-      * None:     V^dagger = unitary FFT (grid spaces, odd spectrum),
+      * None:     V^dagger = unitary FFT (grid spaces, odd spectrum, taken as
+                  the real FFT of real rows),
       * a matrix: V = that explicit unitary (n, n) eigenvector matrix
         (dense spaces).
     """
@@ -109,19 +117,19 @@ class SpectralOperator:
             b.setflags(write=False)
             object.__setattr__(self, "basis", b)
         else:
-            # Propagator.step mirrors the phases of half the spectrum, which
-            # takes lambda[n - j] = -lambda[j] exactly, as wavenumbers have it
-            mid = lam.size // 2
-            if not np.array_equal(lam[mid + 1:], -lam[1:lam.size - mid][::-1]):
+            # U(t) keeps real rows real, and Propagator.step computes [0, n/2]
+            # only, when lambda[n - j] = -lambda[j] exactly for every j (j = 0
+            # and n/2 are their own partners), as wavenumbers have it
+            if not np.array_equal(np.roll(lam[::-1], 1), -lam):
                 raise DomainError(
                     "an FFT-basis spectrum must be odd: lambda[n - j] = -lambda[j] "
-                    "for 0 < j < n / 2"
+                    "for every j, so lambda[0] = lambda[n / 2] = 0"
                 )
             # Propagator.step builds the phases of a lattice, lambda[j] == j *
-            # lambda[1] exactly for j <= n/2 (as wavenumbers have it), from two
+            # lambda[1] exactly for j < n/2 (as wavenumbers have it), from two
             # small tables; any other spectrum takes the plain exp
-            head = lam[:mid + 1]
-            if lam.size >= 2 and np.array_equal(head, np.arange(mid + 1) * lam[1]):
+            mid = lam.size // 2
+            if np.array_equal(lam[:mid], np.arange(mid) * lam[1]):
                 spacing = float(lam[1])
         object.__setattr__(self, "_spacing", spacing)
 
@@ -166,13 +174,16 @@ class Propagator:
     generator: SpectralOperator
 
     def __post_init__(self) -> None:
-        """Change-of-basis constants, once: sqrt(dx/n), its reciprocal, V^dagger, `_rows`."""
+        """Change-of-basis constants, once: the FFT basis's weights and their reciprocals,
+        V^dagger, `_rows`."""
         h = self.generator
-        scale = np.sqrt(h.space.dx / h.space.n_points)
-        object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_inverse_scale", 1.0 / scale)
+        n = h.space.n_points
+        # entries 0 and n/2 stand for themselves, each other one for itself and n - j
+        weights = np.sqrt(h.space.dx / n), np.sqrt(2.0 * h.space.dx / n)
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_inverse_weights", tuple(1.0 / w for w in weights))
         object.__setattr__(self, "_adjoint", None if h.basis is None else h.basis.conj().T)
-        rows = max(MAP_MIN_POINTS // h.space.n_points, 1) if h.basis is None else 1
+        rows = max(MAP_MIN_POINTS // n, 1) if h.basis is None else 1
         object.__setattr__(self, "_rows", rows)  # the states of one chain block
 
     @property
@@ -187,24 +198,23 @@ class Propagator:
         return coeffs
 
     def _coeffs(self, values: np.ndarray, out=None) -> np.ndarray:
-        """Coefficients of `values`, fresh or, on the FFT basis, in `out`."""
+        """Coefficients of `values`, a state's or a block's: fresh, or on the FFT basis in `out`."""
         if self._adjoint is None:
-            coeffs = np.fft.fft(values, out=out)
-            coeffs *= self._scale
-            return coeffs
+            rows = _real_rows(values)
+            if out is None:  # C order, which numpy would not give the rows of a complex state
+                out = np.empty(rows.shape[:-1] + (self.space.n_points // 2 + 1,), np.complex128)
+            return _weighted(np.fft.rfft(rows, out=out), *self._weights)
         return self._adjoint @ values
 
     def step(self, t: float) -> np.ndarray:
-        """Read-only phase vector exp(-i t lambda).
+        """Read-only phase vector exp(-i t lambda): the entries [0, n/2] on the FFT basis.
 
-        An FFT-basis spectrum is odd, so only the entries [0, n/2] are
-        computed and the rest are their conjugates, n/2 - 1 .. 1, bit for
-        bit.  On a lattice spectrum, lambda[j] = j * dk, entry j = r b + c
-        is coarse[r] * fine[c] with coarse = exp(i theta b r) and fine =
-        exp(i theta c), theta = -t dk and b = isqrt(n/2) + 1: two tables
-        of about sqrt(n/2) exps and one outer product, within a few ulp of
-        exp over the whole array.  Any other odd spectrum runs exp on the
-        entries [0, n/2].
+        On a lattice spectrum, lambda[j] = j * dk for j < n/2, entry j = r b
+        + c is coarse[r] * fine[c] with coarse = exp(i theta b r) and fine =
+        exp(i theta c), theta = -t dk and b = isqrt(n/2) + 1: two tables of
+        about sqrt(n/2) exps and one outer product, within a few ulp of exp
+        over the whole array, and the Nyquist entry is 1.  Any other odd
+        spectrum runs exp on the entries [0, n/2].
         """
         phases = self._step(t)
         phases.setflags(write=False)
@@ -212,65 +222,77 @@ class Propagator:
 
     def _step(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
         """`step(t)`'s phases, into the writable array `out` or fresh when None; one multiply-
-        and-exp covers a non-lattice spectrum: all n entries, no mirror, on a matrix basis."""
+        and-exp covers a non-lattice spectrum: all n entries on a matrix basis."""
         h = self.generator
-        n = h.eigenvalues.size
-        half = n if h.basis is not None else n // 2 + 1
-        phases = np.empty(n, dtype=np.complex128) if out is None else out
+        lam = h.eigenvalues if h.basis is not None else h.eigenvalues[:h.eigenvalues.size // 2 + 1]
+        phases = np.empty(lam.size, dtype=np.complex128) if out is None else out
         if h._spacing is None:
-            np.multiply(-1j * float(t), h.eigenvalues[:half], out=phases[:half])
-            np.exp(phases[:half], out=phases[:half])
+            np.multiply(-1j * float(t), lam, out=phases)
+            np.exp(phases, out=phases)
         else:
-            b = math.isqrt(n // 2) + 1
-            rows = -(-half // b)
+            mid = lam.size - 1
+            b = math.isqrt(mid) + 1
+            full, part = divmod(mid, b)
             theta = 1j * (-float(t) * h._spacing)
-            coarse = np.exp(theta * (b * np.arange(rows, dtype=np.float64)))
+            coarse = np.exp(theta * (b * np.arange(full + (part > 0), dtype=np.float64)))
             fine = np.exp(theta * np.arange(b, dtype=np.float64))
-            # rows * b <= n, so the table fills a prefix of phases; the
-            # entries past n/2 are overwritten by the mirror below
-            np.multiply(coarse[:, None], fine, out=phases[:rows * b].reshape(rows, b))
-        if half < n:
-            mirror = phases[half:]
-            np.conjugate(phases[1:n - half + 1][::-1], out=mirror)
-            # where t * lambda rounds to 0 the phase is 1 + 0j on both sides;
-            # adding +0.0 turns the conjugate's -0.0 back into +0.0 and
-            # leaves every other value as it is
-            mirror.imag += 0.0
+            np.multiply(coarse[:full, None], fine, out=phases[:full * b].reshape(full, b))
+            np.multiply(coarse[-1], fine[:part], out=phases[full * b:mid])  # the last, short row
+            phases[mid] = 1.0  # the Nyquist eigenvalue is 0
         return phases
 
-    def _values(self, coeffs: np.ndarray, diagonal, out=None) -> np.ndarray:
-        """Values of diagonal * coeffs (a step gives U(t)), fresh or, on the FFT basis, in `out`;
-        a list of diagonals fills a block `out` row by row, from `coeffs` or its rows."""
+    def _values(self, coeffs: np.ndarray, diagonal, out=None, work=None) -> np.ndarray:
+        """Values of diagonal * coeffs (a step gives U(t)): the product goes into `work`, of
+        the coefficients' shape, and on the FFT basis the values into `out`, each fresh when
+        None; a list of diagonals fills a block `work` row by row, from `coeffs` or its rows."""
         # always diagonal * coeffs: numpy's complex multiply is not bitwise
         # commutative, so a swapped operand order changes the last bits
         if isinstance(diagonal, list):
-            for d, c, row in zip(diagonal, coeffs if coeffs.ndim > 1 else [coeffs] * len(out), out):
+            rows = coeffs if coeffs.ndim == work.ndim else [coeffs] * len(work)
+            for d, c, row in zip(diagonal, rows, work):
                 np.multiply(d, c, out=row)
-            return self._inverse(out)
-        return self._inverse(np.multiply(diagonal, coeffs, out=out))
+            return self._inverse(work, out)
+        return self._inverse(np.multiply(diagonal, coeffs, out=work), out)
 
     def _apply(self, values: np.ndarray, diagonal, spare=None) -> np.ndarray:
-        """`_values(_coeffs(values), diagonal)` on one buffer, for a chain's later segments:
-        the FFT basis works in `values` and returns it, a matrix basis a fresh array.
-        `spare` is for a shift, whose roll cannot run in place; it is not used here."""
-        coeffs = self._coeffs(values, out=values)
-        return self._values(coeffs, diagonal, out=coeffs)
+        """`_values(_coeffs(values), diagonal)` for a chain's later segments: the FFT basis
+        changes basis into the coefficient buffer `spare` (fresh when None) and back into
+        `values`, and returns it; a matrix basis returns a fresh array."""
+        coeffs = self._coeffs(values, out=spare)
+        return self._values(coeffs, diagonal, out=values, work=coeffs)
 
-    def _inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        """Values of `coeffs`, which must be a fresh array: it is overwritten."""
+    def _inverse(self, coeffs: np.ndarray, out=None) -> np.ndarray:
+        """Values of `coeffs`, which must be a fresh array: it is overwritten.  The FFT basis
+        writes them into `out` or a fresh array, float64 for one real row's coefficients
+        and complex128 for a complex state's two."""
         if self._adjoint is None:
-            # numpy divides by a real r as by r + 0j: Smith's formula with
-            # the zero ratio gives (re + im*0, im - re*0) * (1/r), and the
-            # complex multiply by 1/r gives (re*(1/r) - im*0, re*0 + im*(1/r)),
-            # the same bits on every finite nonzero part and the same nan/inf
-            # pattern at a fraction of the cost; only the sign of an exact
-            # zero may differ.  A float64 view would turn inf+nanj into inf+xj.
-            coeffs *= self._inverse_scale
-            return np.fft.ifft(coeffs, out=coeffs)
+            _weighted(coeffs, *self._inverse_weights)
+            n = self.space.n_points
+            if out is None:
+                out = np.empty(n, np.float64 if coeffs.ndim == 1 else np.complex128)
+            np.fft.irfft(coeffs, n=n, out=_real_rows(out))
+            return out
         return self.generator.basis @ coeffs
 
     def evolve(self, psi: WaveFunction, t: float) -> WaveFunction:
         return evolve_spectral(self, psi, t)
+
+
+def _weighted(coeffs: np.ndarray, edge: float, inner: float) -> np.ndarray:
+    """`coeffs` with each float64 part of the entries 0 and n/2 times `edge` and of the
+    others times `inner`, in place: one real multiply each, rounded alike on every host."""
+    parts = coeffs.view(np.float64)
+    for part, weight in ((parts[..., 2:-2], inner), (parts[..., :2], edge), (parts[..., -2:], edge)):
+        np.multiply(part, weight, out=part)
+    return coeffs
+
+
+def _real_rows(values: np.ndarray) -> np.ndarray:
+    """The real rows of float64 or complex128 values: themselves, or a complex array's
+    real and imaginary parts as a view, (..., n) -> (..., 2, n)."""
+    if values.dtype != np.complex128:
+        return values
+    return values.view(np.float64).reshape(values.shape + (2,)).swapaxes(-1, -2)
 
 
 def evolve_spectral(propagator: Propagator, psi: WaveFunction, t: float) -> WaveFunction:
@@ -312,8 +334,9 @@ class ShiftPropagator:
             )
         return round(ratio)
 
-    def _values(self, coeffs: np.ndarray, step: int, out=None) -> np.ndarray:
-        """np.roll(coeffs, step) as one copy of two slices, into `out` or fresh."""
+    def _values(self, coeffs: np.ndarray, step: int, out=None, work=None) -> np.ndarray:
+        """np.roll(coeffs, step) as one copy of two slices, into `out` or fresh; a roll
+        needs no `work`."""
         split = -int(step) % coeffs.shape[0]
         return np.concatenate((coeffs[split:], coeffs[:split]), out=out)
 
@@ -332,23 +355,25 @@ class ShiftPropagator:
 def _series_terms(h: SpectralOperator, coeffs: np.ndarray, t: float, n_terms: int):
     """Running sums of the power series on psi's eigenbasis coefficients `coeffs`.
 
-    Term n is term n-1 times lambda, then times -i t / n, so no term changes
-    basis; its norm is the coefficients' plain l2 norm (the change of basis
-    is an isometry).  Terms 1..n-1 are added in a fixed order into `rest`,
-    in place, and `rest` is yielded after each of the first n_terms terms, so
-    every caller sees the same bits; a consumer copies a record it keeps, and
-    stopping the iteration stops the summing.  The kernel returns at the
+    Term n is term n-1 times lambda (the first coeffs.shape[-1] eigenvalues),
+    then times -i t / n, so no term changes basis; its norm is the
+    coefficients' plain l2 norm (the change of basis is an isometry).  Terms
+    1..n-1 are added in a fixed order into `rest`, in place, and `rest` is
+    yielded after each of the first n_terms terms, so every caller sees the
+    same bits; a consumer copies a record it keeps, and stopping the
+    iteration stops the summing.  The kernel returns at the
     first term whose norm is not within DIVERGENCE_FACTOR * ||c||, inf and
     nan included, without adding it: fewer than n_terms records mean the
     series diverged.
     """
     c_norm = float(_norm(coeffs))
+    lam = h.eigenvalues[:coeffs.shape[-1]]
     term, rest = coeffs, np.zeros_like(coeffs)
     yield rest
     for n in range(1, n_terms):
         # an overflowing term ends the sum, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            term = h.eigenvalues * term * (-1j * t / n)
+            term = lam * term * (-1j * t / n)
             tn = float(_norm(term))
         if not tn <= DIVERGENCE_FACTOR * c_norm:
             return

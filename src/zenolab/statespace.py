@@ -1,4 +1,4 @@
-"""Periodic uniform grids and sampled complex wavefunctions.
+"""Periodic uniform grids and sampled wavefunctions, real or complex.
 
 Conventions used throughout the package: hbar = 1, lengths and times are
 dimensionless, and the inner product is the plain Riemann sum
@@ -53,6 +53,9 @@ REDUCTION_BLOCK = 8192
 #: fewest points per state for which `_map` hands evolves to helpers; a smaller
 #: item takes about as long as its handoff
 MAP_MIN_POINTS = 2**14
+#: exponents of a state profile at or below this give a 0.0 sample: exp of it is
+#: 2^-511, whose square is float64's least normal number 2^-1022
+EXP_CUT = -511 * math.log(2.0)
 
 try:
     #: CPUs this process may run on
@@ -178,8 +181,8 @@ def _blocked(dot, a: np.ndarray, b: np.ndarray):
 
 
 def _norm(values: np.ndarray) -> np.floating:
-    """np.linalg.norm of a complex vector, sqrt(re.re + im.im), with blocked dots."""
-    re, im = values.real, values.imag
+    """np.linalg.norm of a complex array's entries, sqrt(re.re + im.im), with blocked dots."""
+    re, im = values.reshape(-1).real, values.reshape(-1).imag
     return np.sqrt(_blocked(np.dot, re, re) + _blocked(np.dot, im, im))
 
 
@@ -225,17 +228,19 @@ class Grid:
         return self.x_min + self.dx * np.arange(self.n_points)
 
     def wavenumbers(self) -> np.ndarray:
-        """Angular wavenumbers j * dk in FFT bin order, dk = 2 pi / (n dx).
+        """Angular wavenumbers j * dk in FFT bin order, dk = 2 pi / (n dx), j = 0, 1, ..,
+        n/2 - 1, then 0 at the Nyquist bin n/2, then -(n/2 - 1), .., -1.
 
-        The integers j = 0, 1, .., n/2, -(n/2 - 1), .., -1 are exact and
-        each entry is one product j * dk, so the spectrum is an exact
-        lattice (k[j] == j * k[1] for j <= n/2) and odd (k[n - j] == -k[j]),
-        which `Propagator.step` exploits.  The single Nyquist mode is
-        +n/2 * dk = +pi/dx, a fixed, documented convention.
+        Each entry is one product of an exact j and dk, so the spectrum is an
+        exact lattice (k[j] == j * k[1] for j < n/2) and odd (k[n - j] == -k[j]
+        for every j), which `Propagator.step` exploits.  The Nyquist mode has no
+        partner of opposite sign, so only 0 there keeps -i d/dx real, and U(t)
+        real states real (Trefethen, Spectral Methods in MATLAB, 2000, ch. 3).
         """
         n = self.n_points
         j = np.arange(n, dtype=np.float64)
-        j[n // 2 + 1:] -= n
+        j[n // 2:] -= n
+        j[n // 2] = 0.0
         return j * (2.0 * np.pi / (n * self.dx))
 
     def contains(self, lo: float, hi: float) -> bool:
@@ -264,13 +269,15 @@ class DenseSpace:
 
 @dataclass(frozen=True, eq=False)
 class WaveFunction:
-    """Complex amplitudes over a Grid or DenseSpace, immutable after creation."""
+    """Amplitudes over a Grid or DenseSpace, immutable after creation: float64 for
+    real input, which a momentum operator's U(t) keeps real, else complex128."""
 
     space: Grid | DenseSpace
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=np.complex128)  # converts and copies in one pass
+        kind = np.complex128 if np.iscomplexobj(self.values) else np.float64
+        v = np.array(self.values, dtype=kind)  # converts and copies in one pass
         if v.shape != (self.space.n_points,):
             raise SpaceMismatchError(
                 f"amplitude shape {v.shape} does not match space with "
@@ -281,7 +288,7 @@ class WaveFunction:
 
     @classmethod
     def _adopt(cls, space: Grid | DenseSpace, values: np.ndarray) -> "WaveFunction":
-        """Wrap a freshly computed complex128 array of the right shape, uncopied.
+        """Wrap a freshly computed float64 or complex128 array of the right shape, uncopied.
 
         The array is made read-only; the caller must hold no other reference
         it could write through.
@@ -328,6 +335,16 @@ def _gaussian_variance(sigma: float) -> np.float64:
     return variance
 
 
+def _exp(arg: np.ndarray) -> np.ndarray:
+    """exp(arg), 0.0 where arg <= EXP_CUT, by numpy's complex exp: unlike its real exp,
+    whose AVX-512 loops round differently, that calls libm at every SIMD level."""
+    out = np.zeros(arg.shape)
+    live = arg > EXP_CUT
+    parts = arg[live].astype(np.complex128)
+    out[live] = np.exp(parts, out=parts).real
+    return out
+
+
 def make_gaussian(grid: Grid, center: float, sigma: float, k0: float = 0.0) -> WaveFunction:
     """Normalized Gaussian packet
 
@@ -351,12 +368,11 @@ def make_gaussian(grid: Grid, center: float, sigma: float, k0: float = 0.0) -> W
     x = grid.positions()
     # a sigma far below dx overflows the exponent to -inf, i.e. a zero sample
     with np.errstate(over="ignore"):
-        envelope = variance ** (-0.25) * np.exp(-((x - center) ** 2) / (4.0 * sigma**2))
+        envelope = variance ** (-0.25) * _exp(-((x - center) ** 2) / (4.0 * sigma**2))
     if not envelope.any():
         raise DomainError(f"sigma {sigma} is too small for the grid step dx = {grid.dx}: "
                           f"no sample carries weight")
-    if k0 == 0.0:
-        # the carrier would be exactly 1 + 0j, which leaves every bit alone
+    if k0 == 0.0:  # a real state, without the carrier's 1 + 0j
         return WaveFunction(grid, envelope).normalized()
     return WaveFunction(grid, envelope * np.exp(1j * k0 * x)).normalized()
 
@@ -378,7 +394,7 @@ def make_bump(grid: Grid, support_lo: float, support_hi: float) -> WaveFunction:
     u = (2.0 * x - support_lo - support_hi) / (support_hi - support_lo)
     inside = np.abs(u) < 1.0
     vals = np.zeros(grid.n_points)
-    vals[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
+    vals[inside] = _exp(-1.0 / (1.0 - u[inside] ** 2))
     if not vals.any():
         raise DomainError(f"support [{support_lo}, {support_hi}] holds no weighted sample "
                           f"of the grid (dx = {grid.dx})")
@@ -386,7 +402,11 @@ def make_bump(grid: Grid, support_lo: float, support_hi: float) -> WaveFunction:
 
 
 def make_plane_wave(grid: Grid, mode: int) -> WaveFunction:
-    """Normalized plane wave exp(i k x) for the given FFT mode index."""
-    k = grid.wavenumbers()[mode]
+    """Normalized plane wave exp(i k x) of FFT bin `mode`: k = j dk, j = mode mod n,
+    less n past n/2, so the Nyquist bin's wave is (-1)^j up to a phase, not the
+    constant that its wavenumber 0 would give."""
+    n = grid.n_points
+    j = mode % n
+    k = (j - n if j > n // 2 else j) * (2.0 * np.pi / (n * grid.dx))
     x = grid.positions()
     return WaveFunction(grid, np.exp(1j * k * x) * (1.0 / np.sqrt(grid.length))).normalized()

@@ -199,9 +199,11 @@ def _sample(condition: str, projector: SubspaceProjector, u, ts, pairs: list,
     Each state is transformed once and each time's step built once, when
     that time is sampled; the residuals are the same bits as evolving every
     pair separately.  Transforms and times run through `_map`, inline on
-    grids below its MAP_MIN_POINTS.  A time item writes its step and every
-    state's values into its thread's kit, the dict of a `threading.local`
-    this call owns, so a thread allocates them for its first time only.
+    grids below its MAP_MIN_POINTS.  A time item writes its step, and every
+    state's coefficients and values, into its thread's kit, the dict of a
+    `threading.local` this call owns, one pair of buffers per coefficient
+    kind (a real state's and a complex one's), so a thread allocates them
+    for its first time only.
     `pairs`, the (label, state) pairs, is emptied once transformed, so a
     caller that hands over its only references keeps just the coefficients
     alive while the times are sampled.
@@ -217,7 +219,11 @@ def _sample(condition: str, projector: SubspaceProjector, u, ts, pairs: list,
         step = kit["step"] = u._step(t, kit.get("step"))
         row = []
         for name, c in zip(names, coeffs):
-            values = kit["values"] = u._values(c, step, kit.get("values"))
+            kind = c.dtype, c.shape  # a real state's or a complex one's
+            if kind not in kit:
+                kit[kind] = [None, np.empty_like(c)]
+            held = kit[kind]  # [values, coefficients]
+            values = held[0] = u._values(c, step, *held)
             row.append(ConditionSample(t, name, projector._mass(values)))
         return row
 

@@ -94,13 +94,14 @@ def _chain(u, p_core: SubspaceProjector, coeffs, block, kit: dict) -> np.ndarray
     the arrays of `kit`, a dict no other running item uses (an empty one will
     do): the caller reduces them before the kit's next item.  Where `u._rows`
     > 1 (the FFT basis below MAP_MIN_POINTS points) a kit's first block
-    allocates the values of `u._rows` rows and each row's two step slots; a
-    segment multiplies each row by its own step, and clips the whole block
-    and changes its basis in one call each, in place.  Otherwise a block is
-    one schedule on 1-D arrays: `_apply` works in place on the FFT basis, a
-    shift rolls into `kit["spare"]` and the two buffers swap, and a matrix
-    basis changes basis into fresh arrays.  Every row has the bits of
-    `transform`, `_values` and the projector's `apply` on separate arrays.
+    allocates the values and coefficients of `u._rows` rows and each row's
+    two step slots; a segment multiplies each row by its own step, and clips
+    the whole block and changes its basis each way in one call each.
+    Otherwise a block is one schedule on 1-D arrays: the FFT basis changes
+    basis into `kit["spare"]` and back, a shift rolls into `kit["spare"]` and
+    the two buffers swap, and a matrix basis changes basis into fresh arrays.
+    Every row has the bits of `transform`, `_values` and the projector's
+    `apply` on separate arrays.
 
     The segments of an equally spaced schedule differ at most in the last ulp
     and alternate (a a b c b c b ...), so each row keeps the steps of its two
@@ -108,10 +109,15 @@ def _chain(u, p_core: SubspaceProjector, coeffs, block, kit: dict) -> np.ndarray
     bits.  An interrupt (`statespace._stopping`) stops the chain before its
     next segment: Ctrl-C waits for one segment.
     """
-    if "step" not in kit:  # a block's values and each row's two step slots, rows of one array
-        arrays = [None, [None], [None]] if u._rows == 1 else np.empty(
-            (3, u._rows, coeffs.size), np.complex128)
-        kit["block"], kit["step"], kit["step2"] = arrays[0], list(arrays[1]), list(arrays[2])
+    if "step" not in kit:  # a block's values and coefficients, and each row's two step slots
+        if u._rows == 1:
+            kit["block"], kit["spare"], steps = None, np.empty_like(coeffs), [[None], [None]]
+        else:
+            kind = np.float64 if coeffs.ndim == 1 else np.complex128  # a real state's, else two rows
+            kit["block"] = np.empty((u._rows, u.space.n_points), kind)
+            kit["spare"] = np.empty((u._rows,) + coeffs.shape, np.complex128)
+            steps = np.empty((2, u._rows, coeffs.shape[-1]), np.complex128)
+        kit["step"], kit["step2"] = list(steps[0]), list(steps[1])
     # per row, [duration, kit key] most recently used first; one duration uses "step" only
     slots = [[[None, "step2"], [None, "step"]] for _ in block]
 
@@ -126,12 +132,13 @@ def _chain(u, p_core: SubspaceProjector, coeffs, block, kit: dict) -> np.ndarray
         return steps if u._rows > 1 else steps[0]
 
     first, *rest = zip(*(s.segments() for s in block))
-    out = kit.get("values") if u._rows == 1 else kit["block"][:len(block)]
-    values = kit["values"] = u._values(coeffs, step(first), out)
+    rows = slice(None) if u._rows == 1 else slice(len(block))
+    out = kit.get("values") if u._rows == 1 else kit["block"][rows]
+    values = kit["values"] = u._values(coeffs, step(first), out, kit["spare"][rows])
     for dts in rest:
         if _stopping.is_set():
             raise KeyboardInterrupt  # the main thread was interrupted
-        advanced = u._apply(p_core._clip(values), step(dts), kit.get("spare"))
+        advanced = u._apply(p_core._clip(values), step(dts), kit["spare"][rows])
         if advanced is not values:  # the old buffer is the next segment's spare
             kit["spare"], kit["values"] = values, advanced
         values = advanced

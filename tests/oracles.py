@@ -7,8 +7,9 @@ matrix products.  Three references build on the package's own propagator:
 `stone_residuals` writes out the generator's difference quotient, one evolve
 per time; `naive_chain` runs a measured chain, one evolve per segment; and
 `dense_momentum_twin` builds the momentum operator without an FFT, for the
-matrix-basis path.  `fft_pair_hn_norms` applies H = V Lambda V^dagger on the
-values as its definition, one numpy FFT pair per power.  Frozen literals in
+matrix-basis path.  `apply_generator` and `fft_pair_hn_norms` apply
+H = V Lambda V^dagger on the values as its definition, with one numpy complex
+FFT pair per application on a grid.  Frozen literals in
 the test modules were produced by these helpers.
 """
 
@@ -119,6 +120,22 @@ def rabi_chain_survival(omega: float, t_final: float, n: int) -> float:
     return float(abs(psi[0]) ** 2)
 
 
+def apply_generator(h, psi) -> np.ndarray:
+    """The values of H psi: a complex FFT pair around the whole spectrum on the FFT
+    basis, V (Lambda (V^dagger psi)) on a matrix basis."""
+    if h.basis is None:
+        return np.fft.ifft(h.eigenvalues * np.fft.fft(psi.values))
+    return h.basis @ (h.eigenvalues * (h.basis.conj().T @ psi.values))
+
+
+def nyquist_part(values: np.ndarray) -> np.ndarray:
+    """The Nyquist mode's part of grid values, c (-1)^j with c = sum_j values_j (-1)^j / n,
+    by direct sums.  The momentum operator's eigenvalue there is 0, so U(t) leaves it
+    alone, while a shift by m whole steps multiplies it by (-1)^m."""
+    sign = 1.0 - 2.0 * (np.arange(values.shape[-1]) % 2)
+    return (values @ sign / values.shape[-1]) * sign
+
+
 def stone_residuals(h, psi, ts) -> list[float]:
     """Forward derivative residuals ||i (U(t) psi - psi) / t - H psi||, one per t.
 
@@ -126,7 +143,7 @@ def stone_residuals(h, psi, ts) -> list[float]:
     on a log-log plot) as t -> 0+.
     """
     u = Propagator(h)
-    hpsi = u._values(u.transform(psi), h.eigenvalues)
+    hpsi = apply_generator(h, psi)
     return [float(np.linalg.norm(1j * (u.evolve(psi, t).values - psi.values) / t - hpsi))
             * math.sqrt(psi.space.dx) for t in ts]
 
@@ -145,13 +162,16 @@ def dense_momentum_twin(grid) -> SpectralOperator:
     """-i d/dx on `grid` as a dense Hermitian matrix diagonalized by `np.linalg.eigh`.
 
     P = sum_j k_j w_j w_j^dagger over the unit plane waves w_j[m] = exp(2 pi i j m / n) /
-    sqrt(n), with k_j = j 2 pi / L for j <= n/2 and (j - n) 2 pi / L above: FFT bin order,
-    the Nyquist mode at +pi/dx.  Each exponent takes j m mod n, an exact integer, so no
-    phase loses accuracy to a large argument.  No FFT and no `Grid.wavenumbers`.
+    sqrt(n), with k_j = j 2 pi / L for j < n/2, 0 at the Nyquist mode j = n/2 and
+    (j - n) 2 pi / L above: FFT bin order.  Each exponent takes j m mod n, an exact
+    integer, so no phase loses accuracy to a large argument.  No FFT and no
+    `Grid.wavenumbers`.
     """
     n = grid.n_points
     idx = np.arange(n)
-    k = np.where(idx <= n // 2, idx, idx - n) * (2.0 * math.pi / grid.length)
+    j = np.where(idx < n // 2, idx, idx - n)
+    j[n // 2] = 0
+    k = j * (2.0 * math.pi / grid.length)
     waves = np.exp((2j * math.pi / n) * (np.outer(idx, idx) % n)) / math.sqrt(n)
     lam, basis = np.linalg.eigh((waves * k) @ waves.conj().T)
     return SpectralOperator(grid, lam, basis=basis)

@@ -10,12 +10,17 @@ them; a different numpy build may round differently in the last digit.
 
 from __future__ import annotations
 
+import os
 import re
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import zenolab
 from zenolab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -57,3 +62,37 @@ def test_zeno_staircase_matches_golden(capsys):
     """The staircase script prints the same lines; its s - s_free column is roundoff-sized."""
     runpy.run_path(str(STAIRCASE), run_name="__main__")
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "zeno_staircase.txt").read_bytes()
+
+
+def _dispatch_levels() -> list[str]:
+    """The x86-64 SIMD levels numpy dispatches to on this host, from X86_V3 up, lowest first."""
+    umath = getattr(np._core, "_multiarray_umath", None)
+    targets = list(getattr(umath, "__cpu_dispatch__", ()))
+    features = getattr(umath, "__cpu_features__", {})
+    if "X86_V3" not in targets:
+        return []
+    return [t for t in targets[targets.index("X86_V3"):] if features.get(t)]
+
+
+def _bundles_at(tmp_path: Path, disabled: list[str]) -> dict[str, bytes]:
+    """Each default scenario's bundle.json, run in a child with `disabled` turned off."""
+    out = tmp_path / ("-".join(disabled) or "all")
+    src = str(Path(zenolab.__file__).resolve().parents[1])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name in SCENARIO_NAMES:
+        subprocess.run([sys.executable, "-m", "zenolab.cli", "run", name, "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+    return {name: (out / name / "bundle.json").read_bytes() for name in SCENARIO_NAMES}
+
+
+def test_bundles_do_not_depend_on_the_simd_level(tmp_path):
+    """numpy picks its ufunc loops by the CPU's features, and some (real exp among
+    them) round differently at different levels; the four default bundles are the
+    same bytes at every level from X86_V3 up that this host has, each reached by
+    turning off the dispatch targets above it."""
+    levels = _dispatch_levels()
+    if len(levels) < 2:
+        pytest.skip("numpy dispatches to no x86-64 level above X86_V3 on this host")
+    bundles = [_bundles_at(tmp_path, levels[i + 1:]) for i in range(len(levels))]
+    assert all(b == bundles[0] for b in bundles[1:])

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import rabi_system, random_state
-from oracles import rabi_unitary, stone_residuals
+from oracles import apply_generator, nyquist_part, rabi_unitary, stone_residuals
 from zenolab import (
     DenseSpace,
     DomainError,
@@ -34,8 +34,7 @@ from zenolab.statespace import _norm
 
 def _apply(h: SpectralOperator, psi: WaveFunction) -> WaveFunction:
     """H psi as a state on psi's space."""
-    u = Propagator(h)
-    return WaveFunction(psi.space, u._values(u.transform(psi), h.eigenvalues))
+    return WaveFunction(psi.space, apply_generator(h, psi))
 
 
 # ----------------------------------------------------------------------
@@ -44,7 +43,9 @@ def _apply(h: SpectralOperator, psi: WaveFunction) -> WaveFunction:
 
 def test_momentum_spectrum_is_wavenumbers(grid, momentum):
     assert np.array_equal(momentum.eigenvalues, grid.wavenumbers())
-    assert momentum.spectral_radius == pytest.approx(math.pi / grid.dx)
+    # the Nyquist mode's eigenvalue is 0, so the largest is (n/2 - 1) dk = pi/dx - dk
+    assert momentum.eigenvalues[grid.n_points // 2] == 0.0
+    assert momentum.spectral_radius == pytest.approx(math.pi / grid.dx - 2 * math.pi / grid.length)
 
 
 def test_momentum_plane_wave_is_eigenvector(grid, momentum):
@@ -163,6 +164,64 @@ def test_propagator_group_laws(small_grid, seed, t, s):
     assert WaveFunction(small_grid, identity_gap).norm() <= 1e-14  # U(0) = I
 
 
+EPS = np.finfo(float).eps
+
+
+def _real_and_complex(grid: Grid) -> list[WaveFunction]:
+    """A seeded real state with content at every wavenumber, the Nyquist one too, a
+    complex one, and the lab's real and carried Gaussians."""
+    rng = np.random.default_rng(grid.n_points)
+    return [WaveFunction(grid, rng.standard_normal(grid.n_points)).normalized(),
+            random_state(grid, grid.n_points), make_gaussian(grid, -3.0, 1.0),
+            make_gaussian(grid, 12.0, 1.0, k0=2.0)]
+
+
+@pytest.mark.parametrize("n_points", [256, 4096])
+def test_a_real_state_stays_real_and_keeps_its_norm_off_the_lattice(n_points):
+    """With the Nyquist eigenvalue 0, -i d/dx is real and odd, so U(t) maps a float64
+    state to a float64 one at every t, and keeps its norm to roundoff: 16 eps log2 n
+    for the rfft and irfft pair (Higham, Thm. 24.2, as the lattice test has it) and
+    n eps for each norm's sum.  The times are no multiples of dx, so the Nyquist mode
+    of the random state would fall by cos(t pi/dx) if its phase were not 1."""
+    grid = Grid(-40.0, 40.0, n_points)
+    u = Propagator(momentum_operator(grid))
+    psi = _real_and_complex(grid)[0]
+    assert psi.values.dtype == np.float64
+    for t in (0.3 * grid.dx, 2.5 * grid.dx, 1.7, -6.1):
+        out = u.evolve(psi, t)
+        assert out.values.dtype == np.float64
+        assert abs(out.norm() - psi.norm()) <= (16 * math.log2(n_points) + n_points) * EPS, t
+
+
+@pytest.mark.parametrize("n_points", [256, 4096])
+def test_a_complex_state_evolves_as_its_real_and_imaginary_parts(n_points):
+    """A complex state is two real rows, re and im, each evolved as a real state is."""
+    grid = Grid(-40.0, 40.0, n_points)
+    u = Propagator(momentum_operator(grid))
+    for psi in _real_and_complex(grid)[1::2]:
+        re, im = (WaveFunction(grid, part) for part in (psi.values.real, psi.values.imag))
+        for t in (0.0, 0.3 * grid.dx, 1.7, -6.1):
+            out = u.evolve(psi, t).values
+            assert out.real.tobytes() == u.evolve(re, t).values.tobytes(), t
+            assert out.imag.tobytes() == u.evolve(im, t).values.tobytes(), t
+
+
+@pytest.mark.parametrize("n_points", [2, 256, 4096])
+def test_coefficients_carry_the_state_norm(n_points):
+    """The FFT basis's coefficients, the entries [0, n/2] of each real row weighted for
+    the conjugates they stand for, are an l2 isometry: their plain norm is the state
+    norm, to 16 eps log2 n for the rfft and n eps for each norm's sum."""
+    grid = Grid(-40.0, 40.0, n_points)
+    u = Propagator(momentum_operator(grid))
+    states = _real_and_complex(grid) if n_points > 2 else [
+        WaveFunction(grid, np.array([1.0, -3.0])), WaveFunction(grid, np.array([1j, 2.0]))]
+    for psi in states:
+        coeffs = u.transform(psi)
+        assert coeffs.shape == (2,) * (psi.values.dtype == np.complex128) + (n_points // 2 + 1,)
+        bound = (16 * max(math.log2(n_points), 1) + n_points) * EPS * psi.norm()
+        assert abs(float(_norm(coeffs)) - psi.norm()) <= bound
+
+
 def test_rabi_survival_cosine():
     _, u, e, _ = rabi_system()
     for t in (0.3, 0.7, 1.2):
@@ -211,7 +270,9 @@ def test_shift_matches_spectral_pointwise(small_grid, seed, steps):
     spectral = u.evolve(psi, steps * small_grid.dx).values
     shifter = ShiftPropagator(small_grid)
     rolled = shifter._values(shifter.transform(psi), steps)
-    assert np.max(np.abs(spectral - rolled)) <= 1e-10
+    # the Nyquist part, whose eigenvalue is 0, stays where the shift gives it (-1)^steps
+    kept = (1 - (-1) ** steps) * nyquist_part(psi.values)
+    assert np.max(np.abs(spectral - rolled - kept)) <= 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -336,7 +397,7 @@ def test_stone_bump_residual_converges(grid, momentum):
 
 
 # ----------------------------------------------------------------------
-# Scaling by a reciprocal has the bits of division
+# Scaling: a reciprocal has the bits of division; the FFT basis's weights
 # ----------------------------------------------------------------------
 
 #: real and imaginary parts crafted to hit every special case of both paths
@@ -356,7 +417,7 @@ def test_reciprocal_multiply_has_the_bits_of_division(n_points):
     crafted = np.array([complex(a, b) for a in SPECIALS for b in SPECIALS])
     x[:crafted.size] = crafted
     grid = Grid(-40.0, 40.0, n_points)
-    divisors = (math.sqrt(grid.dx / n_points),  # the inverse FFT's scaling
+    divisors = (math.sqrt(grid.dx / n_points),  # the unit of the FFT basis's weights
                 float(np.linalg.norm(x[crafted.size:])) * math.sqrt(grid.dx),  # a norm
                 math.sqrt(grid.length))  # the plane wave's
     for r in divisors:
@@ -372,12 +433,21 @@ def test_reciprocal_multiply_has_the_bits_of_division(n_points):
 
 
 @pytest.mark.parametrize("n_points", [2**12, 2**16])
-def test_inverse_change_of_basis_has_the_bits_of_division(n_points):
+def test_inverse_change_of_basis_unweights_each_part_then_runs_irfft(n_points):
+    """The coefficients [0, n/2] of a real row carry sqrt(dx/n) at the entries 0 and
+    n/2 and sqrt(2 dx/n) between, where each stands for itself and its conjugate
+    n - j; the inverse multiplies each float64 part by the reciprocal weight, one
+    real multiply, and then runs irfft.  `normalized` divides by a reciprocal."""
     grid = Grid(-40.0, 40.0, n_points)
     rng = np.random.default_rng(n_points + 1)
-    coeffs = rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
-    expected = np.fft.ifft(coeffs / np.sqrt(grid.dx / n_points))
+    half = n_points // 2 + 1
+    coeffs = rng.standard_normal(half) + 1j * rng.standard_normal(half)
+    weights = np.full(half, math.sqrt(2.0 * grid.dx / n_points))
+    weights[[0, -1]] = math.sqrt(grid.dx / n_points)
+    parts = coeffs.view(np.float64) * np.repeat(1.0 / weights, 2)
+    expected = np.fft.irfft(parts.view(np.complex128), n=n_points)
     u = Propagator(momentum_operator(grid))
     assert u._inverse(coeffs.copy()).tobytes() == expected.tobytes()
+    coeffs = rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
     psi = WaveFunction(grid, coeffs)
     assert psi.normalized().values.tobytes() == (coeffs / psi.norm()).tobytes()

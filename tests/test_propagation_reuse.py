@@ -8,7 +8,8 @@ pair and every chain segment, and demand exact equality on a fourier grid
 kind and the exact-shift path.  The half-spectrum phase vector is checked
 against a long-double reference on the momentum lattice and against a
 whole-array exp, bit for bit, off it.  Operation-count guards check that the reuse
-actually happens, and that every FFT is a `Propagator` change of basis.
+actually happens, and that every FFT is a `Propagator` change of basis: an `rfft` or
+`irfft` of real rows, two for a complex state.
 """
 
 from __future__ import annotations
@@ -316,10 +317,9 @@ def _step_times() -> list[float]:
 
 
 def _off_lattice(grid: Grid) -> SpectralOperator:
-    """An odd spectrum that is no lattice: the entries 0 and n/2, which oddness
-    leaves free, moved off the wavenumbers."""
+    """An odd spectrum that is no lattice: the pair +-2 dk moved to +-2.5 dk (n >= 8)."""
     k = grid.wavenumbers()
-    k[0], k[grid.n_points // 2] = 0.5, 7.0
+    k[2], k[-2] = 1.25 * k[2], -1.25 * k[2]
     return SpectralOperator(grid, k)
 
 
@@ -328,51 +328,34 @@ def _off_lattice(grid: Grid) -> SpectralOperator:
 @pytest.mark.parametrize("n_points", [2, 2**12, 2**16])
 def test_step_is_as_accurate_as_whole_spectrum_exp(n_points):
     """Against exp(-i t j dk) in long double, dk = 2 pi / L, the exact spectrum
-    of -i d/dx on the grid, the lattice step is never further off than exp
-    over the whole array of rounded eigenvalues, or 2 eps where that is closer.
-
-    Only the entries [0, n/2] are compared, which holds the same over all n:
-    `test_step_mirrors_its_first_half_with_positive_zeros` pins each entry
-    past n/2 as the conjugate of one before it, the exact spectrum is odd so
-    the reference is mirrored too, and |conj(a) - conj(b)| = |a - b|; exp's
-    error on the first half bounds the step at least as strictly as on all n."""
+    of -i d/dx on the grid at j < n/2, the lattice step is never further off than
+    exp over the whole array of rounded eigenvalues, or 2 eps where that is closer.
+    The step holds the entries [0, n/2] only, and the Nyquist entry's eigenvalue
+    is 0, so its phase is exactly 1."""
     grid = Grid(-40.0, 40.0, n_points)
     u = Propagator(momentum_operator(grid))
-    half = n_points // 2 + 1
-    lam = u.generator.eigenvalues
-    exact = np.rint(lam[:half] / lam[1]).astype(np.longdouble) * (
+    mid = n_points // 2
+    exact = np.arange(mid, dtype=np.longdouble) * (
         8 * np.arctan(np.longdouble(1)) / np.longdouble(grid.length))
     for t in _step_times():
         reference = np.exp(-1j * (np.longdouble(t) * exact))
-        step_error = np.max(np.abs(u.step(t)[:half] - reference))
-        exp_error = np.max(np.abs(naive_step(u, t)[:half] - reference))
+        step = u.step(t)
+        assert step.shape == (mid + 1,) and step[mid] == 1.0, t
+        step_error = np.max(np.abs(step[:mid] - reference))
+        exp_error = np.max(np.abs(naive_step(u, t)[:mid] - reference))
         assert step_error <= max(exp_error, 2 * EPS), t
 
 
-@pytest.mark.parametrize("n_points", [2, 2**12, 2**16])
+@pytest.mark.parametrize("n_points", [8, 2**12, 2**16])
 def test_step_matches_whole_spectrum_exp_bit_for_bit(n_points):
-    """Off the lattice the half-spectrum exp and its mirror give exp's bits."""
+    """Off the lattice the half-spectrum exp gives exp's bits on [0, n/2]; no odd
+    spectrum of fewer than 8 entries is off the lattice."""
     u = Propagator(_off_lattice(Grid(-40.0, 40.0, n_points)))
     for t in _step_times():
-        assert u.step(t).tobytes() == naive_step(u, t).tobytes(), t
+        assert u.step(t).tobytes() == naive_step(u, t)[:n_points // 2 + 1].tobytes(), t
 
 
-@pytest.mark.parametrize("n_points", [4, 256, 2**12, 2**16])
-def test_step_mirrors_its_first_half_with_positive_zeros(n_points):
-    """Entries past n/2 are the conjugates of n/2 - 1 .. 1, bit for bit, except
-    that a zero imaginary part is +0.0 (t = -0.0 makes every one +0.0 first)."""
-    half = n_points // 2 + 1
-    for op in (momentum_operator(Grid(-40.0, 40.0, n_points)),
-               _off_lattice(Grid(-40.0, 40.0, n_points))):
-        u = Propagator(op)
-        for t in _step_times():
-            phases = u.step(t)
-            expected = np.conjugate(phases[1:n_points - half + 1][::-1])
-            expected.imag[expected.imag == 0.0] = 0.0
-            assert phases[half:].tobytes() == expected.tobytes(), t
-
-
-@pytest.mark.parametrize("n_points", [2, 256, 4096])
+@pytest.mark.parametrize("n_points", [2, 8, 256, 4096])
 def test_step_exponentiates_half_the_spectrum(n_points, monkeypatch):
     grid = Grid(-40.0, 40.0, n_points)
     sizes = []
@@ -392,13 +375,14 @@ def test_step_exponentiates_half_the_spectrum(n_points, monkeypatch):
         return list(sizes)
 
     monkeypatch.setattr(np, "exp", counting_exp)
-    # a lattice step exps two tables, of ceil((n/2 + 1) / b) and b entries,
-    # b = isqrt(n/2) + 1; any other odd spectrum its n/2 + 1 entries [0, n/2]
-    lattice = exp_sizes(momentum_operator(grid))
-    assert len(lattice) == 4
-    assert max(lattice[0] + lattice[1], lattice[2] + lattice[3]) <= 2 * (
-        math.isqrt(n_points // 2) + 1)
-    assert exp_sizes(_off_lattice(grid)) == [n_points // 2 + 1] * 2
+    # a lattice step exps two tables, of ceil((n/2) / b) and b entries, b =
+    # isqrt(n/2) + 1, for [0, n/2); any other odd spectrum its n/2 + 1 entries
+    # [0, n/2]; no odd spectrum of fewer than 8 entries is off the lattice
+    mid = n_points // 2
+    b = math.isqrt(mid) + 1
+    assert exp_sizes(momentum_operator(grid)) == [-(-mid // b), b] * 2
+    if n_points >= 8:
+        assert exp_sizes(_off_lattice(grid)) == [mid + 1] * 2
 
 
 def test_momentum_operator_takes_the_lattice_path_on_any_grid():
@@ -408,18 +392,22 @@ def test_momentum_operator_takes_the_lattice_path_on_any_grid():
         x_max = x_min + float(10.0 ** rng.uniform(-6, 6))
         grid = Grid(x_min, x_max, 2 ** int(rng.integers(1, 17)))
         op = momentum_operator(grid)
-        assert op._spacing == op.eigenvalues[1] == 2.0 * math.pi / grid.length, grid
+        # at 2 points entry 1 is the Nyquist mode's, so the spectrum is all 0
+        dk = 2.0 * math.pi / grid.length if grid.n_points > 2 else 0.0
+        assert op._spacing == op.eigenvalues[1] == dk, grid
     assert _off_lattice(Grid(-40.0, 40.0, 8))._spacing is None
     assert SpectralOperator(Grid(-40.0, 40.0, 8), np.zeros(8))._spacing == 0.0
     assert dense_hermitian(np.eye(2))._spacing is None
 
 
 def test_fourier_kind_needs_an_odd_spectrum():
+    """Oddness for every j leaves no entry free: the entries 0 and n/2 are their own
+    partners, so both must be 0, or U(t) would not keep real rows real."""
     grid = Grid(-40.0, 40.0, 8)
     k = grid.wavenumbers()
     SpectralOperator(grid, k)
-    SpectralOperator(grid, np.where(np.arange(8) == 4, 7.0, k))  # Nyquist free
-    for not_odd in (k + 1.0, np.abs(k), k * k):
+    nyquist, zero = (np.where(np.arange(8) == j, 7.0, k) for j in (4, 0))
+    for not_odd in (k + 1.0, np.abs(k), k * k, nyquist, zero):
         with pytest.raises(DomainError, match="odd"):
             SpectralOperator(grid, not_odd)
 
@@ -470,15 +458,16 @@ def test_transform_rejects_a_foreign_space():
 
 
 def _rows(x) -> int:
-    """The states an operand carries: a 2-D block's first-axis length, else one."""
-    return len(x) if np.ndim(x) == 2 else 1
+    """The real rows an FFT operand or a coefficient array carries: every axis but the
+    last (a complex state's coefficients are two rows, re and im)."""
+    return math.prod(np.shape(x)[:-1])
 
 
 def _install_counters(mp, calls: dict | None = None) -> dict:
-    """Count the rows that each of fft, ifft and complex exp transforms, and its
-    calls into `calls` when one is given."""
+    """Count the rows that each of rfft, irfft, fft, ifft and complex exp transforms,
+    and its calls into `calls` when one is given."""
     # helper threads of the evolve loops call these too, so count under a lock
-    counts = {"fft": 0, "ifft": 0, "exp": 0}
+    counts = {"rfft": 0, "irfft": 0, "fft": 0, "ifft": 0, "exp": 0}
     lock = threading.Lock()
 
     def counting(name, fn, complex_only=False):
@@ -491,8 +480,8 @@ def _install_counters(mp, calls: dict | None = None) -> dict:
             return fn(x, *args, **kwargs)
         return wrapper
 
-    mp.setattr(np.fft, "fft", counting("fft", np.fft.fft))
-    mp.setattr(np.fft, "ifft", counting("ifft", np.fft.ifft))
+    for name in ("rfft", "irfft", "fft", "ifft"):
+        mp.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
     mp.setattr(np, "exp", counting("exp", np.exp, complex_only=True))
     return counts
 
@@ -507,33 +496,36 @@ def test_condition_I_transforms_each_state_and_time_once(grid, zone_pair, transl
     with pytest.MonkeyPatch.context() as mp:
         counts = _install_counters(mp)
         check_condition_I(zone_pair, translator, T_SWEEP, named(waves))
-    # two table exps per step
-    assert counts == {"fft": 4, "ifft": 4 * len(T_SWEEP), "exp": 2 * len(T_SWEEP)}
+    # three real waves of one row and gaussian(12,k2) of two; two table exps per step
+    assert counts == {"rfft": 5, "irfft": 5 * len(T_SWEEP), "fft": 0, "ifft": 0,
+                      "exp": 2 * len(T_SWEEP)}
 
 
 def test_condition_I_advances_every_state_of_a_time_into_one_buffer(grid, zone_pair, translator):
-    """Every time item of a thread writes all its states into the one values
-    array of its thread's kit, so the inverse FFTs use one buffer per thread."""
+    """Every time item of a thread writes all its states of one kind, real or
+    complex, into the one values array of that kind in its thread's kit, so the
+    inverse FFTs use two buffers per thread: the three real waves' and
+    gaussian(12,k2)'s, whose two rows are a view of a complex array."""
     u, pair, waves = translator, zone_pair, _lab_waves(grid)
-    buffers = []  # (thread, output array) of each inverse FFT, kept alive so no id is reused
-    ifft = np.fft.ifft
+    buffers = []  # (thread, data address) of each inverse FFT's output; the kits outlive the call
+    irfft = np.fft.irfft
 
     def recording(a, *args, out=None, **kwargs):
-        buffers.append((threading.get_ident(), out))
-        return ifft(a, *args, out=out, **kwargs)
+        buffers.append((threading.get_ident(), out.__array_interface__["data"][0]))
+        return irfft(a, *args, out=out, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np.fft, "ifft", recording)
+        mp.setattr(np.fft, "irfft", recording)
         report = check_condition_I(pair, u, T_SWEEP, named(waves))
     assert len(buffers) == len(waves) * len(T_SWEEP)
     threads = {thread for thread, _ in buffers}
-    assert len({(thread, id(b)) for thread, b in buffers}) == len(threads)
+    assert len(set(buffers)) == 2 * len(threads)
     assert _residuals(report) == naive_residuals(pair[0].mass, u, T_SWEEP, waves)
 
 
 @pytest.mark.parametrize("n, expected", [
-    (3, {"fft": 4, "ifft": 5, "exp": 2 * 2}),
-    (8, {"fft": 9, "ifft": 10, "exp": 2 * 4}),
+    (3, {"rfft": 4, "irfft": 5, "fft": 0, "ifft": 0, "exp": 2 * 2}),
+    (8, {"rfft": 9, "irfft": 10, "fft": 0, "ifft": 0, "exp": 2 * 4}),
 ])
 def test_survival_report_shares_e_and_repeated_segments(n, expected, zone_pair, translator,
                                                        core_state):
@@ -551,21 +543,22 @@ def test_survival_report_shares_e_and_free_evolves_across_schedules(zone_pair, t
     # free evolve to t = 2 of all three.  The jobs are the chains of 9, 4 and 1
     # segments: 1 + 8 + 3 ffts and 9 + 4 + 1 iffts.  Their steps: 2/9 alternates
     # in its last ulp, so the 8-instant chain builds 3, and 1/2 and 2 are exact,
-    # so the others build 1 each: 5 steps of two table exps.  Three one-schedule
-    # calls cost 14 ffts, 16 iffts and 7 steps
+    # so the others build 1 each: 5 steps of two table exps.  e is real, one row.
+    # Three one-schedule calls cost 14 rffts, 16 irffts and 7 steps
     u, (p_core, _), e = translator, zone_pair, core_state
     schedules = [MeasurementSchedule.equally_spaced(2.0, n) for n in (0, 3, 8)]
     with pytest.MonkeyPatch.context() as mp:
         counts = _install_counters(mp)
         reports = survival_report(u, p_core, e, schedules)
-    assert counts == {"fft": 1 + 8 + 3, "ifft": 9 + 4 + 1, "exp": 2 * (3 + 1 + 1)}
+    assert counts == {"rfft": 1 + 8 + 3, "irfft": 9 + 4 + 1, "fft": 0, "ifft": 0,
+                      "exp": 2 * (3 + 1 + 1)}
     assert reports == tuple(survival_report(u, p_core, e, [s])[0] for s in schedules)
 
 
 @pytest.mark.parametrize("n", [0, 5])
 def test_hm_invariance_runs_its_spectral_report_once(n):
-    # one transform of e, then CURVE_POINTS chains of N forward and N + 1
-    # inverse FFTs (the last is the main spectral run) and, for N > 0, the
+    # one transform of e (real: one row), then CURVE_POINTS chains of N forward
+    # and N + 1 inverse FFTs (the last is the main spectral run) and, for N > 0, the
     # CURVE_POINTS free evolves of one inverse FFT each.  The empty schedule at
     # t is the last row's free evolve, and at N = 0 every curve row is its own
     # free evolve: 8 inverse FFTs at N = 0 (17 before the jobs were merged) and
@@ -575,36 +568,39 @@ def test_hm_invariance_runs_its_spectral_report_once(n):
         with pytest.MonkeyPatch.context() as mp:
             counts = _install_counters(mp)
             run_scenario("hm-invariance", spec)
-        assert counts["fft"] == CURVE_POINTS * n + 1
-        assert counts["ifft"] == CURVE_POINTS * (n + 1 + (n > 0)) == {0: 8, 5: 56}[n]
+        assert counts["rfft"] == CURVE_POINTS * n + 1
+        assert counts["irfft"] == CURVE_POINTS * (n + 1 + (n > 0)) == {0: 8, 5: 56}[n]
+        assert counts["fft"] == counts["ifft"] == 0
 
 
 def test_series_validity_sums_its_series_in_coefficients():
     # each of the three hn_norms probes and the three curves transforms its
-    # state once, and the eigenvector branch its plane wave: 3 + 3 + 1
-    # forward FFTs, and no power or term changes back.  With an FFT pair per
-    # power of H (16 on the Gaussian, 13 and 11 on the fine and coarse bumps)
-    # the scenario ran 40 + 3 + 1 and 40; with one per series term, 178 + 178
+    # real state once, one row each, and the eigenvector branch its complex
+    # plane wave, two rows: 3 + 3 + 2 forward rows, and no power or term
+    # changes back.  With an FFT pair per power of H (16 on the Gaussian, 13
+    # and 11 on the fine and coarse bumps) the scenario ran 40 + 3 + 1 complex
+    # forward FFTs and 40 inverse ones; with one per series term, 178 + 178
     with pytest.MonkeyPatch.context() as mp:
         counts = _install_counters(mp)
         run_scenario("series-validity")
-    assert (counts["fft"], counts["ifft"]) == (3 + 3 + 1, 0)
+    assert (counts["rfft"], counts["irfft"], counts["fft"], counts["ifft"]) == (3 + 3 + 2, 0, 0, 0)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_every_fft_is_a_propagator_basis_change(name):
-    """A default run calls np.fft only through `Propagator._coeffs` (forward,
-    `_apply`'s too) and `_inverse`, apart from the one field-synthesis ifft of
-    each `_window_state` call; both sides count the rows of a block."""
-    changes = {"fft": 0, "ifft": 0}
+    """A default run calls np.fft only through `Propagator._coeffs` (rfft, `_apply`'s
+    too) and `_inverse` (irfft), apart from the one field-synthesis ifft of each
+    `_window_state` call; both sides count real rows, two for a complex state."""
+    changes = {"rfft": 0, "irfft": 0}
     windows = []
     lock = threading.Lock()
 
     def counting(kind, primitive):
         def wrapper(self, *args, **kwargs):
             if self.generator.basis is None:
+                x = args[0]  # values (n points per row) or coefficients
                 with lock:
-                    changes[kind] += _rows(args[0])
+                    changes[kind] += _rows(x) * (2 if kind == "rfft" and np.iscomplexobj(x) else 1)
             return primitive(self, *args, **kwargs)
         return wrapper
 
@@ -616,25 +612,26 @@ def test_every_fft_is_a_propagator_basis_change(name):
 
     with pytest.MonkeyPatch.context() as mp:
         counts = _install_counters(mp)
-        mp.setattr(Propagator, "_coeffs", counting("fft", Propagator._coeffs))
-        mp.setattr(Propagator, "_inverse", counting("ifft", Propagator._inverse))
+        mp.setattr(Propagator, "_coeffs", counting("rfft", Propagator._coeffs))
+        mp.setattr(Propagator, "_inverse", counting("irfft", Propagator._inverse))
         mp.setattr(scenarios, "_window_state", counting_window)
         run_scenario(name)
     assert len(windows) == (name == "counterexample")
-    assert counts["fft"] == changes["fft"]
-    assert counts["ifft"] == changes["ifft"] + len(windows)
+    assert counts["rfft"] == changes["rfft"]
+    assert counts["irfft"] == changes["irfft"]
+    assert (counts["fft"], counts["ifft"]) == (0, len(windows))
 
 
-@pytest.mark.parametrize("n, calls", [(0, {"fft": 1, "ifft": 2}), (5, {"fft": 11, "ifft": 14})])
+@pytest.mark.parametrize("n, calls", [(0, {"rfft": 1, "irfft": 2}), (5, {"rfft": 11, "irfft": 14})])
 def test_hm_invariance_changes_the_basis_of_a_block_of_rows_per_call(n, calls):
     # at 4096 points a block holds MAP_MIN_POINTS // 4096 = 4 rows.  The spectral
     # report's distinct jobs are CURVE_POINTS = 8 curve rows of N + 1 segments and,
     # for N > 0, the 8 free evolves (one segment; the empty schedule at t is the
     # last one), cut longest first into runs of one segment count of at most 4 rows.
-    # A block of S segments calls fft S - 1 times and ifft S times, after the one fft
-    # of e.  For N > 0 the runs are two blocks of curve rows and two of free evolves:
-    # 1 + 2 N ffts and 2 (N + 1) + 2 = 2 N + 4 iffts.  For N = 0 the curve rows are
-    # the free evolves, 8 jobs of one segment: 2 blocks, 1 fft and 2 iffts
+    # A block of S segments calls rfft S - 1 times and irfft S times, after the one
+    # rfft of e.  For N > 0 the runs are two blocks of curve rows and two of free
+    # evolves: 1 + 2 N rffts and 2 (N + 1) + 2 = 2 N + 4 irffts.  For N = 0 the curve
+    # rows are the free evolves, 8 jobs of one segment: 2 blocks, 1 rfft and 2 irffts
     assert statespace.MAP_MIN_POINTS // 4096 == 4 and CURVE_POINTS == 8
     seen = {}
     with pytest.MonkeyPatch.context() as mp:

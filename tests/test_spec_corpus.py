@@ -84,10 +84,11 @@ SPECS = (
     "run rabi-control --omega 2",
     "run rabi-control --omega 2 --time 10",
     # exit 1 outside validity windows not yet written: tolerances below the
-    # roundoff they bound (spectral_invariance 5.55e-16, cond_I 8.70e-18,
-    # ia_forward 1.03e-19), a falsify tolerance above the largest leakage
-    # (cond_II 0.998691), and a grid step of 0.178 whose spectral tail fails
-    # cond_I off the lattice (1.70e-7)
+    # roundoff they bound (cond_I 8.70e-18, ia_forward 1.03e-19), a falsify
+    # tolerance above the largest leakage (cond_II 0.998691), and a grid step
+    # of 0.178 whose spectral tail fails cond_I off the lattice (1.58e-7).
+    # spectral_invariance's roundoff, 5.55e-16 on the complex FFT path, is
+    # 0.0 on the real one, so its 1e-16 entry exits 0
     "run hm-invariance --tolerance-invariance 1e-16",
     "run counterexample --tolerance-invariance 1e-20",
     "run counterexample --tolerance-falsify 0.999",

@@ -45,7 +45,9 @@ def test_grid_geometry(grid):
     assert 0.0 in x
     k = grid.wavenumbers()
     assert k.shape == (4096,)
-    assert np.max(k) == pytest.approx(math.pi / grid.dx)
+    # the Nyquist mode's wavenumber is 0, so the largest is pi/dx - dk
+    assert k[2048] == 0.0
+    assert np.max(k) == pytest.approx(math.pi / grid.dx - 2 * math.pi / grid.length)
     assert grid.contains(-40.0, 39.0)
     assert not grid.contains(-41.0, 0.0)
 

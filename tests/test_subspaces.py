@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import rabi_system, random_state
-from oracles import normal_cdf
+from oracles import normal_cdf, nyquist_part
 from zenolab import (
     DenseSpace,
     DomainError,
@@ -347,15 +347,18 @@ def test_condition_IA_zero_time(grid, zone_pair, translator):
 def test_counterexample_conditions_at_lattice_times_match_the_exact_shift(n_points, x_max):
     """At t = m dx the spectral step exp(-i t k_j) = exp(-2 pi i j m / n) is the
     circular shift by m, so counterexample's (I) and (I-A) residuals on `Propagator`
-    differ from `ShiftPropagator`'s exact ones by roundoff alone.  The times are the
-    lattice times nearest T_SWEEP, and +-6 for (I-A).  Both grids exit 1 on
-    `cond_I_holds` at T_SWEEP itself, so that failure is a sub-grid one.
+    differ from `ShiftPropagator`'s exact ones by roundoff alone, except along the
+    Nyquist mode: its eigenvalue is 0, so the spectral path keeps that part, c (-1)^j,
+    where the shift by m multiplies it by (-1)^m.  The times are the lattice times
+    nearest T_SWEEP, and +-6 for (I-A).  Both grids exit 1 on `cond_I_holds` at
+    T_SWEEP itself, so that failure is a sub-grid one.
 
     Bound: a forward or inverse FFT errs in L2 by at most log2(n) (1 + 4 sqrt 2) eps
     relative to its input, to first order (Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., Thm. 24.2); the phase multiply and the scaling
     add a few eps, so the spectral state lies within delta = 16 eps log2(n) ||psi||
-    of the rolled one.  A residual r = ||P_C psi_t||^2 then moves by at most
+    of the rolled one, plus (1 - (-1)^m) ||c (-1)^j||, twice the Nyquist part's
+    norm |c_{n/2}| at odd m.  A residual r = ||P_C psi_t||^2 then moves by at most
     (sqrt(r) + delta)^2 - r, and each side's mass sum by n eps of itself."""
     grid = Grid(-40.0, x_max, n_points)
     pair = halfline_pair(grid)
@@ -366,6 +369,8 @@ def test_counterexample_conditions_at_lattice_times_match_the_exact_shift(n_poin
              ("windowed-random", scenarios._window_state(grid, 2.0, 30.0, spec.seed))]
     ia = [("gaussian(3)", make_gaussian(grid, 3.0, spec.sigma))]
     norms = {label: state.norm_sq() for label, state in waves + ia}
+    nyquist = {label: WaveFunction(grid, nyquist_part(state.values)).norm()
+               for label, state in waves + ia}
     lattice = [round(t / grid.dx) * grid.dx for t in T_SWEEP]
     m6 = round(6.0 / grid.dx) * grid.dx
     spectral, shift = Propagator(momentum_operator(grid)), ShiftPropagator(grid)
@@ -376,7 +381,9 @@ def test_counterexample_conditions_at_lattice_times_match_the_exact_shift(n_poin
         rounded = check(pair, spectral, ts, list(states), tolerance=1.0).samples
         assert [(s.t, s.state) for s in rounded] == [(s.t, s.state) for s in exact]
         for a, b in zip(rounded, exact):
-            delta = 16 * eps * math.log2(n_points) * math.sqrt(norms[b.state])
+            odd = round(b.t / grid.dx) % 2
+            delta = 16 * eps * math.log2(n_points) * math.sqrt(norms[b.state]) + (
+                2 * odd * nyquist[b.state])
             reach = (math.sqrt(b.residual) + delta) ** 2
             assert abs(a.residual - b.residual) <= reach - b.residual + 2 * n_points * eps * reach
     off = check_condition_I(pair, spectral, T_SWEEP, waves, tolerance=1.0)

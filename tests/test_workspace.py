@@ -63,15 +63,17 @@ def _bits(reports) -> list[str]:
 
 def test_a_warm_report_allocates_the_same_state_arrays_for_any_schedule_count(monkeypatch):
     """Items run one after the other on one thread here, so they share one
-    kit: the first chain allocates its values and the two step slots, and no
-    later chain or free evolve allocates a state-sized array.  With fresh
-    arrays per item each one allocated at least two.
+    kit: the first chain allocates its values, its coefficient buffer and the
+    two step slots, and no later chain or free evolve allocates a state-sized
+    array.  With fresh arrays per item each one allocated at least two.
 
-    The grid has 2^15 points: a lattice step's outer product goes through
-    numpy's buffered iterator, whose two temporary buffers of 8192 complex
-    entries are as large as a whole state at 2^14."""
-    u, p_core, e, dx = _system("spectral", 2 * N_POINTS)
-    state_bytes = 16 * 2 * N_POINTS
+    The state is real, so its values are one float64 row, and its
+    coefficients and each step n/2 + 1 complex entries, as large.  The grid
+    has 2^16 points: a lattice step's outer product goes through numpy's
+    buffered iterator, whose two temporary buffers of 8192 complex entries
+    are as large as a real state at 2^15."""
+    u, p_core, e, dx = _system("spectral", 4 * N_POINTS)
+    state_bytes = 8 * 4 * N_POINTS
     inner = statespace._map
     allocated = []  # state-sized arrays that each item's peak shows
 
@@ -99,15 +101,17 @@ def test_a_warm_report_allocates_the_same_state_arrays_for_any_schedule_count(mo
             counts[n_schedules] = list(allocated)
     finally:
         tracemalloc.stop()
-    # one kit: the first item, the longest chain, allocates its values and a
-    # step slot, and the other slot when it has two distinct durations
-    # (schedule 1 has one duration, schedule 8 two); no later item allocates
-    assert {n: sum(items) for n, items in counts.items()} == {2: 2, 9: 3}
-    assert [items[0] for items in counts.values()] == [2, 3]
+    # one kit: the first item, the longest chain, allocates its values, its
+    # coefficient buffer and a step slot, and the other slot when it has two
+    # distinct durations (schedule 1 has one duration, schedule 8 two); no
+    # later item allocates
+    assert {n: sum(items) for n, items in counts.items()} == {2: 3, 9: 4}
+    assert [items[0] for items in counts.values()] == [3, 4]
 
 
 def _kit_arrays(kit: dict) -> list:
-    """The arrays of a kit: its values, its spare and each row's two step slots."""
+    """The arrays of a kit: its values, its spare (coefficients on the FFT basis) and
+    each row's two step slots."""
     return [a for held in kit.values() for a in (held if isinstance(held, list) else [held])
             if isinstance(a, np.ndarray)]
 
@@ -292,13 +296,15 @@ def test_a_report_runs_each_distinct_schedule_once(kind, monkeypatch):
 
 
 def test_a_warm_report_allocates_its_block_arrays_in_its_first_block_only(monkeypatch):
-    """At 4096 points the first block of a kit allocates the values of 4 rows and
-    their two step slots each, three arrays of MAP_MIN_POINTS values, though it
-    runs one row; no later block allocates an array that large, whatever its rows.
+    """At 4096 points the first block of a kit allocates the values of 4 real rows,
+    their coefficients and their two step slots each: MAP_MIN_POINTS float64 values,
+    and three arrays of 4 (n/2 + 1) complex entries, the coefficients one and the
+    steps two such units, though it runs one row; no later block allocates an array
+    that large, whatever its rows.
     The longest schedule, alone, is the first block; then come two blocks of the
     eight 5-instant rows and two of the free evolves to the eight distinct finals."""
     u, p_core, e, _ = _system("spectral", 4096)
-    block_bytes = 16 * statespace.MAP_MIN_POINTS
+    block_bytes = 8 * statespace.MAP_MIN_POINTS
     inner = statespace._map
     allocated = []  # block-sized arrays that each block's peak shows
 
@@ -322,4 +328,4 @@ def test_a_warm_report_allocates_its_block_arrays_in_its_first_block_only(monkey
         survival_report(u, p_core, e, schedules)
     finally:
         tracemalloc.stop()
-    assert allocated == [3, 0, 0, 0, 0]
+    assert allocated == [4, 0, 0, 0, 0]
