@@ -11,7 +11,8 @@ as in `test_golden.py` (provenance.version and provenance.numpy).
 
 An entry may change only when changing that spec's behaviour is the intent
 of the change that moves it.  To rewrite the manifest from the current
-code, run `PYTHONPATH=src python tests/test_spec_corpus.py`.
+code, run `PYTHONPATH=src python tests/test_spec_corpus.py`: it prints what
+moved in each entry against the manifest it replaces (`diff_entries`).
 """
 
 from __future__ import annotations
@@ -88,8 +89,10 @@ SPECS = (
     # tolerance above the largest leakage (cond_II 0.998691), and a grid step
     # of 0.178 whose spectral tail fails cond_I off the lattice (1.58e-7).
     # spectral_invariance's roundoff, 5.55e-16 on the complex FFT path, is
-    # 0.0 on the real one, so its 1e-16 entry exits 0
+    # 0.0 on the real one, so its 1e-16 entry exits 0; 1e-15, a few eps, pins
+    # a tolerance that a survival's rounding cannot reach
     "run hm-invariance --tolerance-invariance 1e-16",
+    "run hm-invariance --tolerance-invariance 1e-15",
     "run counterexample --tolerance-invariance 1e-20",
     "run counterexample --tolerance-falsify 0.999",
     "run counterexample --x-max 690",
@@ -126,6 +129,26 @@ def run_spec(spec: str) -> dict:
     }
 
 
+def diff_entries(old: dict, new: dict) -> list[str]:
+    """One line per spec whose entry moved from manifest `old` to `new`: its exit a -> b,
+    stdout, stderr and each file whose hash moved, was added or was removed."""
+    lines = []
+    for spec in sorted(old.keys() | new.keys()):
+        a, b = old.get(spec), new.get(spec)
+        if a is None or b is None:
+            lines.append(f"{spec}: {'added' if a is None else 'removed'}")
+            continue
+        moved = [f"exit {a['exit']} -> {b['exit']}"] if a["exit"] != b["exit"] else []
+        moved += [part for part in ("stdout", "stderr") if a[part] != b[part]]
+        for name in sorted(a["files"].keys() | b["files"].keys()):
+            x, y = a["files"].get(name), b["files"].get(name)
+            if x != y:
+                moved.append(name if x and y else f"{name} ({'added' if x is None else 'removed'})")
+        if moved:
+            lines.append(f"{spec}: {', '.join(moved)}")
+    return lines
+
+
 @pytest.fixture(scope="module")
 def manifest() -> dict:
     return json.loads(MANIFEST.read_text(encoding="utf-8"))
@@ -141,7 +164,26 @@ def test_spec_matches_manifest(spec, manifest):
     assert run_spec(spec) == manifest[spec]
 
 
+def test_diff_names_each_moved_part_of_each_entry():
+    def entry(code=0, out="o", err="e", **files):
+        return {"exit": code, "stdout": out, "stderr": err, "files": files}
+
+    old = {"a": entry(), "b": entry(f="1", g="2"), "c": entry(), "d": entry(f="1")}
+    new = {"a": entry(), "b": entry(2, "O", f="1", g="3", h="4"), "d": entry(err="E"),
+           "e": entry()}
+    assert diff_entries(old, old) == []
+    assert diff_entries(old, new) == [
+        "b: exit 0 -> 2, stdout, g, h (added)",
+        "c: removed",
+        "d: stderr, f (removed)",
+        "e: added",
+    ]
+
+
 if __name__ == "__main__":
     entries = {spec: run_spec(spec) for spec in SPECS}
+    if MANIFEST.exists():
+        for line in diff_entries(json.loads(MANIFEST.read_text(encoding="utf-8")), entries):
+            print(line)
     MANIFEST.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(entries)} entries to {MANIFEST}", file=sys.stderr)
