@@ -91,8 +91,8 @@ MUTANTS = (
      "tests/test_acceptance.py::test_acceptance_3_rabi_control"),
     ("zone guard ten times looser", "subspaces.py", "if off > tol:", "if off > 10 * tol:",
      "tests/test_zeno.py::test_real_wave_zone_mass_is_still_rejected"),
-    ("chain's later steps doubled", "zeno.py", "_clip(values), step(dts), kit",
-     "_clip(values), step([2 * dt for dt in dts]), kit",
+    ("chain's later steps doubled", "zeno.py", "out=c), step(dts), c)",
+     "out=c), step([2 * dt for dt in dts]), c)",
      "tests/test_acceptance.py::test_acceptance_2_measurement_invariance"),
     ("hn_norms applies 2 H", "analytic.py", "np.multiply(lam, v, out=v)",
      "np.multiply(2 * lam, v, out=v)",
@@ -100,11 +100,11 @@ MUTANTS = (
     ("hn_norms weights its norm by sqrt(dx)", "analytic.py", "r = float(_norm(v))",
      "r = float(_norm(v) * math.sqrt(psi.space.dx))",
      "tests/test_analytic.py::test_hn_plane_wave_norms"),
-    ("matrix _apply skips the diagonal", "operators.py",
-     "        return self._values(coeffs, diagonal, out=values, work=coeffs)\n",
+    ("matrix _phase skips the diagonal", "operators.py",
+     "        return np.multiply(diagonal, coeffs, out=work)\n",
      "        if self._adjoint is not None:\n"
-     "            return self._inverse(coeffs)\n"
-     "        return self._values(coeffs, diagonal, out=values, work=coeffs)\n",
+     "            return coeffs\n"
+     "        return np.multiply(diagonal, coeffs, out=work)\n",
      "tests/test_acceptance.py::test_acceptance_3_rabi_control"),
     ("_coeffs ignores out", "operators.py",
      "np.fft.rfft(rows, out=out)", "np.fft.rfft(rows)",
@@ -205,10 +205,11 @@ MUTANTS = (
      "steps = [kit[held[0][1]][r] for", "steps = [kit[held[0][1]][0] for",
      "tests/test_workspace.py::test_a_block_of_rows_has_the_bits_of_one_schedule_reports"),
     ("a block clips only its first row", "zeno.py",
-     "p_core._clip(values)", "p_core._clip(values[:1])",
+     "p_core._clip(u._inverse(c, out))",
+     "(lambda v: p_core._clip(v[:1]) is v or v)(u._inverse(c, out))",
      "tests/test_workspace.py::test_a_block_of_rows_has_the_bits_of_one_schedule_reports"),
     ("a report's s_free is read from its own chain", "zeno.py",
-     "s_free=done[free][0]", "s_free=done[schedule][0]",
+     "done[free][0], *done[schedule]", "done[schedule][0], *done[schedule]",
      "tests/test_workspace.py::test_a_report_runs_each_distinct_schedule_once[matrix]"),
     ("duplicate schedules are not merged", "zeno.py",
      "sorted(dict.fromkeys(job for pair in zip(schedules, frees) for job in pair),",
@@ -239,6 +240,22 @@ MUTANTS = (
      "(int if _HINTS[f.name] is int else float, f.name)", "(float, f.name)",
      "tests/test_cli.py::test_options_leave_only_int_fields_the_n_spelling_and_two_cli_keys_"
      "implicit"),
+    ("FFT-basis _inner keeps the imaginary part", "operators.py",
+     "_blocked(np.vdot, a[i], b[j]).real if", "_blocked(np.vdot, a[i], b[j]) if",
+     "tests/test_propagation_reuse.py::test_coefficient_reductions_are_within_their_bound_of_"
+     "the_values[real-256]"),
+    ("shift _inner drops dx", "operators.py",
+     "complex(_blocked(np.vdot, a, b) * self.grid.dx)", "complex(_blocked(np.vdot, a, b))",
+     "tests/test_propagation_reuse.py::test_shift_reports_keep_the_bits_of_values_reductions"),
+    ("complex-state _inner drops the cross terms", "operators.py",
+     "dot(0, 1) - dot(1, 0))", "0.0)",
+     "tests/test_propagation_reuse.py::test_coefficient_reductions_are_within_their_bound_of_"
+     "the_values[complex-256]"),
+    ("hm-invariance floor at eps / 2", "scenarios.py",
+     "if tolerance_invariance < np.finfo(float).eps:",
+     "if tolerance_invariance < np.finfo(float).eps / 2:",
+     "tests/test_scenarios.py::test_hm_invariance_rejects_a_tolerance_below_eps_before_any_"
+     "state[below]"),
     ("N spelled n-measurements", "cli.py",
      '"N" if f.name == "n_measurements" else f.name.replace("_", "-")',
      'f.name.replace("_", "-")',

@@ -37,7 +37,6 @@ from .statespace import (
     DenseSpace,
     Grid,
     WaveFunction,
-    inner_product,
     make_bump,
     make_gaussian,
     make_plane_wave,
@@ -96,7 +95,6 @@ __all__ = [
     "evolve_spectral",
     "halfline_pair",
     "hn_norms",
-    "inner_product",
     "leakage",
     "make_bump",
     "make_gaussian",

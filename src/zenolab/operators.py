@@ -28,19 +28,19 @@ so a caller that evolves one state to many times, or many states to one
 time, transforms each state once and builds each phase vector once and gets
 the same bits as separate evolves.  Coefficients and steps are read-only
 and ``_values`` never writes to them.  ``Propagator`` alone changes basis,
-each way in one place: ``_coeffs`` forward, ``_inverse`` back, ``_values``
-multiplies by a diagonal and changes back (a step gives U(t) psi), and
-``_apply`` is ``_coeffs`` then ``_values`` on the caller's values and
-coefficient buffers, so a measurement chain runs in two buffers from its
-first step on (or a block, in one call, with a diagonal per row).
-``_step(t, out)`` and ``_values`` write into buffers the caller hands over,
-so the items of a survival report or a condition check reuse their thread's
-arrays instead of allocating new ones.  Scaling multiplies float64 parts,
-which rounds alike on every host.
+each way in one place: ``_coeffs`` forward, ``_inverse`` back, ``_phase``
+multiplies by a diagonal (a step gives U(t), a list of them a block's rows),
+and ``_values`` is ``_phase`` then ``_inverse``.  The change of basis is an
+isometry, so ``_inner`` reads an inner product from coefficients and a
+measurement chain ends on them (`zeno._chain`).  ``_step(t, out)``,
+``_phase`` and ``_values`` write into buffers the caller hands over, so the
+items of a survival report or a condition check reuse their thread's arrays
+instead of allocating new ones.  Scaling multiplies float64 parts, which
+rounds alike on every host.
 ``ShiftPropagator`` speaks the same protocol with a state's values as its
-coefficients, a whole-step count as its step and a circular roll as its
-``_values``.  The adjoint U(t)^dagger is realized as U(-t); only the
-full-space unitary group is modelled here.
+coefficients (its ``_inverse`` returns them), a whole-step count as its step
+and a circular roll as its ``_phase``.  The adjoint U(t)^dagger is realized
+as U(-t); only the full-space unitary group is modelled here.
 
 Sign and layout conventions:
   * momentum acts as -i d/dx, so U(t) = exp(-i t p) translates to the right:
@@ -72,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SpaceMismatchError
-from .statespace import MAP_MIN_POINTS, DenseSpace, Grid, WaveFunction, _norm
+from .statespace import MAP_MIN_POINTS, DenseSpace, Grid, WaveFunction, _blocked, _norm
 
 #: a series term whose norm exceeds DIVERGENCE_FACTOR * ||psi|| flags divergence
 DIVERGENCE_FACTOR = 1e12
@@ -242,24 +242,33 @@ class Propagator:
         return phases
 
     def _values(self, coeffs: np.ndarray, diagonal, out=None, work=None) -> np.ndarray:
-        """Values of diagonal * coeffs (a step gives U(t)): the product goes into `work`, of
-        the coefficients' shape, and on the FFT basis the values into `out`, each fresh when
-        None; a list of diagonals fills a block `work` row by row, from `coeffs` or its rows."""
+        """Values of `_phase(coeffs, diagonal, work)`, on the FFT basis into `out` or fresh."""
+        return self._inverse(self._phase(coeffs, diagonal, work), out)
+
+    def _phase(self, coeffs: np.ndarray, diagonal, work=None) -> np.ndarray:
+        """diagonal * coeffs into `work` (fresh when None; it may be `coeffs`); a list of
+        diagonals fills a block `work` row by row, from `coeffs` or its rows."""
         # always diagonal * coeffs: numpy's complex multiply is not bitwise
         # commutative, so a swapped operand order changes the last bits
         if isinstance(diagonal, list):
             rows = coeffs if coeffs.ndim == work.ndim else [coeffs] * len(work)
             for d, c, row in zip(diagonal, rows, work):
                 np.multiply(d, c, out=row)
-            return self._inverse(work, out)
-        return self._inverse(np.multiply(diagonal, coeffs, out=work), out)
+            return work
+        return np.multiply(diagonal, coeffs, out=work)
 
-    def _apply(self, values: np.ndarray, diagonal, spare=None) -> np.ndarray:
-        """`_values(_coeffs(values), diagonal)` for a chain's later segments: the FFT basis
-        changes basis into the coefficient buffer `spare` (fresh when None) and back into
-        `values`, and returns it; a matrix basis returns a fresh array."""
-        coeffs = self._coeffs(values, out=spare)
-        return self._values(coeffs, diagonal, out=values, work=coeffs)
+    def _inner(self, a: np.ndarray, b: np.ndarray) -> complex:
+        """<psi, phi> from psi's coefficients `a` and phi's `b` by `_blocked` dots: `vdot` times
+        dx on a matrix basis; on the FFT basis the real part of `vdot` for each pair of real
+        rows, <re, re> + <im, im> + i (<re, im> - <im, re>) over a complex state's two."""
+        if self._adjoint is not None:
+            return complex(_blocked(np.vdot, a, b) * self.space.dx)
+        a, b = a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1])
+
+        def dot(i: int, j: int) -> float:  # a real state has no im row
+            return _blocked(np.vdot, a[i], b[j]).real if i < len(a) and j < len(b) else 0.0
+
+        return complex(dot(0, 0) + dot(1, 1), dot(0, 1) - dot(1, 0))
 
     def _inverse(self, coeffs: np.ndarray, out=None) -> np.ndarray:
         """Values of `coeffs`, which must be a fresh array: it is overwritten.  The FFT basis
@@ -305,12 +314,12 @@ def evolve_spectral(propagator: Propagator, psi: WaveFunction, t: float) -> Wave
 class ShiftPropagator:
     """Translation restricted to whole grid steps t = m * dx.
 
-    Shares the transform/step/evolve protocol and the private `_values`
-    with Propagator so condition checks and measurement chains can run on
-    either path: a state's values are its coefficients, a step is a
-    whole-step count m and `_values` is a circular roll, which moves values
-    right by m * dx bit for bit (the zero-residual oracle for the spectral
-    path at commensurate times).
+    Shares the transform/step/evolve protocol and the private `_values`,
+    `_phase`, `_inverse` and `_inner` with Propagator so condition checks and
+    measurement chains can run on either path: a state's values are its
+    coefficients, a step is a whole-step count m and `_phase` is a circular
+    roll, which moves values right by m * dx bit for bit (the zero-residual
+    oracle for the spectral path at commensurate times).
     """
 
     grid: Grid
@@ -334,19 +343,25 @@ class ShiftPropagator:
             )
         return round(ratio)
 
-    def _values(self, coeffs: np.ndarray, step: int, out=None, work=None) -> np.ndarray:
-        """np.roll(coeffs, step) as one copy of two slices, into `out` or fresh; a roll
-        needs no `work`."""
+    _values = Propagator._values  # a roll into `work`: the values are the coefficients
+
+    def _phase(self, coeffs: np.ndarray, step: int, work=None) -> np.ndarray:
+        """np.roll(coeffs, step) as one copy of two slices, into `work`, never `coeffs`, or
+        fresh."""
         split = -int(step) % coeffs.shape[0]
-        return np.concatenate((coeffs[split:], coeffs[:split]), out=out)
+        return np.concatenate((coeffs[split:], coeffs[:split]), out=work)
+
+    def _inverse(self, coeffs: np.ndarray, out=None) -> np.ndarray:
+        """`coeffs` themselves: they are the values, so `out` is not used."""
+        return coeffs
+
+    def _inner(self, a: np.ndarray, b: np.ndarray) -> complex:
+        """<psi, phi> from their values: the Riemann sum, `vdot` times dx."""
+        return complex(_blocked(np.vdot, a, b) * self.grid.dx)
 
     def _step(self, t: float, out=None) -> int:
         """`step(t)`: a count, so `out` is not used."""
         return self.step(t)
-
-    def _apply(self, values: np.ndarray, step: int, spare=None) -> np.ndarray:
-        """`_values`, as values are coefficients: into `spare`, never `values`, or fresh."""
-        return self._values(values, step, spare)
 
     def evolve(self, psi: WaveFunction, t: float) -> WaveFunction:
         return WaveFunction._adopt(self.grid, self._values(self.transform(psi), self.step(t)))

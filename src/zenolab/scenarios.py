@@ -399,6 +399,10 @@ def _shift_schedule(total_steps: int, dx: float, n: int) -> MeasurementSchedule:
 def scenario_hm_invariance(*, grid_points, x_min, x_max, sigma, center, time, n_measurements,
                            tolerance_invariance) -> VerdictBundle:
     """selective core measurements leave survival unchanged"""
+    # delta s, a difference of two rounded survivals in [0, 1], cannot resolve less
+    if tolerance_invariance < np.finfo(float).eps:
+        raise DomainError(f"tolerance_invariance {tolerance_invariance:g} is below float64 eps "
+                          f"{np.finfo(float).eps:.6g}, the rounding of a survival difference")
     t = time if time is not None else 2.0
     if t <= 0.0:
         raise DomainError("final time must be positive")
@@ -430,11 +434,12 @@ def scenario_hm_invariance(*, grid_points, x_min, x_max, sigma, center, time, n_
     shift_steps = dict.fromkeys(round(j * steps / CURVE_POINTS) for j in js)
     shift_schedules = [_shift_schedule(k, grid.dx, n) for k in shift_steps if k > n]
 
-    p_core, _ = halfline_pair(grid)
+    p_core, p_wave = halfline_pair(grid)
     e = core_zone_state(p_core, make_gaussian(grid, center, sigma))
+    u = Propagator(momentum_operator(grid))
     # the empty schedule is the free evolve to t, the last curve row's: one job
     # gives both sides of its report
-    empty, *curve_spectral = survival_report(Propagator(momentum_operator(grid)), p_core, e,
+    empty, *curve_spectral = survival_report(u, p_core, e,
                                              [MeasurementSchedule(t, ()), *curve_schedules])
     rep_spectral = curve_spectral[-1]
     curve_shift = survival_report(ShiftPropagator(grid), p_core, e, shift_schedules)
@@ -464,7 +469,7 @@ def scenario_hm_invariance(*, grid_points, x_min, x_max, sigma, center, time, n_
         "delta_shift": rep_shift.delta,
         "retained_spectral": rep_spectral.retained,
         "retained_shift": rep_shift.retained,
-        "leakage_free_spectral": rep_spectral.leakage_free,
+        "leakage_free_spectral": leakage(p_wave, u, e, t),
         "oracle_spectral": autocorr_oracle(t),
         "oracle_shift": autocorr_oracle(t_eff),
     }

@@ -317,12 +317,6 @@ class WaveFunction:
             raise SpaceMismatchError(f"state lives on {self.space}, not on {space}")
 
 
-def inner_product(psi: WaveFunction, phi: WaveFunction) -> complex:
-    """Riemann-sum inner product, conjugate-linear in the first argument."""
-    phi._require_space(psi.space)
-    return complex(_blocked(np.vdot, psi.values, phi.values) * psi.space.dx)
-
-
 def _gaussian_variance(sigma: float) -> np.float64:
     """2 pi sigma^2, the Gaussian's normalization, when float64 holds it."""
     # a numpy scalar's square overflows to inf, where a Python float's raises

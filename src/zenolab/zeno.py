@@ -45,7 +45,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import DomainError
-from .statespace import WaveFunction, _map, _stopping, inner_product
+from .statespace import WaveFunction, _map, _stopping
 from .subspaces import SubspaceProjector, _require_unit_norm, _require_zone
 
 #: admissible wave-zone mass for the prepared state of a survival run
@@ -90,18 +90,18 @@ def _chain(u, p_core: SubspaceProjector, coeffs, block, kit: dict) -> np.ndarray
     """Selective measure-and-evolve chains of the schedules in `block`, all of one
     segment count, from the prepared state's coefficients.
 
-    Returns the unnormalized final states' values, one row per schedule, in
-    the arrays of `kit`, a dict no other running item uses (an empty one will
-    do): the caller reduces them before the kit's next item.  Where `u._rows`
-    > 1 (the FFT basis below MAP_MIN_POINTS points) a kit's first block
-    allocates the values and coefficients of `u._rows` rows and each row's
-    two step slots; a segment multiplies each row by its own step, and clips
-    the whole block and changes its basis each way in one call each.
-    Otherwise a block is one schedule on 1-D arrays: the FFT basis changes
-    basis into `kit["spare"]` and back, a shift rolls into `kit["spare"]` and
-    the two buffers swap, and a matrix basis changes basis into fresh arrays.
-    Every row has the bits of `transform`, `_values` and the projector's
-    `apply` on separate arrays.
+    Returns the unnormalized final states' coefficients, one row per
+    schedule, in the arrays of `kit`, a dict no other running item uses (an
+    empty one will do): the caller reduces them before the kit's next item.
+    The first segment multiplies `coeffs` by its step (`_phase`); each later
+    one runs `_inverse`, `_clip`, `_coeffs` and the multiply, so S segments
+    change basis 2 (S - 1) times and a free evolve none.  Where `u._rows` > 1
+    (the FFT basis below MAP_MIN_POINTS points) a kit's first block allocates
+    the values and coefficients of `u._rows` rows and each row's two step
+    slots; a segment multiplies each row by its own step, and clips the whole
+    block and changes its basis each way in one call each.  Otherwise a block
+    is one schedule on 1-D arrays (a shift rolls between two buffers), and
+    `_inverse` of a row has the bits of `evolve` and `apply` one at a time.
 
     The segments of an equally spaced schedule differ at most in the last ulp
     and alternate (a a b c b c b ...), so each row keeps the steps of its two
@@ -134,15 +134,18 @@ def _chain(u, p_core: SubspaceProjector, coeffs, block, kit: dict) -> np.ndarray
     first, *rest = zip(*(s.segments() for s in block))
     rows = slice(None) if u._rows == 1 else slice(len(block))
     out = kit.get("values") if u._rows == 1 else kit["block"][rows]
-    values = kit["values"] = u._values(coeffs, step(first), out, kit["spare"][rows])
+    c = u._phase(coeffs, step(first), kit["spare"][rows])
     for dts in rest:
         if _stopping.is_set():
             raise KeyboardInterrupt  # the main thread was interrupted
-        advanced = u._apply(p_core._clip(values), step(dts), kit["spare"][rows])
-        if advanced is not values:  # the old buffer is the next segment's spare
-            kit["spare"], kit["values"] = values, advanced
-        values = advanced
-    return values.reshape(len(block), -1)
+        values = p_core._clip(u._inverse(c, out))
+        if values is c:  # a shift's values: a roll cannot write over them, so two buffers swap
+            out, c = c, u._phase(c, step(dts), out)
+        else:
+            out, c = values, u._phase(u._coeffs(values, out=c), step(dts), c)
+    if u._rows == 1:
+        kit["spare"], kit["values"] = c, out
+    return c.reshape((len(block),) + coeffs.shape)
 
 
 @dataclass(frozen=True)
@@ -153,8 +156,6 @@ class SurvivalReport:
     n_measurements: int
     s_free: float
     s_measured: float
-    #: wave-zone mass of the freely evolved state at t_final
-    leakage_free: float
     #: ||final chain state||^2: the probability of passing every P_C (that of
     #: passing the first k is the `retained` of the first k instants' schedule)
     retained: float
@@ -175,10 +176,11 @@ def survival_report(u, p_core: SubspaceProjector, e: WaveFunction,
     blocks: runs of one segment count of at most `u._rows` jobs (1 but on the
     FFT basis below MAP_MIN_POINTS points).  An item works in its thread's
     kit, the dict of a `threading.local` this call owns, so a thread allocates
-    its arrays for its first block only; it reduces each row, through a
-    read-only view of the kit's row, to one record keyed by its schedule and
-    keeps no final state.  Equal schedules have equal floats, so each report
-    has the bits of a call with its schedule alone.
+    its arrays for its first block only; it reduces each row's final
+    coefficients w to one record keyed by its schedule, |<e, w>|^2 and
+    <w, w> by `u._inner`, and keeps no final state.  Equal schedules have
+    equal floats, so each report has the bits of a call with its schedule
+    alone.
     """
     norm_sq = _require_unit_norm(e, "prepared state")
     _require_zone(norm_sq - p_core.mass(e), CORE_STATE_TOL, "prepared state", "core-zone")
@@ -193,18 +195,13 @@ def survival_report(u, p_core: SubspaceProjector, e: WaveFunction,
         run = list(run)
         blocks += (run[i:i + u._rows] for i in range(0, len(run), u._rows))
 
-    def chain(block: list) -> list:
-        # read-only row views: the kit keeps the writable array; the states die with their item
-        states = map(WaveFunction._adopt, [u.space] * len(block),
-                     _chain(u, p_core, coeffs, block, scratch.__dict__))
-        return [(job, (abs(inner_product(e, final)) ** 2, final.norm_sq(),
-                       1.0 - p_core.mass(final))) for job, final in zip(block, states)]
+    def chain(block: list) -> list:  # each final row, in the kit, reduces before the next item
+        return [(job, (abs(u._inner(coeffs, w)) ** 2, u._inner(w, w).real))
+                for job, w in zip(block, _chain(u, p_core, coeffs, block, scratch.__dict__))]
 
     done = dict(row for block in _map(chain, blocks, points=u.space.n_points) for row in block)
     return tuple(
-        SurvivalReport(t_final=schedule.t_final, n_measurements=schedule.n_measurements,
-                       s_free=done[free][0], s_measured=done[schedule][0],
-                       leakage_free=done[free][2], retained=done[schedule][1])
+        SurvivalReport(schedule.t_final, schedule.n_measurements, done[free][0], *done[schedule])
         for schedule, free in zip(schedules, frees))
 
 

@@ -3,10 +3,12 @@
 Everything here goes through a different code path than zenolab itself:
 closed forms via math/scipy, quadrature via scipy.integrate or numpy's
 Gauss-Hermite rule, and the two-level measurement chain via brute-force 2x2
-matrix products.  Three references build on the package's own propagator:
-`stone_residuals` writes out the generator's difference quotient, one evolve
-per time; `naive_chain` runs a measured chain, one evolve per segment; and
-`dense_momentum_twin` builds the momentum operator without an FFT, for the
+matrix products.  `inner_product` is the Riemann sum as one numpy vdot.
+Four references build on the package's own propagator: `stone_residuals`
+writes out the generator's difference quotient, one evolve per time;
+`naive_chain` runs a measured chain, one evolve per segment, and
+`naive_final_coeffs` gives its final coefficients as a chain ends on them;
+and `dense_momentum_twin` builds the momentum operator without an FFT, for the
 matrix-basis path.  `apply_generator` and `fft_pair_hn_norms` apply
 H = V Lambda V^dagger on the values as its definition, with one numpy complex
 FFT pair per application on a grid.  Frozen literals in
@@ -148,14 +150,34 @@ def stone_residuals(h, psi, ts) -> list[float]:
             * math.sqrt(psi.space.dx) for t in ts]
 
 
-def naive_chain(u, p_core, e, schedule):
-    """The final state of e measured by p_core at each instant of the schedule: one
-    `u.evolve` and one `p_core.apply` per instant, then one evolve to t_final."""
+def inner_product(psi, phi) -> complex:
+    """<psi, phi> = sum_j conj(psi_j) phi_j dx, the Riemann sum, as one numpy vdot."""
+    return complex(np.vdot(psi.values, phi.values) * psi.space.dx)
+
+
+def _measured(u, p_core, e, schedule):
+    """(state, instant) after the last measurement of the schedule: one `u.evolve` and
+    one `p_core.apply` per instant, from (e, 0.0)."""
     psi, elapsed = e, 0.0
     for t_k in schedule.times:
         psi = p_core.apply(u.evolve(psi, t_k - elapsed))
         elapsed = t_k
+    return psi, elapsed
+
+
+def naive_chain(u, p_core, e, schedule):
+    """The final state of e measured by p_core at each instant of the schedule: one
+    `u.evolve` and one `p_core.apply` per instant, then one evolve to t_final."""
+    psi, elapsed = _measured(u, p_core, e, schedule)
     return u.evolve(psi, schedule.t_final - elapsed)
+
+
+def naive_final_coeffs(u, p_core, e, schedule) -> np.ndarray:
+    """The eigenbasis coefficients of `naive_chain`'s final state, as a chain ends on
+    them: the last measured state's `u.transform`, times the step to t_final by
+    `u._phase` into a fresh array (a roll on the shift)."""
+    psi, elapsed = _measured(u, p_core, e, schedule)
+    return u._phase(u.transform(psi), u.step(schedule.t_final - elapsed))
 
 
 def dense_momentum_twin(grid) -> SpectralOperator:

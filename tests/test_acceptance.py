@@ -13,14 +13,14 @@ import time
 
 import numpy as np
 
-from oracles import normal_cdf, nyquist_part, rabi_chain_survival, stone_residuals
+from oracles import (inner_product, normal_cdf, nyquist_part, rabi_chain_survival,
+                     stone_residuals)
 from zenolab import (
     Grid,
     MeasurementSchedule,
     Propagator,
     ShiftPropagator,
     deficit_slope,
-    inner_product,
     make_gaussian,
     make_plane_wave,
     momentum_operator,

@@ -393,7 +393,7 @@ def test_sweep_computes_on_at_most_cpus_threads_and_never_on_the_waiting_main_th
     permits = WatchedPermits(1)
     monkeypatch.setattr(statespace, "_permits", permits)
     tally = Tally()  # threads inside a Propagator primitive, none of which calls another
-    for name in ("_coeffs", "step", "_values"):  # `_apply` is `_coeffs` then `_values`
+    for name in ("_coeffs", "step", "_phase", "_inverse"):  # `_values` calls the last two
         def counted(*args, _fn=getattr(Propagator, name), **kwargs):
             tally.enter()
             try:

@@ -10,7 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import rabi_system, random_state
-from oracles import apply_generator, nyquist_part, rabi_unitary, stone_residuals
+from oracles import (apply_generator, inner_product, nyquist_part, rabi_unitary,
+                     stone_residuals)
 from zenolab import (
     DenseSpace,
     DomainError,
@@ -21,7 +22,6 @@ from zenolab import (
     SpectralOperator,
     WaveFunction,
     dense_hermitian,
-    inner_product,
     make_gaussian,
     make_bump,
     make_plane_wave,

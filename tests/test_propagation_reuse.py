@@ -5,9 +5,11 @@ and build each phase step once.  These tests pin that down against the
 naive loops they replaced, which call `u.evolve` for every (time, state)
 pair and every chain segment, and demand exact equality on a fourier grid
 (below and above numpy's 256 KiB temporary-elision size), the 2x2 matrix
-kind and the exact-shift path.  The half-spectrum phase vector is checked
-against a long-double reference on the momentum lattice and against a
-whole-array exp, bit for bit, off it.  Operation-count guards check that the reuse
+kind and the exact-shift path.  A chain ends on coefficients: changed back,
+they are the naive loop's final values, and a survival report reduces them
+to the bits of the naive final state's coefficients (`naive_final_coeffs`).
+The half-spectrum phase vector is checked against a long-double reference
+on the momentum lattice and against a whole-array exp, bit for bit, off it.  Operation-count guards check that the reuse
 actually happens, and that every FFT is a `Propagator` change of basis: an `rfft` or
 `irfft` of real rows, two for a complex state.
 """
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 
 from conftest import rabi_system
-from oracles import naive_chain
+from oracles import inner_product, naive_chain, naive_final_coeffs
 from zenolab import (
     DenseSpace,
     DomainError,
@@ -40,7 +42,6 @@ from zenolab import (
     core_zone_state,
     dense_hermitian,
     halfline_pair,
-    inner_product,
     make_bump,
     make_gaussian,
     momentum_operator,
@@ -151,19 +152,19 @@ def test_measured_chain_matches_per_segment_evolves(system):
     for sched in schedules:
         final = _chain(u, p_core, u.transform(e), [sched], {})[0]
         ref_final = naive_chain(u, p_core, e, sched)
-        assert np.array_equal(final, ref_final.values)
+        assert np.array_equal(u._inverse(final.copy()), ref_final.values)
 
 
 def test_survival_report_matches_naive_protocols(system):
     u, (p_core, _), e, _, _, schedules = system
+    c = u.transform(e)
     for sched in schedules:
         rep = survival_report(u, p_core, e, [sched])[0]
-        free = u.evolve(e, sched.t_final)
-        chain = naive_chain(u, p_core, e, sched)
-        assert rep.s_free == abs(np.vdot(e.values, free.values) * e.space.dx) ** 2
-        assert rep.s_measured == abs(np.vdot(e.values, chain.values) * e.space.dx) ** 2
-        assert rep.leakage_free == 1.0 - p_core.mass(free)
-        assert rep.retained == chain.norm_sq()
+        free = naive_final_coeffs(u, p_core, e, MeasurementSchedule(sched.t_final, ()))
+        chain = naive_final_coeffs(u, p_core, e, sched)
+        assert rep.s_free == abs(u._inner(c, free)) ** 2
+        assert rep.s_measured == abs(u._inner(c, chain)) ** 2
+        assert rep.retained == u._inner(chain, chain).real
 
 
 def test_ulp_apart_segments_each_get_their_own_step():
@@ -174,13 +175,83 @@ def test_ulp_apart_segments_each_get_their_own_step():
     assert len({d.hex() for d in sched.segments()}) == 3
     final = _chain(u, p_core, u.transform(e), [sched], {})[0]
     ref_final = naive_chain(u, p_core, e, sched)
-    assert np.array_equal(final, ref_final.values)
+    assert np.array_equal(u._inverse(final.copy()), ref_final.values)
+
+
+@pytest.mark.parametrize("n_points", [256, 16384])
+@pytest.mark.parametrize("k0", [0.0, 2.0], ids=["real", "complex"])
+def test_coefficient_reductions_are_within_their_bound_of_the_values(n_points, k0):
+    """s_free, s_measured and retained, read from the final coefficients, against the
+    Riemann sums over the same final states changed back, for a real prepared state and
+    a complex one (two rows, so every cross term counts).
+
+    Bound, with u = eps / 2 and gamma_k = k u / (1 - k u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Lemma 3.1 and eq. 3.5): a dot product of
+    k real terms errs by at most gamma_k times the product of the norms, in any order of
+    summation, blocks included.  A coefficient row of m = n/2 + 1 complex entries is a
+    real dot of 2m terms, and a complex state combines four row dots, so the
+    coefficient side errs by (rows gamma_2m + 2 eps) ||a|| ||b||, the values side by
+    gamma_2n (n complex products).  The change back errs by delta = (16 log2(n) + 1)
+    eps relative in norm (Thm. 24.2, as test_scenarios' dense twin has it, plus the
+    weighting multiply), and so does e's transform.  Every state has norm at most 1, so
+    the two overlaps differ by at most D = rows gamma_2m + 2 eps + gamma_2n (1 + delta)
+    + 2 delta (1 + delta), their squares by (2 + D) D plus 4 eps for abs and the square,
+    and the two squared norms by rows gamma_2m + 2 eps + gamma_2n (1 + delta)^2
+    + (2 + delta) delta."""
+    grid = Grid(-40.0, 40.0, n_points)
+    p_core, _ = halfline_pair(grid)
+    u = Propagator(momentum_operator(grid))
+    e = core_zone_state(p_core, make_gaussian(grid, -8.0, 1.0, k0=k0))
+    rows = 1 if k0 == 0.0 else 2
+    eps = np.finfo(float).eps
+
+    def gamma(k: int) -> float:
+        return k * eps / 2 / (1 - k * eps / 2)
+
+    delta = (16 * math.log2(n_points) + 1) * eps
+    coeff_side = rows * gamma(2 * (n_points // 2 + 1)) + 2 * eps
+    overlap = coeff_side + gamma(2 * n_points) * (1 + delta) + 2 * delta * (1 + delta)
+    s_bound = (2 + overlap) * overlap + 4 * eps
+    norm_bound = coeff_side + gamma(2 * n_points) * (1 + delta) ** 2 + (2 + delta) * delta
+    schedules = [MeasurementSchedule.equally_spaced(2.0, n) for n in (0, 3, 8)]
+    for sched, rep in zip(schedules, survival_report(u, p_core, e, schedules)):
+        free = WaveFunction._adopt(grid, u._values(u.transform(e), u.step(sched.t_final)))
+        final = WaveFunction._adopt(grid, u._inverse(_chain(u, p_core, u.transform(e),
+                                                            [sched], {})[0].copy()))
+        assert abs(rep.s_free - abs(inner_product(e, free)) ** 2) <= s_bound
+        assert abs(rep.s_measured - abs(inner_product(e, final)) ** 2) <= s_bound
+        assert abs(rep.retained - inner_product(final, final).real) <= norm_bound
+
+
+def test_shift_reports_keep_the_bits_of_values_reductions():
+    """On the shift path the coefficients are the values, so every report field keeps
+    the bits that the values-space reductions gave before reports read coefficients:
+    |<e, v>|^2 as the blocked vdot times dx, and ||v||^2 as `norm_sq`, at 2^14 points,
+    where a dot is two blocks."""
+    grid = Grid(-40.0, 40.0, statespace.MAP_MIN_POINTS)
+    p_core, _ = halfline_pair(grid)
+    u = ShiftPropagator(grid)
+    e = core_zone_state(p_core, make_gaussian(grid, -8.0, 1.0))
+    dx = grid.dx
+    schedules = [scenarios._shift_schedule(steps, dx, n) for steps, n in ((900, 0), (900, 5),
+                                                                         (600, 2))]
+
+    def survival(final) -> float:
+        return abs(complex(statespace._blocked(np.vdot, e.values, final.values) * dx)) ** 2
+
+    for sched, rep in zip(schedules, survival_report(u, p_core, e, schedules)):
+        free = u.evolve(e, sched.t_final)
+        final = naive_chain(u, p_core, e, sched)
+        assert rep.s_free.hex() == survival(free).hex()
+        assert rep.s_measured.hex() == survival(final).hex()
+        assert rep.retained.hex() == final.norm_sq().hex()
 
 
 def test_survival_report_never_projects_through_apply(system, monkeypatch):
     """Chain segments clip their own buffer instead of calling apply."""
     u, (p_core, _), e, _, _, schedules = system
-    expected = [naive_chain(u, p_core, e, s) for s in schedules]
+    c = u.transform(e)
+    expected = [naive_final_coeffs(u, p_core, e, s) for s in schedules]
 
     def refuse(self, psi):
         raise AssertionError("SubspaceProjector.apply called")
@@ -188,25 +259,28 @@ def test_survival_report_never_projects_through_apply(system, monkeypatch):
     monkeypatch.setattr(SubspaceProjector, "apply", refuse)
     reports = survival_report(u, p_core, e, schedules)
     for rep, final in zip(reports, expected):
-        assert rep.s_measured == abs(inner_product(e, final)) ** 2
-        assert rep.retained == final.norm_sq()
+        assert rep.s_measured == abs(u._inner(c, final)) ** 2
+        assert rep.retained == u._inner(final, final).real
 
 
 def test_apply_on_an_owned_buffer_has_the_bits_of_evolve(system):
+    """A chain's multiply writes over its own coefficients (a roll, into a second buffer),
+    and the change back gives evolve's bits."""
     u, _, e, waves, ts, _ = system
     for psi in [e] + waves:
         for t in ts:
-            owned = np.array(psi.values)
-            values = u._apply(owned, u.step(t))
-            assert values.tobytes() == u.evolve(psi, t).values.tobytes()
-            if isinstance(u, Propagator) and u.generator.basis is None:
-                assert values is owned
+            owned = np.array(u.transform(psi))
+            work = owned if isinstance(u, Propagator) else np.empty_like(owned)
+            phased = u._phase(owned, u.step(t), work)
+            assert phased is work
+            assert u._inverse(phased).tobytes() == u.evolve(psi, t).values.tobytes()
 
 
 @pytest.mark.parametrize("name", ["fourier-256", "fourier-16384"])
 def test_a_chain_clips_every_segment_in_one_buffer(name, monkeypatch):
-    """The first segment advances into a fresh array and every later one
-    and the final advance reuse it; the shared coefficients stay unwritten."""
+    """Every later segment changes back into one values buffer and clips it there, and
+    the chain ends on coefficients apart from it; the shared coefficients stay
+    unwritten."""
     u, (p_core, _), e, *_ = SYSTEMS[name]()
     coeffs = u.transform(e)
     before = coeffs.copy()
@@ -221,7 +295,8 @@ def test_a_chain_clips_every_segment_in_one_buffer(name, monkeypatch):
     final = _chain(u, p_core, coeffs, [MeasurementSchedule.equally_spaced(2.0, 5)], {})[0]
     assert len(clipped) == 5
     assert not np.shares_memory(clipped[0], coeffs)
-    assert all(np.shares_memory(v, clipped[0]) for v in clipped[1:] + [final])
+    assert all(np.shares_memory(v, clipped[0]) for v in clipped[1:])
+    assert not np.shares_memory(final, clipped[0]) and not np.shares_memory(final, coeffs)
     assert np.array_equal(coeffs, before)
 
 
@@ -524,8 +599,8 @@ def test_condition_I_advances_every_state_of_a_time_into_one_buffer(grid, zone_p
 
 
 @pytest.mark.parametrize("n, expected", [
-    (3, {"rfft": 4, "irfft": 5, "fft": 0, "ifft": 0, "exp": 2 * 2}),
-    (8, {"rfft": 9, "irfft": 10, "fft": 0, "ifft": 0, "exp": 2 * 4}),
+    (3, {"rfft": 4, "irfft": 3, "fft": 0, "ifft": 0, "exp": 2 * 2}),
+    (8, {"rfft": 9, "irfft": 8, "fft": 0, "ifft": 0, "exp": 2 * 4}),
 ])
 def test_survival_report_shares_e_and_repeated_segments(n, expected, zone_pair, translator,
                                                        core_state):
@@ -541,35 +616,39 @@ def test_survival_report_shares_e_and_free_evolves_across_schedules(zone_pair, t
                                                                   core_state):
     # one transform of e serves all three schedules, and the empty one is the
     # free evolve to t = 2 of all three.  The jobs are the chains of 9, 4 and 1
-    # segments: 1 + 8 + 3 ffts and 9 + 4 + 1 iffts.  Their steps: 2/9 alternates
-    # in its last ulp, so the 8-instant chain builds 3, and 1/2 and 2 are exact,
-    # so the others build 1 each: 5 steps of two table exps.  e is real, one row.
-    # Three one-schedule calls cost 14 rffts, 16 irffts and 7 steps
+    # segments, ending on coefficients: 1 + 8 + 3 rffts and 8 + 3 + 0 irffts.
+    # Their steps: 2/9 alternates in its last ulp, so the 8-instant chain builds
+    # 3, and 1/2 and 2 are exact, so the others build 1 each: 5 steps of two
+    # table exps.  e is real, one row.  Three one-schedule calls cost 14 rffts,
+    # 11 irffts and 7 steps
     u, (p_core, _), e = translator, zone_pair, core_state
     schedules = [MeasurementSchedule.equally_spaced(2.0, n) for n in (0, 3, 8)]
     with pytest.MonkeyPatch.context() as mp:
         counts = _install_counters(mp)
         reports = survival_report(u, p_core, e, schedules)
-    assert counts == {"rfft": 1 + 8 + 3, "irfft": 9 + 4 + 1, "fft": 0, "ifft": 0,
+    assert counts == {"rfft": 1 + 8 + 3, "irfft": 8 + 3 + 0, "fft": 0, "ifft": 0,
                       "exp": 2 * (3 + 1 + 1)}
     assert reports == tuple(survival_report(u, p_core, e, [s])[0] for s in schedules)
 
 
 @pytest.mark.parametrize("n", [0, 5])
 def test_hm_invariance_runs_its_spectral_report_once(n):
-    # one transform of e (real: one row), then CURVE_POINTS chains of N forward
-    # and N + 1 inverse FFTs (the last is the main spectral run) and, for N > 0, the
-    # CURVE_POINTS free evolves of one inverse FFT each.  The empty schedule at
-    # t is the last row's free evolve, and at N = 0 every curve row is its own
-    # free evolve: 8 inverse FFTs at N = 0 (17 before the jobs were merged) and
-    # 56 at N = 5 (57), on both grids.  No separate main report
+    # one transform of e (real: one row), then CURVE_POINTS chains of N + 1
+    # segments (the last is the main spectral run), each N forward and N inverse
+    # FFTs, as a chain ends on coefficients, and, for N > 0, the CURVE_POINTS free
+    # evolves, which change no basis.  The empty schedule at t is the last row's
+    # free evolve, and at N = 0 every curve row is its own free evolve.  The free
+    # leakage at t evolves e once more: one forward and one inverse FFT.  So
+    # 16 N + 3 rows, 83 at N = 5 (16 N + 17 = 97 when chains and free evolves
+    # changed back to values), on both grids.  No separate main report
     for points in (4096, 65536):
         spec = ScenarioSpec(name="hm-invariance", grid_points=points, n_measurements=n)
         with pytest.MonkeyPatch.context() as mp:
             counts = _install_counters(mp)
             run_scenario("hm-invariance", spec)
-        assert counts["rfft"] == CURVE_POINTS * n + 1
-        assert counts["irfft"] == CURVE_POINTS * (n + 1 + (n > 0)) == {0: 8, 5: 56}[n]
+        assert counts["rfft"] == CURVE_POINTS * n + 1 + 1
+        assert counts["irfft"] == CURVE_POINTS * n + 1
+        assert counts["rfft"] + counts["irfft"] == 16 * n + 3 == {0: 3, 5: 83}[n]
         assert counts["fft"] == counts["ifft"] == 0
 
 
@@ -588,7 +667,7 @@ def test_series_validity_sums_its_series_in_coefficients():
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_every_fft_is_a_propagator_basis_change(name):
-    """A default run calls np.fft only through `Propagator._coeffs` (rfft, `_apply`'s
+    """A default run calls np.fft only through `Propagator._coeffs` (rfft, a chain's
     too) and `_inverse` (irfft), apart from the one field-synthesis ifft of each
     `_window_state` call; both sides count real rows, two for a complex state."""
     changes = {"rfft": 0, "irfft": 0}
@@ -622,16 +701,18 @@ def test_every_fft_is_a_propagator_basis_change(name):
     assert (counts["fft"], counts["ifft"]) == (0, len(windows))
 
 
-@pytest.mark.parametrize("n, calls", [(0, {"rfft": 1, "irfft": 2}), (5, {"rfft": 11, "irfft": 14})])
+@pytest.mark.parametrize("n, calls", [(0, {"rfft": 2, "irfft": 1}), (5, {"rfft": 12, "irfft": 11})])
 def test_hm_invariance_changes_the_basis_of_a_block_of_rows_per_call(n, calls):
     # at 4096 points a block holds MAP_MIN_POINTS // 4096 = 4 rows.  The spectral
     # report's distinct jobs are CURVE_POINTS = 8 curve rows of N + 1 segments and,
     # for N > 0, the 8 free evolves (one segment; the empty schedule at t is the
     # last one), cut longest first into runs of one segment count of at most 4 rows.
-    # A block of S segments calls rfft S - 1 times and irfft S times, after the one
-    # rfft of e.  For N > 0 the runs are two blocks of curve rows and two of free
-    # evolves: 1 + 2 N rffts and 2 (N + 1) + 2 = 2 N + 4 irffts.  For N = 0 the curve
-    # rows are the free evolves, 8 jobs of one segment: 2 blocks, 1 rfft and 2 irffts
+    # A block of S segments calls rfft and irfft S - 1 times each, after the one
+    # rfft of e, and the free leakage at t calls each once more.  For N > 0 the runs
+    # are two blocks of curve rows and two of free evolves: 2 + 2 N rffts and
+    # 2 N + 1 irffts (1 + 2 N and 2 N + 4 when every block changed back once more).
+    # For N = 0 the curve rows are the free evolves, 8 jobs of one segment: 2 blocks,
+    # 2 rffts and 1 irfft (1 and 2)
     assert statespace.MAP_MIN_POINTS // 4096 == 4 and CURVE_POINTS == 8
     seen = {}
     with pytest.MonkeyPatch.context() as mp:
@@ -648,14 +729,14 @@ def test_hm_invariance_runs_its_shift_report_once(n):
     # evolve is shared.  The last shift curve row is the main shift run, so
     # there is one report per row (the t = 0 row runs none) and no other
     rolls = []
-    values = ShiftPropagator._values
+    phase = ShiftPropagator._phase
 
-    def counting_values(*args, **kwargs):
+    def counting_phase(*args, **kwargs):
         rolls.append(1)
-        return values(*args, **kwargs)
+        return phase(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ShiftPropagator, "_values", counting_values)
+        mp.setattr(ShiftPropagator, "_phase", counting_phase)
         spec = ScenarioSpec(name="hm-invariance", n_measurements=n)
         bundle = run_scenario("hm-invariance", spec)
     reports = len(bundle.tables["survival_shift"].rows) - 1

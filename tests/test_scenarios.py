@@ -17,7 +17,12 @@ import pytest
 from oracles import dense_momentum_twin, normal_cdf, rabi_chain_survival
 from zenolab import (
     DomainError,
+    Grid,
     ScenarioSpec,
+    core_zone_state,
+    halfline_pair,
+    make_gaussian,
+    momentum_operator,
     run_scenario,
 )
 from zenolab import scenarios
@@ -182,6 +187,49 @@ def test_margin_edges_are_exact(name, field_name, edge, inward, extra):
     assert not _margin_rejects(name, **extra, **{field_name: edge})
     past = math.nextafter(edge, inward)
     assert _margin_rejects(name, **extra, **{field_name: past})
+
+
+@pytest.mark.parametrize("side", ["below", "at"])
+def test_hm_invariance_rejects_a_tolerance_below_eps_before_any_state(side, monkeypatch):
+    """delta s is the difference of two survivals in [0, 1], each a rounded sum, so a
+    tolerance below float64's eps exits 2, naming both, before any state is built; eps
+    itself is accepted (its run may then fail spectral_invariance)."""
+    eps = np.finfo(float).eps
+    tolerance = math.nextafter(eps, 0.0) if side == "below" else eps
+    built = []
+    build = scenarios.make_gaussian
+    monkeypatch.setattr(scenarios, "make_gaussian",
+                        lambda *args, **kw: built.append(1) or build(*args, **kw))
+    spec = ScenarioSpec(name="hm-invariance", grid_points=256, tolerance_invariance=tolerance)
+    if side == "below":
+        with pytest.raises(DomainError, match=f"tolerance_invariance {tolerance:g} is below "
+                                              f"float64 eps {eps:.6g}"):
+            run_scenario("hm-invariance", spec)
+        assert built == []
+    else:
+        run_scenario("hm-invariance", spec)
+        assert built == [1]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="the reference needs a long double wider than float64")
+@pytest.mark.parametrize("n_points", [2**12, 2**16])
+def test_free_leakage_is_the_wave_mass_to_a_few_eps(n_points):
+    """hm-invariance's leakage_free_spectral is the wave-zone mass of the freely evolved
+    prepared state: within 8 eps, relative, of that state's wave-zone sum of squares in
+    long double (4e-16 and 8e-16 measured at 2^12 and 2^16).  1 - the core mass, as
+    reports read it before, keeps only 7 to 8 digits of this mass of about 1e-9."""
+    spec = ScenarioSpec(name="hm-invariance", grid_points=n_points)
+    metric = run_scenario("hm-invariance", spec).metrics["leakage_free_spectral"]
+    grid = Grid(spec.x_min, spec.x_max, n_points)
+    p_core, p_wave = halfline_pair(grid)
+    e = core_zone_state(p_core, make_gaussian(grid, spec.center, spec.sigma))
+    values = Propagator(momentum_operator(grid)).evolve(e, 2.0).values
+    wave = values[p_wave.start:].astype(np.longdouble)
+    exact = float(np.sum(wave * wave) * np.longdouble(grid.dx))
+    eps = np.finfo(float).eps
+    assert abs(metric - exact) <= 8 * eps * exact
+    assert abs(1.0 - p_core._mass(values) - exact) > 1e3 * eps * exact
 
 
 @pytest.mark.parametrize("overrides, reason", [
@@ -513,7 +561,7 @@ class _Point:
     (collections.OrderedDict(a=1.0), "OrderedDict"),
     (np.longdouble(1.5), "longdouble"),  # `.item()` keeps it a numpy scalar
     # a dataclass outside the five bundle classes, and a dataclass class
-    (SurvivalReport(1.0, 0, 1.0, 1.0, 0.0, 1.0), "SurvivalReport"),
+    (SurvivalReport(1.0, 0, 1.0, 1.0, 1.0), "SurvivalReport"),
     (_Point, "type"),
 ])
 def test_json_rejects_a_type_it_does_not_dispatch(metric, kind):

@@ -88,9 +88,9 @@ SPECS = (
     # roundoff they bound (cond_I 8.70e-18, ia_forward 1.03e-19), a falsify
     # tolerance above the largest leakage (cond_II 0.998691), and a grid step
     # of 0.178 whose spectral tail fails cond_I off the lattice (1.58e-7).
-    # spectral_invariance's roundoff, 5.55e-16 on the complex FFT path, is
-    # 0.0 on the real one, so its 1e-16 entry exits 0; 1e-15, a few eps, pins
-    # a tolerance that a survival's rounding cannot reach
+    # hm-invariance's 1e-16 entry exits 2: below float64 eps no tolerance can
+    # tell a survival difference's rounding (2.8e-16 here) from physics; 1e-15,
+    # a few eps, pins the other side of that floor and exits 0
     "run hm-invariance --tolerance-invariance 1e-16",
     "run hm-invariance --tolerance-invariance 1e-15",
     "run counterexample --tolerance-invariance 1e-20",

@@ -1,4 +1,5 @@
-"""Grid geometry, state constructors, and the discrete inner product."""
+"""Grid geometry, state constructors, and the discrete inner product, which a
+propagator reads from coefficients (`_inner`)."""
 
 from __future__ import annotations
 
@@ -10,16 +11,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_state
-from oracles import gaussian_halfline_mass_quad, gaussian_overlap_quad, normal_cdf
+from oracles import (gaussian_halfline_mass_quad, gaussian_overlap_quad, inner_product,
+                     normal_cdf)
 from zenolab import (
     DomainError,
     Grid,
+    Propagator,
+    ShiftPropagator,
     SpaceMismatchError,
     WaveFunction,
-    inner_product,
+    halfline_pair,
     make_bump,
     make_gaussian,
     make_plane_wave,
+    momentum_operator,
 )
 
 # half-line mass of gaussian(-3, 1), i.e. Phi(-3); frozen from oracles.normal_cdf
@@ -193,7 +198,7 @@ def test_space_mismatch_raises(grid, small_grid):
     g = make_gaussian(grid, 0.0, 1.0)
     h = make_gaussian(small_grid, 0.0, 1.0)
     with pytest.raises(SpaceMismatchError):
-        inner_product(g, h)
+        halfline_pair(grid)[0].mass(h)
     with pytest.raises(SpaceMismatchError):
         WaveFunction(grid, np.zeros(7))
 
@@ -204,6 +209,12 @@ def test_normalized_random_state_has_unit_norm(small_grid, seed):
     assert abs(psi.norm() - 1.0) <= 1e-12
 
 
+def _fourier_inner(phi: WaveFunction, psi: WaveFunction) -> complex:
+    """<phi, psi> from the two states' real-FFT coefficients."""
+    u = Propagator(momentum_operator(phi.space))
+    return u._inner(u.transform(phi), u.transform(psi))
+
+
 @given(
     seed_a=st.integers(min_value=0, max_value=2**32 - 1),
     seed_b=st.integers(min_value=0, max_value=2**32 - 1),
@@ -211,7 +222,8 @@ def test_normalized_random_state_has_unit_norm(small_grid, seed):
 def test_inner_product_conjugate_symmetric(small_grid, seed_a, seed_b):
     phi = random_state(small_grid, seed_a)
     psi = random_state(small_grid, seed_b)
-    assert abs(inner_product(phi, psi) - np.conj(inner_product(psi, phi))) <= 1e-13
+    assert abs(_fourier_inner(phi, psi) - np.conj(_fourier_inner(psi, phi))) <= 1e-13
+    assert abs(_fourier_inner(phi, psi) - inner_product(phi, psi)) <= 1e-13
 
 
 @given(
@@ -221,13 +233,15 @@ def test_inner_product_conjugate_symmetric(small_grid, seed_a, seed_b):
 def test_inner_product_linear_in_second_argument(small_grid, seed, scale):
     phi = random_state(small_grid, seed)
     psi = random_state(small_grid, seed + 1)
-    lhs = inner_product(phi, WaveFunction(small_grid, psi.values * (scale + 0.5j)))
-    rhs = (scale + 0.5j) * inner_product(phi, psi)
+    lhs = _fourier_inner(phi, WaveFunction(small_grid, psi.values * (scale + 0.5j)))
+    rhs = (scale + 0.5j) * _fourier_inner(phi, psi)
     assert abs(lhs - rhs) <= 1e-12
 
 
 def test_inner_product_is_riemann_sum(grid):
-    # plain sum times dx, no endpoint weighting
+    # plain sum times dx, no endpoint weighting: on the values exactly (the shift's
+    # coefficients), and from the real FFT basis's weighted coefficients to a few eps
     g = make_gaussian(grid, 0.0, 1.0)
     expected = np.vdot(g.values, g.values) * grid.dx
-    assert inner_product(g, g) == pytest.approx(expected, abs=0.0)
+    assert ShiftPropagator(grid)._inner(g.values, g.values) == pytest.approx(expected, abs=0.0)
+    assert _fourier_inner(g, g) == pytest.approx(expected, rel=8 * np.finfo(float).eps)

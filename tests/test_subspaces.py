@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import rabi_system, random_state
-from oracles import normal_cdf, nyquist_part
+from oracles import inner_product, normal_cdf, nyquist_part
 from zenolab import (
     DenseSpace,
     DomainError,
@@ -26,7 +26,6 @@ from zenolab import (
     check_condition_II,
     core_zone_state,
     halfline_pair,
-    inner_product,
     leakage,
     make_bump,
     make_gaussian,

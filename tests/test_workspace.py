@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from conftest import rabi_system
-from oracles import naive_chain
+from oracles import naive_final_coeffs
 from zenolab import (
     Grid,
     MeasurementSchedule,
@@ -31,7 +31,6 @@ from zenolab import (
     ShiftPropagator,
     core_zone_state,
     halfline_pair,
-    inner_product,
     make_gaussian,
     momentum_operator,
     statespace,
@@ -57,15 +56,16 @@ def _schedules(count: int, dx: float) -> list[MeasurementSchedule]:
 
 
 def _bits(reports) -> list[str]:
-    return [x.hex() for r in reports
-            for x in (r.s_free, r.s_measured, r.leakage_free, r.retained)]
+    return [x.hex() for r in reports for x in (r.s_free, r.s_measured, r.retained)]
 
 
 def test_a_warm_report_allocates_the_same_state_arrays_for_any_schedule_count(monkeypatch):
     """Items run one after the other on one thread here, so they share one
     kit: the first chain allocates its values, its coefficient buffer and the
     two step slots, and no later chain or free evolve allocates a state-sized
-    array.  With fresh arrays per item each one allocated at least two.
+    array.  A free evolve changes no basis, so a kit whose items are all free
+    evolves allocates no values.  With fresh arrays per item each one
+    allocated at least two.
 
     The state is real, so its values are one float64 row, and its
     coefficients and each step n/2 + 1 complex entries, as large.  The grid
@@ -91,22 +91,24 @@ def test_a_warm_report_allocates_the_same_state_arrays_for_any_schedule_count(mo
     counts = {}
     tracemalloc.start()
     try:
-        for n_schedules in (2, 9):
+        for n_schedules in (1, 2, 9):
             schedules = _schedules(n_schedules, dx)
             survival_report(u, p_core, e, schedules)  # warm-up
             allocated.clear()
             survival_report(u, p_core, e, schedules)
-            # and the free evolve to 900 steps; schedule 0, empty, is the one to 600
-            assert len(allocated) == n_schedules + 1
+            # and, past one schedule, the free evolve to 900 steps; schedule 0,
+            # empty, is the one to 600
+            assert len(allocated) == n_schedules + (n_schedules > 1)
             counts[n_schedules] = list(allocated)
     finally:
         tracemalloc.stop()
     # one kit: the first item, the longest chain, allocates its values, its
     # coefficient buffer and a step slot, and the other slot when it has two
     # distinct durations (schedule 1 has one duration, schedule 8 two); no
-    # later item allocates
-    assert {n: sum(items) for n, items in counts.items()} == {2: 3, 9: 4}
-    assert [items[0] for items in counts.values()] == [3, 4]
+    # later item allocates.  Schedule 0 alone is a free evolve: its coefficient
+    # buffer and one step slot, and no values
+    assert {n: sum(items) for n, items in counts.items()} == {1: 2, 2: 3, 9: 4}
+    assert [items[0] for items in counts.values()] == [2, 3, 4]
 
 
 def _kit_arrays(kit: dict) -> list:
@@ -182,7 +184,7 @@ def test_reports_are_bit_identical_with_no_helper_and_one(kind, helpers):
     for n in (0, 1):
         helpers(n)
         bits.append(_bits(survival_report(u, p_core, e, schedules)))
-    alone = [_bits(survival_report(u, p_core, e, [s]))[0:4] for s in schedules]
+    alone = [_bits(survival_report(u, p_core, e, [s])) for s in schedules]
     assert bits[0] == bits[1] == [x for report in alone for x in report]
 
 
@@ -203,12 +205,13 @@ def _recording_blocks(monkeypatch, seen: list) -> None:
 
 
 def _naive_bits(u, p_core, e, schedule) -> list[str]:
-    """A report's fields from one evolve per segment and one free evolve, on 1-D arrays."""
-    final = naive_chain(u, p_core, e, schedule)
-    free = u.evolve(e, schedule.t_final)
-    return [x.hex() for x in (abs(inner_product(e, free)) ** 2,
-                              abs(inner_product(e, final)) ** 2,
-                              1.0 - p_core.mass(free), final.norm_sq())]
+    """A report's fields from the final coefficients of one evolve per segment and of one
+    free evolve, on 1-D arrays."""
+    c = u.transform(e)
+    final = naive_final_coeffs(u, p_core, e, schedule)
+    free = naive_final_coeffs(u, p_core, e, MeasurementSchedule(schedule.t_final, ()))
+    return [x.hex() for x in (abs(u._inner(c, free)) ** 2, abs(u._inner(c, final)) ** 2,
+                              u._inner(final, final).real)]
 
 
 def test_a_block_of_rows_has_the_bits_of_one_schedule_reports(monkeypatch):
@@ -277,16 +280,16 @@ def test_a_report_runs_each_distinct_schedule_once(kind, monkeypatch):
                                   (900, 5))]
     # jobs: (900, 5), (300, 5), (600, 2), (900, 2), the empty 900 and the free
     # evolves to 300 and 600: 6 + 6 + 3 + 3 + 1 + 1 + 1 segments, each one roll
-    # or one change back of every row of its block
-    owner, name = (ShiftPropagator, "_values") if kind == "shift" else (Propagator, "_inverse")
-    primitive = getattr(owner, name)
+    # or one multiply of every row of its block
+    owner = ShiftPropagator if kind == "shift" else Propagator
+    primitive = owner._phase
     rows = []
 
-    def counting(self, values, *args, **kwargs):
-        rows.append(len(values) if values.ndim == 2 else 1)
-        return primitive(self, values, *args, **kwargs)
+    def counting(self, coeffs, diagonal, *args, **kwargs):
+        rows.append(len(diagonal) if isinstance(diagonal, list) else 1)
+        return primitive(self, coeffs, diagonal, *args, **kwargs)
 
-    monkeypatch.setattr(owner, name, counting)
+    monkeypatch.setattr(owner, "_phase", counting)
     reports = survival_report(u, p_core, e, schedules)
     assert sum(rows) == 6 + 6 + 3 + 3 + 1 + 1 + 1
     monkeypatch.undo()

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import rabi_system
-from oracles import rabi_chain_survival
+from oracles import inner_product, naive_final_coeffs, rabi_chain_survival
 from zenolab import statespace
 from zenolab import (
     DomainError,
@@ -22,10 +22,11 @@ from zenolab import (
     core_zone_state,
     deficit_ladder,
     deficit_slope,
-    inner_product,
+    leakage,
     make_gaussian,
     survival_report,
 )
+from zenolab.scenarios import run_scenario
 from zenolab.zeno import _chain
 
 EXP_M1 = 0.36787944117144233  # exp(-1): free Gaussian survival at t = 2, sigma = 1
@@ -151,16 +152,20 @@ def test_translation_measurement_invariance_exact_shift(grid, zone_pair, core_st
 
 
 def test_empty_schedule_reduces_to_free_survival(grid, zone_pair, translator, core_state):
-    """Both survivals of an empty schedule, and the free leakage, have the bits
-    of a plain `evolve` into fresh arrays, a path apart from the report's."""
-    p_core, _ = zone_pair
+    """Both survivals of an empty schedule have the bits of the free evolve's final
+    coefficients, multiplied into a fresh array, a path apart from the report's; and
+    hm-invariance's free leakage, at its default spec, those of `leakage`: the wave
+    mass of a plain evolve."""
+    p_core, p_wave = zone_pair
     for u, t in [(translator, 2.0), (ShiftPropagator(grid), 102 * grid.dx)]:
-        rep = survival_report(u, p_core, core_state, [MeasurementSchedule.equally_spaced(t, 0)])[0]
-        free = u.evolve(core_state, t)
-        s_free = abs(inner_product(core_state, free)) ** 2
+        empty = MeasurementSchedule.equally_spaced(t, 0)
+        rep = survival_report(u, p_core, core_state, [empty])[0]
+        s_free = abs(u._inner(u.transform(core_state),
+                              naive_final_coeffs(u, p_core, core_state, empty))) ** 2
         assert rep.s_measured.hex() == rep.s_free.hex() == s_free.hex()
-        assert rep.leakage_free.hex() == (1.0 - p_core.mass(free)).hex()
         assert rep.n_measurements == 0
+    metric = run_scenario("hm-invariance").metrics["leakage_free_spectral"]
+    assert metric.hex() == leakage(p_wave, translator, core_state, 2.0).hex()
 
 
 def _prefix_reports(u, p_core, e, schedule):
@@ -196,14 +201,14 @@ def test_chain_stops_before_its_next_segment_once_an_interrupt_is_pending(
     # the runner's waiting main thread sets statespace._stopping on Ctrl-C
     p_core, _ = zone_pair
     applied = []
-    apply = Propagator._apply
+    inverse = Propagator._inverse
 
-    def interrupted(self, values, diagonal, spare=None):
+    def interrupted(self, coeffs, out=None):
         applied.append(1)
         statespace._stopping.set()  # the interrupt arrives during this segment
-        return apply(self, values, diagonal, spare)
+        return inverse(self, coeffs, out)
 
-    monkeypatch.setattr(Propagator, "_apply", interrupted)
+    monkeypatch.setattr(Propagator, "_inverse", interrupted)
     try:
         with pytest.raises(KeyboardInterrupt):
             _chain(translator, p_core, translator.transform(core_state),
