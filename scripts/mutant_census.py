@@ -145,16 +145,22 @@ MUTANTS = (
      "if (points or 0) < MAP_MIN_POINTS or", "if True or",
      "tests/test_helper_map.py::test_counterexample_hands_condition_I_times_to_a_thread_freed_by_the_others["
      "1]"),
+    ("the pool leaves no thread for _run_apart", "statespace.py",
+     "max_workers=CPUS,", "max_workers=max(CPUS - 1, 1),",
+     "tests/test_helper_map.py::test_the_pool_keeps_one_thread_beyond_the_helpers_permits"),
     ("maps ignore an interrupt", "statespace.py",
      "if _stopping.is_set():", "if False:",
      "tests/test_helper_map.py::test_interrupt_stops_the_runner_after_its_current_items[0]"),
     ("a buffer per sampled pair", "subspaces.py",
-     "u._values(c, step, *held)", "u._values(c, step)",
+     "u._inverse(u._phase(c, step, held[1]), held[0])", "u._inverse(u._phase(c, step))",
      "tests/test_propagation_reuse.py::test_condition_I_advances_every_state_of_a_time_into_one_"
      "buffer"),
     ("lattice coarse stride b - 1", "operators.py",
      "coarse = np.exp(theta * (b * np.arange(", "coarse = np.exp(theta * ((b - 1) * np.arange(",
      "tests/test_acceptance.py::test_acceptance_1_counterexample_cli"),
+    ("lattice step sign flipped", "operators.py",
+     "-float(t) * h._spacing", "float(t) * h._spacing",
+     "tests/test_operators.py::test_evolve_translates_gaussian_pointwise"),
     ("any odd spectrum is a lattice", "operators.py",
      "if np.array_equal(lam[:mid], np.arange(mid) * lam[1]):", "if True:",
      "tests/test_propagation_reuse.py::test_step_matches_whole_spectrum_exp_bit_for_bit[8]"),
@@ -189,7 +195,7 @@ MUTANTS = (
      "            pass\n        raise\n    finally:\n        _stopping.clear()\n",
      "tests/test_helper_map.py::test_a_second_interrupt_leaves_at_once_and_the_runner_still_stops"),
     ("sweep helpers are not counted as working", "statespace.py",
-     "helpers.append(_submit(_pool, helper))", "helpers.append(_pool.submit(helper))",
+     "helpers.append(_submit(helper))", "helpers.append(_pool.submit(helper))",
      "tests/test_helper_map.py::test_an_interrupted_sweep_keeps_stopping_until_the_helpers_point"
      "_is_done"),
     ("a map's own interrupt leaves the helpers running", "statespace.py",

@@ -12,7 +12,7 @@ The propagator is the functional calculus U(t) = exp(-i t H), in three steps:
     On a lattice, lambda[j] = j dk for j < n/2 as the momentum operator has
     it, they are the outer product of two tables of about sqrt(n/2) exps,
     within a few ulp of exp, and a Nyquist 1; any other spectrum runs exp,
-  * ``_values(coeffs, step)``: multiply and change back, giving U(t) psi.
+  * ``_inverse(_phase(coeffs, step))``: multiply and change back, giving U(t) psi.
 
 On the FFT basis U(t) maps real rows to real rows: a float64 state is one
 row and a complex128 state two, re and im.  A row's coefficients are the
@@ -23,20 +23,20 @@ for a complex one, and the eigenvalues of coefficients c are
 h.eigenvalues[:c.shape[-1]] on either basis.  H maps real rows to imaginary
 ones, so it acts on coefficients only (`_series_terms`, `analytic.hn_norms`).
 
-``evolve(psi, t)`` adopts ``_values(transform(psi), step(t))`` as a state,
-so a caller that evolves one state to many times, or many states to one
-time, transforms each state once and builds each phase vector once and gets
-the same bits as separate evolves.  Coefficients and steps are read-only
-and ``_values`` never writes to them.  ``Propagator`` alone changes basis,
-each way in one place: ``_coeffs`` forward, ``_inverse`` back, ``_phase``
-multiplies by a diagonal (a step gives U(t), a list of them a block's rows),
-and ``_values`` is ``_phase`` then ``_inverse``.  The change of basis is an
-isometry, so ``_inner`` reads an inner product from coefficients and a
-measurement chain ends on them (`zeno._chain`).  ``_step(t, out)``,
-``_phase`` and ``_values`` write into buffers the caller hands over, so the
-items of a survival report or a condition check reuse their thread's arrays
-instead of allocating new ones.  Scaling multiplies float64 parts, which
-rounds alike on every host.
+``evolve(psi, t)`` adopts ``_inverse(_phase(transform(psi), step(t)))`` as
+a state, so a caller that evolves one state to many times, or many states
+to one time, transforms each state once and builds each phase vector once
+and gets the same bits as separate evolves.  Coefficients and steps are
+read-only and ``_phase`` never writes to them unless handed them as its
+work array.  ``Propagator`` alone changes basis, each way in one place:
+``_coeffs`` forward, ``_inverse`` back, and ``_phase`` multiplies by a
+diagonal (a step gives U(t), a list of them a block's rows).  The change of
+basis is an isometry, so ``_inner`` reads an inner product from
+coefficients and a measurement chain ends on them (`zeno._chain`).
+``_step(t, out)``, ``_phase`` and ``_inverse`` write into buffers the caller
+hands over, so the items of a survival report or a condition check reuse
+their thread's arrays instead of allocating new ones.  Scaling multiplies
+float64 parts, which rounds alike on every host.
 ``ShiftPropagator`` speaks the same protocol with a state's values as its
 coefficients (its ``_inverse`` returns them), a whole-step count as its step
 and a circular roll as its ``_phase``.  The adjoint U(t)^dagger is realized
@@ -241,10 +241,6 @@ class Propagator:
             phases[mid] = 1.0  # the Nyquist eigenvalue is 0
         return phases
 
-    def _values(self, coeffs: np.ndarray, diagonal, out=None, work=None) -> np.ndarray:
-        """Values of `_phase(coeffs, diagonal, work)`, on the FFT basis into `out` or fresh."""
-        return self._inverse(self._phase(coeffs, diagonal, work), out)
-
     def _phase(self, coeffs: np.ndarray, diagonal, work=None) -> np.ndarray:
         """diagonal * coeffs into `work` (fresh when None; it may be `coeffs`); a list of
         diagonals fills a block `work` row by row, from `coeffs` or its rows."""
@@ -306,15 +302,15 @@ def _real_rows(values: np.ndarray) -> np.ndarray:
 
 def evolve_spectral(propagator: Propagator, psi: WaveFunction, t: float) -> WaveFunction:
     """Apply exp(-i t H) through the eigenbasis phase multiply."""
-    coeffs = propagator.transform(psi)
-    return WaveFunction._adopt(propagator.space, propagator._values(coeffs, propagator.step(t)))
+    phased = propagator._phase(propagator.transform(psi), propagator.step(t))
+    return WaveFunction._adopt(propagator.space, propagator._inverse(phased))
 
 
 @dataclass(frozen=True, eq=False)
 class ShiftPropagator:
     """Translation restricted to whole grid steps t = m * dx.
 
-    Shares the transform/step/evolve protocol and the private `_values`,
+    Shares the transform/step/evolve protocol and the private `_step`,
     `_phase`, `_inverse` and `_inner` with Propagator so condition checks and
     measurement chains can run on either path: a state's values are its
     coefficients, a step is a whole-step count m and `_phase` is a circular
@@ -343,8 +339,6 @@ class ShiftPropagator:
             )
         return round(ratio)
 
-    _values = Propagator._values  # a roll into `work`: the values are the coefficients
-
     def _phase(self, coeffs: np.ndarray, step: int, work=None) -> np.ndarray:
         """np.roll(coeffs, step) as one copy of two slices, into `work`, never `coeffs`, or
         fresh."""
@@ -364,7 +358,8 @@ class ShiftPropagator:
         return self.step(t)
 
     def evolve(self, psi: WaveFunction, t: float) -> WaveFunction:
-        return WaveFunction._adopt(self.grid, self._values(self.transform(psi), self.step(t)))
+        rolled = self._phase(self.transform(psi), self.step(t))
+        return WaveFunction._adopt(self.grid, self._inverse(rolled))
 
 
 def _series_terms(h: SpectralOperator, coeffs: np.ndarray, t: float, n_terms: int):

@@ -23,16 +23,18 @@ elements are one block and get exactly the bits of `np.vdot` and
 
 Independent evolves (a scenario's checks, condition samples, survival
 schedules, sweep points) go through `_map`, on the calling thread and idle
-helpers from one process-wide pool of CPUS - 1 threads.  A helper holds one
-of CPUS - 1 permits while it works, so at most CPUS threads compute and a
+helpers from one process-wide pool of CPUS threads.  A helper holds one of
+CPUS - 1 permits while it works, so at most CPUS threads compute and a
 `_map` nested inside a helper runs inline; numpy's FFT, exp and elementwise
 arithmetic release the GIL.  Each item runs the same code on the same
 inputs as a serial loop, so the bits do not depend on how many helpers took
 part.  A scenario of MAP_MIN_POINTS or more points called on the main
-thread runs on one runner thread, whose malloc arena refaults fewer pages
-(`_run_apart`), while the main thread waits with no permit.  An interrupt
-of a wait (`_join`) or a map item sets `_stopping` until neither the runner
-nor a helper works: every map stops after its item, a chain after its segment.
+thread runs on a pool thread, whose malloc arena refaults fewer pages
+(`_run_apart`), while the main thread waits with no permit.  Helpers hold
+at most CPUS - 1 pool threads and only the waiting main thread hands the
+pool a scenario, so one thread is always free for it.  An interrupt of a
+wait (`_join`) or a map item sets `_stopping` until nothing handed to the
+pool works: every map stops after its item, a chain after its segment.
 """
 
 from __future__ import annotations
@@ -63,19 +65,17 @@ try:
 except AttributeError:  # no affinity call on this platform
     CPUS = os.cpu_count() or 1
 
-# one permit per pool thread; a helper holds its permit while it works
+# a helper holds one permit while it works; the pool's one thread more is `_run_apart`'s
 _permits = threading.BoundedSemaphore(CPUS - 1)
-_pool = ThreadPoolExecutor(max_workers=max(CPUS - 1, 1), thread_name_prefix="zenolab")
-# the runner of `_run_apart`
-_runner = ThreadPoolExecutor(max_workers=1, thread_name_prefix="zenolab-runner")
-# set by an interrupt until no fn handed to the runner or a helper, `_working`, runs
+_pool = ThreadPoolExecutor(max_workers=CPUS, thread_name_prefix="zenolab")
+# set by an interrupt until no fn handed to the pool, `_working`, runs
 _stopping = threading.Event()
 _working: list = []
 _lock = threading.Lock()  # for each check of `_working` and the set or clear it decides
 
 
-def _submit(executor, fn):
-    """executor.submit(fn), with fn in `_working` until it returns or raises."""
+def _submit(fn):
+    """_pool.submit(fn), with fn in `_working` until it returns or raises."""
     def work():
         try:
             return fn()
@@ -86,7 +86,7 @@ def _submit(executor, fn):
                     _stopping.clear()
 
     _working.append(fn)  # atomic; a clear it races found all earlier work done
-    return executor.submit(work)
+    return _pool.submit(work)
 
 
 def _halt() -> None:
@@ -151,7 +151,7 @@ def _map(fn, items, most: int | None = None, points: int | None = None) -> list:
     while not errors and (i := next(claim)) < len(items):
         # recruit only while some item is still left for a helper to take
         while i + 1 < len(items) and len(helpers) < wanted and _permits.acquire(blocking=False):
-            helpers.append(_submit(_pool, helper))
+            helpers.append(_submit(helper))
         run(i)
     _join(helpers)
     if errors:
@@ -160,10 +160,10 @@ def _map(fn, items, most: int | None = None, points: int | None = None) -> list:
 
 
 def _run_apart(fn, points: int | None):
-    """fn(), on the runner when the main thread calls with `points` >= MAP_MIN_POINTS."""
+    """fn(), on a pool thread when the main thread calls with `points` >= MAP_MIN_POINTS."""
     if (points or 0) < MAP_MIN_POINTS or threading.current_thread() is not threading.main_thread():
         return fn()
-    return _join([_submit(_runner, fn)])[0]
+    return _join([_submit(fn)])[0]
 
 
 def _blocked(dot, a: np.ndarray, b: np.ndarray):

@@ -223,7 +223,7 @@ def _sample(condition: str, projector: SubspaceProjector, u, ts, pairs: list,
             if kind not in kit:
                 kit[kind] = [None, np.empty_like(c)]
             held = kit[kind]  # [values, coefficients]
-            values = held[0] = u._values(c, step, *held)
+            values = held[0] = u._inverse(u._phase(c, step, held[1]), held[0])
             row.append(ConditionSample(t, name, projector._mass(values)))
         return row
 

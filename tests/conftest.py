@@ -36,11 +36,12 @@ def no_stop_left():
 
 @pytest.fixture
 def helpers(monkeypatch):
-    """Install a helper pool of n threads and n permits for this test."""
+    """Install a pool of n + 1 threads and n permits for this test: as in the real pool,
+    helpers leave one thread free for a scenario the main thread hands over."""
     pools = []
 
     def install(n: int) -> None:
-        pools.append(ThreadPoolExecutor(max_workers=max(n, 1)))
+        pools.append(ThreadPoolExecutor(max_workers=n + 1))
         monkeypatch.setattr(statespace, "_pool", pools[-1])
         monkeypatch.setattr(statespace, "_permits", threading.BoundedSemaphore(n))
 

@@ -12,16 +12,23 @@ and `dense_momentum_twin` builds the momentum operator without an FFT, for the
 matrix-basis path.  `apply_generator` and `fft_pair_hn_norms` apply
 H = V Lambda V^dagger on the values as its definition, with one numpy complex
 FFT pair per application on a grid.  Frozen literals in
-the test modules were produced by these helpers.
+the test modules were produced by these helpers.  `child_bundles` runs
+scenarios in child interpreters, for tests that compare bundles across an
+environment that only a fresh process reads.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from scipy import integrate
 
+import zenolab
 from zenolab import Propagator, SpectralOperator
 from zenolab.analytic import CEILING_WINDOW, SATURATION_FRACTION
 
@@ -58,6 +65,26 @@ def gaussian_halfline_mass_quad(center: float, sigma: float) -> float:
 
     value, _ = integrate.quad(integrand, 0.0, np.inf)
     return value
+
+
+def clipped_gaussian_survival(center: float, sigma: float, tau: float, dx: float,
+                              delta: float) -> float:
+    """|<g, g(. - tau)>|^2 / <g, g>^2 for the Gaussian amplitude a(x) = exp(-(x - c)^2 /
+    (4 sigma^2)) clipped to x < 0, as the Riemann sums of a grid with step dx give it.
+
+    The integrals are sqrt(2 pi) sigma exp(-tau^2 / (8 sigma^2)) Phi((-c - tau/2) / sigma)
+    for the overlap and sqrt(2 pi) sigma Phi(-c / sigma) for the norm.  delta in (0, dx]
+    is the distance from the last core sample to 0 (dx when x = 0 is a sample); each
+    sum adds its first Euler-Maclaurin endpoint term at the cut, (dx/2 - delta) a(0)
+    a(-tau) and (dx/2 - delta) a(0)^2, so what is left is second order in dx.
+    """
+    edge = math.exp(-center**2 / (4.0 * sigma**2))
+    moved = math.exp(-(center + tau) ** 2 / (4.0 * sigma**2))
+    root = math.sqrt(2.0 * math.pi) * sigma
+    overlap = (root * math.exp(-tau**2 / (8.0 * sigma**2)) * normal_cdf((-center - tau / 2) / sigma)
+               + (dx / 2 - delta) * edge * moved)
+    norm = root * normal_cdf(-center / sigma) + (dx / 2 - delta) * edge**2
+    return (overlap / norm) ** 2
 
 
 def momentum_power_norm(n: int, sigma: float) -> float:
@@ -225,3 +252,15 @@ def fft_pair_hn_norms(h, psi, n_max: int):
         if at_ceiling >= CEILING_WINDOW and n < n_max:
             return ratios, None, n
     return ratios, None, None
+
+
+def child_bundles(out: Path, names, variable: str, value: str, *flags: str) -> dict[str, bytes]:
+    """Each named scenario's bundle.json bytes, from `zenolab run <name> *flags --out out`
+    in a child interpreter whose environment sets `variable` to `value`."""
+    src = str(Path(zenolab.__file__).resolve().parents[1])
+    env = dict(os.environ, **{variable: value},
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name in names:
+        subprocess.run([sys.executable, "-m", "zenolab.cli", "run", name, *flags, "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+    return {name: (out / name / "bundle.json").read_bytes() for name in names}

@@ -10,17 +10,14 @@ them; a different numpy build may round differently in the last digit.
 
 from __future__ import annotations
 
-import os
 import re
 import runpy
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import zenolab
+from oracles import child_bundles
 from zenolab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -74,18 +71,6 @@ def _dispatch_levels() -> list[str]:
     return [t for t in targets[targets.index("X86_V3"):] if features.get(t)]
 
 
-def _bundles_at(tmp_path: Path, disabled: list[str]) -> dict[str, bytes]:
-    """Each default scenario's bundle.json, run in a child with `disabled` turned off."""
-    out = tmp_path / ("-".join(disabled) or "all")
-    src = str(Path(zenolab.__file__).resolve().parents[1])
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled),
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    for name in SCENARIO_NAMES:
-        subprocess.run([sys.executable, "-m", "zenolab.cli", "run", name, "--out", str(out)],
-                       env=env, check=True, capture_output=True, timeout=120)
-    return {name: (out / name / "bundle.json").read_bytes() for name in SCENARIO_NAMES}
-
-
 def test_bundles_do_not_depend_on_the_simd_level(tmp_path):
     """numpy picks its ufunc loops by the CPU's features, and some (real exp among
     them) round differently at different levels; the four default bundles are the
@@ -94,5 +79,7 @@ def test_bundles_do_not_depend_on_the_simd_level(tmp_path):
     levels = _dispatch_levels()
     if len(levels) < 2:
         pytest.skip("numpy dispatches to no x86-64 level above X86_V3 on this host")
-    bundles = [_bundles_at(tmp_path, levels[i + 1:]) for i in range(len(levels))]
+    bundles = [child_bundles(tmp_path / f"level-{i}", SCENARIO_NAMES,
+                             "NPY_DISABLE_CPU_FEATURES", " ".join(levels[i + 1:]))
+               for i in range(len(levels))]
     assert all(b == bundles[0] for b in bundles[1:])

@@ -175,17 +175,17 @@ def test_counterexample_hands_condition_I_times_to_a_thread_freed_by_the_others(
         helpers, monkeypatch, n):
     """(I) is the caller's item; the other checks finish first on helpers.
 
-    The caller is the runner thread, which runs a 2^14-point scenario called
-    from the main thread.  With two permits the second pool thread may start
-    after the first has taken every other check, so only one permit pins
-    which thread helps.
+    The caller is the pool thread that runs a 2^14-point scenario called from
+    the main thread.  With two permits the second helper may start after the
+    first has taken every other check, so only one permit pins which thread
+    helps.
     """
     from zenolab import scenarios, subspaces
 
     helpers(n)
     permits = WatchedPermits(n)
     monkeypatch.setattr(statespace, "_permits", permits)
-    caller = statespace._runner.submit(threading.get_ident).result(timeout=30)
+    handed = _handed_over(monkeypatch)  # its one entry, the caller, is set as it starts
     others = set()  # threads that ran (II), (I-A) or the leakage
     for name in ("check_condition_II", "check_condition_IA", "leakage"):
         def record(*args, _fn=getattr(scenarios, name), **kwargs):
@@ -199,6 +199,7 @@ def test_counterexample_hands_condition_I_times_to_a_thread_freed_by_the_others(
 
     def spy(fn, items, most=None, points=None):
         # (I) runs in the caller, the other checks' time items run on helpers
+        caller = handed[0]
         if fn.__name__ != "at" or threading.get_ident() != caller:
             return inner(fn, items, most, points)
 
@@ -219,6 +220,8 @@ def test_counterexample_hands_condition_I_times_to_a_thread_freed_by_the_others(
     bundle = scenarios.run_scenario(
         "counterexample", scenarios.ScenarioSpec(name="counterexample", grid_points=16384))
     assert bundle.passed
+    caller = handed[0]
+    assert caller != threading.get_ident() and caller in _pool_threads()
     assert caller not in others
     assert len(ran_I) == len(scenarios.T_SWEEP)
     assert set(ran_I) - {caller}
@@ -301,8 +304,43 @@ def test_nested_map_in_a_helper_finishes(helpers, n):
 
 
 # ----------------------------------------------------------------------
-# the runner thread: large scenarios called from the main thread
+# the runner: the pool thread that runs a large scenario for the main thread
 # ----------------------------------------------------------------------
+
+
+def _pool_threads() -> set[int]:
+    """The idents of the threads `statespace._pool` has started."""
+    return {thread.ident for thread in statespace._pool._threads}
+
+
+def _handed_over(monkeypatch) -> list[int]:
+    """Spy on `_run_apart`: the thread of each scenario it hands to the pool, recorded
+    as the scenario starts.  A scenario it runs inline records nothing."""
+    from zenolab import scenarios
+
+    threads = []
+    inner = statespace._run_apart
+
+    def apart(fn, points):
+        caller = threading.get_ident()
+
+        def recorded():
+            if threading.get_ident() != caller:
+                threads.append(threading.get_ident())
+            return fn()
+
+        return inner(recorded, points)
+
+    monkeypatch.setattr(scenarios, "_run_apart", apart)
+    return threads
+
+
+def _until_idle() -> None:
+    """Wait until no fn handed to the pool is left in `statespace._working`."""
+    deadline = time.monotonic() + 30
+    while statespace._working:
+        assert time.monotonic() < deadline, "work handed to the pool did not finish"
+        time.sleep(0.01)
 
 
 def _on_another_thread(fn):
@@ -324,8 +362,48 @@ def _on_another_thread(fn):
     return out["result"]
 
 
-def _runner_ident() -> int:
-    return statespace._runner.submit(threading.get_ident).result(timeout=30)
+def test_the_pool_keeps_one_thread_beyond_the_helpers_permits():
+    """The real pool has CPUS threads and its permits start at CPUS - 1: helpers hold at
+    most CPUS - 1 threads, so a scenario the main thread hands over finds one free.
+    Read from the objects, not run, so a broken invariant fails instead of hanging."""
+    assert statespace._pool._max_workers == statespace.CPUS
+    assert statespace._permits._initial_value == statespace.CPUS - 1
+    assert _permits_back(statespace.CPUS - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_large_scenario_finishes_while_helpers_hold_every_permit(helpers, n):
+    """n helpers each hold a permit, blocked on an event, while the main thread hands a
+    2^14-point scenario to the pool: the pool's one thread more runs it.  A timer frees
+    the helpers after 60 s, so a pool without that thread fails instead of hanging."""
+    from zenolab import scenarios
+
+    helpers(n)
+    holding = threading.Barrier(n + 1, timeout=30)
+    release = threading.Event()
+
+    def blocked() -> None:
+        assert statespace._permits.acquire(blocking=False)
+        try:
+            holding.wait()
+            release.wait()
+        finally:
+            statespace._permits.release()
+
+    blockers = [statespace._pool.submit(blocked) for _ in range(n)]
+    timer = threading.Timer(60, release.set)
+    timer.start()
+    try:
+        holding.wait()  # every permit is held
+        spec = ScenarioSpec(name="counterexample", grid_points=statespace.MAP_MIN_POINTS)
+        assert scenarios.run_scenario("counterexample", spec).passed
+        assert not release.is_set()  # it finished before the timer freed the helpers
+    finally:
+        timer.cancel()
+        release.set()
+        for blocker in blockers:
+            blocker.result(timeout=30)
+    assert _permits_back(n)
 
 
 @pytest.mark.parametrize("name, fields, apart", [
@@ -347,8 +425,10 @@ def test_only_large_scenarios_from_the_main_thread_go_to_the_runner(
         return inner(**kwargs)
 
     monkeypatch.setitem(scenarios.SCENARIOS, name, spy)
+    handed = _handed_over(monkeypatch)
     assert scenarios.run_scenario(name, ScenarioSpec(name=name, **fields)).passed
-    assert ran == [_runner_ident() if apart else threading.get_ident()]
+    assert ran == (handed if apart else [threading.get_ident()])
+    assert threading.get_ident() not in handed and set(handed) <= _pool_threads()
 
     def run_here() -> int:
         scenarios.run_scenario(name, ScenarioSpec(name=name, **fields))
@@ -363,6 +443,7 @@ def test_runner_hands_back_errors_unchanged(monkeypatch):
     from zenolab import scenarios
     from zenolab.errors import DomainError
 
+    handed = _handed_over(monkeypatch)
     spec = ScenarioSpec(name="hm-invariance", grid_points=65536, center=1.0)
     with pytest.raises(DomainError) as apart:
         scenarios.run_scenario("hm-invariance", spec)
@@ -382,7 +463,8 @@ def test_runner_hands_back_errors_unchanged(monkeypatch):
         scenarios.run_scenario("hm-invariance",
                                ScenarioSpec(name="hm-invariance", grid_points=65536))
     assert type(info.value) is MemoryError
-    assert raised == [(_runner_ident(), info.value)]
+    assert raised == [(handed[-1], info.value)]
+    assert threading.get_ident() not in handed and set(handed) <= _pool_threads()
 
 
 def test_sweep_computes_on_at_most_cpus_threads_and_never_on_the_waiting_main_thread(
@@ -392,8 +474,9 @@ def test_sweep_computes_on_at_most_cpus_threads_and_never_on_the_waiting_main_th
     helpers(1)  # a host of CPUS = 2: one helper beside the caller
     permits = WatchedPermits(1)
     monkeypatch.setattr(statespace, "_permits", permits)
+    handed = _handed_over(monkeypatch)
     tally = Tally()  # threads inside a Propagator primitive, none of which calls another
-    for name in ("_coeffs", "step", "_phase", "_inverse"):  # `_values` calls the last two
+    for name in ("_coeffs", "step", "_phase", "_inverse"):
         def counted(*args, _fn=getattr(Propagator, name), **kwargs):
             tally.enter()
             try:
@@ -408,8 +491,9 @@ def test_sweep_computes_on_at_most_cpus_threads_and_never_on_the_waiting_main_th
     capsys.readouterr()
     assert tally.most <= 2
     assert threading.get_ident() not in tally.threads
-    assert _runner_ident() in tally.threads
-    assert len(tally.threads) == 2  # the runner and the one pool thread
+    assert handed[0] in tally.threads
+    assert len(tally.threads) == 2  # the runner and the one helper, both pool threads
+    assert tally.threads <= _pool_threads()
     assert permits.all_free.is_set()
     assert _permits_back(1)
 
@@ -491,7 +575,7 @@ def test_a_second_interrupt_leaves_at_once_and_the_runner_still_stops(helpers, m
         scenarios.run_scenario("hm-invariance", spec)
     assert statespace._stopping.is_set()  # the runner still works
     left.set()
-    _runner_ident()  # the runner has finished the abandoned scenario
+    _until_idle()  # the runner has finished the abandoned scenario
     assert not statespace._stopping.is_set()
     assert len(started) == 1  # its chain stopped before the next segment
     monkeypatch.setattr(zeno, "_map", inner)
@@ -507,14 +591,14 @@ def test_an_interrupted_sweep_keeps_stopping_until_the_helpers_point_is_done(
     from zenolab import scenarios
 
     helpers(1)
-    runner = _runner_ident()
+    handed = _handed_over(monkeypatch)  # the runner, set before its point starts
     both = threading.Barrier(2, action=_thread.interrupt_main, timeout=30)
     runner_done = threading.Event()
     seen = []  # whether the helper's point still found `_stopping` set
 
     def blocked(**kwargs):
         both.wait()  # both points run
-        if threading.get_ident() == runner:
+        if threading.get_ident() in handed:
             try:
                 assert statespace._stopping.wait(timeout=30)
                 raise KeyboardInterrupt  # as a chain does before its next segment

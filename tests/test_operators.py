@@ -240,8 +240,8 @@ def test_shift_trivialities(grid):
     g = make_gaussian(grid, -8.0, 1.0)
     shifter = ShiftPropagator(grid)
     coeffs = shifter.transform(g)
-    assert np.array_equal(shifter._values(coeffs, 0), g.values)
-    assert np.array_equal(shifter._values(coeffs, grid.n_points), g.values)
+    assert np.array_equal(shifter._phase(coeffs, 0), g.values)
+    assert np.array_equal(shifter._phase(coeffs, grid.n_points), g.values)
     roundtrip = shifter.evolve(shifter.evolve(g, 37 * grid.dx), -37 * grid.dx)
     assert np.array_equal(roundtrip.values, g.values)
 
@@ -269,7 +269,7 @@ def test_shift_matches_spectral_pointwise(small_grid, seed, steps):
     psi = random_state(small_grid, seed)
     spectral = u.evolve(psi, steps * small_grid.dx).values
     shifter = ShiftPropagator(small_grid)
-    rolled = shifter._values(shifter.transform(psi), steps)
+    rolled = shifter._phase(shifter.transform(psi), steps)
     # the Nyquist part, whose eigenvalue is 0, stays where the shift gives it (-1)^steps
     kept = (1 - (-1) ** steps) * nyquist_part(psi.values)
     assert np.max(np.abs(spectral - rolled - kept)) <= 1e-10

@@ -10,15 +10,10 @@ that bundles no longer depend on how many threads OpenBLAS may use.
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import zenolab
+from oracles import child_bundles
 from zenolab.scenarios import ScenarioSpec, run_scenario
 from zenolab.statespace import REDUCTION_BLOCK, _blocked, _norm
 
@@ -107,21 +102,10 @@ def _blas_is_openblas() -> bool:
     return "openblas" in str(blas.get("name", "")).lower()
 
 
-def _bundles(tmp_path: Path, threads: int) -> dict[str, bytes]:
-    out = tmp_path / f"threads-{threads}"
-    src = str(Path(zenolab.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    for name in TRANSLATION_SCENARIOS:
-        subprocess.run(
-            [sys.executable, "-m", "zenolab.cli", "run", name,
-             "--grid-points", "16384", "--out", str(out)],
-            env=env, check=True, capture_output=True, timeout=120,
-        )
-    return {name: (out / name / "bundle.json").read_bytes() for name in TRANSLATION_SCENARIOS}
-
-
 @pytest.mark.skipif(not _blas_is_openblas(),
                     reason="numpy's BLAS is not OpenBLAS, so OPENBLAS_NUM_THREADS has no effect")
 def test_bundles_do_not_depend_on_blas_threads(tmp_path):
-    assert _bundles(tmp_path, 1) == _bundles(tmp_path, 2)
+    one, two = (child_bundles(tmp_path / f"threads-{n}", TRANSLATION_SCENARIOS,
+                              "OPENBLAS_NUM_THREADS", str(n), "--grid-points", "16384")
+                for n in (1, 2))
+    assert one == two

@@ -10,10 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import rabi_system
-from oracles import inner_product, naive_final_coeffs, rabi_chain_survival
+from oracles import (clipped_gaussian_survival, inner_product, naive_final_coeffs,
+                     rabi_chain_survival)
 from zenolab import statespace
 from zenolab import (
     DomainError,
+    Grid,
     MeasurementSchedule,
     PreconditionError,
     Propagator,
@@ -22,8 +24,10 @@ from zenolab import (
     core_zone_state,
     deficit_ladder,
     deficit_slope,
+    halfline_pair,
     leakage,
     make_gaussian,
+    momentum_operator,
     survival_report,
 )
 from zenolab.scenarios import run_scenario
@@ -85,6 +89,28 @@ def test_free_survival_gaussian_autocorrelation(grid, translator):
 def test_free_survival_at_zero_time(grid, translator):
     g = make_gaussian(grid, -4.0, 1.0)
     assert _autocorrelation(translator, g, 0.0) >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.0 / 3.0], ids=["zero-is-a-sample", "zero-between"])
+def test_free_survival_of_a_clipped_gaussian_converges_at_second_order(shift):
+    """The spectral s_free of the Gaussian at -4 clipped to the core zone, at t = 2, against
+    the clipped closed form with its endpoint term: from 2^12 to 2^14 points its error
+    falls by more than 8, between first order (4) and second order (16).  The domain
+    [-40, 40] is moved left by `shift` steps of the 2^12 grid, so the last core sample
+    sits shift * dx below 0 (or dx, at 0) at both sizes and the error's dx^2
+    coefficient is the same."""
+    dx = 80.0 / 4096
+    errors = []
+    for n in (4096, 16384):
+        grid = Grid(-40.0 - shift * dx, 40.0 - shift * dx, n)
+        p_core, _ = halfline_pair(grid)
+        e = core_zone_state(p_core, make_gaussian(grid, -4.0, 1.0))
+        u = Propagator(momentum_operator(grid))
+        report, = survival_report(u, p_core, e, [MeasurementSchedule.equally_spaced(2.0, 0)])
+        delta = -grid.positions()[p_core.stop - 1]
+        errors.append(abs(report.s_free
+                          - clipped_gaussian_survival(-4.0, 1.0, 2.0, grid.dx, delta)))
+    assert errors[0] / errors[1] > 8.0
 
 
 # ----------------------------------------------------------------------
